@@ -50,6 +50,7 @@ from .functionals import (
 from .geodesic import (
     EpsGeodesic,
     EpsGeodesicProblem,
+    eps_continuation,
     eval_geodesic_residual,
     initial_guess,
     legendre_oracle,

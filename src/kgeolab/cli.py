@@ -18,10 +18,15 @@ bare names so the bytes do not depend on the output location.  The one
 non-reproducible field is the top-level "timestamp" key.  All files are
 written atomically (temp file in the target directory, then rename).
 
+Every stage reads its solved objects from one lazily built SuiteData per
+invocation, so a ``study`` solves the config's epsilon ladder and its
+fiber family once each, with the config's ``tolerances``; the verify
+suites keep their calibrated ladders and honour only the fiber override.
+
 Environment overrides, the only two honored: KGEOLAB_OUT_DIR supplies
-the output directory when --out is absent, KGEOLAB_THREADS the
-parallelism cap when --threads is absent.  Threads parallelize
-independent verify suites; each solver run is itself sequential.
+the output directory when --out is absent, KGEOLAB_THREADS stands in for
+--threads when the flag is absent.  The thread count is validated (an
+integer >= 1) but every run is sequential.
 """
 
 from __future__ import annotations
@@ -31,7 +36,6 @@ import json
 import os
 import sys
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -40,14 +44,8 @@ import numpy as np
 from .config import ExperimentConfig, load_config, validate_against_schema
 from .errors import ConfigError
 from .functionals import TruncationSpec, mabuchi, mabuchi_eps_A, mabuchi_k
-from .geodesic import EpsGeodesicProblem, legendre_oracle, solve_eps_geodesic, weak_geodesic
-from .ma_fiber import (
-    check_bounds,
-    density_convergence,
-    eps_phi_vanishing,
-    family_report,
-    solve_family,
-)
+from .geodesic import legendre_oracle, rung_increments
+from .ma_fiber import check_bounds, density_convergence, eps_phi_vanishing, family_report
 from .model import PathField, _format_float
 from .verify import (
     SUITES,
@@ -60,10 +58,6 @@ from .verify import (
 
 SUBCOMMANDS = ("geodesic", "fiberwise", "mabuchi", "verify", "study")
 VARIANTS = ("exact", "k", "epsA")
-
-#: attributes re-solved once before suites are dispatched to worker threads,
-#: so the cached lazy solves are never computed twice
-_SHARED_SOLVES = ("weak_path", "weak_path_fine", "family", "eps_geodesic", "levels", "curved_geodesics")
 
 
 # ---------------------------------------------------------------------------
@@ -104,40 +98,27 @@ def _write_csv_rows(out_dir: Path, name: str, header: str, rows: list[str]) -> N
 # subcommand pipelines
 
 
-def run_geodesic(config: ExperimentConfig, out_dir: Path) -> int:
+def run_geodesic(config: ExperimentConfig, data: SuiteData, out_dir: Path) -> int:
     """Epsilon sweep with warm starts; one path CSV per epsilon."""
     config.require("epsilons")
     if config.n_time < 8:
         raise ConfigError("geodesic runs need time.n_time >= 8")
-    bg = config.bg
-    oracle = legendre_oracle(bg, config.endpoint_0, config.endpoint_1, config.n_time)
+    oracle = legendre_oracle(config.bg, config.endpoint_0, config.endpoint_1, config.n_time)
+    rungs = data.ladder_rungs
     files = []
-    increments: list[float] = []
-    residual_sups = []
-    newton_iters = []
-    oracle_distance = []
-    prev = None
-    for i, eps in enumerate(config.epsilons):
-        problem = EpsGeodesicProblem(bg, config.endpoint_0, config.endpoint_1, eps, config.n_time)
-        sol = solve_eps_geodesic(problem, tol=config.tolerances["geodesic"], path0=prev)
-        if prev is not None:
-            increments.append(float(np.max(np.abs(sol.path.values - prev))))
-        prev = sol.path.values
+    for i, sol in enumerate(rungs):
         name = f"geodesic_path_eps{i:02d}.csv"
         _write_csv_via(out_dir, name, sol.path.to_csv)
-        files.append({"epsilon": eps, "path_csv": name})
-        residual_sups.append(sol.residual_sup)
-        newton_iters.append(sol.newton_iters)
-        oracle_distance.append(float(np.max(np.abs(sol.path.values - oracle.values))))
+        files.append({"epsilon": sol.epsilon, "path_csv": name})
     report = {
         "timestamp": _timestamp(),
         "config": config.raw,
         "n_time": config.n_time,
         "epsilons": list(config.epsilons),
-        "increments": increments,
-        "residual_sups": residual_sups,
-        "newton_iters": newton_iters,
-        "oracle_distance": oracle_distance,
+        "increments": rung_increments(rungs),
+        "residual_sups": [sol.residual_sup for sol in rungs],
+        "newton_iters": [sol.newton_iters for sol in rungs],
+        "oracle_distance": [float(np.max(np.abs(sol.path.values - oracle.values))) for sol in rungs],
         "files": files,
     }
     _write_json(out_dir, "geodesic_report.json", report, "geodesic_report")
@@ -145,7 +126,7 @@ def run_geodesic(config: ExperimentConfig, out_dir: Path) -> int:
     return 0
 
 
-def run_fiberwise(config: ExperimentConfig, out_dir: Path) -> int:
+def run_fiberwise(config: ExperimentConfig, data: SuiteData, out_dir: Path) -> int:
     """Family solve along the weak geodesic plus the three family checks."""
     config.require("epsilons", "deltas")
     if len(config.epsilons) < 3:
@@ -153,8 +134,8 @@ def run_fiberwise(config: ExperimentConfig, out_dir: Path) -> int:
     if config.n_time < 8:
         raise ConfigError("fiberwise runs need time.n_time >= 8")
     bg = config.bg
-    path = weak_geodesic(bg, config.endpoint_0, config.endpoint_1, config.epsilons, n_time=config.n_time)
-    family = solve_family(bg, path, config.epsilons, config.deltas, tol=config.tolerances["fiber"])
+    path = data.ladder_path
+    family = data.ladder_family
     bounds = check_bounds(family)
     convergence = density_convergence(family, path)
     vanishing = eps_phi_vanishing(family)
@@ -195,7 +176,7 @@ def run_fiberwise(config: ExperimentConfig, out_dir: Path) -> int:
     return 0 if passed else 3
 
 
-def run_mabuchi(config: ExperimentConfig, out_dir: Path, variant: str) -> int:
+def run_mabuchi(config: ExperimentConfig, data: SuiteData, out_dir: Path, variant: str) -> int:
     """Functional traces along solved paths; no pass/fail judgement here."""
     if variant not in VARIANTS:
         raise ConfigError(f"unknown variant {variant!r}; expected one of {list(VARIANTS)}")
@@ -205,30 +186,24 @@ def run_mabuchi(config: ExperimentConfig, out_dir: Path, variant: str) -> int:
     bg = config.bg
     traces = []
     extra: dict = {}
-    if variant in ("exact", "k"):
-        if len(config.epsilons) < 3:
-            raise ConfigError(f"variant={variant} needs >= 3 epsilons for the weak-geodesic continuation")
-        path = weak_geodesic(bg, config.endpoint_0, config.endpoint_1, config.epsilons, n_time=config.n_time)
-        if variant == "exact":
-            traces.append(("mabuchi_trace.csv", mabuchi(bg, path)))
-        else:
-            config.require("deltas", "k_list")
-            if max(config.k_list) > len(config.epsilons):
-                raise ConfigError(
-                    f"k_list entries cannot exceed the number of epsilons ({len(config.epsilons)})"
-                )
-            family = solve_family(bg, path, config.epsilons, config.deltas, tol=config.tolerances["fiber"])
-            check_bounds(family)
-            for k in config.k_list:
-                traces.append((f"mabuchi_k{k}_trace.csv", mabuchi_k(bg, path, family, k)))
-            extra["family"] = family_report(family)
+    if variant in ("exact", "k") and len(config.epsilons) < 3:
+        raise ConfigError(f"variant={variant} needs >= 3 epsilons for the weak-geodesic continuation")
+    if variant == "exact":
+        traces.append(("mabuchi_trace.csv", mabuchi(bg, data.ladder_path)))
+    elif variant == "k":
+        config.require("deltas", "k_list")
+        if max(config.k_list) > len(config.epsilons):
+            raise ConfigError(
+                f"k_list entries cannot exceed the number of epsilons ({len(config.epsilons)})"
+            )
+        family = data.ladder_family
+        check_bounds(family)
+        for k in config.k_list:
+            traces.append((f"mabuchi_k{k}_trace.csv", mabuchi_k(bg, data.ladder_path, family, k)))
+        extra["family"] = family_report(family)
     else:
         config.require("a_values")
-        prev = None
-        for i, eps in enumerate(config.epsilons):
-            problem = EpsGeodesicProblem(bg, config.endpoint_0, config.endpoint_1, eps, config.n_time)
-            sol = solve_eps_geodesic(problem, tol=config.tolerances["geodesic"], path0=prev)
-            prev = sol.path.values
+        for i, sol in enumerate(data.ladder_rungs):
             for j, a in enumerate(config.a_values):
                 spec = TruncationSpec(float(a), chi=config.chi)
                 traces.append((f"mabuchi_epsA_e{i:02d}_a{j:02d}.csv", mabuchi_eps_A(bg, sol, spec)))
@@ -257,11 +232,12 @@ def run_mabuchi(config: ExperimentConfig, out_dir: Path, variant: str) -> int:
 
 
 def _suite_data(config: ExperimentConfig) -> SuiteData:
-    """Suite inputs from the config: geometry, time grid, seed, fiber tol.
+    """The run's solve cache: geometry, time grid, seed and ladders.
 
-    The sweep ladders (epsilon, delta, A, k) stay at the suite's calibrated
-    defaults; the artifact subcommands are the place where the config's own
-    ladders run.
+    The check suites' sweep ladders (epsilon, delta, A, k) stay at their
+    calibrated defaults and honour only the fiber tolerance override; the
+    config's own ladders and tolerances feed the ``ladder_*`` objects that
+    the artifact stages read.
     """
     data = SuiteData(
         bg=config.bg,
@@ -269,6 +245,10 @@ def _suite_data(config: ExperimentConfig) -> SuiteData:
         endpoint_1=config.endpoint_1,
         n_time=config.n_time,
         seeds=tuple(range(config.seed, config.seed + 20)),
+        ladder_epsilons=config.epsilons or (),
+        ladder_deltas=config.deltas or (),
+        ladder_geodesic_tol=config.tolerances["geodesic"],
+        ladder_fiber_tol=config.tolerances["fiber"],
     )
     fiber_override = config.raw.get("tolerances", {}).get("fiber")
     if fiber_override is not None:
@@ -276,7 +256,7 @@ def _suite_data(config: ExperimentConfig) -> SuiteData:
     return data
 
 
-def run_verify(config: ExperimentConfig, out_dir: Path, suite: str, threads: int) -> int:
+def run_verify(config: ExperimentConfig, data: SuiteData, out_dir: Path, suite: str) -> int:
     """Theorem-check suites; exit 0 iff every result row passes.
 
     Negative controls are inverted into their rows (a control row passes
@@ -285,16 +265,7 @@ def run_verify(config: ExperimentConfig, out_dir: Path, suite: str, threads: int
     """
     if suite != "all" and suite not in SUITES:
         raise ConfigError(f"unknown suite {suite!r}; expected one of {sorted(SUITES)} or 'all'")
-    names = ("entropy", "convexity", "curvature", "bounds") if suite == "all" else (suite,)
-    data = _suite_data(config)
-    if threads > 1 and len(names) > 1:
-        for attr in _SHARED_SOLVES:
-            getattr(data, attr)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(SUITES[name], data) for name in names]
-            results = [res for fut in futures for res in fut.result()]
-    else:
-        results = [res for name in names for res in run_suite(data, name)]
+    results = run_suite(data, suite)
 
     for res in results:
         print(f"[{'PASS' if res.passed else 'FAIL'}] {res.name} (margin={res.margin:.3e})")
@@ -319,7 +290,7 @@ def run_verify(config: ExperimentConfig, out_dir: Path, suite: str, threads: int
         },
         "passed": passed,
     }
-    if "bounds" in names:
+    if suite in ("all", "bounds"):
         report["measured"] = {
             "omega_mask": omega_mask_report(config.bg, data.eps_geodesic, TruncationSpec(10.0)),
             "density_limit": density_limit_report(data.family, data.weak_path),
@@ -329,7 +300,7 @@ def run_verify(config: ExperimentConfig, out_dir: Path, suite: str, threads: int
     return 0 if passed else 3
 
 
-def run_study(config: ExperimentConfig, out_dir: Path, threads: int) -> int:
+def run_study(config: ExperimentConfig, data: SuiteData, out_dir: Path) -> int:
     """Full pipeline: geodesic, fiberwise, all mabuchi variants, verify all."""
     config.require("epsilons", "deltas", "k_list", "a_values")
     if len(config.epsilons) < 3:
@@ -344,12 +315,12 @@ def run_study(config: ExperimentConfig, out_dir: Path, threads: int) -> int:
         rcs.append(rc)
         print(f"study stage {name}: {'ok' if rc == 0 else f'exit {rc}'}")
 
-    stage("geodesic", "geodesic_report.json", run_geodesic(config, out_dir))
-    stage("fiberwise", "fiberwise_report.json", run_fiberwise(config, out_dir))
-    stage("mabuchi_exact", "mabuchi_exact_report.json", run_mabuchi(config, out_dir, "exact"))
-    stage("mabuchi_k", "mabuchi_k_report.json", run_mabuchi(config, out_dir, "k"))
-    stage("mabuchi_epsa", "mabuchi_epsa_report.json", run_mabuchi(config, out_dir, "epsA"))
-    stage("verify", "verify_report.json", run_verify(config, out_dir, "all", threads))
+    stage("geodesic", "geodesic_report.json", run_geodesic(config, data, out_dir))
+    stage("fiberwise", "fiberwise_report.json", run_fiberwise(config, data, out_dir))
+    stage("mabuchi_exact", "mabuchi_exact_report.json", run_mabuchi(config, data, out_dir, "exact"))
+    stage("mabuchi_k", "mabuchi_k_report.json", run_mabuchi(config, data, out_dir, "k"))
+    stage("mabuchi_epsa", "mabuchi_epsa_report.json", run_mabuchi(config, data, out_dir, "epsA"))
+    stage("verify", "verify_report.json", run_verify(config, data, out_dir, "all"))
 
     passed = all(rc == 0 for rc in rcs)
     report = {
@@ -376,11 +347,12 @@ def _resolve_out_dir(config: ExperimentConfig, cli_out: str | None) -> Path:
     return Path(config.out_dir)
 
 
-def _resolve_threads(cli_threads: int | None) -> int:
+def _check_threads(cli_threads: int | None) -> None:
+    """Validate --threads / KGEOLAB_THREADS; runs are sequential at any value."""
     if cli_threads is not None:
         if cli_threads < 1:
             raise ConfigError(f"--threads must be >= 1, got {cli_threads}")
-        return cli_threads
+        return
     env = os.environ.get("KGEOLAB_THREADS")
     if env:
         try:
@@ -389,8 +361,6 @@ def _resolve_threads(cli_threads: int | None) -> int:
             raise ConfigError(f"KGEOLAB_THREADS must be an integer, got {env!r}") from exc
         if value < 1:
             raise ConfigError(f"KGEOLAB_THREADS must be >= 1, got {value}")
-        return value
-    return 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -410,7 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=helps[name])
         sp.add_argument("--config", metavar="PATH", help="experiment config JSON (required)")
         sp.add_argument("--out", metavar="DIR", help="output directory (overrides config and env)")
-        sp.add_argument("--threads", type=int, metavar="N", help="parallelism cap (default 1)")
+        sp.add_argument("--threads", type=int, metavar="N",
+                        help="validated (an integer >= 1); every run is sequential")
         if name == "mabuchi":
             sp.add_argument("--variant", default="exact", metavar="NAME", help="exact | k | epsA")
         if name == "verify":
@@ -434,18 +405,19 @@ def main(argv=None) -> int:
     out_dir = None
     try:
         config = load_config(args.config)
-        threads = _resolve_threads(args.threads)
+        _check_threads(args.threads)
         out_dir = _resolve_out_dir(config, args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
+        data = _suite_data(config)
         if args.command == "geodesic":
-            return run_geodesic(config, out_dir)
+            return run_geodesic(config, data, out_dir)
         if args.command == "fiberwise":
-            return run_fiberwise(config, out_dir)
+            return run_fiberwise(config, data, out_dir)
         if args.command == "mabuchi":
-            return run_mabuchi(config, out_dir, args.variant)
+            return run_mabuchi(config, data, out_dir, args.variant)
         if args.command == "verify":
-            return run_verify(config, out_dir, args.suite, threads)
-        return run_study(config, out_dir, threads)
+            return run_verify(config, data, out_dir, args.suite)
+        return run_study(config, data, out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -23,20 +23,11 @@ from .errors import FamilyMismatch, NegativeDensity
 from .model import (
     Background,
     PathField,
-    PeriodicField,
     _as_field_values,
     _format_float,
     metric_density,
     reduced_hessian,
 )
-
-
-def _values(grid, obj) -> np.ndarray:
-    if isinstance(obj, PeriodicField):
-        if obj.grid != grid:
-            raise ValueError("field lives on a different grid")
-        return obj.values
-    return _as_field_values(grid, obj)
 
 
 def second_differences(values, ds: float) -> np.ndarray:
@@ -108,7 +99,7 @@ class TruncationSpec:
 def _resolve_chi(bg: Background, spec: TruncationSpec) -> np.ndarray:
     if spec.chi is None:
         return np.zeros(bg.grid.n_points)
-    return _values(bg.grid, spec.chi)
+    return _as_field_values(bg.grid, spec.chi)
 
 
 # ---------------------------------------------------------------------------
@@ -117,14 +108,14 @@ def _resolve_chi(bg: Background, spec: TruncationSpec) -> np.ndarray:
 
 def energy(bg: Background, u) -> float:
     """E(u) = int u (m[u] + w) dx; polynomial in u, no admissibility needed."""
-    u = _values(bg.grid, u)
+    u = _as_field_values(bg.grid, u)
     return bg.integrate(u * (metric_density(bg, u) + bg.w))
 
 
 def energy_alpha(bg: Background, u, alpha) -> float:
     """E^alpha(u) = int u alpha dx; with alpha = r this is the Ricci energy."""
-    u = _values(bg.grid, u)
-    return bg.integrate(u * _values(bg.grid, alpha))
+    u = _as_field_values(bg.grid, u)
+    return bg.integrate(u * _as_field_values(bg.grid, alpha))
 
 
 def _slice_density(bg: Background, u, label: str = "") -> np.ndarray:

@@ -12,7 +12,8 @@ and whose slice densities are convex combinations of the endpoint densities.
 All interior rows are solved jointly; the Jacobian is the nine-point
 space-time stencil, factored sparse per iterate.
 
-weak_geodesic extracts the small-eps limit by warm-started continuation.
+weak_geodesic extracts the small-eps limit of eps_continuation, the one
+warm-started eps-ladder of the package.
 legendre_oracle is the independent surrogate for the exact degenerate
 solution: with P = x^2/2 + psi + phi the admissible cone becomes discrete
 convexity of P, the degenerate flow is affine interpolation of the convex
@@ -32,28 +33,22 @@ from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from ._newton import damped_newton
-from .errors import FamilyMismatch, NegativeDensity, NonConvexInput, NotASolution, SingularSystem
+from .errors import (
+    FamilyMismatch,
+    NegativeDensity,
+    NonConvexInput,
+    NotASolution,
+    PositivityLoss,
+    SingularSystem,
+)
 from .model import (
     Background,
     PathField,
-    PeriodicField,
     _as_field_values,
+    _require_central2,
     is_admissible,
     reduced_hessian,
 )
-
-
-def _values(grid, obj) -> np.ndarray:
-    if isinstance(obj, PeriodicField):
-        if obj.grid != grid:
-            raise ValueError("field lives on a different grid")
-        return obj.values
-    return _as_field_values(grid, obj)
-
-
-def _require_central2(bg: Background) -> None:
-    if bg.scheme != "central2":
-        raise ValueError("solvers require a central2 background")
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,8 +62,8 @@ class EpsGeodesicProblem:
     n_time: int
 
     def __post_init__(self):
-        e0 = _values(self.bg.grid, self.endpoint_0)
-        e1 = _values(self.bg.grid, self.endpoint_1)
+        e0 = _as_field_values(self.bg.grid, self.endpoint_0)
+        e1 = _as_field_values(self.bg.grid, self.endpoint_1)
         if not self.epsilon > 0.0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if self.n_time < 8:
@@ -193,13 +188,15 @@ def solve_eps_geodesic(
     path = PathField(grid, full_path(x))
     cert = eval_geodesic_residual(bg, path, problem.epsilon)
     cert_sup = float(np.max(np.abs(cert)))
-    assert abs(cert_sup - rec.residual_sups[-1]) <= 1e-12, (
-        f"assembly and certificate residuals disagree: "
-        f"{rec.residual_sups[-1]:.3e} vs {cert_sup:.3e}"
-    )
+    if not abs(cert_sup - rec.residual_sups[-1]) <= 1e-12:
+        raise NotASolution(
+            f"assembly and certificate residuals disagree: "
+            f"{rec.residual_sups[-1]:.3e} vs {cert_sup:.3e}"
+        )
     rh = reduced_hessian(bg, path)
     margin = float(min(np.min(rh.det()), np.min(rh.m_xx + rh.m_ss)))
-    assert margin > 0.0, f"cone condition lost at the solution, margin {margin:.3g}"
+    if not margin > 0.0:
+        raise PositivityLoss(f"cone condition lost at the solution, margin {margin:.3g}")
     return EpsGeodesic(
         path=path,
         residual_sup=cert_sup,
@@ -209,19 +206,53 @@ def solve_eps_geodesic(
     )
 
 
-def weak_geodesic(
-    bg: Background,
-    endpoint_0,
-    endpoint_1,
-    eps_sequence,
-    n_time: int = 64,
-    record: dict | None = None,
-) -> PathField:
+def eps_continuation(
+    bg: Background, endpoint_0, endpoint_1, epsilons, n_time: int, tol: float = 1e-10
+) -> list:
+    """Solve the eps-geodesic at every eps of the ladder, in order.
+
+    Each rung starts Newton from the solution of the rung before it (the
+    first from the affine guess).  Returns one EpsGeodesic per rung.
+    """
+    rungs = []
+    for eps in epsilons:
+        problem = EpsGeodesicProblem(bg, endpoint_0, endpoint_1, float(eps), n_time)
+        path0 = rungs[-1].path.values if rungs else None
+        rungs.append(solve_eps_geodesic(problem, tol=tol, path0=path0))
+    return rungs
+
+
+def rung_increments(rungs) -> list:
+    """Sup-norm Cauchy increments between consecutive rungs."""
+    return [float(np.max(np.abs(b.path.values - a.path.values))) for a, b in zip(rungs, rungs[1:])]
+
+
+def weak_limit(bg: Background, rungs) -> PathField:
+    """The last rung's path, once the continuation has shown its limit.
+
+    The Cauchy increments must decrease, and the last path must satisfy the
+    degenerate-determinant bound |det| <= eps_last max w.
+    """
+    increments = rung_increments(rungs)
+    for a, b in zip(increments, increments[1:]):
+        if b > a + 1e-12:
+            raise FamilyMismatch(f"continuation increments increase: {increments}")
+    path = rungs[-1].path
+    det = reduced_hessian(bg, path).det()
+    bound = rungs[-1].epsilon * float(np.max(bg.w)) + 1e-10
+    worst = float(np.max(np.abs(det)))
+    if worst > bound:
+        raise NotASolution(
+            f"limit path violates the degenerate-determinant bound: {worst:.3e} > {bound:.3e}"
+        )
+    return path
+
+
+def weak_geodesic(bg: Background, endpoint_0, endpoint_1, eps_sequence, n_time: int = 64) -> PathField:
     """Warm-started continuation to the smallest eps of the sequence.
 
-    The returned path is the eps-geodesic at eps_sequence[-1]; the sup-norm
-    Cauchy increments between consecutive solutions must decrease and are
-    written to ``record`` when a dict is supplied.
+    The sequence needs at least 3 entries; the returned path is the
+    eps-geodesic at eps_sequence[-1], checked by weak_limit.
     """
     eps_sequence = tuple(float(e) for e in eps_sequence)
     if len(eps_sequence) < 3:
@@ -230,32 +261,7 @@ def weak_geodesic(
         b >= a for a, b in zip(eps_sequence, eps_sequence[1:])
     ):
         raise ValueError(f"eps_sequence must be positive and strictly decreasing: {eps_sequence}")
-    prev = None
-    increments = []
-    residual_sups = []
-    solution = None
-    for eps in eps_sequence:
-        problem = EpsGeodesicProblem(bg, endpoint_0, endpoint_1, eps, n_time)
-        solution = solve_eps_geodesic(problem, path0=prev)
-        if prev is not None:
-            increments.append(float(np.max(np.abs(solution.path.values - prev))))
-        prev = solution.path.values
-        residual_sups.append(solution.residual_sup)
-    for a, b in zip(increments, increments[1:]):
-        if b > a + 1e-12:
-            raise FamilyMismatch(f"continuation increments increase: {increments}")
-    det = reduced_hessian(bg, solution.path).det()
-    bound = eps_sequence[-1] * float(np.max(bg.w)) + 1e-10
-    worst = float(np.max(np.abs(det)))
-    if worst > bound:
-        raise NotASolution(
-            f"limit path violates the degenerate-determinant bound: {worst:.3e} > {bound:.3e}"
-        )
-    if record is not None:
-        record["epsilons"] = list(eps_sequence)
-        record["increments"] = increments
-        record["residual_sups"] = residual_sups
-    return solution.path
+    return weak_limit(bg, eps_continuation(bg, endpoint_0, endpoint_1, eps_sequence, n_time))
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +284,7 @@ def _conjugate(xs: np.ndarray, fs: np.ndarray, ys: np.ndarray) -> np.ndarray:
 def legendre_oracle(bg: Background, endpoint_0, endpoint_1, n_time: int) -> PathField:
     """Exact-solution surrogate: affine interpolation of convex conjugates."""
     grid = bg.grid
-    endpoints = [_values(grid, endpoint_0), _values(grid, endpoint_1)]
+    endpoints = [_as_field_values(grid, endpoint_0), _as_field_values(grid, endpoint_1)]
     n = grid.n_points
     h = grid.spacing
     xs = (np.arange(3 * n) - n) * h

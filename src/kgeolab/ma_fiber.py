@@ -38,6 +38,7 @@ from .errors import (
     FamilyMismatch,
     IncompatibleMass,
     NegativeDensity,
+    NotASolution,
     SingularSystem,
 )
 from .model import (
@@ -45,25 +46,11 @@ from .model import (
     PathField,
     PeriodicField,
     _as_field_values,
+    _require_central2,
     fourier_field,
     metric_density,
 )
 from .regularize import MollifierSpec, mollify_fiberwise, semipositivity_constant
-
-
-def _values(grid, obj) -> np.ndarray:
-    if isinstance(obj, PeriodicField):
-        if obj.grid != grid:
-            raise ValueError("field lives on a different grid")
-        return obj.values
-    return _as_field_values(grid, obj)
-
-
-def _require_central2(bg: Background) -> None:
-    # Jacobians are assembled from the three-point stencil; a spectral
-    # background would make residual and Jacobian inconsistent
-    if bg.scheme != "central2":
-        raise ValueError("solvers require a central2 background")
 
 
 def _d2_matrix(grid) -> sparse.csc_matrix:
@@ -94,8 +81,8 @@ class FiberProblem:
     theta: np.ndarray | None = None
 
     def __post_init__(self):
-        beta = _values(self.bg.grid, self.beta)
-        theta = -self.bg.r if self.theta is None else _values(self.bg.grid, self.theta)
+        beta = _as_field_values(self.bg.grid, self.beta)
+        theta = -self.bg.r if self.theta is None else _as_field_values(self.bg.grid, self.theta)
         if not self.epsilon > 0.0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if float(np.min(beta)) < -1e-12:
@@ -166,7 +153,7 @@ def solve_yau(bg: Background, target, tol: float = 1e-11) -> FiberSolution:
     nonsingular.
     """
     _require_central2(bg)
-    t = _values(bg.grid, target)
+    t = _as_field_values(bg.grid, target)
     if float(np.min(t)) <= 0.0:
         raise NegativeDensity(f"target must be positive; min = {np.min(t):.3g}")
     mass = bg.integrate(t)
@@ -229,7 +216,8 @@ def solve_aubin_fiber(
     p = int(np.argmax(phi))
     if source[p] > 0.0:  # guaranteed at an exact solution; guard for round-off
         gap = phi[p] - math.log(problem.epsilon * source[p] / bg.w[p])
-        assert gap <= 1e-8, f"discrete max principle violated by {gap:.3g}"
+        if gap > 1e-8:
+            raise NotASolution(f"discrete max principle violated by {gap:.3g}")
     return FiberSolution(
         phi=PeriodicField(bg.grid, phi),
         residual_sup=rec.residual_sups[-1],
@@ -261,8 +249,8 @@ def comparison_defect(bg: Background, u, v) -> float:
     summing the stencil over each maximal run of that set telescopes to
     boundary differences with a sign, so the defect is <= 0 exactly.
     """
-    u = _values(bg.grid, u)
-    v = _values(bg.grid, v)
+    u = _as_field_values(bg.grid, u)
+    v = _as_field_values(bg.grid, v)
     mask = u < v
     return bg.grid.spacing * float(np.sum(bg.d2(v - u)[mask]))
 
@@ -417,9 +405,10 @@ def solve_family(bg: Background, path: PathField, epsilons, deltas, tol: float =
                 try:
                     sol = solve_aubin_fiber(prob, phi0=warm, tol=tol)
                 except Exception as exc:
-                    raise type(exc)(
-                        f"fiber solve failed at (t={times[j]}, eps={eps}, delta={d}): {exc}"
-                    ) from exc
+                    # keep the exception object (and its attributes); prefix the context
+                    context = f"fiber solve failed at (t={times[j]}, eps={eps}, delta={d})"
+                    exc.args = (f"{context}: {exc.args[0] if exc.args else exc}", *exc.args[1:])
+                    raise
                 row_solutions.append(sol)
                 warm = sol.phi.values.copy()
             warm_row0 = row_solutions[0].phi.values.copy()
@@ -519,7 +508,7 @@ def density_convergence(family: FiberFamily, path: PathField, test_set=None) -> 
     bg = family.bg
     if test_set is None:
         test_set = default_test_set(bg.grid)
-    test_set = [_values(bg.grid, xi) for xi in test_set]
+    test_set = [_as_field_values(bg.grid, xi) for xi in test_set]
     if not test_set:
         raise ValueError("test_set must be nonempty")
     m_rows = metric_density(bg, path.values)

@@ -53,6 +53,11 @@ class SpatialGrid:
 
 
 def _as_field_values(grid: SpatialGrid, values) -> np.ndarray:
+    """Nodal values on ``grid`` of a PeriodicField or of an array-like."""
+    if isinstance(values, PeriodicField):
+        if values.grid != grid:
+            raise ValueError("field lives on a different grid")
+        return values.values
     out = np.asarray(values, dtype=float)
     if out.shape != (grid.n_points,):
         raise ValueError(
@@ -61,6 +66,13 @@ def _as_field_values(grid: SpatialGrid, values) -> np.ndarray:
     if not np.all(np.isfinite(out)):
         raise ValueError("field values must be finite")
     return out
+
+
+def _require_central2(bg: "Background") -> None:
+    # Jacobians are assembled from the three-point stencil; a spectral
+    # background would make residual and Jacobian inconsistent
+    if bg.scheme != "central2":
+        raise ValueError("solvers require a central2 background")
 
 
 def second_derivative(grid: SpatialGrid, values, scheme: str = "central2") -> np.ndarray:
@@ -182,7 +194,8 @@ def make_background(grid: SpatialGrid, psi=None, scheme: str = "central2") -> Ba
     w = w_raw / integrate(grid, w_raw)
     r = -second_derivative(grid, np.log(w), scheme)
     ricci_mean = integrate(grid, r) / integrate(grid, w)
-    assert abs(ricci_mean) <= 1e-12, f"curvature mean {ricci_mean:g} out of tolerance"
+    if not abs(ricci_mean) <= 1e-12:
+        raise NonAdmissiblePsi(f"curvature mean {ricci_mean:g} out of tolerance 1e-12")
     return Background(grid=grid, scheme=scheme, psi=psi, w=w, r=r, ricci_mean=ricci_mean)
 
 

@@ -47,8 +47,10 @@ from .functionals import (
 from .geodesic import (
     EpsGeodesic,
     EpsGeodesicProblem,
+    eps_continuation,
     solve_eps_geodesic,
     weak_geodesic,
+    weak_limit,
 )
 from .ma_fiber import (
     FiberFamily,
@@ -1044,10 +1046,13 @@ def control_subharmonic(bg: Background) -> PropertyResult:
 
 @dataclass(eq=False)
 class SuiteData:
-    """Shared solved objects for the check suites, built lazily and cached.
+    """Every solved object of a run, built lazily and cached.
 
-    Defaults reproduce the canonical run: flat background, endpoints 0 and
-    the admissible cosine, the standard epsilon and delta ladders.
+    Each object is solved at most once.  The check suites read the objects
+    on their calibrated ladders; the artifact stages read the ``ladder_*``
+    objects, solved on the run's own epsilon and delta ladders.  Defaults
+    reproduce the canonical run: flat background, endpoints 0 and the
+    admissible cosine, the standard epsilon and delta ladders.
     """
 
     bg: Background
@@ -1070,6 +1075,10 @@ class SuiteData:
     eps_a_epsilons: tuple = (1e-1, 1e-2, 1e-3)
     eps_a_values: tuple = (5.0, 10.0)
     boundary_n_times: tuple = (32, 64)
+    ladder_epsilons: tuple = ()
+    ladder_deltas: tuple = ()
+    ladder_geodesic_tol: float = 1e-10
+    ladder_fiber_tol: float = 1e-11
 
     def __post_init__(self):
         self.endpoint_0 = np.asarray(self.endpoint_0, dtype=float)
@@ -1079,16 +1088,6 @@ class SuiteData:
     def weak_path(self) -> PathField:
         return weak_geodesic(
             self.bg, self.endpoint_0, self.endpoint_1, self.weak_epsilons, n_time=self.n_time
-        )
-
-    @cached_property
-    def weak_path_fine(self) -> PathField:
-        return weak_geodesic(
-            self.bg,
-            self.endpoint_0,
-            self.endpoint_1,
-            self.weak_epsilons,
-            n_time=self.boundary_n_times[-1],
         )
 
     @cached_property
@@ -1119,20 +1118,37 @@ class SuiteData:
 
     @cached_property
     def curved_geodesics(self) -> list:
-        out = []
-        prev = None
-        for eps in self.eps_a_epsilons:
-            problem = EpsGeodesicProblem(
-                self.curved_bg, self.endpoint_0, self.endpoint_1, eps, self.n_time
-            )
-            sol = solve_eps_geodesic(problem, path0=prev)
-            out.append(sol)
-            prev = sol.path.values
-        return out
+        return eps_continuation(
+            self.curved_bg, self.endpoint_0, self.endpoint_1, self.eps_a_epsilons, self.n_time
+        )
 
     def eps_a_traces(self, a_value: float) -> list:
         spec = TruncationSpec(float(a_value))
         return [mabuchi_eps_A(self.curved_bg, eg, spec) for eg in self.curved_geodesics]
+
+    @cached_property
+    def ladder_rungs(self) -> list:
+        """One EpsGeodesic per entry of ladder_epsilons, warm-started in order."""
+        return eps_continuation(
+            self.bg,
+            self.endpoint_0,
+            self.endpoint_1,
+            self.ladder_epsilons,
+            self.n_time,
+            tol=self.ladder_geodesic_tol,
+        )
+
+    @cached_property
+    def ladder_path(self) -> PathField:
+        """Weak-geodesic limit of ladder_rungs."""
+        return weak_limit(self.bg, self.ladder_rungs)
+
+    @cached_property
+    def ladder_family(self) -> FiberFamily:
+        """Fiber family along ladder_path on ladder_epsilons x ladder_deltas."""
+        return solve_family(
+            self.bg, self.ladder_path, self.ladder_epsilons, self.ladder_deltas, tol=self.ladder_fiber_tol
+        )
 
 
 def suite_entropy(data: SuiteData) -> list:

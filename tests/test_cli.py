@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from kgeolab import cli, geodesic, ma_fiber, verify
 from kgeolab.cli import main
 
 AMP = 0.05 / (2.0 * np.pi) ** 2
@@ -274,6 +275,9 @@ def test_verify_all_counts_and_measured(tmp_path):
     out = tmp_path / "out"
     cfg = _write_config(tmp_path)
     assert main(["verify", "--config", cfg, "--out", str(out), "--threads", "2"]) == 0
+    one = tmp_path / "one"
+    assert main(["verify", "--config", cfg, "--out", str(one), "--threads", "1"]) == 0
+    assert (out / "verify_results.csv").read_bytes() == (one / "verify_results.csv").read_bytes()
     report = json.loads((out / "verify_report.json").read_text())
     assert report["suite"] == "all"
     assert report["counts"] == {"total": 49, "passed": 49, "failed": 0, "controls": 12}
@@ -282,6 +286,47 @@ def test_verify_all_counts_and_measured(tmp_path):
     rows = (out / "verify_results.csv").read_text().splitlines()
     assert len(rows) == 1 + 49
     assert _no_tmp_leftovers(out)
+
+
+# ---------------------------------------------------------------------------
+# study pipeline
+
+
+def test_study_solves_each_config_object_once(tmp_path, monkeypatch):
+    """Outside verify, study solves one eps-geodesic per ladder rung and one family."""
+    counts = {"solve_eps_geodesic": 0, "solve_family": 0}
+    in_verify = []
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            if not in_verify:
+                counts[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in counts:
+        real = getattr(geodesic if name == "solve_eps_geodesic" else ma_fiber, name)
+        for module in (cli, geodesic, ma_fiber, verify):
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counting(name, real))
+    real_verify = cli.run_verify
+
+    def verify_stage(*args, **kwargs):
+        in_verify.append(True)
+        return real_verify(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_verify", verify_stage)
+    epsilons = [0.1, 0.01, 0.001]
+    cfg = _write_config(
+        tmp_path,
+        epsilons=epsilons,
+        deltas=[0.1, 0.05, 0.025],
+        k_list=[1, 2],
+        truncation={"a_values": [2, 5]},
+    )
+    assert main(["study", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert in_verify
+    assert counts == {"solve_eps_geodesic": len(epsilons), "solve_family": 1}
 
 
 # ---------------------------------------------------------------------------

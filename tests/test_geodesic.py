@@ -9,7 +9,9 @@ from kgeolab import (
     NegativeDensity,
     NoConvergence,
     NonConvexInput,
+    NotASolution,
     PositivityLoss,
+    eps_continuation,
     eval_geodesic_residual,
     initial_guess,
     legendre_oracle,
@@ -18,6 +20,8 @@ from kgeolab import (
     solve_eps_geodesic,
     weak_geodesic,
 )
+from kgeolab import geodesic
+from kgeolab.geodesic import rung_increments
 from kgeolab.model import fourier_field
 
 AMP = 0.05 / (2.0 * np.pi) ** 2
@@ -111,18 +115,36 @@ def test_positivity_loss_on_concave_start(small_bg):
         solve_eps_geodesic(problem, path0=bad)
 
 
+def test_certificate_disagreement_is_typed(small_bg, monkeypatch):
+    """The independent certificate must match the Newton residual, or NotASolution."""
+    e0, e1 = _endpoints(small_bg.grid)
+    real = geodesic.eval_geodesic_residual
+    monkeypatch.setattr(geodesic, "eval_geodesic_residual", lambda bg, path, eps: real(bg, path, eps) + 1e-6)
+    with pytest.raises(NotASolution, match="disagree"):
+        solve_eps_geodesic(EpsGeodesicProblem(small_bg, e0, e1, 1e-2, 8))
+
+
+def test_cone_loss_at_solution_is_typed(small_bg):
+    """A loose tolerance accepts the affine guess, whose determinant is negative at tiny eps."""
+    e0, e1 = _endpoints(small_bg.grid)
+    with pytest.raises(PositivityLoss, match="cone condition lost"):
+        solve_eps_geodesic(EpsGeodesicProblem(small_bg, e0, e1, 1e-8, 8), tol=1e-3)
+
+
 # ---------------------------------------------------------------------------
 # continuation
 
 
 def test_weak_geodesic_record_and_bound(small_bg):
+    """The continuation's rungs carry the increments and residuals of the ladder."""
     e0, e1 = _endpoints(small_bg.grid)
-    record = {}
-    path = weak_geodesic(small_bg, e0, e1, (1e-1, 1e-2, 1e-3), n_time=8, record=record)
-    assert record["epsilons"] == [1e-1, 1e-2, 1e-3]
-    incs = record["increments"]
+    rungs = eps_continuation(small_bg, e0, e1, (1e-1, 1e-2, 1e-3), 8)
+    assert [r.epsilon for r in rungs] == [1e-1, 1e-2, 1e-3]
+    incs = rung_increments(rungs)
     assert len(incs) == 2 and incs[1] < incs[0]
-    assert len(record["residual_sups"]) == 3
+    assert all(r.residual_sup <= 1e-10 for r in rungs)
+    path = weak_geodesic(small_bg, e0, e1, (1e-1, 1e-2, 1e-3), n_time=8)
+    assert np.array_equal(path.values, rungs[-1].path.values)
     det = reduced_hessian(small_bg, path).det()
     assert np.max(np.abs(det)) <= 1e-3 * np.max(small_bg.w) + 1e-10
 

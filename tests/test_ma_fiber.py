@@ -9,6 +9,8 @@ from kgeolab import (
     FiberProblem,
     IncompatibleMass,
     NegativeDensity,
+    NoConvergence,
+    NotASolution,
     PathField,
     SpatialGrid,
     check_bounds,
@@ -26,6 +28,7 @@ from kgeolab import (
     solve_yau,
     stability_constant,
 )
+from kgeolab import ma_fiber
 from kgeolab.model import central2_symbol
 
 
@@ -160,6 +163,30 @@ def test_constant_path_gives_zero_family(small_bg):
     path = PathField(small_bg.grid, np.zeros((9, 64)))
     family = solve_family(small_bg, path, (1e-1, 1e-2, 1e-3), (0.1, 0.05))
     assert np.max(np.abs(family.phi_matrix())) < 1e-11
+
+
+def test_family_failure_keeps_exception_and_names_the_solve(small_bg, small_family):
+    path, _ = small_family
+    with pytest.raises(NoConvergence) as info:
+        solve_family(small_bg, path, (1e-1, 1e-2, 1e-3), (0.1, 0.05, 0.025), tol=1e-18)
+    exc = info.value
+    assert exc.residual_sup is not None and exc.iterations is not None
+    # row t=0 of the path is flat and solved exactly by the initial guess
+    assert "(t=0.125, eps=0.1, delta=0.1)" in str(exc)
+
+
+def test_max_principle_violation_is_typed(small_bg, monkeypatch):
+    """A returned iterate above the discrete maximum-principle bound raises NotASolution."""
+    real = ma_fiber.damped_newton
+
+    def shifted(*args, **kwargs):
+        x, rec = real(*args, **kwargs)
+        return x + 1.0, rec
+
+    monkeypatch.setattr(ma_fiber, "damped_newton", shifted)
+    n = small_bg.grid.n_points
+    with pytest.raises(NotASolution, match="max principle"):
+        solve_aubin_fiber(FiberProblem(small_bg, np.ones(n), 0.1))
 
 
 def test_family_input_validation(small_bg):

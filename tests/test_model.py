@@ -21,6 +21,7 @@ from kgeolab import (
     reduced_hessian,
     second_derivative,
 )
+from kgeolab import model
 from kgeolab.model import central2_symbol
 
 
@@ -141,6 +142,14 @@ def test_curved_background_density(small_grid):
 def test_non_admissible_psi(small_grid):
     with pytest.raises(NonAdmissiblePsi):
         make_background(small_grid, psi=fourier_field(small_grid, [(1, 10.0, 0.0)]))
+
+
+def test_nonzero_mean_curvature_is_typed(small_grid, monkeypatch):
+    """A curvature density with nonzero mean is rejected as NonAdmissiblePsi."""
+    real = model.second_derivative
+    monkeypatch.setattr(model, "second_derivative", lambda grid, v, scheme="central2": real(grid, v, scheme) + 1e-6)
+    with pytest.raises(NonAdmissiblePsi, match="curvature mean"):
+        make_background(small_grid)
 
 
 def test_background_arrays_frozen(small_bg):
