@@ -65,18 +65,12 @@ from .ma_fiber import (
     FiberSolution,
     VanishingReport,
     check_bounds,
-    comparison_defect,
     default_test_set,
     density_convergence,
     eps_phi_vanishing,
     family_report,
-    fiber_residual,
-    mass_identity_gap,
-    max_principle_gap,
     solve_aubin_fiber,
     solve_family,
-    solve_yau,
-    stability_constant,
 )
 from .model import (
     Background,
@@ -84,7 +78,6 @@ from .model import (
     PeriodicField,
     ReducedHessian,
     SpatialGrid,
-    first_derivative,
     fourier_field,
     integrate,
     is_admissible,
@@ -96,16 +89,12 @@ from .model import (
     path_d2x,
     path_dxds,
     reduced_hessian,
-    second_derivative,
 )
 from .regularize import (
     MollifierSpec,
     gaussian_kernel,
-    gaussian_multiplier,
-    mollify,
     mollify_fiberwise,
     mollify_spacetime,
-    neighborhood_drop_constant,
     semipositivity_constant,
 )
 from .verify import (

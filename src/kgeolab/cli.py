@@ -197,7 +197,6 @@ def run_mabuchi(config: ExperimentConfig, data: SuiteData, out_dir: Path, varian
                 f"k_list entries cannot exceed the number of epsilons ({len(config.epsilons)})"
             )
         family = data.ladder_family
-        check_bounds(family)
         for k in config.k_list:
             traces.append((f"mabuchi_k{k}_trace.csv", mabuchi_k(bg, data.ladder_path, family, k)))
         extra["family"] = family_report(family)
@@ -234,8 +233,8 @@ def run_mabuchi(config: ExperimentConfig, data: SuiteData, out_dir: Path, varian
 def _suite_data(config: ExperimentConfig) -> SuiteData:
     """The run's solve cache: geometry, time grid, seed and ladders.
 
-    The check suites' sweep ladders (epsilon, delta, A, k) stay at their
-    calibrated defaults and honour only the fiber tolerance override; the
+    The check suites' sweep ladders (epsilon, delta, A, k) are the fixed
+    constants of ``verify`` and honour only the fiber tolerance override; the
     config's own ladders and tolerances feed the ``ladder_*`` objects that
     the artifact stages read.
     """

@@ -13,7 +13,6 @@ time grid; boundary rows carry nan.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,24 +64,6 @@ class FunctionalTrace:
         with open(path, "w", newline="") as fh:
             fh.write("\n".join(lines) + "\n")
 
-    @classmethod
-    def from_csv(cls, path, meta: dict | None = None) -> "FunctionalTrace":
-        with open(path, "r", newline="") as fh:
-            lines = fh.read().splitlines()
-        if not lines or lines[0] != "t,value,second_difference":
-            raise ValueError(f"{path}: expected header 't,value,second_difference'")
-        rows = [[float(tok) for tok in line.split(",")] for line in lines[1:] if line]
-        arr = np.array(rows)
-        return cls(arr[:, 0], arr[:, 1], arr[:, 2], meta=dict(meta or {}))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "meta": json.loads(json.dumps(self.meta)),
-            "times": [float(t) for t in self.times],
-            "values": [float(v) for v in self.values],
-            "second_differences": [float(d) for d in self.second_differences],
-        }
-
 
 @dataclass(frozen=True)
 class TruncationSpec:
@@ -133,14 +114,17 @@ def entropy(bg: Background, u) -> float:
     return bg.integrate(xlogy(m, m / bg.w))
 
 
+def _truncated_log(bg: Background, f, spec: TruncationSpec) -> np.ndarray:
+    """max(log f, chi - A) nodewise; finite where the density f vanishes."""
+    floor = _resolve_chi(bg, spec) - spec.A
+    above = np.log(f, out=np.array(floor, dtype=float), where=f > np.exp(floor))
+    return np.maximum(above, floor)
+
+
 def truncated_entropy(bg: Background, u, spec: TruncationSpec) -> float:
     """H_A(u) = int f log max(f, h_A) dmu >= H(u), with h_A = e^(chi - A)."""
     m = _slice_density(bg, u)
-    chi = _resolve_chi(bg, spec)
-    f = m / bg.w
-    floor = chi - spec.A
-    above = np.log(f, out=np.array(floor, dtype=float), where=f > np.exp(floor))
-    return bg.integrate(m * np.maximum(above, floor))
+    return bg.integrate(m * _truncated_log(bg, m / bg.w, spec))
 
 
 def delta_A(bg: Background, spec: TruncationSpec) -> tuple[float, float, float]:
@@ -160,34 +144,38 @@ def _energy_part(bg: Background, u) -> float:
     return 0.5 * bg.ricci_mean * energy(bg, u) - energy_alpha(bg, u, bg.r)
 
 
-def _trace(path_times, values, ds, meta, e_part=None, h_part=None) -> FunctionalTrace:
-    values = np.asarray(values, dtype=float)
+def _check_k_family(path: PathField, family, k: int) -> None:
+    """Raise FamilyMismatch unless 1 <= k <= #epsilons and the times match the path."""
+    if k < 1 or k > len(family.epsilons):
+        raise FamilyMismatch(f"k = {k} outside the family's {len(family.epsilons)} epsilons")
+    times = np.asarray(family.times, dtype=float)
+    if times.shape != path.times.shape or float(np.max(np.abs(times - path.times))) > 1e-12:
+        raise FamilyMismatch("family times do not match the path grid")
+
+
+def _mabuchi_trace(bg: Background, path: PathField, slice_entropy, meta: dict) -> FunctionalTrace:
+    """(S/2) E - E^Ric plus slice_entropy(i, u) on every row u = path.values[i]."""
+    e_part, h_part = [], []
+    for i, u in enumerate(path.values):
+        try:
+            h_part.append(slice_entropy(i, u))
+        except NegativeDensity as exc:
+            raise NegativeDensity(f"{exc} at slice {i}") from exc
+        e_part.append(_energy_part(bg, u))
+    values = np.array([e + h for e, h in zip(e_part, h_part)])
     return FunctionalTrace(
-        times=np.asarray(path_times, dtype=float),
+        times=path.times,
         values=values,
-        second_differences=second_differences(values, ds),
+        second_differences=second_differences(values, path.ds),
         meta=meta,
-        e_part=None if e_part is None else np.asarray(e_part, dtype=float),
-        h_part=None if h_part is None else np.asarray(h_part, dtype=float),
+        e_part=np.array(e_part),
+        h_part=np.array(h_part),
     )
 
 
 def mabuchi(bg: Background, path: PathField) -> FunctionalTrace:
     """M(t) = (S/2) E - E^Ric + int m log(m/w) dx, slice by slice."""
-    e_part, h_part = [], []
-    for i, u in enumerate(path.values):
-        m = _slice_density(bg, u, f" at slice {i}")
-        e_part.append(_energy_part(bg, u))
-        h_part.append(bg.integrate(xlogy(m, m / bg.w)))
-    values = [e + h for e, h in zip(e_part, h_part)]
-    return _trace(
-        path.times,
-        values,
-        path.ds,
-        {"name": "mabuchi"},
-        e_part=e_part,
-        h_part=h_part,
-    )
+    return _mabuchi_trace(bg, path, lambda i, u: entropy(bg, u), {"name": "mabuchi"})
 
 
 def mabuchi_k(bg: Background, path: PathField, family, k: int) -> FunctionalTrace:
@@ -197,27 +185,13 @@ def mabuchi_k(bg: Background, path: PathField, family, k: int) -> FunctionalTrac
     largest epsilons of the family; the averaged density is strictly
     positive, so degenerate slices integrate without a log singularity.
     """
-    if k < 1 or k > len(family.epsilons):
-        raise FamilyMismatch(f"k = {k} outside the family's {len(family.epsilons)} epsilons")
-    times = np.asarray(family.times, dtype=float)
-    if times.shape != path.times.shape or float(np.max(np.abs(times - path.times))) > 1e-12:
-        raise FamilyMismatch("family times do not match the path grid")
-    e_part, h_part = [], []
-    for i, u in enumerate(path.values):
-        m = _slice_density(bg, u, f" at slice {i}")
-        avg = np.mean(
-            [np.exp(family.solutions[j][i].phi.values) for j in range(k)], axis=0
-        )
-        e_part.append(_energy_part(bg, u))
-        h_part.append(bg.integrate(m * np.log(avg)))
-    values = [e + h for e, h in zip(e_part, h_part)]
-    return _trace(
-        path.times,
-        values,
-        path.ds,
+    _check_k_family(path, family, k)
+    log_avg = np.log(np.mean(np.exp(family.phi_matrix()[:k]), axis=0))
+    return _mabuchi_trace(
+        bg,
+        path,
+        lambda i, u: bg.integrate(_slice_density(bg, u) * log_avg[i]),
         {"name": "mabuchi_k", "k": int(k), "epsilons": list(family.epsilons[:k])},
-        e_part=e_part,
-        h_part=h_part,
     )
 
 
@@ -228,29 +202,16 @@ def mabuchi_eps_A(bg: Background, eps_geodesic, spec: TruncationSpec) -> Functio
     evaluated on the eps-geodesic potential itself, and the meta block
     records that choice together with (eps, A).
     """
-    path = eps_geodesic.path
-    chi = _resolve_chi(bg, spec)
-    floor = chi - spec.A
-    e_part, h_part = [], []
-    for i, u in enumerate(path.values):
-        m = _slice_density(bg, u, f" at slice {i}")
-        f = m / bg.w
-        above = np.log(f, out=np.array(floor, dtype=float), where=f > np.exp(floor))
-        e_part.append(_energy_part(bg, u))
-        h_part.append(bg.integrate(m * np.maximum(above, floor)))
-    values = [e + h for e, h in zip(e_part, h_part)]
-    return _trace(
-        path.times,
-        values,
-        path.ds,
+    return _mabuchi_trace(
+        bg,
+        eps_geodesic.path,
+        lambda i, u: truncated_entropy(bg, u, spec),
         {
             "name": "mabuchi_eps_A",
             "epsilon": float(eps_geodesic.epsilon),
             "A": float(spec.A),
             "energy_argument": "eps_geodesic_potential",
         },
-        e_part=e_part,
-        h_part=h_part,
     )
 
 

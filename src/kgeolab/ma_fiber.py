@@ -11,11 +11,6 @@ from the constant initial guess fixed by the mass identity
 
     int e^phi w dx = eps * int (theta + beta) dx.
 
-solve_yau treats the prescribed-density problem w + D2 u = target with the
-normalization int u w dx = 0 as a bordered linear system (the multiplier row
-absorbs the rank defect of D2) driven through the same Newton loop, so every
-solver in the package shares one code path.
-
 solve_family assembles the two-parameter family phi_{t,eps} over the rows of
 a space-time path: the path is mollified fiberwise at scale delta, each
 slice density plus a semipositivity slack (zero for admissible data) becomes
@@ -27,7 +22,7 @@ evidence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -39,7 +34,6 @@ from .errors import (
     IncompatibleMass,
     NegativeDensity,
     NotASolution,
-    SingularSystem,
 )
 from .model import (
     Background,
@@ -109,80 +103,8 @@ class FiberSolution:
     min_metric_eigen: float
 
 
-def fiber_residual(problem: FiberProblem, phi) -> np.ndarray:
-    """Nodewise residual of (*) written as D2 phi - (1/eps) w e^phi + theta + beta."""
-    bg = problem.bg
-    phi = np.asarray(phi, dtype=float)
-    return bg.d2(phi) - (1.0 / problem.epsilon) * bg.w * np.exp(phi) + problem.source
-
-
-def mass_identity_gap(problem: FiberProblem, phi) -> float:
-    """int e^phi w dx - eps int (theta + beta) dx; vanishes on solutions."""
-    bg = problem.bg
-    return bg.integrate_mu(np.exp(np.asarray(phi, dtype=float))) - problem.epsilon * bg.integrate(
-        problem.source
-    )
-
-
-def max_principle_gap(problem: FiberProblem, phi) -> float:
-    """max phi - max over nodes of log(eps (theta+beta)/w), negative on solutions.
-
-    The discrete argument: at a maximum node p one has D2 phi(p) <= 0, hence
-    (1/eps) w e^phi <= theta + beta there, which both forces the source to be
-    positive at p and bounds phi(p) by the nodewise logarithm.
-    """
-    phi = np.asarray(phi, dtype=float)
-    src = problem.source
-    pos = src > 0.0
-    if not np.any(pos):
-        raise ValueError("source has no positive node; the bound is void")
-    bound = np.max(np.log(problem.epsilon * src[pos] / problem.bg.w[pos]))
-    return float(np.max(phi) - bound)
-
-
 # ---------------------------------------------------------------------------
 # single-fiber solvers
-
-
-def solve_yau(bg: Background, target, tol: float = 1e-11) -> FiberSolution:
-    """Solve w + D2 u = target with int u w dx = 0.
-
-    target must be a positive density of unit mass (checked to 1e-10).  The
-    linear solve is bordered with the weighted-mean row; the multiplier
-    column w spans the complement of range(D2), making the system square and
-    nonsingular.
-    """
-    _require_central2(bg)
-    t = _as_field_values(bg.grid, target)
-    if float(np.min(t)) <= 0.0:
-        raise NegativeDensity(f"target must be positive; min = {np.min(t):.3g}")
-    mass = bg.integrate(t)
-    if abs(mass - 1.0) > 1e-10:
-        raise IncompatibleMass(f"int target dx = {mass!r}, expected 1 to 1e-10")
-    n = bg.grid.n_points
-    h = bg.grid.spacing
-    bordered = sparse.bmat(
-        [[_d2_matrix(bg.grid), bg.w[:, None]], [h * bg.w[None, :], None]], format="csc"
-    )
-    try:
-        lu = splu(bordered)
-    except RuntimeError as exc:  # pragma: no cover - requires degenerate weights
-        raise SingularSystem(f"bordered system factorization failed: {exc}") from exc
-
-    def residual(u):
-        return metric_density(bg, u) - t
-
-    def newton_step(u, r):
-        rhs = np.concatenate([-r, [-h * float(np.dot(bg.w, u))]])
-        return lu.solve(rhs)[:n]
-
-    u, rec = damped_newton(np.zeros(n), residual, newton_step, tol=tol, max_iter=8)
-    return FiberSolution(
-        phi=PeriodicField(bg.grid, u),
-        residual_sup=rec.residual_sups[-1],
-        newton_iters=rec.iterations,
-        min_metric_eigen=float(np.min(metric_density(bg, u))),
-    )
 
 
 def solve_aubin_fiber(
@@ -226,35 +148,6 @@ def solve_aubin_fiber(
     )
 
 
-def stability_constant(problem: FiberProblem, etas=(1e-2, 1e-3, 1e-4)) -> list[float]:
-    """Sup-norm sensitivities ||phi[beta + eta] - phi[beta]|| / eta per eta."""
-    base = solve_aubin_fiber(problem)
-    out = []
-    for eta in etas:
-        shifted = FiberProblem(
-            bg=problem.bg,
-            beta=problem.beta + float(eta),
-            epsilon=problem.epsilon,
-            theta=problem.theta,
-        )
-        sol = solve_aubin_fiber(shifted, phi0=base.phi.values.copy())
-        out.append(float(np.max(np.abs(sol.phi.values - base.phi.values))) / float(eta))
-    return out
-
-
-def comparison_defect(bg: Background, u, v) -> float:
-    """int_{u<v} m[v] dx - int_{u<v} m[u] dx, nonpositive on the discrete circle.
-
-    Writing g = v - u, the quantity is the integral of D2 g over {g > 0};
-    summing the stencil over each maximal run of that set telescopes to
-    boundary differences with a sign, so the defect is <= 0 exactly.
-    """
-    u = _as_field_values(bg.grid, u)
-    v = _as_field_values(bg.grid, v)
-    mask = u < v
-    return bg.grid.spacing * float(np.sum(bg.d2(v - u)[mask]))
-
-
 # ---------------------------------------------------------------------------
 # families over a path
 
@@ -280,7 +173,6 @@ class FiberFamily:
     equicontinuity_constant: float
     slacks: tuple
     bound_samples: np.ndarray | None = None  # (n_eps, n_delta, 3) sweep diagnostics
-    bound_report: "BoundReport | None" = field(default=None, repr=False)
 
     def phi_matrix(self) -> np.ndarray:
         """Array of shape (n_eps, n_times, n_points) of solved potentials."""
@@ -289,7 +181,11 @@ class FiberFamily:
 
 @dataclass(eq=False)
 class BoundReport:
-    """The three uniform bounds per epsilon and the halves comparison."""
+    """The three uniform bounds per epsilon and the halves comparison.
+
+    margin is the smallest halves margin of the three bounds, so passed is
+    margin >= 0.
+    """
 
     epsilons: tuple
     sup_phi: np.ndarray
@@ -297,6 +193,7 @@ class BoundReport:
     eps_d2_phi: np.ndarray
     maxima: tuple
     passed: bool
+    margin: float
 
     def to_dict(self) -> dict:
         return {
@@ -413,10 +310,7 @@ def solve_family(bg: Background, path: PathField, epsilons, deltas, tol: float =
                 warm = sol.phi.values.copy()
             warm_row0 = row_solutions[0].phi.values.copy()
             mat = np.array([s.phi.values for s in row_solutions])
-            bound_samples[i, k, 0] = float(np.max(mat))
-            bound_samples[i, k, 1] = float(-eps * np.min(mat))
-            d2_rows = np.array([bg.d2(row) for row in mat])
-            bound_samples[i, k, 2] = float(eps * np.max(np.abs(d2_rows)))
+            bound_samples[i, k] = _bound_stats(bg, eps, mat)
             if prev_mat is not None:
                 incs.append(float(np.max(np.abs(mat - prev_mat))))
             prev_mat = mat
@@ -450,12 +344,22 @@ def solve_family(bg: Background, path: PathField, epsilons, deltas, tol: float =
     )
 
 
-def _halves_ok(values: np.ndarray) -> bool:
+def _bound_stats(bg: Background, eps: float, mat: np.ndarray) -> tuple:
+    """sup phi, -eps inf phi and eps sup |D2 phi| over the rows of mat."""
+    return (
+        float(np.max(mat)),
+        float(-eps * np.min(mat)),
+        float(eps * np.max(np.abs(bg.d2(mat)))),
+    )
+
+
+def _halves_margin(values: np.ndarray) -> float:
+    """1.5 max(first half) - max(second half); 0 when the second half is empty."""
     split = (values.size + 1) // 2
     first, second = values[:split], values[split:]
     if second.size == 0:
-        return True
-    return float(np.max(second)) <= 1.5 * float(np.max(first))
+        return 0.0
+    return 1.5 * float(np.max(first)) - float(np.max(second))
 
 
 def check_bounds(family: FiberFamily) -> BoundReport:
@@ -465,27 +369,20 @@ def check_bounds(family: FiberFamily) -> BoundReport:
     the maximum over the second half of the (decreasing) epsilon sweep must
     not exceed 1.5 times the maximum over the first half.
     """
-    bg = family.bg
-    n_eps = len(family.epsilons)
-    sup_phi = np.zeros(n_eps)
-    neg_inf = np.zeros(n_eps)
-    eps_d2 = np.zeros(n_eps)
-    for i, eps in enumerate(family.epsilons):
-        mat = np.array([s.phi.values for s in family.solutions[i]])
-        sup_phi[i] = float(np.max(mat))
-        neg_inf[i] = float(-eps * np.min(mat))
-        eps_d2[i] = float(eps * np.max(np.abs([bg.d2(row) for row in mat])))
-    passed = _halves_ok(sup_phi) and _halves_ok(neg_inf) and _halves_ok(eps_d2)
-    report = BoundReport(
+    stats = np.array(
+        [_bound_stats(family.bg, eps, mat) for eps, mat in zip(family.epsilons, family.phi_matrix())]
+    )
+    sup_phi, neg_inf, eps_d2 = stats.T
+    margin = min(_halves_margin(sup_phi), _halves_margin(neg_inf), _halves_margin(eps_d2))
+    return BoundReport(
         epsilons=family.epsilons,
         sup_phi=sup_phi,
         neg_eps_inf_phi=neg_inf,
         eps_d2_phi=eps_d2,
         maxima=(float(np.max(sup_phi)), float(np.max(neg_inf)), float(np.max(eps_d2))),
-        passed=passed,
+        passed=margin >= 0.0,
+        margin=margin,
     )
-    family.bound_report = report
-    return report
 
 
 def default_test_set(grid) -> list[np.ndarray]:
@@ -550,7 +447,7 @@ def eps_phi_vanishing(family: FiberFamily) -> VanishingReport:
 
 def family_report(family: FiberFamily) -> dict:
     """JSON-ready summary {epsilons, times, bounds, residuals, ...}."""
-    report = family.bound_report if family.bound_report is not None else check_bounds(family)
+    report = check_bounds(family)
     residuals = [[s.residual_sup for s in row] for row in family.solutions]
     return {
         "epsilons": list(family.epsilons),

@@ -16,8 +16,7 @@ through the FFT and is used for cross-checks.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,40 +74,6 @@ def _require_central2(bg: "Background") -> None:
         raise ValueError("solvers require a central2 background")
 
 
-def second_derivative(grid: SpatialGrid, values, scheme: str = "central2") -> np.ndarray:
-    """Periodic second derivative of nodal values.
-
-    central2: (u_{j+1} - 2 u_j + u_{j-1}) / h^2.
-    spectral: FFT multiplier -(2 pi k)^2.
-    """
-    u = np.asarray(values, dtype=float)
-    if scheme == "central2":
-        h = grid.spacing
-        # difference-of-differences keeps the cancellation error at the
-        # scale of the local increments, not of the nodal values
-        return ((np.roll(u, -1) - u) - (u - np.roll(u, 1))) / (h * h)
-    if scheme == "spectral":
-        k = grid.wavenumbers
-        mult = -((2.0 * np.pi * k) ** 2)
-        return np.fft.irfft(np.fft.rfft(u) * mult, n=grid.n_points)
-    raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-
-
-def first_derivative(grid: SpatialGrid, values, scheme: str = "central2") -> np.ndarray:
-    """Periodic first derivative; central two-point stencil or FFT multiplier."""
-    u = np.asarray(values, dtype=float)
-    if scheme == "central2":
-        h = grid.spacing
-        return (np.roll(u, -1) - np.roll(u, 1)) / (2.0 * h)
-    if scheme == "spectral":
-        k = grid.wavenumbers.astype(float)
-        mult = 1j * 2.0 * np.pi * k
-        # the Nyquist mode has no well-defined odd derivative; drop it
-        mult[-1] = 0.0
-        return np.fft.irfft(np.fft.rfft(u) * mult, n=grid.n_points)
-    raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-
-
 def central2_symbol(grid: SpatialGrid, k) -> np.ndarray:
     """|Fourier symbol| of the central2 second derivative at wavenumber k."""
     h = grid.spacing
@@ -162,10 +127,7 @@ class Background:
             arr.setflags(write=False)
 
     def d2(self, values) -> np.ndarray:
-        return second_derivative(self.grid, values, self.scheme)
-
-    def d1(self, values) -> np.ndarray:
-        return first_derivative(self.grid, values, self.scheme)
+        return path_d2x(self.grid, values, self.scheme)
 
     def integrate(self, values) -> float:
         return integrate(self.grid, values)
@@ -185,14 +147,14 @@ def make_background(grid: SpatialGrid, psi=None, scheme: str = "central2") -> Ba
     if psi is None:
         psi = np.zeros(grid.n_points)
     psi = _as_field_values(grid, psi)
-    w_raw = 1.0 + second_derivative(grid, psi, scheme)
+    w_raw = 1.0 + path_d2x(grid, psi, scheme)
     if np.min(w_raw) <= 0.0:
         raise NonAdmissiblePsi(
             f"min(1 + D2 psi) = {np.min(w_raw):.6g} <= 0; "
             "background potential is not admissible"
         )
     w = w_raw / integrate(grid, w_raw)
-    r = -second_derivative(grid, np.log(w), scheme)
+    r = -path_d2x(grid, np.log(w), scheme)
     ricci_mean = integrate(grid, r) / integrate(grid, w)
     if not abs(ricci_mean) <= 1e-12:
         raise NonAdmissiblePsi(f"curvature mean {ricci_mean:g} out of tolerance 1e-12")
@@ -200,12 +162,11 @@ def make_background(grid: SpatialGrid, psi=None, scheme: str = "central2") -> Ba
 
 
 def metric_density(bg: Background, u) -> np.ndarray:
-    """Density m[u] = w + D2(u).  No positivity check is performed here."""
-    u = np.asarray(u, dtype=float)
-    if u.ndim == 1:
-        return bg.w + bg.d2(u)
-    # rows of a path: apply the stencil along the spatial axis
-    return bg.w[None, :] + path_d2x(bg.grid, u, bg.scheme)
+    """Density m[u] = w + D2(u) of a field or of every row of a path.
+
+    No positivity check is performed here.
+    """
+    return bg.w + bg.d2(u)
 
 
 def is_admissible(bg: Background, u) -> bool:
@@ -214,32 +175,41 @@ def is_admissible(bg: Background, u) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# space-time stencils (paths are (n_time + 1, n_points) arrays; row 0 is s=0)
+# stencils (paths are (n_time + 1, n_points) arrays; row 0 is s=0; the x
+# stencils act on the last axis, so on a field or on every row of a path)
 
 
-def path_d2x(grid: SpatialGrid, path, scheme: str = "central2") -> np.ndarray:
-    """Second x-derivative applied to every row of a path."""
-    p = np.asarray(path, dtype=float)
+def path_d2x(grid: SpatialGrid, values, scheme: str = "central2") -> np.ndarray:
+    """Periodic second x-derivative along the last axis: a field or every path row.
+
+    central2: (u_{j+1} - 2 u_j + u_{j-1}) / h^2.
+    spectral: FFT multiplier -(2 pi k)^2.
+    """
+    u = np.asarray(values, dtype=float)
     if scheme == "central2":
         h = grid.spacing
-        return ((np.roll(p, -1, axis=1) - p) - (p - np.roll(p, 1, axis=1))) / (h * h)
+        # difference-of-differences keeps the cancellation error at the
+        # scale of the local increments, not of the nodal values
+        return ((np.roll(u, -1, axis=-1) - u) - (u - np.roll(u, 1, axis=-1))) / (h * h)
     if scheme == "spectral":
         k = grid.wavenumbers
         mult = -((2.0 * np.pi * k) ** 2)
-        return np.fft.irfft(np.fft.rfft(p, axis=1) * mult[None, :], n=grid.n_points, axis=1)
+        return np.fft.irfft(np.fft.rfft(u, axis=-1) * mult, n=grid.n_points, axis=-1)
     raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
 
 
-def path_d1x(grid: SpatialGrid, path, scheme: str = "central2") -> np.ndarray:
-    p = np.asarray(path, dtype=float)
+def path_d1x(grid: SpatialGrid, values, scheme: str = "central2") -> np.ndarray:
+    """Periodic first x-derivative along the last axis; central or FFT multiplier."""
+    u = np.asarray(values, dtype=float)
     if scheme == "central2":
         h = grid.spacing
-        return (np.roll(p, -1, axis=1) - np.roll(p, 1, axis=1)) / (2.0 * h)
+        return (np.roll(u, -1, axis=-1) - np.roll(u, 1, axis=-1)) / (2.0 * h)
     if scheme == "spectral":
         k = grid.wavenumbers.astype(float)
         mult = 1j * 2.0 * np.pi * k
+        # the Nyquist mode has no well-defined odd derivative; drop it
         mult[-1] = 0.0
-        return np.fft.irfft(np.fft.rfft(p, axis=1) * mult[None, :], n=grid.n_points, axis=1)
+        return np.fft.irfft(np.fft.rfft(u, axis=-1) * mult, n=grid.n_points, axis=-1)
     raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
 
 
@@ -271,7 +241,7 @@ def _format_float(v: float) -> str:
 
 @dataclass(frozen=True, eq=False)
 class PeriodicField:
-    """Nodal values of one periodic field, the unit of serialization."""
+    """Nodal values of one periodic field."""
 
     grid: SpatialGrid
     values: np.ndarray
@@ -279,35 +249,6 @@ class PeriodicField:
     def __post_init__(self):
         object.__setattr__(self, "values", _as_field_values(self.grid, self.values))
         self.values.setflags(write=False)
-
-    def to_csv(self, path) -> None:
-        x = self.grid.nodes
-        lines = ["x,value"]
-        for xi, vi in zip(x, self.values):
-            lines.append(f"{_format_float(xi)},{_format_float(vi)}")
-        with open(path, "w", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
-
-    @classmethod
-    def from_csv(cls, path) -> "PeriodicField":
-        with open(path, "r", newline="") as fh:
-            lines = fh.read().splitlines()
-        if not lines or lines[0] != "x,value":
-            raise ValueError(f"{path}: expected header 'x,value'")
-        values = [float(line.split(",")[1]) for line in lines[1:] if line]
-        return cls(SpatialGrid(len(values)), np.array(values))
-
-    def to_json(self, path) -> None:
-        doc = {"n_points": self.grid.n_points, "values": [float(v) for v in self.values]}
-        with open(path, "w") as fh:
-            json.dump(doc, fh)
-            fh.write("\n")
-
-    @classmethod
-    def from_json(cls, path) -> "PeriodicField":
-        with open(path) as fh:
-            doc = json.load(fh)
-        return cls(SpatialGrid(int(doc["n_points"])), np.array(doc["values"], dtype=float))
 
 
 @dataclass(frozen=True, eq=False)
@@ -342,13 +283,6 @@ class PathField:
     def times(self) -> np.ndarray:
         return np.arange(self.n_time + 1) * self.ds
 
-    def check_endpoints(self, phi0, phi1, tol: float = 0.0) -> None:
-        """Assert rows 0 and n_time equal the prescribed endpoints."""
-        gap0 = float(np.max(np.abs(self.values[0] - np.asarray(phi0, dtype=float))))
-        gap1 = float(np.max(np.abs(self.values[-1] - np.asarray(phi1, dtype=float))))
-        if gap0 > tol or gap1 > tol:
-            raise ValueError(f"endpoint rows deviate by ({gap0:g}, {gap1:g})")
-
     def to_csv(self, path) -> None:
         header = "s," + ",".join(f"x{j}" for j in range(self.grid.n_points))
         lines = [header]
@@ -356,20 +290,6 @@ class PathField:
             lines.append(_format_float(si) + "," + ",".join(_format_float(v) for v in row))
         with open(path, "w", newline="") as fh:
             fh.write("\n".join(lines) + "\n")
-
-    @classmethod
-    def from_csv(cls, path) -> "PathField":
-        with open(path, "r", newline="") as fh:
-            lines = fh.read().splitlines()
-        if not lines or not lines[0].startswith("s,x0"):
-            raise ValueError(f"{path}: expected path header 's,x0,...'")
-        n_points = len(lines[0].split(",")) - 1
-        rows = []
-        for line in lines[1:]:
-            if not line:
-                continue
-            rows.append([float(tok) for tok in line.split(",")[1:]])
-        return cls(SpatialGrid(n_points), np.array(rows))
 
 
 @dataclass(frozen=True, eq=False)
@@ -395,7 +315,7 @@ class ReducedHessian:
 def reduced_hessian(bg: Background, path: PathField) -> ReducedHessian:
     vals = path.values
     ds = path.ds
-    m_xx = bg.w[None, :] + path_d2x(bg.grid, vals, bg.scheme)
+    m_xx = metric_density(bg, vals)
     return ReducedHessian(
         m_xx=m_xx[1:-1, :],
         m_xs=path_dxds(bg.grid, vals, ds, bg.scheme),

@@ -43,11 +43,6 @@ def gaussian_kernel(spacing: float, delta: float, halfwidth_cap: int) -> np.ndar
     return weights / weights.sum()
 
 
-def gaussian_multiplier(delta: float, k) -> np.ndarray:
-    """Continuum Fourier multiplier exp(-(2 pi k delta)^2 / 2) of the kernel."""
-    return np.exp(-0.5 * (2.0 * np.pi * np.asarray(k, dtype=float) * delta) ** 2)
-
-
 def mollify_fiberwise(grid: SpatialGrid, values, spec: MollifierSpec) -> np.ndarray:
     """Smooth along x only; accepts a single field or a path (rows kept)."""
     if spec.kind != "fiberwise":
@@ -93,12 +88,6 @@ def mollify_spacetime(grid: SpatialGrid, path, spec: MollifierSpec) -> np.ndarra
     return out
 
 
-def mollify(grid: SpatialGrid, values, spec: MollifierSpec) -> np.ndarray:
-    if spec.kind == "fiberwise":
-        return mollify_fiberwise(grid, values, spec)
-    return mollify_spacetime(grid, values, spec)
-
-
 def semipositivity_constant(bg: Background, path, spec: MollifierSpec) -> float:
     """Measured constant C with m[phi_delta] >= -C * delta over all slices.
 
@@ -106,24 +95,5 @@ def semipositivity_constant(bg: Background, path, spec: MollifierSpec) -> float:
     density stays nonnegative and the constant is zero up to kernel
     truncation, so the slack C * delta it induces downstream is negligible.
     """
-    m_delta = metric_density(bg, mollify(bg.grid, path, spec))
+    m_delta = metric_density(bg, mollify_fiberwise(bg.grid, path, spec))
     return max(0.0, -float(np.min(m_delta))) / spec.delta
-
-
-def neighborhood_drop_constant(bg: Background, path, spec: MollifierSpec) -> float:
-    """Measured constant C with m[phi_delta] >= local min of m[phi] - C * delta.
-
-    The local minimum is taken over nodes within distance delta.  This is the
-    reported lower-bound diagnostic; it quantifies how far smoothing can pull
-    a density below the values it averages.
-    """
-    p = np.asarray(path, dtype=float)
-    m = np.atleast_2d(metric_density(bg, p))
-    m_delta = np.atleast_2d(metric_density(bg, mollify(bg.grid, p, spec)))
-    radius = max(1, int(np.ceil(spec.delta / bg.grid.spacing)))
-    local_min = m.copy()
-    for shift in range(1, radius + 1):
-        local_min = np.minimum(local_min, np.roll(m, shift, axis=-1))
-        local_min = np.minimum(local_min, np.roll(m, -shift, axis=-1))
-    drop = float(np.max(local_min - m_delta))
-    return max(0.0, drop) / spec.delta

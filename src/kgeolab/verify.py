@@ -26,7 +26,7 @@ vanishes under grid refinement, which is what the refinement-ratio window
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -36,7 +36,9 @@ from .errors import FamilyMismatch, NegativeDensity, NotASolution, SkippedHypoth
 from .functionals import (
     FunctionalTrace,
     TruncationSpec,
+    _check_k_family,
     _resolve_chi,
+    _truncated_log,
     ddc_energy_check,
     delta_A,
     mabuchi,
@@ -54,7 +56,6 @@ from .geodesic import (
 )
 from .ma_fiber import (
     FiberFamily,
-    FiberSolution,
     check_bounds,
     density_convergence,
     eps_phi_vanishing,
@@ -79,6 +80,22 @@ from .regularize import MollifierSpec, mollify_fiberwise
 # frozen after the refinement fit; see eps_curvature_identity
 CURVATURE_KAPPA = 1.0
 KAPPA_FIT_SET = (0.25, 0.5, 1.0, 2.0, 4.0)
+
+# the suites' calibrated ladders, fixed whatever the run's config says
+WEAK_EPSILONS = (1e-1, 1e-2, 1e-3, 1e-4)
+# half-decade ladder 1e-1 .. 1e-3: the uniform bounds need the sweep to
+# reach the saturated regime in its first half
+FAMILY_EPSILONS = (1e-1, 10.0**-1.5, 1e-2, 10.0**-2.5, 1e-3)
+FAMILY_DELTAS = (0.1, 0.05, 0.025)
+A_VALUES = (2.0, 5.0, 10.0, 20.0)
+K_VALUES = (1, 2, 4)
+C_A_BOUND = 100.0
+CURVATURE_EPSILON = 1e-2
+CURVATURE_N_TIME = 64
+CURVED_PSI_AMPLITUDE = 0.002
+EPS_A_EPSILONS = (1e-1, 1e-2, 1e-3)
+EPS_A_VALUES = (5.0, 10.0)
+BOUNDARY_N_TIMES = (32, 64)
 
 
 # ---------------------------------------------------------------------------
@@ -239,9 +256,7 @@ def density_entropy(bg: Background, f) -> float:
 def density_truncated_entropy(bg: Background, f, spec: TruncationSpec) -> float:
     """H_A(f) = int f log max(f, e^(chi - A)) dmu; finite on zero sets."""
     f = np.asarray(f, dtype=float)
-    floor = _resolve_chi(bg, spec) - spec.A
-    above = np.log(f, out=np.array(floor, dtype=float), where=f > np.exp(floor))
-    return bg.integrate_mu(f * np.maximum(above, floor))
+    return bg.integrate_mu(f * _truncated_log(bg, f, spec))
 
 
 def _tail_start(n: int) -> int:
@@ -286,7 +301,7 @@ def truncated_semicontinuity(
 
 
 def truncated_semicontinuity_sweep(
-    bg: Background, seq: DensitySequence, a_values=(2.0, 5.0, 10.0, 20.0), tol: float = 1e-6
+    bg: Background, seq: DensitySequence, a_values=A_VALUES, tol: float = 1e-6
 ) -> PropertyResult:
     """The per-A checks must pass and the slacks delta(A) must decrease in A."""
     a_values = tuple(float(a) for a in a_values)
@@ -307,7 +322,7 @@ def truncated_semicontinuity_sweep(
     )
 
 
-def delta_a_closed_form(bg: Background, a_values=(2.0, 5.0, 10.0, 20.0)) -> PropertyResult:
+def delta_a_closed_form(bg: Background, a_values=A_VALUES) -> PropertyResult:
     """With chi = 0 and unit mu-mass, delta(A) = (A + 2) e^-A to round-off."""
     worst = 0.0
     rows = []
@@ -329,12 +344,6 @@ def delta_a_closed_form(bg: Background, a_values=(2.0, 5.0, 10.0, 20.0)) -> Prop
 # convexity of the k-averaged potential (log-sum-exp inequality)
 
 
-def _family_matrix(family: FiberFamily, k: int) -> np.ndarray:
-    return np.array(
-        [[sol.phi.values for sol in family.solutions[j]] for j in range(k)]
-    )
-
-
 def convexity_inequality_k(
     bg: Background, path: PathField, family: FiberFamily, k: int, tol: float = 1e-6
 ) -> PropertyResult:
@@ -345,14 +354,10 @@ def convexity_inequality_k(
     Hess L >= sum p_j Hess phi_j is checked independently in the x and s
     directions on the same data.
     """
-    if k < 1 or k > len(family.epsilons):
-        raise FamilyMismatch(f"k = {k} outside the family's {len(family.epsilons)} epsilons")
-    times = np.asarray(family.times, dtype=float)
-    if times.shape != path.times.shape or float(np.max(np.abs(times - path.times))) > 1e-12:
-        raise FamilyMismatch("family times do not match the path grid")
+    _check_k_family(path, family, k)
     grid = bg.grid
     ds = path.ds
-    phis = _family_matrix(family, k)  # (k, n_rows, n)
+    phis = family.phi_matrix()[:k]  # (k, n_rows, n)
     num = np.exp(phis)
     avg = num.mean(axis=0)
     weights = num / num.sum(axis=0)  # softmax over the k fibers
@@ -544,7 +549,7 @@ def trace_convexity_margin(trace: FunctionalTrace, rel_tol: float) -> tuple[floa
 
 
 def mabuchi_eps_A_almost_convex(
-    bg: Background, traces, c_a_bound: float = 100.0, tol_rel: float = 1e-8
+    bg: Background, traces, c_a_bound: float = C_A_BOUND, tol_rel: float = 1e-8
 ) -> PropertyResult:
     """Minimal hat-C per epsilon with M_{eps,A} + eps hat-C t(1-t) convex.
 
@@ -596,7 +601,7 @@ def _boundary_gaps(values: np.ndarray, n_time: int) -> dict:
 
 
 def mabuchi_convexity_and_continuity(
-    bg: Background, path: PathField, family: FiberFamily, k_values=(1, 2, 4)
+    bg: Background, path: PathField, family: FiberFamily, k_values=K_VALUES
 ) -> PropertyResult:
     """Convexity of M along the path, boundary continuity, and the k-ladder.
 
@@ -651,7 +656,7 @@ def mabuchi_convexity_and_continuity(
 
 
 def boundary_continuity_refinement(
-    bg: Background, endpoint_0, endpoint_1, eps_sequence, n_times=(32, 64)
+    bg: Background, endpoint_0, endpoint_1, eps_sequence, n_times=BOUNDARY_N_TIMES
 ) -> PropertyResult:
     """Boundary gaps of the M trace must stay <= 5e-3 and shrink as n_time doubles."""
     n_times = tuple(int(n) for n in n_times)
@@ -767,14 +772,7 @@ def max_subharmonic_lemma(
 def family_bounds_property(family: FiberFamily) -> PropertyResult:
     """Uniform-bounds halves rule as a signed margin per tracked quantity."""
     report = check_bounds(family)
-    margins = []
-    for arr in (report.sup_phi, report.neg_eps_inf_phi, report.eps_d2_phi):
-        split = (arr.size + 1) // 2
-        first, second = arr[:split], arr[split:]
-        if second.size:
-            margins.append(1.5 * float(np.max(first)) - float(np.max(second)))
-    margin = min(margins) if margins else 0.0
-    return _result("family_uniform_bounds", margin, report.to_dict())
+    return _result("family_uniform_bounds", report.margin, report.to_dict())
 
 
 def density_convergence_property(
@@ -873,67 +871,31 @@ def density_limit_report(family: FiberFamily, path: PathField) -> dict:
 # negative controls: constructed inputs every check must reject
 
 
+def _with_phi(family: FiberFamily, new_phi) -> FiberFamily:
+    """Copy of the family whose potentials are new_phi(eps, t, phi)."""
+    grid = family.bg.grid
+    solutions = [
+        [
+            replace(sol, phi=PeriodicField(grid, new_phi(eps, t, sol.phi.values)))
+            for t, sol in zip(family.times, row)
+        ]
+        for eps, row in zip(family.epsilons, family.solutions)
+    ]
+    return replace(family, solutions=solutions)
+
+
 def _tampered_family(family: FiberFamily, bump_amplitude: float = 0.5) -> FiberFamily:
     """Copy of the family with a strongly t-concave bump written into phi."""
-    grid = family.bg.grid
-    x = grid.nodes
-    times = np.asarray(family.times, dtype=float)
-    tampered = []
-    for row in family.solutions:
-        new_row = []
-        for t, sol in zip(times, row):
-            bump = bump_amplitude * math.sin(math.pi * t) * np.cos(2.0 * np.pi * x)
-            new_row.append(
-                FiberSolution(
-                    phi=PeriodicField(grid, sol.phi.values + bump),
-                    residual_sup=sol.residual_sup,
-                    newton_iters=sol.newton_iters,
-                    min_metric_eigen=sol.min_metric_eigen,
-                )
-            )
-        tampered.append(new_row)
-    return FiberFamily(
-        bg=family.bg,
-        epsilons=family.epsilons,
-        times=family.times,
-        deltas=family.deltas,
-        solutions=tampered,
-        cauchy_increments=family.cauchy_increments,
-        lipschitz_constants=family.lipschitz_constants,
-        equicontinuity_constant=family.equicontinuity_constant,
-        slacks=family.slacks,
-        bound_samples=family.bound_samples,
+    x = family.bg.grid.nodes
+    return _with_phi(
+        family,
+        lambda eps, t, phi: phi + bump_amplitude * math.sin(math.pi * t) * np.cos(2.0 * np.pi * x),
     )
 
 
 def _scaled_family(family: FiberFamily) -> FiberFamily:
     """Copy with phi / eps^2: uniform bounds and vanishing must both fail."""
-    scaled = []
-    for eps, row in zip(family.epsilons, family.solutions):
-        factor = 1.0 / (eps * eps)
-        scaled.append(
-            [
-                FiberSolution(
-                    phi=PeriodicField(family.bg.grid, sol.phi.values * factor),
-                    residual_sup=sol.residual_sup,
-                    newton_iters=sol.newton_iters,
-                    min_metric_eigen=sol.min_metric_eigen,
-                )
-                for sol in row
-            ]
-        )
-    return FiberFamily(
-        bg=family.bg,
-        epsilons=family.epsilons,
-        times=family.times,
-        deltas=family.deltas,
-        solutions=scaled,
-        cauchy_increments=family.cauchy_increments,
-        lipschitz_constants=family.lipschitz_constants,
-        equicontinuity_constant=family.equicontinuity_constant,
-        slacks=family.slacks,
-        bound_samples=family.bound_samples,
-    )
+    return _with_phi(family, lambda eps, t, phi: phi * (1.0 / (eps * eps)))
 
 
 def control_entropy(bg: Background) -> PropertyResult:
@@ -1003,7 +965,7 @@ def control_eps_A(bg: Background) -> PropertyResult:
                 meta={"name": "mabuchi_eps_A", "epsilon": eps, "A": 5.0},
             )
         )
-    raw = mabuchi_eps_A_almost_convex(bg, traces, c_a_bound=100.0)
+    raw = mabuchi_eps_A_almost_convex(bg, traces, C_A_BOUND)
     return _as_control("control:mabuchi_eps_A_almost_convex", raw)
 
 
@@ -1049,32 +1011,18 @@ class SuiteData:
     """Every solved object of a run, built lazily and cached.
 
     Each object is solved at most once.  The check suites read the objects
-    on their calibrated ladders; the artifact stages read the ``ladder_*``
-    objects, solved on the run's own epsilon and delta ladders.  Defaults
-    reproduce the canonical run: flat background, endpoints 0 and the
-    admissible cosine, the standard epsilon and delta ladders.
+    on their calibrated ladders (the module constants above); the artifact
+    stages read the ``ladder_*`` objects, solved on the run's own epsilon
+    and delta ladders.  Defaults reproduce the canonical run: flat
+    background, endpoints 0 and the admissible cosine.
     """
 
     bg: Background
     endpoint_0: np.ndarray
     endpoint_1: np.ndarray
     n_time: int = 16
-    weak_epsilons: tuple = (1e-1, 1e-2, 1e-3, 1e-4)
-    # half-decade ladder 1e-1 .. 1e-3: the uniform bounds need the sweep to
-    # reach the saturated regime in its first half
-    family_epsilons: tuple = (1e-1, 10.0**-1.5, 1e-2, 10.0**-2.5, 1e-3)
-    family_deltas: tuple = (0.1, 0.05, 0.025)
     family_tol: float = 1e-12
-    a_values: tuple = (2.0, 5.0, 10.0, 20.0)
-    k_values: tuple = (1, 2, 4)
     seeds: tuple = tuple(range(20))
-    c_a_bound: float = 100.0
-    curvature_epsilon: float = 1e-2
-    curvature_n_time: int = 64
-    curved_psi_amplitude: float = 0.002
-    eps_a_epsilons: tuple = (1e-1, 1e-2, 1e-3)
-    eps_a_values: tuple = (5.0, 10.0)
-    boundary_n_times: tuple = (32, 64)
     ladder_epsilons: tuple = ()
     ladder_deltas: tuple = ()
     ladder_geodesic_tol: float = 1e-10
@@ -1087,13 +1035,13 @@ class SuiteData:
     @cached_property
     def weak_path(self) -> PathField:
         return weak_geodesic(
-            self.bg, self.endpoint_0, self.endpoint_1, self.weak_epsilons, n_time=self.n_time
+            self.bg, self.endpoint_0, self.endpoint_1, WEAK_EPSILONS, n_time=self.n_time
         )
 
     @cached_property
     def family(self) -> FiberFamily:
         return solve_family(
-            self.bg, self.weak_path, self.family_epsilons, self.family_deltas, tol=self.family_tol
+            self.bg, self.weak_path, FAMILY_EPSILONS, FAMILY_DELTAS, tol=self.family_tol
         )
 
     @cached_property
@@ -1102,8 +1050,8 @@ class SuiteData:
             self.bg,
             self.endpoint_0,
             self.endpoint_1,
-            self.curvature_epsilon,
-            self.curvature_n_time,
+            CURVATURE_EPSILON,
+            CURVATURE_N_TIME,
         )
         return solve_eps_geodesic(problem)
 
@@ -1113,13 +1061,13 @@ class SuiteData:
 
     @cached_property
     def curved_bg(self) -> Background:
-        psi = fourier_field(self.bg.grid, [(1, self.curved_psi_amplitude, 0.0)])
+        psi = fourier_field(self.bg.grid, [(1, CURVED_PSI_AMPLITUDE, 0.0)])
         return make_background(self.bg.grid, psi=psi, scheme=self.bg.scheme)
 
     @cached_property
     def curved_geodesics(self) -> list:
         return eps_continuation(
-            self.curved_bg, self.endpoint_0, self.endpoint_1, self.eps_a_epsilons, self.n_time
+            self.curved_bg, self.endpoint_0, self.endpoint_1, EPS_A_EPSILONS, self.n_time
         )
 
     def eps_a_traces(self, a_value: float) -> list:
@@ -1162,8 +1110,8 @@ def suite_entropy(data: SuiteData) -> list:
         results.append(
             _result(f"entropy_semicontinuity[seed={seed}]", res.margin, res.details)
         )
-    results.append(truncated_semicontinuity_sweep(data.bg, seq0, data.a_values))
-    results.append(delta_a_closed_form(data.bg, data.a_values))
+    results.append(truncated_semicontinuity_sweep(data.bg, seq0, A_VALUES))
+    results.append(delta_a_closed_form(data.bg, A_VALUES))
     results.append(control_entropy(data.bg))
     results.append(control_truncated(data.bg))
     return results
@@ -1171,18 +1119,18 @@ def suite_entropy(data: SuiteData) -> list:
 
 def suite_convexity(data: SuiteData) -> list:
     results = []
-    for k in data.k_values:
+    for k in K_VALUES:
         if k <= len(data.family.epsilons):
             results.append(convexity_inequality_k(data.bg, data.weak_path, data.family, k))
-    results.append(mabuchi_convexity_and_continuity(data.bg, data.weak_path, data.family, data.k_values))
+    results.append(mabuchi_convexity_and_continuity(data.bg, data.weak_path, data.family, K_VALUES))
     results.append(
         boundary_continuity_refinement(
-            data.bg, data.endpoint_0, data.endpoint_1, data.weak_epsilons, data.boundary_n_times
+            data.bg, data.endpoint_0, data.endpoint_1, WEAK_EPSILONS, BOUNDARY_N_TIMES
         )
     )
-    for a in data.eps_a_values:
+    for a in EPS_A_VALUES:
         results.append(
-            mabuchi_eps_A_almost_convex(data.curved_bg, data.eps_a_traces(a), data.c_a_bound)
+            mabuchi_eps_A_almost_convex(data.curved_bg, data.eps_a_traces(a), C_A_BOUND)
         )
     results.append(
         ddc_property(

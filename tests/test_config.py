@@ -88,9 +88,10 @@ def test_inadmissible_endpoint_rejected():
         parse_config(_doc(endpoints=bad))
 
 
-def test_spectral_scheme_selected():
-    cfg = parse_config(_doc(grid={"n_points": 64, "scheme": "spectral"}))
-    assert cfg.bg.scheme == "spectral"
+def test_spectral_scheme_rejected():
+    """The solvers need the central2 stencil, so the config accepts no other."""
+    with pytest.raises(ConfigError, match="scheme"):
+        parse_config(_doc(grid={"n_points": 64, "scheme": "spectral"}))
 
 
 def test_truncation_section():

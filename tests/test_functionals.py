@@ -69,14 +69,11 @@ def test_trace_csv_roundtrip(tmp_path):
     trace = FunctionalTrace(times, values, second_differences(values, 0.125), meta={"name": "q"})
     out = tmp_path / "trace.csv"
     trace.to_csv(out)
-    back = FunctionalTrace.from_csv(out, meta={"name": "q"})
-    assert np.array_equal(back.times, trace.times)
-    assert np.array_equal(back.values, trace.values)
-    assert np.array_equal(back.second_differences, trace.second_differences, equal_nan=True)
-    bad = tmp_path / "bad.csv"
-    bad.write_text("a,b\n")
-    with pytest.raises(ValueError, match="header"):
-        FunctionalTrace.from_csv(bad)
+    assert out.read_text().splitlines()[0] == "t,value,second_difference"
+    back = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert np.array_equal(back[:, 0], trace.times)
+    assert np.array_equal(back[:, 1], trace.values)
+    assert np.array_equal(back[:, 2], trace.second_differences, equal_nan=True)
 
 
 def test_truncation_spec_validation():

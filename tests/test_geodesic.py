@@ -65,7 +65,7 @@ def test_solve_small(small_bg):
     sol = solve_eps_geodesic(EpsGeodesicProblem(small_bg, e0, e1, 1e-2, 8))
     assert sol.residual_sup <= 1e-10
     assert sol.positivity_margin > 0.0
-    sol.path.check_endpoints(e0, e1)
+    assert np.array_equal(sol.path.values[0], e0) and np.array_equal(sol.path.values[-1], e1)
 
 
 def test_equal_constant_endpoints_closed_form(small_bg):

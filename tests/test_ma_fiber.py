@@ -14,22 +14,16 @@ from kgeolab import (
     PathField,
     SpatialGrid,
     check_bounds,
-    comparison_defect,
     density_convergence,
     eps_phi_vanishing,
     family_report,
-    fiber_residual,
     fourier_field,
     make_background,
-    mass_identity_gap,
-    max_principle_gap,
     solve_aubin_fiber,
     solve_family,
-    solve_yau,
-    stability_constant,
 )
 from kgeolab import ma_fiber
-from kgeolab.model import central2_symbol
+from kgeolab.model import path_d2x
 
 
 # ---------------------------------------------------------------------------
@@ -51,32 +45,6 @@ def test_theta_defaults_to_curvature(small_bg):
 
 
 # ---------------------------------------------------------------------------
-# prescribed-density solve
-
-
-def test_yau_recovers_zero(small_bg):
-    sol = solve_yau(small_bg, small_bg.w)
-    assert np.max(np.abs(sol.phi.values)) < 1e-11
-    assert sol.min_metric_eigen > 0.0
-
-
-def test_yau_inverts_the_stencil_symbol(small_bg):
-    grid = small_bg.grid
-    target = 1.0 + 0.3 * np.cos(2.0 * np.pi * grid.nodes)
-    sol = solve_yau(small_bg, target)
-    expected = -0.3 * np.cos(2.0 * np.pi * grid.nodes) / central2_symbol(grid, 1)
-    assert np.max(np.abs(sol.phi.values - expected)) < 1e-11
-    assert abs(small_bg.integrate_mu(sol.phi.values)) < 1e-11
-
-
-def test_yau_rejects_bad_targets(small_bg):
-    with pytest.raises(IncompatibleMass):
-        solve_yau(small_bg, 2.0 * small_bg.w)
-    with pytest.raises(NegativeDensity):
-        solve_yau(small_bg, np.cos(2.0 * np.pi * small_bg.grid.nodes))
-
-
-# ---------------------------------------------------------------------------
 # semilinear fiber solve
 
 
@@ -94,9 +62,6 @@ def test_aubin_identities_on_generic_source(small_bg):
     prob = FiberProblem(small_bg, beta, eps)
     sol = solve_aubin_fiber(prob)
     assert sol.residual_sup <= 1e-11
-    assert np.max(np.abs(fiber_residual(prob, sol.phi.values))) <= 1e-11
-    assert abs(mass_identity_gap(prob, sol.phi.values)) <= 1e-10
-    assert max_principle_gap(prob, sol.phi.values) <= 1e-8
     assert sol.min_metric_eigen > 0.0
 
 
@@ -108,9 +73,14 @@ def test_aubin_zero_source_rejected(small_bg):
 
 
 def test_stability_constants_bounded(small_bg):
+    """sup |phi[beta + eta] - phi[beta]| / eta for three shifts eta of the source."""
     beta = (1.0 + 0.2 * np.cos(2.0 * np.pi * small_bg.grid.nodes)) / 0.1
-    ks = stability_constant(FiberProblem(small_bg, beta, 0.1))
-    assert len(ks) == 3 and all(np.isfinite(ks))
+    base = solve_aubin_fiber(FiberProblem(small_bg, beta, 0.1)).phi.values
+    ks = []
+    for eta in (1e-2, 1e-3, 1e-4):
+        shifted = solve_aubin_fiber(FiberProblem(small_bg, beta + eta, 0.1), phi0=base.copy())
+        ks.append(float(np.max(np.abs(shifted.phi.values - base))) / eta)
+    assert all(np.isfinite(ks))
     assert max(ks) < 1.0  # measured sensitivity stays mild
 
 
@@ -124,7 +94,8 @@ def test_comparison_defect_nonpositive(seed):
     terms = lambda: [(k, rng.uniform(-1, 1) / (2.0 * np.pi * k) ** 2 * 0.4, 0.0) for k in (1, 2)]
     u = fourier_field(grid, terms())
     v = fourier_field(grid, terms()) + rng.uniform(-0.1, 0.1)
-    assert comparison_defect(bg, u, v) <= 1e-12
+    # int_{u<v} (m[v] - m[u]) dx = h sum of D2(v - u) over {u < v}
+    assert bg.grid.spacing * float(np.sum(path_d2x(grid, v - u)[u < v])) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

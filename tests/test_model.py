@@ -1,7 +1,5 @@
 """Grid, field, and background invariants."""
 
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,14 +10,14 @@ from kgeolab import (
     PathField,
     PeriodicField,
     SpatialGrid,
-    first_derivative,
     fourier_field,
     integrate,
     is_admissible,
     make_background,
     metric_density,
+    path_d1x,
+    path_d2x,
     reduced_hessian,
-    second_derivative,
 )
 from kgeolab import model
 from kgeolab.model import central2_symbol
@@ -48,26 +46,26 @@ def test_grid_rejects_small_or_odd(n):
 
 def test_d2_kills_constants(small_grid):
     for scheme in ("central2", "spectral"):
-        out = second_derivative(small_grid, np.full(64, 3.7), scheme)
+        out = path_d2x(small_grid, np.full(64, 3.7), scheme)
         assert np.max(np.abs(out)) < 1e-9
 
 
 def test_d2_central2_symbol(small_grid):
     u = np.cos(2.0 * np.pi * small_grid.nodes)
     sym = central2_symbol(small_grid, 1)
-    got = second_derivative(small_grid, u, "central2")
+    got = path_d2x(small_grid, u, "central2")
     assert np.max(np.abs(got + sym * u)) < 1e-9
 
 
 def test_d2_spectral_exact_eigenfunction(small_grid):
     u = np.cos(2.0 * np.pi * small_grid.nodes)
-    got = second_derivative(small_grid, u, "spectral")
+    got = path_d2x(small_grid, u, "spectral")
     assert np.max(np.abs(got + (2.0 * np.pi) ** 2 * u)) < 1e-9
 
 
 def test_d1_central_symbol(small_grid):
     x = small_grid.nodes
-    got = first_derivative(small_grid, np.sin(2.0 * np.pi * x), "central2")
+    got = path_d1x(small_grid, np.sin(2.0 * np.pi * x), "central2")
     # central two-point stencil: symbol sin(2 pi h) / h at wavenumber 1
     sym = np.sin(2.0 * np.pi * small_grid.spacing) / small_grid.spacing
     assert np.max(np.abs(got - sym * np.cos(2.0 * np.pi * x))) < 1e-9
@@ -75,13 +73,13 @@ def test_d1_central_symbol(small_grid):
 
 def test_d1_spectral(small_grid):
     x = small_grid.nodes
-    got = first_derivative(small_grid, np.sin(2.0 * np.pi * x), "spectral")
+    got = path_d1x(small_grid, np.sin(2.0 * np.pi * x), "spectral")
     assert np.max(np.abs(got - 2.0 * np.pi * np.cos(2.0 * np.pi * x))) < 1e-9
 
 
 def test_unknown_scheme_rejected(small_grid):
     with pytest.raises(ValueError, match="unknown scheme"):
-        second_derivative(small_grid, np.zeros(64), "upwind")
+        path_d2x(small_grid, np.zeros(64), "upwind")
 
 
 @given(
@@ -96,8 +94,8 @@ def test_d2_linearity(a, b, k1, k2):
     u = fourier_field(grid, [(k1, 1.0, 0.3)])
     v = fourier_field(grid, [(k2, 0.5, -1.0)])
     for scheme in ("central2", "spectral"):
-        lhs = second_derivative(grid, a * u + b * v, scheme)
-        rhs = a * second_derivative(grid, u, scheme) + b * second_derivative(grid, v, scheme)
+        lhs = path_d2x(grid, a * u + b * v, scheme)
+        rhs = a * path_d2x(grid, u, scheme) + b * path_d2x(grid, v, scheme)
         assert np.max(np.abs(lhs - rhs)) <= 1e-9 * (1.0 + np.max(np.abs(rhs)))
 
 
@@ -108,7 +106,7 @@ def test_scheme_agreement_second_order():
     for n in ns:
         grid = SpatialGrid(n)
         u = fourier_field(grid, [(1, 1.0, 0.0), (2, 0.0, 0.3)])
-        gap = second_derivative(grid, u, "central2") - second_derivative(grid, u, "spectral")
+        gap = path_d2x(grid, u, "central2") - path_d2x(grid, u, "spectral")
         errs.append(np.max(np.abs(gap)))
     order = -np.polyfit(np.log(ns), np.log(errs), 1)[0]
     assert order >= 1.9, f"observed order {order:.3f}"
@@ -146,8 +144,8 @@ def test_non_admissible_psi(small_grid):
 
 def test_nonzero_mean_curvature_is_typed(small_grid, monkeypatch):
     """A curvature density with nonzero mean is rejected as NonAdmissiblePsi."""
-    real = model.second_derivative
-    monkeypatch.setattr(model, "second_derivative", lambda grid, v, scheme="central2": real(grid, v, scheme) + 1e-6)
+    real = model.path_d2x
+    monkeypatch.setattr(model, "path_d2x", lambda grid, v, scheme="central2": real(grid, v, scheme) + 1e-6)
     with pytest.raises(NonAdmissiblePsi, match="curvature mean"):
         make_background(small_grid)
 
@@ -195,35 +193,11 @@ def test_periodic_field_shape_checks(small_grid):
         PeriodicField(small_grid, np.full(64, np.nan))
 
 
-def test_periodic_field_csv_roundtrip(tmp_path, small_grid):
-    rng = np.random.default_rng(3)
-    f = PeriodicField(small_grid, rng.standard_normal(64))
-    p = tmp_path / "f.csv"
-    f.to_csv(p)
-    back = PeriodicField.from_csv(p)
-    assert np.array_equal(back.values, f.values)  # bit-exact round trip
-    header = p.read_text().splitlines()[0]
-    assert header == "x,value"
-
-
-def test_periodic_field_json_roundtrip(tmp_path, small_grid):
-    rng = np.random.default_rng(4)
-    f = PeriodicField(small_grid, rng.standard_normal(64))
-    p = tmp_path / "f.json"
-    f.to_json(p)
-    back = PeriodicField.from_json(p)
-    assert np.array_equal(back.values, f.values)
-    assert json.loads(p.read_text())["n_points"] == 64
-
-
 def test_path_field_checks(small_grid):
     vals = np.zeros((9, 64))
     path = PathField(small_grid, vals)
     assert path.n_time == 8 and path.ds == 0.125
     assert np.array_equal(path.times, np.arange(9) / 8.0)
-    path.check_endpoints(np.zeros(64), np.zeros(64))
-    with pytest.raises(ValueError):
-        path.check_endpoints(np.zeros(64), np.full(64, 1e-3))
     with pytest.raises(ValueError):
         PathField(small_grid, np.zeros((9, 63)))
     with pytest.raises(ValueError):
@@ -235,8 +209,9 @@ def test_path_field_csv_roundtrip(tmp_path, small_grid):
     path = PathField(small_grid, rng.standard_normal((9, 64)))
     p = tmp_path / "path.csv"
     path.to_csv(p)
-    back = PathField.from_csv(p)
-    assert np.array_equal(back.values, path.values)
+    back = np.loadtxt(p, delimiter=",", skiprows=1)
+    assert np.array_equal(back[:, 0], path.times)
+    assert np.array_equal(back[:, 1:], path.values)  # bit-exact round trip
     header = p.read_text().splitlines()[0]
     assert header.startswith("s,x0,x1,") and header.endswith(f",x{64 - 1}")
 

@@ -8,13 +8,10 @@ from kgeolab import (
     MollifierSpec,
     SpatialGrid,
     fourier_field,
-    gaussian_multiplier,
     integrate,
-    mollify,
     mollify_fiberwise,
     mollify_spacetime,
-    neighborhood_drop_constant,
-    second_derivative,
+    path_d2x,
     semipositivity_constant,
 )
 
@@ -57,7 +54,7 @@ def test_gaussian_multiplier_matches_convolution():
     delta = 0.05
     u = np.cos(2.0 * np.pi * grid.nodes)
     out = mollify_fiberwise(grid, u, MollifierSpec(delta))
-    expected = gaussian_multiplier(delta, 1) * u
+    expected = np.exp(-0.5 * (2.0 * np.pi * delta) ** 2) * u  # continuum multiplier at k = 1
     # the six sigma cutoff leaves a renormalization tail of erfc(6/sqrt(2)) ~ 2e-9
     assert np.max(np.abs(out - expected)) < 5e-9
 
@@ -78,13 +75,13 @@ def test_d2_convergence_in_lp(small_grid):
     path = s * fourier_field(small_grid, [(1, 0.2, 0.0)])[None, :] + (1 - s) * fourier_field(
         small_grid, [(2, 0.0, 0.1)]
     )[None, :]
-    d2_path = np.array([second_derivative(small_grid, row) for row in path])
+    d2_path = np.array([path_d2x(small_grid, row) for row in path])
     h = small_grid.spacing
     for p in (1, 2, 4):
         worst = []
         for delta in (0.1, 0.05, 0.025):
             out = mollify_fiberwise(small_grid, path, MollifierSpec(delta))
-            d2_out = np.array([second_derivative(small_grid, row) for row in out])
+            d2_out = np.array([path_d2x(small_grid, row) for row in out])
             lp = (h * np.sum(np.abs(d2_out - d2_path) ** p, axis=1)) ** (1.0 / p)
             worst.append(float(np.max(lp)))
         assert worst[0] > worst[1] > worst[2]
@@ -93,8 +90,8 @@ def test_d2_convergence_in_lp(small_grid):
 def test_commutes_with_d2(small_grid):
     u = fourier_field(small_grid, [(1, 1.0, 0.0), (4, 0.2, 0.2)])
     spec = MollifierSpec(0.06)
-    a = second_derivative(small_grid, mollify_fiberwise(small_grid, u, spec))
-    b = mollify_fiberwise(small_grid, second_derivative(small_grid, u), spec)
+    a = path_d2x(small_grid, mollify_fiberwise(small_grid, u, spec))
+    b = mollify_fiberwise(small_grid, path_d2x(small_grid, u), spec)
     assert np.max(np.abs(a - b)) < 1e-10
 
 
@@ -134,13 +131,6 @@ def test_interior_too_thin(small_grid):
         mollify_spacetime(small_grid, np.zeros((5, 64)), MollifierSpec(0.2, "spacetime"))
 
 
-def test_mollify_dispatch(small_grid):
-    u = fourier_field(small_grid, [(1, 0.1, 0.0)])
-    a = mollify(small_grid, u, MollifierSpec(0.05))
-    b = mollify_fiberwise(small_grid, u, MollifierSpec(0.05))
-    assert np.array_equal(a, b)
-
-
 # ---------------------------------------------------------------------------
 # measured constants
 
@@ -151,13 +141,3 @@ def test_semipositivity_constant_vanishes_on_admissible(small_bg):
     path = s * amp * np.cos(2.0 * np.pi * small_bg.grid.nodes)[None, :]
     c = semipositivity_constant(small_bg, path, MollifierSpec(0.05))
     assert c == 0.0
-
-
-def test_neighborhood_drop_constant_bounded(small_bg):
-    amp = 0.05 / (2.0 * np.pi) ** 2
-    s = np.linspace(0.0, 1.0, 9)[:, None]
-    path = s * amp * np.cos(2.0 * np.pi * small_bg.grid.nodes)[None, :]
-    cs = [
-        neighborhood_drop_constant(small_bg, path, MollifierSpec(d)) for d in (0.1, 0.05, 0.025)
-    ]
-    assert all(np.isfinite(cs)) and max(cs) < 10.0
