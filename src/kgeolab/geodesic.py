@@ -27,6 +27,7 @@ turns silent failures of that condition into NonConvexInput.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy import sparse
@@ -104,6 +105,52 @@ def eval_geodesic_residual(bg: Background, path: PathField, epsilon: float) -> n
     return reduced_hessian(bg, path).det() - epsilon * bg.w[None, :]
 
 
+# the nine-point stencil: (time offset, space offset, row of the coefficient
+# stack that newton_step builds)
+_STENCIL = (
+    (0, 0, 0),
+    (0, 1, 1),
+    (0, -1, 1),
+    (1, 0, 2),
+    (-1, 0, 2),
+    (1, 1, 3),
+    (1, -1, 4),
+    (-1, 1, 4),
+    (-1, -1, 3),
+)
+
+
+@lru_cache(maxsize=16)
+def _jacobian_pattern(n: int, n_time: int) -> tuple:
+    """CSC pattern of the space-time Jacobian and where each entry comes from.
+
+    Returns (indices, indptr, gather): the CSC row indices and column
+    pointers, and for every stored entry its position in the raveled stack
+    of the five coefficient arrays of newton_step.  Rows next to the
+    Dirichlet rows drop the off-grid neighbours, x wraps periodically.
+    Entries are in canonical CSC order (rows sorted within each column), as
+    coo_matrix(...).tocsc() would store them.
+    """
+    n_int = n_time - 1
+    size = n_int * n
+    i, j = np.indices((n_int, n))
+    eq = (i * n + j).ravel()
+    rows, cols, src = [], [], []
+    for dr, dc, k in _STENCIL:
+        ti = i + dr
+        keep = ((ti >= 0) & (ti < n_int)).ravel()
+        rows.append(eq[keep])
+        cols.append((ti * n + (j + dc) % n).ravel()[keep])
+        src.append(k * size + eq[keep])
+    rows, cols, src = np.concatenate(rows), np.concatenate(cols), np.concatenate(src)
+    order = np.lexsort((rows, cols))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=size))])
+    out = (rows[order].astype(np.int32), indptr.astype(np.int32), src[order])
+    for arr in out:
+        arr.setflags(write=False)
+    return out
+
+
 def solve_eps_geodesic(
     problem: EpsGeodesicProblem,
     tol: float = 1e-10,
@@ -148,34 +195,21 @@ def solve_eps_geodesic(
         m_xx, phi_ss, _ = parts(full_path(x))
         return float(np.min(m_xx)) > 0.0 and float(np.min(phi_ss)) > 0.0
 
-    I, J = np.indices((n_int, n))
-    eq = I * n + J
+    indices, indptr, gather = _jacobian_pattern(n, nt)
 
     def newton_step(x, r):
         m_xx, phi_ss, phi_xs = parts(full_path(x))
         q = phi_xs / (2.0 * h * ds)
-        rows, cols, vals = [], [], []
-
-        def add(dr, dc, coef):
-            tr = I + dr
-            mask = (tr >= 0) & (tr < n_int)
-            rows.append(eq[mask])
-            cols.append(tr[mask] * n + (J[mask] + dc) % n)
-            vals.append(coef[mask])
-
-        add(0, 0, -2.0 * inv_h2 * phi_ss - 2.0 * inv_ds2 * m_xx)
-        add(0, 1, inv_h2 * phi_ss)
-        add(0, -1, inv_h2 * phi_ss)
-        add(1, 0, inv_ds2 * m_xx)
-        add(-1, 0, inv_ds2 * m_xx)
-        add(1, 1, -q)
-        add(1, -1, q)
-        add(-1, 1, q)
-        add(-1, -1, -q)
-        jac = sparse.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n_int * n, n_int * n),
-        ).tocsc()
+        coefs = np.stack([
+            -2.0 * inv_h2 * phi_ss - 2.0 * inv_ds2 * m_xx,  # centre
+            inv_h2 * phi_ss,  # x neighbours
+            inv_ds2 * m_xx,  # s neighbours
+            -q,  # (+1, +1) and (-1, -1)
+            q,  # (+1, -1) and (-1, +1)
+        ])
+        jac = sparse.csc_matrix(
+            (coefs.ravel()[gather], indices, indptr), shape=(n_int * n, n_int * n)
+        )
         try:
             return splu(jac).solve(-r)
         except RuntimeError as exc:  # pragma: no cover - needs a degenerate iterate

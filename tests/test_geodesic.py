@@ -5,6 +5,8 @@ import pytest
 
 from kgeolab import (
     EpsGeodesicProblem,
+    PathField,
+    SpatialGrid,
     FamilyMismatch,
     NegativeDensity,
     NoConvergence,
@@ -66,6 +68,54 @@ def test_solve_small(small_bg):
     assert sol.residual_sup <= 1e-10
     assert sol.positivity_margin > 0.0
     assert np.array_equal(sol.path.values[0], e0) and np.array_equal(sol.path.values[-1], e1)
+
+
+def test_newton_jacobian_matches_finite_differences(monkeypatch):
+    """The matrix the Newton step factors is the derivative of the interior residual.
+
+    Checked entry by entry against central differences of the independent
+    certificate residual, on 8 points so that the periodic wrap and the rows
+    next to both Dirichlet rows make up most of the matrix.  The residual is
+    quadratic in the unknowns, so central differences are exact up to
+    round-off.
+    """
+    grid = SpatialGrid(8)
+    bg = make_background(grid, psi=fourier_field(grid, [(1, 0.002, 0.001)]))
+    e0 = fourier_field(grid, [(1, 0.001, 0.002)])
+    e1 = fourier_field(grid, [(1, -0.002, 0.0), (2, 0.0005, -0.001)])
+    eps, n_time = 1e-2, 8
+    problem = EpsGeodesicProblem(bg, e0, e1, eps, n_time)
+    start = initial_guess(problem)
+    start[1:-1] += 1e-6 * np.random.default_rng(3).standard_normal((n_time - 1, 8))
+
+    factored = []
+    real_splu = geodesic.splu
+
+    def spy(matrix, *args, **kwargs):
+        factored.append(matrix.toarray())
+        return real_splu(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(geodesic, "splu", spy)
+    solve_eps_geodesic(problem, path0=start)
+    jac = factored[0]  # the first Newton step linearizes at the start
+
+    def residual(x):
+        path = np.vstack([e0, x.reshape(n_time - 1, 8), e1])
+        return eval_geodesic_residual(bg, PathField(grid, path), eps).ravel()
+
+    x0 = start[1:-1].ravel()
+    step = 1e-4
+    fd = np.empty_like(jac)
+    for k in range(x0.size):
+        dx = np.zeros_like(x0)
+        dx[k] = step
+        fd[:, k] = (residual(x0 + dx) - residual(x0 - dx)) / (2.0 * step)
+    assert jac.shape == (7 * 8, 7 * 8)
+    assert np.max(np.abs(jac - fd)) <= 1e-9 * np.max(np.abs(jac))
+    # the pattern is the nine-point stencil: wrap entries present, nothing else
+    assert jac[0, 7] != 0.0 and jac[0, 8 + 7] != 0.0 and jac[6 * 8, 5 * 8 + 7] != 0.0
+    assert np.array_equal(jac != 0.0, fd != 0.0)
+    assert np.count_nonzero(jac) == 9 * 8 * 7 - 2 * 3 * 8
 
 
 def test_equal_constant_endpoints_closed_form(small_bg):
