@@ -45,7 +45,7 @@ from .config import ExperimentConfig, load_config, validate_against_schema
 from .errors import ConfigError
 from .functionals import TruncationSpec, mabuchi, mabuchi_eps_A, mabuchi_k
 from .geodesic import legendre_oracle, rung_increments
-from .ma_fiber import check_bounds, density_convergence, eps_phi_vanishing, family_report
+from .ma_fiber import density_convergence, eps_phi_vanishing, family_report
 from .model import PathField, _format_float
 from .verify import (
     SUITES,
@@ -136,7 +136,8 @@ def run_fiberwise(config: ExperimentConfig, data: SuiteData, out_dir: Path) -> i
     bg = config.bg
     path = data.ladder_path
     family = data.ladder_family
-    bounds = check_bounds(family)
+    fam_report = family_report(family)
+    bounds_passed = fam_report["bounds"]["passed"]
     convergence = density_convergence(family, path)
     vanishing = eps_phi_vanishing(family)
 
@@ -158,12 +159,12 @@ def run_fiberwise(config: ExperimentConfig, data: SuiteData, out_dir: Path) -> i
         _write_csv_via(out_dir, name, PathField(bg.grid, phi[i]).to_csv)
         phi_files.append({"epsilon": eps, "path_csv": name})
 
-    passed = bool(bounds.passed and convergence.passed and vanishing.passed)
+    passed = bool(bounds_passed and convergence.passed and vanishing.passed)
     report = {
         "timestamp": _timestamp(),
         "config": config.raw,
         "n_time": config.n_time,
-        "family": family_report(family),
+        "family": fam_report,
         "convergence": convergence.to_dict(),
         "vanishing": vanishing.to_dict(),
         "density_limit": density_limit_report(family, path),
@@ -171,7 +172,7 @@ def run_fiberwise(config: ExperimentConfig, data: SuiteData, out_dir: Path) -> i
         "passed": passed,
     }
     _write_json(out_dir, "fiberwise_report.json", report, "fiberwise_report")
-    print(f"fiberwise: bounds={bounds.passed} convergence={convergence.passed} "
+    print(f"fiberwise: bounds={bounds_passed} convergence={convergence.passed} "
           f"vanishing={vanishing.passed}; report in {out_dir}")
     return 0 if passed else 3
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import xlogy
 
 from .errors import FamilyMismatch, NegativeDensity
 from .model import (
@@ -110,6 +109,8 @@ def _slice_density(bg: Background, u, label: str = "") -> np.ndarray:
 
 def entropy(bg: Background, u) -> float:
     """H(u) = int f log f dmu with f = m[u]/w; nonnegative since int f dmu = 1."""
+    from scipy.special import xlogy  # imported at first use, like scipy.ndimage
+
     m = _slice_density(bg, u)
     return bg.integrate(xlogy(m, m / bg.w))
 

@@ -265,21 +265,17 @@ def solve_family(bg: Background, path: PathField, epsilons, deltas, tol: float =
     _check_decreasing("epsilons", epsilons)
     _check_decreasing("deltas", deltas)
 
-    largest = MollifierSpec(deltas[0], "fiberwise")
-    m_largest = metric_density(bg, mollify_fiberwise(bg.grid, path.values, largest))
-    if float(np.min(m_largest)) <= 0.0:
-        raise NegativeDensity(
-            f"path is not slice-wise admissible after mollification at delta={deltas[0]}; "
-            f"min density = {np.min(m_largest):.3g}"
-        )
-
     # per delta: slice densities plus the (usually zero) semipositivity slack
     sources = []
     slacks = []
     for d in deltas:
-        spec = MollifierSpec(d, "fiberwise")
-        m_d = metric_density(bg, mollify_fiberwise(bg.grid, path.values, spec))
-        slack = semipositivity_constant(bg, path.values, spec) * d
+        m_d = metric_density(bg, mollify_fiberwise(bg.grid, path.values, MollifierSpec(d, "fiberwise")))
+        if d == deltas[0] and float(np.min(m_d)) <= 0.0:
+            raise NegativeDensity(
+                f"path is not slice-wise admissible after mollification at delta={d}; "
+                f"min density = {np.min(m_d):.3g}"
+            )
+        slack = semipositivity_constant(m_d, d) * d
         slacks.append(slack)
         sources.append(m_d + slack)
 

@@ -13,10 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import convolve1d
 
 from .errors import InteriorTooThin
-from .model import Background, SpatialGrid, metric_density
+from .model import SpatialGrid
 
 KINDS = ("fiberwise", "spacetime")
 
@@ -47,6 +46,8 @@ def mollify_fiberwise(grid: SpatialGrid, values, spec: MollifierSpec) -> np.ndar
     """Smooth along x only; accepts a single field or a path (rows kept)."""
     if spec.kind != "fiberwise":
         raise ValueError(f"expected a fiberwise spec, got kind={spec.kind!r}")
+    from scipy.ndimage import convolve1d  # imported at first use: it costs ~0.15 s
+
     u = np.asarray(values, dtype=float)
     kernel = gaussian_kernel(grid.spacing, spec.delta, grid.n_points // 2)
     return convolve1d(u, kernel, axis=-1, mode="wrap")
@@ -88,12 +89,12 @@ def mollify_spacetime(grid: SpatialGrid, path, spec: MollifierSpec) -> np.ndarra
     return out
 
 
-def semipositivity_constant(bg: Background, path, spec: MollifierSpec) -> float:
-    """Measured constant C with m[phi_delta] >= -C * delta over all slices.
+def semipositivity_constant(m_delta, delta: float) -> float:
+    """Measured constant C with m_delta >= -C * delta over all slices.
 
-    For admissible data and a nonnegative unit-mass kernel the mollified
-    density stays nonnegative and the constant is zero up to kernel
-    truncation, so the slack C * delta it induces downstream is negligible.
+    m_delta is the density of the potential mollified at width delta.  For
+    admissible data and a nonnegative unit-mass kernel it stays nonnegative
+    and the constant is zero up to kernel truncation, so the slack
+    C * delta it induces downstream is negligible.
     """
-    m_delta = metric_density(bg, mollify_fiberwise(bg.grid, path, spec))
-    return max(0.0, -float(np.min(m_delta))) / spec.delta
+    return max(0.0, -float(np.min(m_delta))) / delta

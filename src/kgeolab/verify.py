@@ -30,7 +30,6 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.special import xlogy
 
 from .errors import FamilyMismatch, NegativeDensity, NotASolution, SkippedHypothesis
 from .functionals import (
@@ -249,6 +248,8 @@ def mollified_sequence(
 
 def density_entropy(bg: Background, f) -> float:
     """H(f) = int f log f dmu for a density f relative to mu."""
+    from scipy.special import xlogy  # imported at first use, like scipy.ndimage
+
     f = np.asarray(f, dtype=float)
     return bg.integrate_mu(xlogy(f, f))
 

@@ -1,6 +1,10 @@
 """End-to-end CLI runs: exit codes, artifacts, determinism, env overrides."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +35,18 @@ def _write_config(tmp_path, name="config.json", **overrides):
 
 def _no_tmp_leftovers(out_dir):
     return not list(out_dir.glob(".*.tmp"))
+
+
+def test_cli_import_leaves_slow_scipy_modules_unloaded():
+    """scipy.ndimage and scipy.special are imported at first use, not with the CLI."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = (
+        "import sys, kgeolab.cli; "
+        "print(sorted(m for m in sys.modules if m in ('scipy.ndimage', 'scipy.special')))"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------
@@ -293,8 +309,13 @@ def test_verify_all_counts_and_measured(tmp_path):
 
 
 def test_study_solves_each_config_object_once(tmp_path, monkeypatch):
-    """Outside verify, study solves one eps-geodesic per ladder rung and one family."""
+    """Outside verify, study solves one eps-geodesic per ladder rung and one family.
+
+    check_bounds runs once per family_report (fiberwise and mabuchi k) and
+    twice in verify (the family and its scaled control): 4 in all.
+    """
     counts = {"solve_eps_geodesic": 0, "solve_family": 0}
+    bound_checks = []
     in_verify = []
 
     def counting(name, real):
@@ -304,6 +325,12 @@ def test_study_solves_each_config_object_once(tmp_path, monkeypatch):
             return real(*args, **kwargs)
         return wrapper
 
+    real_check_bounds = ma_fiber.check_bounds
+    for module in (cli, ma_fiber, verify):
+        if getattr(module, "check_bounds", None) is real_check_bounds:
+            monkeypatch.setattr(
+                module, "check_bounds", lambda family: bound_checks.append(1) or real_check_bounds(family)
+            )
     for name in counts:
         real = getattr(geodesic if name == "solve_eps_geodesic" else ma_fiber, name)
         for module in (cli, geodesic, ma_fiber, verify):
@@ -327,6 +354,7 @@ def test_study_solves_each_config_object_once(tmp_path, monkeypatch):
     assert main(["study", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
     assert in_verify
     assert counts == {"solve_eps_geodesic": len(epsilons), "solve_family": 1}
+    assert len(bound_checks) == 4
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from kgeolab import (
     solve_aubin_fiber,
     solve_family,
 )
-from kgeolab import ma_fiber
+from kgeolab import ma_fiber, regularize
 from kgeolab.model import path_d2x
 
 
@@ -134,6 +134,23 @@ def test_constant_path_gives_zero_family(small_bg):
     path = PathField(small_bg.grid, np.zeros((9, 64)))
     family = solve_family(small_bg, path, (1e-1, 1e-2, 1e-3), (0.1, 0.05))
     assert np.max(np.abs(family.phi_matrix())) < 1e-11
+
+
+def test_family_mollifies_each_delta_once(small_bg, small_family, monkeypatch):
+    """The slack and the admissibility check read the density of the one mollification per delta."""
+    path, _ = small_family
+    calls = []
+    real = ma_fiber.mollify_fiberwise
+
+    def counting(grid, values, spec):
+        calls.append(spec.delta)
+        return real(grid, values, spec)
+
+    for module in (ma_fiber, regularize):
+        monkeypatch.setattr(module, "mollify_fiberwise", counting)
+    family = solve_family(small_bg, path, (1e-1,), (0.1, 0.05, 0.025))
+    assert calls == [0.1, 0.05, 0.025]
+    assert family.slacks == (0.0, 0.0, 0.0)
 
 
 def test_family_failure_keeps_exception_and_names_the_solve(small_bg, small_family):

@@ -9,6 +9,7 @@ from kgeolab import (
     SpatialGrid,
     fourier_field,
     integrate,
+    metric_density,
     mollify_fiberwise,
     mollify_spacetime,
     path_d2x,
@@ -139,5 +140,7 @@ def test_semipositivity_constant_vanishes_on_admissible(small_bg):
     amp = 0.05 / (2.0 * np.pi) ** 2
     s = np.linspace(0.0, 1.0, 9)[:, None]
     path = s * amp * np.cos(2.0 * np.pi * small_bg.grid.nodes)[None, :]
-    c = semipositivity_constant(small_bg, path, MollifierSpec(0.05))
-    assert c == 0.0
+    m_delta = metric_density(small_bg, mollify_fiberwise(small_bg.grid, path, MollifierSpec(0.05)))
+    assert semipositivity_constant(m_delta, 0.05) == 0.0
+    # a density dipping to -1e-3 at width 0.05 needs C = 1e-3 / 0.05
+    assert semipositivity_constant(m_delta - np.min(m_delta) - 1e-3, 0.05) == pytest.approx(0.02)
