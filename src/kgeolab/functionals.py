@@ -109,7 +109,7 @@ def _slice_density(bg: Background, u, label: str = "") -> np.ndarray:
 
 def entropy(bg: Background, u) -> float:
     """H(u) = int f log f dmu with f = m[u]/w; nonnegative since int f dmu = 1."""
-    from scipy.special import xlogy  # imported at first use, like scipy.ndimage
+    from scipy.special import xlogy  # imported at first use, not with the CLI
 
     m = _slice_density(bg, u)
     return bg.integrate(xlogy(m, m / bg.w))

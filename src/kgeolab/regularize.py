@@ -46,7 +46,7 @@ def mollify_fiberwise(grid: SpatialGrid, values, spec: MollifierSpec) -> np.ndar
     """Smooth along x only; accepts a single field or a path (rows kept)."""
     if spec.kind != "fiberwise":
         raise ValueError(f"expected a fiberwise spec, got kind={spec.kind!r}")
-    from scipy.ndimage import convolve1d  # imported at first use: it costs ~0.15 s
+    from scipy.ndimage import convolve1d  # imported at first use, not with the CLI
 
     u = np.asarray(values, dtype=float)
     kernel = gaussian_kernel(grid.spacing, spec.delta, grid.n_points // 2)

@@ -248,7 +248,7 @@ def mollified_sequence(
 
 def density_entropy(bg: Background, f) -> float:
     """H(f) = int f log f dmu for a density f relative to mu."""
-    from scipy.special import xlogy  # imported at first use, like scipy.ndimage
+    from scipy.special import xlogy  # imported at first use, not with the CLI
 
     f = np.asarray(f, dtype=float)
     return bg.integrate_mu(xlogy(f, f))

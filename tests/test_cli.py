@@ -326,11 +326,14 @@ def test_study_solves_each_config_object_once(tmp_path, monkeypatch):
         return wrapper
 
     real_check_bounds = ma_fiber.check_bounds
+
+    def counting_check_bounds(family):
+        bound_checks.append(family)
+        return real_check_bounds(family)
+
     for module in (cli, ma_fiber, verify):
         if getattr(module, "check_bounds", None) is real_check_bounds:
-            monkeypatch.setattr(
-                module, "check_bounds", lambda family: bound_checks.append(1) or real_check_bounds(family)
-            )
+            monkeypatch.setattr(module, "check_bounds", counting_check_bounds)
     for name in counts:
         real = getattr(geodesic if name == "solve_eps_geodesic" else ma_fiber, name)
         for module in (cli, geodesic, ma_fiber, verify):

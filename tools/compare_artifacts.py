@@ -52,10 +52,10 @@ JSON_ABS = 1e-12
 #: residual fields need only stay at or below the largest solver tolerance
 RESIDUAL_CAP = 1e-10
 RESIDUAL_KEYS = frozenset({"residual_sup", "residual_sups", "residuals"})
-#: CSV columns that repeat a JSON verify margin, by file name
-MARGIN_COLUMNS = {"verify_results.csv": frozenset({"margin"})}
-
-VERDICTS = ("byte-identical", "round-off-equivalent", "different")
+#: the CSV column that repeats the JSON verify margins: (file name, column)
+MARGIN_COLUMN = ("verify_results.csv", "margin")
+#: problems listed before the verdict
+MAX_LISTED = 20
 
 
 def _files(root: Path) -> set:
@@ -140,7 +140,6 @@ def compare_csv(name: str, text_a: str, text_b: str, problems: list) -> None:
         problems.append(f"{name}: {len(rows_a)} vs {len(rows_b)} rows")
         return
     header = rows_a[0]
-    margin_cols = MARGIN_COLUMNS.get(Path(name).name, frozenset())
     for r, (ra, rb) in enumerate(zip(rows_a[1:], rows_b[1:]), start=2):
         if len(ra) != len(rb):
             problems.append(f"{name}:{r}: {len(ra)} vs {len(rb)} cells")
@@ -152,7 +151,7 @@ def compare_csv(name: str, text_a: str, text_b: str, problems: list) -> None:
             column = header[c] if c < len(header) else str(c)
             if fx is None or fy is None:
                 problems.append(f"{name}:{r}:{column}: {x!r} vs {y!r}")
-            elif column in margin_cols:
+            elif (Path(name).name, column) == MARGIN_COLUMN:
                 if not _float_close(fx, fy, JSON_REL, JSON_ABS):
                     problems.append(f"{name}:{r}:{column}: margin {x} vs {y}")
             elif not _float_close(fx, fy, 0.0, CSV_ABS):
@@ -196,16 +195,15 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent_dir", type=Path)
     parser.add_argument("change_dir", type=Path)
-    parser.add_argument("--max-problems", type=int, default=20, help="problems to list (default 20)")
     args = parser.parse_args(argv)
     for d in (args.parent_dir, args.change_dir):
         if not d.is_dir():
             parser.error(f"{d} is not a directory")
     verdict, problems = compare_trees(args.parent_dir, args.change_dir)
-    for line in problems[: args.max_problems]:
+    for line in problems[:MAX_LISTED]:
         print(line)
-    if len(problems) > args.max_problems:
-        print(f"... and {len(problems) - args.max_problems} more")
+    if len(problems) > MAX_LISTED:
+        print(f"... and {len(problems) - MAX_LISTED} more")
     print(verdict)
     return 0 if verdict != "different" else 1
 
