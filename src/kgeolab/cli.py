@@ -133,7 +133,6 @@ def run_fiberwise(config: ExperimentConfig, data: SuiteData, out_dir: Path) -> i
         raise ConfigError("fiberwise needs at least 3 epsilons (continuation and trend checks)")
     if config.n_time < 8:
         raise ConfigError("fiberwise runs need time.n_time >= 8")
-    bg = config.bg
     path = data.ladder_path
     family = data.ladder_family
     fam_report = family_report(family)
@@ -153,10 +152,9 @@ def run_fiberwise(config: ExperimentConfig, data: SuiteData, out_dir: Path) -> i
         rows,
     )
     phi_files = []
-    phi = family.phi_matrix()
     for i, eps in enumerate(family.epsilons):
         name = f"fiber_phi_eps{i:02d}.csv"
-        _write_csv_via(out_dir, name, PathField(bg.grid, phi[i]).to_csv)
+        _write_csv_via(out_dir, name, PathField(config.bg.grid, family.phi[i]).to_csv)
         phi_files.append({"epsilon": eps, "path_csv": name})
 
     passed = bool(bounds_passed and convergence.passed and vanishing.passed)

@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import ConfigError, NonAdmissiblePsi
 from .model import Background, SpatialGrid, fourier_field, is_admissible, make_background
+from .model import _decreasing_ladder
 
 #: tolerance overrides accepted under "tolerances"; values are the defaults
 #: of the corresponding solver entry points.
@@ -85,15 +86,6 @@ class ExperimentConfig:
                 raise ConfigError(f"this run needs {hints[name]} in the config")
 
 
-def _decreasing_ladder(values, label: str) -> tuple:
-    vals = tuple(float(v) for v in values)
-    if any(v <= 0.0 for v in vals):
-        raise ConfigError(f"{label} must be positive, got {list(vals)}")
-    if any(b >= a for a, b in zip(vals, vals[1:])):
-        raise ConfigError(f"{label} must be strictly decreasing, got {list(vals)}")
-    return vals
-
-
 def _admissible_endpoint(bg: Background, terms, label: str) -> np.ndarray:
     values = fourier_field(bg.grid, terms)
     if not is_admissible(bg, values):
@@ -132,10 +124,10 @@ def parse_config(doc: dict) -> ExperimentConfig:
 
     epsilons = doc.get("epsilons")
     if epsilons is not None:
-        epsilons = _decreasing_ladder(epsilons, "epsilons")
+        epsilons = _decreasing_ladder(epsilons, "epsilons", ConfigError)
     deltas = doc.get("deltas")
     if deltas is not None:
-        deltas = _decreasing_ladder(deltas, "deltas")
+        deltas = _decreasing_ladder(deltas, "deltas", ConfigError)
 
     trunc = doc.get("truncation", {})
     a_values = trunc.get("a_values")

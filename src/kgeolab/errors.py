@@ -4,6 +4,12 @@
 class KGeoError(Exception):
     """Base class for all package-specific failures."""
 
+    row = None  # batch index of the failing row, when a batched solve raises
+
+    def at_row(self, row):
+        self.row = int(row)
+        return self
+
 
 class NonAdmissiblePsi(KGeoError):
     """Background potential produces a non-positive reference density."""

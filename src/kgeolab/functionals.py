@@ -187,7 +187,7 @@ def mabuchi_k(bg: Background, path: PathField, family, k: int) -> FunctionalTrac
     positive, so degenerate slices integrate without a log singularity.
     """
     _check_k_family(path, family, k)
-    log_avg = np.log(np.mean(np.exp(family.phi_matrix()[:k]), axis=0))
+    log_avg = np.log(np.mean(np.exp(family.phi[:k]), axis=0))
     return _mabuchi_trace(
         bg,
         path,

@@ -52,6 +52,7 @@ from .model import (
     Background,
     PathField,
     _as_field_values,
+    _decreasing_ladder,
     _require_central2,
     is_admissible,
     reduced_hessian,
@@ -193,18 +194,25 @@ def solve_eps_geodesic(
         ) / (4.0 * h * ds)
         return m_xx, phi_ss, phi_xs
 
-    def residual(x):
-        m_xx, phi_ss, phi_xs = parts(full_path(x))
-        return (m_xx * phi_ss - phi_xs * phi_xs - problem.epsilon * w[None, :]).ravel()
+    last = [None, None]  # accept, residual and the next newton_step read one iterate
 
-    def accept(x):
-        m_xx, phi_ss, _ = parts(full_path(x))
-        return float(np.min(m_xx)) > 0.0 and float(np.min(phi_ss)) > 0.0
+    def parts_of(x):  # x is a batch of one row, shape (1, n_int * n)
+        if not np.array_equal(last[0], x):
+            last[:] = [x.copy(), parts(full_path(x))]
+        return last[1]
+
+    def residual(x, rows):
+        m_xx, phi_ss, phi_xs = parts_of(x)
+        return (m_xx * phi_ss - phi_xs * phi_xs - problem.epsilon * w[None, :]).reshape(1, -1)
+
+    def accept(x, rows):
+        m_xx, phi_ss, _ = parts_of(x)
+        return np.array([float(np.min(m_xx)) > 0.0 and float(np.min(phi_ss)) > 0.0])
 
     indices, indptr, gather = _jacobian_pattern(n, nt)
 
-    def newton_step(x, r):
-        m_xx, phi_ss, phi_xs = parts(full_path(x))
+    def newton_step(x, r, rows):
+        m_xx, phi_ss, phi_xs = parts_of(x)
         q = phi_xs / (2.0 * h * ds)
         coefs = np.stack([
             -2.0 * inv_h2 * phi_ss - 2.0 * inv_ds2 * m_xx,  # centre
@@ -217,21 +225,21 @@ def solve_eps_geodesic(
             (coefs.ravel()[gather], indices, indptr), shape=(n_int * n, n_int * n)
         )
         try:
-            return splu(jac, permc_spec="MMD_AT_PLUS_A").solve(-r)
+            return splu(jac, permc_spec="MMD_AT_PLUS_A").solve(-r[0])[None, :]
         except RuntimeError as exc:  # pragma: no cover - needs a degenerate iterate
             raise SingularSystem(f"space-time Jacobian factorization failed: {exc}") from exc
 
     start = initial_guess(problem) if path0 is None else np.asarray(path0, dtype=float)
     x, rec = damped_newton(
-        start[1:-1, :].ravel(), residual, newton_step, accept=accept, tol=tol, max_iter=max_iter
+        start[1:-1, :].reshape(1, -1), residual, newton_step, accept=accept, tol=tol, max_iter=max_iter
     )
     path = PathField(grid, full_path(x))
     cert = eval_geodesic_residual(bg, path, problem.epsilon)
     cert_sup = float(np.max(np.abs(cert)))
-    if not abs(cert_sup - rec.residual_sups[-1]) <= 1e-12:
+    newton_sup = rec.residual_sups[0][-1]
+    if not abs(cert_sup - newton_sup) <= 1e-12:
         raise NotASolution(
-            f"assembly and certificate residuals disagree: "
-            f"{rec.residual_sups[-1]:.3e} vs {cert_sup:.3e}"
+            f"assembly and certificate residuals disagree: {newton_sup:.3e} vs {cert_sup:.3e}"
         )
     rh = reduced_hessian(bg, path)
     margin = float(min(np.min(rh.det()), np.min(rh.m_xx + rh.m_ss)))
@@ -247,15 +255,16 @@ def solve_eps_geodesic(
 
 
 def eps_continuation(
-    bg: Background, endpoint_0, endpoint_1, epsilons, n_time: int, tol: float = 1e-10
+    bg: Background, endpoint_0, endpoint_1, epsilons, n_time: int, tol: float = 1e-10, solved=()
 ) -> list:
     """Solve the eps-geodesic at every eps of the ladder, in order.
 
     Each rung starts Newton from the solution of the rung before it (the
-    first from the affine guess).  Returns one EpsGeodesic per rung.
+    first from the affine guess); the leading rungs already in solved (same
+    endpoints, n_time and tol) are kept.  Returns one EpsGeodesic per rung.
     """
-    rungs = []
-    for eps in epsilons:
+    rungs = list(solved)
+    for eps in epsilons[len(rungs):]:
         problem = EpsGeodesicProblem(bg, endpoint_0, endpoint_1, float(eps), n_time)
         path0 = rungs[-1].path.values if rungs else None
         rungs.append(solve_eps_geodesic(problem, tol=tol, path0=path0))
@@ -294,13 +303,9 @@ def weak_geodesic(bg: Background, endpoint_0, endpoint_1, eps_sequence, n_time: 
     The sequence needs at least 3 entries; the returned path is the
     eps-geodesic at eps_sequence[-1], checked by weak_limit.
     """
-    eps_sequence = tuple(float(e) for e in eps_sequence)
+    eps_sequence = _decreasing_ladder(eps_sequence, "eps_sequence")
     if len(eps_sequence) < 3:
         raise ValueError("eps_sequence needs at least 3 entries")
-    if any(e <= 0.0 for e in eps_sequence) or any(
-        b >= a for a, b in zip(eps_sequence, eps_sequence[1:])
-    ):
-        raise ValueError(f"eps_sequence must be positive and strictly decreasing: {eps_sequence}")
     return weak_limit(bg, eps_continuation(bg, endpoint_0, endpoint_1, eps_sequence, n_time))
 
 

@@ -67,6 +67,16 @@ def _as_field_values(grid: SpatialGrid, values) -> np.ndarray:
     return out
 
 
+def _decreasing_ladder(values, label: str, error=ValueError) -> tuple:
+    """values as floats; they must be nonempty, strictly decreasing and positive."""
+    vals = tuple(float(v) for v in values)
+    if not vals or any(b >= a for a, b in zip(vals, vals[1:])):
+        raise error(f"{label} must be strictly decreasing and nonempty, got {list(vals)}")
+    if vals[-1] <= 0.0:
+        raise error(f"{label} must be positive, got {list(vals)}")
+    return vals
+
+
 def _require_central2(bg: "Background") -> None:
     # Jacobians are assembled from the three-point stencil; a spectral
     # background would make residual and Jacobian inconsistent

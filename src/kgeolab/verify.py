@@ -25,8 +25,9 @@ vanishes under grid refinement, which is what the refinement-ratio window
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -81,7 +82,7 @@ CURVATURE_KAPPA = 1.0
 KAPPA_FIT_SET = (0.25, 0.5, 1.0, 2.0, 4.0)
 
 # the suites' calibrated ladders, fixed whatever the run's config says
-WEAK_EPSILONS = (1e-1, 1e-2, 1e-3, 1e-4)
+WEAK_EPSILONS = (1e-1, 1e-2, 1e-3, 1e-4)  # solved at the default geodesic tolerance 1e-10
 # half-decade ladder 1e-1 .. 1e-3: the uniform bounds need the sweep to
 # reach the saturated regime in its first half
 FAMILY_EPSILONS = (1e-1, 10.0**-1.5, 1e-2, 10.0**-2.5, 1e-3)
@@ -358,7 +359,7 @@ def convexity_inequality_k(
     _check_k_family(path, family, k)
     grid = bg.grid
     ds = path.ds
-    phis = family.phi_matrix()[:k]  # (k, n_rows, n)
+    phis = family.phi[:k]  # (k, n_rows, n)
     num = np.exp(phis)
     avg = num.mean(axis=0)
     weights = num / num.sum(axis=0)  # softmax over the k fibers
@@ -811,13 +812,10 @@ def mass_pairing_property(
     spec = MollifierSpec(family.deltas[-1], "fiberwise")
     m_d = metric_density(bg, mollify_fiberwise(bg.grid, path.values, spec))
     sources = m_d + family.slacks[-1]
-    theta_mass = bg.integrate(-bg.r)
-    worst = 0.0
-    for i, eps in enumerate(family.epsilons):
-        for j in range(len(family.times)):
-            lhs = bg.integrate(np.exp(family.solutions[i][j].phi.values) * bg.w)
-            rhs = eps * theta_mass + bg.integrate(sources[j])
-            worst = max(worst, abs(lhs - rhs))
+    h = bg.grid.spacing
+    lhs = h * np.sum(np.exp(family.phi) * bg.w, axis=-1)  # (eps, t)
+    rhs = np.array(family.epsilons)[:, None] * bg.integrate(-bg.r) + h * np.sum(sources, axis=-1)
+    worst = float(np.max(np.abs(lhs - rhs)))
     margin = tol - worst
     return _result("mass_pairing", margin, {"worst_gap": worst, "tol": tol})
 
@@ -849,22 +847,11 @@ def omega_mask_report(bg: Background, eg: EpsGeodesic, spec: TruncationSpec) -> 
 def density_limit_report(family: FiberFamily, path: PathField) -> dict:
     """Strong-convergence gaps |e^phi w - m[path]| per epsilon, reported raw."""
     bg = family.bg
-    m_rows = metric_density(bg, path.values)
-    sup_gaps = []
-    l1_gaps = []
-    for i in range(len(family.epsilons)):
-        worst = 0.0
-        mean = 0.0
-        for j in range(len(family.times)):
-            gap = np.abs(np.exp(family.solutions[i][j].phi.values) * bg.w - m_rows[j])
-            worst = max(worst, float(np.max(gap)))
-            mean = max(mean, bg.integrate(gap))
-        sup_gaps.append(worst)
-        l1_gaps.append(mean)
+    gap = np.abs(np.exp(family.phi) * bg.w - metric_density(bg, path.values))  # (eps, t, x)
     return {
         "epsilons": list(family.epsilons),
-        "sup_gaps": sup_gaps,
-        "l1_gaps": l1_gaps,
+        "sup_gaps": [float(v) for v in np.max(gap, axis=(1, 2))],
+        "l1_gaps": [float(v) for v in np.max(bg.grid.spacing * np.sum(gap, axis=-1), axis=1)],
     }
 
 
@@ -873,16 +860,9 @@ def density_limit_report(family: FiberFamily, path: PathField) -> dict:
 
 
 def _with_phi(family: FiberFamily, new_phi) -> FiberFamily:
-    """Copy of the family whose potentials are new_phi(eps, t, phi)."""
-    grid = family.bg.grid
-    solutions = [
-        [
-            replace(sol, phi=PeriodicField(grid, new_phi(eps, t, sol.phi.values)))
-            for t, sol in zip(family.times, row)
-        ]
-        for eps, row in zip(family.epsilons, family.solutions)
-    ]
-    return replace(family, solutions=solutions)
+    """Copy of the family whose potentials are new_phi(eps, t, phi), broadcast over (eps, t, x)."""
+    eps, t = np.array(family.epsilons)[:, None, None], np.array(family.times)[None, :, None]
+    return replace(family, phi=new_phi(eps, t, family.phi))
 
 
 def _tampered_family(family: FiberFamily, bump_amplitude: float = 0.5) -> FiberFamily:
@@ -890,7 +870,7 @@ def _tampered_family(family: FiberFamily, bump_amplitude: float = 0.5) -> FiberF
     x = family.bg.grid.nodes
     return _with_phi(
         family,
-        lambda eps, t, phi: phi + bump_amplitude * math.sin(math.pi * t) * np.cos(2.0 * np.pi * x),
+        lambda eps, t, phi: phi + bump_amplitude * np.sin(np.pi * t) * np.cos(2.0 * np.pi * x),
     )
 
 
@@ -1028,16 +1008,27 @@ class SuiteData:
     ladder_deltas: tuple = ()
     ladder_geodesic_tol: float = 1e-10
     ladder_fiber_tol: float = 1e-11
+    _rungs: dict = field(default_factory=dict, init=False, repr=False)  # (eps prefix, tol) -> rung
 
     def __post_init__(self):
         self.endpoint_0 = np.asarray(self.endpoint_0, dtype=float)
         self.endpoint_1 = np.asarray(self.endpoint_1, dtype=float)
 
+    def _continuation(self, epsilons, tol: float) -> list:
+        """eps_continuation of the run's endpoints, reusing the leading rungs an
+        earlier ladder solved at the same tol (same problems, same starts)."""
+        keys = [(tuple(float(e) for e in epsilons[: k + 1]), tol) for k in range(len(epsilons))]
+        shared = [self._rungs[key] for key in itertools.takewhile(self._rungs.__contains__, keys)]
+        rungs = eps_continuation(
+            self.bg, self.endpoint_0, self.endpoint_1, epsilons, self.n_time, tol=tol, solved=shared
+        )
+        self._rungs.update(zip(keys, rungs))
+        return rungs
+
     @cached_property
     def weak_path(self) -> PathField:
-        return weak_geodesic(
-            self.bg, self.endpoint_0, self.endpoint_1, WEAK_EPSILONS, n_time=self.n_time
-        )
+        """Weak-geodesic limit of the suites' WEAK_EPSILONS ladder."""
+        return weak_limit(self.bg, self._continuation(WEAK_EPSILONS, 1e-10))
 
     @cached_property
     def family(self) -> FiberFamily:
@@ -1078,14 +1069,7 @@ class SuiteData:
     @cached_property
     def ladder_rungs(self) -> list:
         """One EpsGeodesic per entry of ladder_epsilons, warm-started in order."""
-        return eps_continuation(
-            self.bg,
-            self.endpoint_0,
-            self.endpoint_1,
-            self.ladder_epsilons,
-            self.n_time,
-            tol=self.ladder_geodesic_tol,
-        )
+        return self._continuation(self.ladder_epsilons, self.ladder_geodesic_tol)
 
     @cached_property
     def ladder_path(self) -> PathField:

@@ -52,7 +52,7 @@ def test_aubin_constant_solution(small_bg):
     eps = 0.1
     prob = FiberProblem(small_bg, small_bg.w / eps, eps)
     sol = solve_aubin_fiber(prob)
-    assert np.max(np.abs(sol.phi.values)) < 1e-11
+    assert np.max(np.abs(sol.phi)) < 1e-11
 
 
 def test_aubin_identities_on_generic_source(small_bg):
@@ -75,13 +75,29 @@ def test_aubin_zero_source_rejected(small_bg):
 def test_stability_constants_bounded(small_bg):
     """sup |phi[beta + eta] - phi[beta]| / eta for three shifts eta of the source."""
     beta = (1.0 + 0.2 * np.cos(2.0 * np.pi * small_bg.grid.nodes)) / 0.1
-    base = solve_aubin_fiber(FiberProblem(small_bg, beta, 0.1)).phi.values
+    base = solve_aubin_fiber(FiberProblem(small_bg, beta, 0.1)).phi
     ks = []
     for eta in (1e-2, 1e-3, 1e-4):
         shifted = solve_aubin_fiber(FiberProblem(small_bg, beta + eta, 0.1), phi0=base.copy())
-        ks.append(float(np.max(np.abs(shifted.phi.values - base))) / eta)
+        ks.append(float(np.max(np.abs(shifted.phi - base))) / eta)
     assert all(np.isfinite(ks))
     assert max(ks) < 1.0  # measured sensitivity stays mild
+
+
+def test_stacked_rows_match_row_by_row_solves(small_bg):
+    """One call on a stack of rows equals one call per row, with the same effort per row."""
+    x = small_bg.grid.nodes
+    eps = np.array([0.1, 0.03, 0.01, 0.003])
+    shapes = zip((0.3, 0.1, 0.5, 0.2), (1, 2, 1, 3), eps)
+    beta = np.array([(1.0 + a * np.cos(2.0 * np.pi * k * x)) / e for a, k, e in shapes])
+    stacked = solve_aubin_fiber(FiberProblem(small_bg, beta, eps))
+    assert len(set(stacked.row_iters.tolist())) > 1  # rows freeze at different steps
+    for b in range(len(eps)):
+        solo = solve_aubin_fiber(FiberProblem(small_bg, beta[b], eps[b]))
+        assert np.max(np.abs(stacked.phi[b] - solo.phi[0])) <= 1e-13
+        assert stacked.row_iters[b] == solo.row_iters[0]
+        assert stacked.residual_sup[b] <= 1e-11
+    assert stacked.newton_iters == int(np.sum(stacked.row_iters))
 
 
 @given(seed=st.integers(0, 10_000))
@@ -104,12 +120,9 @@ def test_comparison_defect_nonpositive(seed):
 
 def test_family_shape_and_residuals(small_family):
     _, family = small_family
-    assert len(family.solutions) == 3
-    assert all(len(row) == 9 for row in family.solutions)
-    for row in family.solutions:
-        for sol in row:
-            assert sol.residual_sup <= 1e-11
-    assert family.phi_matrix().shape == (3, 9, 64)
+    assert family.phi.shape == (3, 9, 64)
+    assert family.residuals.shape == (3, 9)
+    assert np.all(family.residuals <= 1e-11)
 
 
 def test_family_cauchy_increments_decrease(small_family):
@@ -133,7 +146,7 @@ def test_family_equicontinuity(small_family):
 def test_constant_path_gives_zero_family(small_bg):
     path = PathField(small_bg.grid, np.zeros((9, 64)))
     family = solve_family(small_bg, path, (1e-1, 1e-2, 1e-3), (0.1, 0.05))
-    assert np.max(np.abs(family.phi_matrix())) < 1e-11
+    assert np.max(np.abs(family.phi)) < 1e-11
 
 
 def test_family_mollifies_each_delta_once(small_bg, small_family, monkeypatch):
@@ -151,6 +164,22 @@ def test_family_mollifies_each_delta_once(small_bg, small_family, monkeypatch):
     family = solve_family(small_bg, path, (1e-1,), (0.1, 0.05, 0.025))
     assert calls == [0.1, 0.05, 0.025]
     assert family.slacks == (0.0, 0.0, 0.0)
+
+
+def test_family_batches_the_time_rows(small_bg, small_family, monkeypatch):
+    """Row 0 chains through the n_eps * n_delta pairs; then one call per later row serves every pair."""
+    path, expected = small_family
+    sizes = []
+    real = ma_fiber.solve_aubin_fiber
+
+    def counting(problem, *args, **kwargs):
+        sizes.append(len(problem.beta))
+        return real(problem, *args, **kwargs)
+
+    monkeypatch.setattr(ma_fiber, "solve_aubin_fiber", counting)
+    family = solve_family(small_bg, path, (1e-1, 1e-2, 1e-3), (0.1, 0.05, 0.025))
+    assert sizes == [1] * 9 + [9] * path.n_time
+    assert np.array_equal(family.phi, expected.phi)
 
 
 def test_family_failure_keeps_exception_and_names_the_solve(small_bg, small_family):

@@ -20,6 +20,7 @@ from kgeolab import (
     density_limit_report,
     entropy_semicontinuity,
     eps_curvature_identity,
+    fourier_field,
     mabuchi_eps_A_almost_convex,
     boundary_continuity_refinement,
     max_subharmonic_lemma,
@@ -33,7 +34,8 @@ from kgeolab import (
     subharmonic_test_fields,
     truncated_semicontinuity_sweep,
 )
-from kgeolab.verify import _as_control, _jsonable
+from kgeolab import geodesic
+from kgeolab.verify import WEAK_EPSILONS, SuiteData, _as_control, _jsonable
 
 EXPECTED_NAMES = (
     [f"entropy_semicontinuity[seed={i}]" for i in range(20)]
@@ -355,3 +357,33 @@ def test_bounds_rows_details(all_results):
     assert by_name["mass_pairing"].details["worst_gap"] <= 1e-10
     assert by_name["density_convergence"].details["final_max"] <= 1e-2
     assert by_name["family_uniform_bounds"].details["passed"] is True
+
+
+def test_weak_path_reuses_the_ladder_rungs_it_shares(small_bg, monkeypatch):
+    """Rungs of a common ladder prefix at the same tolerance are solved once."""
+    grid = small_bg.grid
+    endpoint_1 = fourier_field(grid, [(1, 0.05 / (2.0 * np.pi) ** 2, 0.0)])
+    solved = []
+    real = geodesic.solve_eps_geodesic
+
+    def counting(problem, **kwargs):
+        solved.append(problem.epsilon)
+        return real(problem, **kwargs)
+
+    monkeypatch.setattr(geodesic, "solve_eps_geodesic", counting)
+    make = lambda tol: SuiteData(
+        bg=small_bg, endpoint_0=np.zeros(grid.n_points), endpoint_1=endpoint_1, n_time=8,
+        ladder_epsilons=(0.1, 0.01, 0.003), ladder_geodesic_tol=tol,
+    )
+    data = make(1e-10)
+    data.ladder_rungs
+    path = data.weak_path
+    assert solved == [0.1, 0.01, 0.003, 0.001, 1e-4]
+    fresh = geodesic.weak_geodesic(small_bg, np.zeros(grid.n_points), endpoint_1, WEAK_EPSILONS, n_time=8)
+    assert np.array_equal(path.values, fresh.values)
+
+    solved.clear()
+    other = make(1e-11)
+    other.ladder_rungs
+    other.weak_path
+    assert solved == [0.1, 0.01, 0.003, *WEAK_EPSILONS]
