@@ -74,6 +74,7 @@ def damped_newton(
         active = active[~spent]
         if not active.size:
             break
+        step = None  # release the last step before the factorization, the peak of a step
         step = newton_step(x[active], r[active], active)
         t = np.ones(len(active))
         pending = np.arange(len(active))  # positions in active still without a step
@@ -83,12 +84,13 @@ def damped_newton(
             trial = x[rows] + t[pending, None] * step[pending]
             ok = np.ones(len(rows), dtype=bool) if accept is None else accept(trial, rows)
             cone_ok[pending[ok]] = True
-            if ok.any():
-                trial_r = residual(trial[ok], rows[ok])
+            trial, rows = trial[ok], rows[ok]
+            if rows.size:
+                trial_r = residual(trial, rows)
                 trial_sup = np.max(np.abs(trial_r), axis=1)
-                better = trial_sup < r_sup[rows[ok]]
-                won = rows[ok][better]
-                x[won], r[won], r_sup[won] = trial[ok][better], trial_r[better], trial_sup[better]
+                better = trial_sup < r_sup[rows]
+                won = rows[better]
+                x[won], r[won], r_sup[won] = trial[better], trial_r[better], trial_sup[better]
                 pending = np.delete(pending, np.flatnonzero(ok)[better])
             if not pending.size:
                 break

@@ -213,6 +213,7 @@ def solve_eps_geodesic(
 
     def newton_step(x, r, rows):
         m_xx, phi_ss, phi_xs = parts_of(x)
+        last[:] = [None, None]  # the next iterate is a new one: drop the memo before the LU
         q = phi_xs / (2.0 * h * ds)
         coefs = np.stack([
             -2.0 * inv_h2 * phi_ss - 2.0 * inv_ds2 * m_xx,  # centre
