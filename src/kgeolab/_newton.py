@@ -75,7 +75,8 @@ def damped_newton(
         if not active.size:
             break
         step = None  # release the last step before the factorization, the peak of a step
-        step = newton_step(x[active], r[active], active)
+        every = slice(None) if len(active) == len(x) else active  # a view, not a copy, when it can
+        step = newton_step(x[every], r[every], active)
         t = np.ones(len(active))
         pending = np.arange(len(active))  # positions in active still without a step
         cone_ok = np.zeros(len(active), dtype=bool)
