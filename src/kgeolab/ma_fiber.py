@@ -55,7 +55,7 @@ from .regularize import MollifierSpec, mollify_fiberwise, semipositivity_constan
 
 
 # One factorization of all 54 blocks of a 54-pair sweep raised its peak memory
-# by 6% and took 0.13 ms per block; groups of 6 cost about 1% and 0.11 ms.
+# by 6% and took 0.13 ms per block; groups of 6 cost 1.3% and 0.11 ms.
 LU_GROUP = 6
 LU_OPTIONS = dict(permc_spec="NATURAL", relax=1, panel_size=1)
 
