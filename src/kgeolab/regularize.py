@@ -46,11 +46,18 @@ def mollify_fiberwise(grid: SpatialGrid, values, spec: MollifierSpec) -> np.ndar
     """Smooth along x only; accepts a single field or a path (rows kept)."""
     if spec.kind != "fiberwise":
         raise ValueError(f"expected a fiberwise spec, got kind={spec.kind!r}")
-    from scipy.ndimage import convolve1d  # imported at first use, not with the CLI
-
     u = np.asarray(values, dtype=float)
     kernel = gaussian_kernel(grid.spacing, spec.delta, grid.n_points // 2)
-    return convolve1d(u, kernel, axis=-1, mode="wrap")
+    # periodic convolution summed in scipy.ndimage's order for symmetric
+    # kernels (centre first, then mirrored pairs from the outermost in), so
+    # the result equals convolve1d(u, kernel, mode="wrap") bit for bit
+    # without importing scipy.ndimage
+    n, m = u.shape[-1], len(kernel) // 2
+    padded = np.concatenate([u[..., n - m:], u, u[..., :m]], axis=-1)
+    out = u * kernel[m]
+    for k in range(m, 0, -1):
+        out += (padded[..., m - k:m - k + n] + padded[..., m + k:m + k + n]) * kernel[m - k]
+    return out
 
 
 def mollify_spacetime(grid: SpatialGrid, path, spec: MollifierSpec) -> np.ndarray:

@@ -1,5 +1,10 @@
 """Mollifier properties: mass, multipliers, monotone approximation, bands."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,6 +13,7 @@ from kgeolab import (
     MollifierSpec,
     SpatialGrid,
     fourier_field,
+    gaussian_kernel,
     integrate,
     metric_density,
     mollify_fiberwise,
@@ -130,6 +136,33 @@ def test_spacetime_kink_error_scales_with_delta(small_grid):
 def test_interior_too_thin(small_grid):
     with pytest.raises(InteriorTooThin):
         mollify_spacetime(small_grid, np.zeros((5, 64)), MollifierSpec(0.2, "spacetime"))
+
+
+@pytest.mark.parametrize("n", [8, 16, 32, 64, 128, 256, 512])
+def test_fiberwise_equals_ndimage_wrap_convolution(n):
+    """Bit for bit scipy.ndimage.convolve1d(mode="wrap"), the half-width cap n // 2 included."""
+    from scipy.ndimage import convolve1d
+
+    grid = SpatialGrid(n)
+    rng = np.random.default_rng(n)
+    for delta in (0.001, 0.01, 0.06, 0.15, 0.25):
+        kernel = gaussian_kernel(grid.spacing, delta, n // 2)
+        for shape in ((n,), (3, n), (17, n)):
+            u = rng.standard_normal(shape)
+            out = mollify_fiberwise(grid, u, MollifierSpec(delta))
+            assert np.array_equal(out, convolve1d(u, kernel, axis=-1, mode="wrap"))
+
+
+def test_fiberwise_leaves_scipy_ndimage_unloaded():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = (
+        "import sys, numpy as np; from kgeolab import MollifierSpec, SpatialGrid, mollify_fiberwise; "
+        "mollify_fiberwise(SpatialGrid(64), np.ones((3, 64)), MollifierSpec(0.05)); "
+        "print('scipy.ndimage' in sys.modules)"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------
