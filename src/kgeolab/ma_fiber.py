@@ -35,7 +35,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from ._newton import damped_newton
+from ._newton import LU_OPTIONS, damped_newton
 from .errors import (
     FamilyMismatch,
     IncompatibleMass,
@@ -57,7 +57,6 @@ from .regularize import MollifierSpec, mollify_fiberwise, semipositivity_constan
 # One factorization of all 54 blocks of a 54-pair sweep raised its peak memory
 # by 6% and took 0.13 ms per block; groups of 6 cost 1.3% and 0.11 ms.
 LU_GROUP = 6
-LU_OPTIONS = dict(permc_spec="NATURAL", relax=1, panel_size=1)
 
 
 @lru_cache(maxsize=16)

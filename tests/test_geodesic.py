@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
 from kgeolab import (
     EpsGeodesicProblem,
@@ -23,6 +24,7 @@ from kgeolab import (
     weak_geodesic,
 )
 from kgeolab import geodesic
+from kgeolab._newton import LU_OPTIONS
 from kgeolab.geodesic import rung_increments
 from kgeolab.model import fourier_field
 
@@ -74,7 +76,8 @@ def test_newton_jacobian_matches_finite_differences(monkeypatch):
     """The matrix the Newton step factors is the derivative of the interior residual.
 
     Checked entry by entry against central differences of the independent
-    certificate residual, on 8 points so that the periodic wrap and the rows
+    certificate residual, once the symmetric nested-dissection permutation of
+    the pattern is undone, on 8 points so that the periodic wrap and the rows
     next to both Dirichlet rows make up most of the matrix.  The residual is
     quadratic in the unknowns, so central differences are exact up to
     round-off.
@@ -97,7 +100,10 @@ def test_newton_jacobian_matches_finite_differences(monkeypatch):
 
     monkeypatch.setattr(geodesic, "splu", spy)
     solve_eps_geodesic(problem, path0=start)
-    jac = factored[0]  # the first Newton step linearizes at the start
+    # the first Newton step linearizes at the start; the LU sees P J P^T
+    perm = geodesic._jacobian_pattern(8, n_time)[3]
+    jac = np.empty_like(factored[0])
+    jac[np.ix_(perm, perm)] = factored[0]
 
     def residual(x):
         path = np.vstack([e0, x.reshape(n_time - 1, 8), e1])
@@ -116,6 +122,63 @@ def test_newton_jacobian_matches_finite_differences(monkeypatch):
     assert jac[0, 7] != 0.0 and jac[0, 8 + 7] != 0.0 and jac[6 * 8, 5 * 8 + 7] != 0.0
     assert np.array_equal(jac != 0.0, fd != 0.0)
     assert np.count_nonzero(jac) == 9 * 8 * 7 - 2 * 3 * 8
+
+
+@pytest.mark.parametrize("n", [8, 64, 256, 512])
+@pytest.mark.parametrize("n_time", [8, 16, 32, 64])
+def test_dissection_order_is_a_permutation(n, n_time):
+    perm = geodesic._dissection_order(n_time - 1, n)
+    assert np.array_equal(np.sort(perm), np.arange((n_time - 1) * n))
+    # the columns x = 0 and x = n/2 that open the ring come last
+    last = perm[-2 * (n_time - 1):].reshape(2, n_time - 1)
+    assert np.array_equal(last % n, [[0] * (n_time - 1), [n // 2] * (n_time - 1)])
+
+
+def _first_newton_system(monkeypatch, n, n_time):
+    """The first Newton step of a curved 0.05-amplitude solve: the permuted
+    matrix it factors, that matrix in natural order, the right-hand side in
+    natural order and the step it returned."""
+    grid = SpatialGrid(n)
+    bg = make_background(grid, psi=fourier_field(grid, [(1, 0.002, 0.001)]))
+    e0, e1 = _endpoints(grid)
+    real_splu = geodesic.splu
+    seen = []
+
+    class Spy:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, rhs):
+            seen.append((rhs.copy(), self.lu.solve(rhs)))
+            return seen[-1][1]
+
+    def spy(matrix, *args, **kwargs):
+        seen.append(matrix.copy())
+        return Spy(real_splu(matrix, *args, **kwargs))
+
+    monkeypatch.setattr(geodesic, "splu", spy)
+    solve_eps_geodesic(EpsGeodesicProblem(bg, e0, e1, 1e-2, n_time))
+    monkeypatch.undo()
+    permuted, (rhs, step) = seen[0], seen[1]
+    # position k of the permuted system is unknown perm[k]
+    rank = np.argsort(geodesic._jacobian_pattern(n, n_time)[3])
+    return permuted, permuted[rank][:, rank].tocsc(), rhs[rank], step[rank]
+
+
+def test_dissection_fill_is_close_to_minimum_degree(monkeypatch):
+    """On a 256 x 16 Jacobian the natural-order LU of the dissection pattern
+    keeps within 5% of the fill of SuperLU's minimum degree on A^T + A."""
+    permuted, natural, _, _ = _first_newton_system(monkeypatch, 256, 16)
+    nd = splu(permuted, **LU_OPTIONS)
+    mmd = splu(natural, permc_spec="MMD_AT_PLUS_A")
+    assert nd.L.nnz + nd.U.nnz <= 1.05 * (mmd.L.nnz + mmd.U.nnz)
+
+
+def test_newton_step_equals_minimum_degree_solve(monkeypatch):
+    """The step scattered back through the permutation solves the unpermuted system."""
+    _, natural, rhs, step = _first_newton_system(monkeypatch, 256, 16)
+    reference = splu(natural, permc_spec="MMD_AT_PLUS_A").solve(rhs)
+    assert np.max(np.abs(step - reference)) <= 1e-12 * np.max(np.abs(reference))
 
 
 def test_equal_constant_endpoints_closed_form(small_bg):

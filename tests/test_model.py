@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kgeolab import (
@@ -156,13 +156,20 @@ def test_background_arrays_frozen(small_bg):
 
 
 @given(st.lists(st.tuples(st.integers(0, 10), st.floats(-2, 2), st.floats(-2, 2)), max_size=4))
+@example([(8, 1.9369028547625735, 0.0), (8, -0.10784749983618225, 0.0)] + [(8, 1.9369028547625735, 0.0)] * 2)
 @settings(max_examples=40, deadline=None)
 def test_mass_conservation(terms):
-    """integrate(m[u]) = 1 exactly for every potential: D2 telescopes to zero."""
+    """integrate(m[u]) = 1 for every potential: D2 telescopes to zero.
+
+    Up to round-off in the nodal densities and their sum, bounded by a few
+    units in the last place of h * sum |m|: the example draw has
+    h * sum |m| = 8,259 and misses 1 by 1.14e-12.
+    """
     grid = SpatialGrid(64)
     bg = make_background(grid)
-    u = fourier_field(grid, terms)
-    assert integrate(grid, metric_density(bg, u)) == pytest.approx(1.0, abs=1e-12)
+    m = metric_density(bg, fourier_field(grid, terms))
+    bound = 8.0 * np.finfo(float).eps * grid.spacing * float(np.sum(np.abs(m)))
+    assert abs(integrate(grid, m) - 1.0) <= bound
 
 
 def test_metric_density_constant_and_cosine(small_bg):
