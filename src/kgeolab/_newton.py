@@ -18,10 +18,10 @@ import numpy as np
 
 from .errors import NoConvergence, PositivityLoss
 
-# splu options of both Newton solvers: each orders its own columns (the fiber
-# blocks need no reordering, the geodesic pattern is built in nested-dissection
-# order), and one-column supernodes and panels factor these narrow-band
-# matrices faster than the defaults
+# splu options of both Newton solvers: each builds its pattern in the order it
+# factors (the fiber blocks need no reordering, the geodesic pattern is in
+# nested-dissection order), and one-column supernodes and panels factor both
+# faster than the defaults
 LU_OPTIONS = dict(permc_spec="NATURAL", relax=1, panel_size=1)
 
 

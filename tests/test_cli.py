@@ -38,7 +38,7 @@ def _no_tmp_leftovers(out_dir):
 
 
 def test_cli_import_leaves_slow_scipy_modules_unloaded():
-    """scipy.ndimage and scipy.special are imported at first use, not with the CLI."""
+    """Importing the CLI loads neither scipy.ndimage (never imported) nor scipy.special (at first use)."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = (
