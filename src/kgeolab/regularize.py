@@ -55,8 +55,11 @@ def mollify_fiberwise(grid: SpatialGrid, values, spec: MollifierSpec) -> np.ndar
     n, m = u.shape[-1], len(kernel) // 2
     padded = np.concatenate([u[..., n - m:], u, u[..., :m]], axis=-1)
     out = u * kernel[m]
+    pair = np.empty_like(out)  # one buffer for every offset's weighted pair
     for k in range(m, 0, -1):
-        out += (padded[..., m - k:m - k + n] + padded[..., m + k:m + k + n]) * kernel[m - k]
+        np.add(padded[..., m - k:m - k + n], padded[..., m + k:m + k + n], out=pair)
+        pair *= kernel[m - k]
+        out += pair
     return out
 
 
