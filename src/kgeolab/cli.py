@@ -18,10 +18,11 @@ bare names so the bytes do not depend on the output location.  The one
 non-reproducible field is the top-level "timestamp" key.  All files are
 written atomically (temp file in the target directory, then rename).
 
-Every stage reads its solved objects from one lazily built SuiteData per
-invocation, so a ``study`` solves the config's epsilon ladder and its
-fiber family once each, with the config's ``tolerances``; the verify
-suites keep their calibrated ladders and honour only the fiber override.
+Every stage reads its solved objects from one SuiteData per invocation,
+so a ``study`` solves the config's epsilon ladder and its fiber family
+once each, with the config's ``tolerances``; the verify suites keep their
+calibrated ladders and honour only the fiber override.  ``verify`` and
+``study`` solve verify's largest systems first, everything else lazily.
 
 Environment overrides, the only two honored: KGEOLAB_OUT_DIR supplies
 the output directory when --out is absent, KGEOLAB_THREADS stands in for
@@ -263,6 +264,7 @@ def run_verify(config: ExperimentConfig, data: SuiteData, out_dir: Path, suite: 
     """
     if suite != "all" and suite not in SUITES:
         raise ConfigError(f"unknown suite {suite!r}; expected one of {sorted(SUITES)} or 'all'")
+    data.solve_largest_first(suite)
     results = run_suite(data, suite)
 
     for res in results:
@@ -305,6 +307,7 @@ def run_study(config: ExperimentConfig, data: SuiteData, out_dir: Path) -> int:
         raise ConfigError("study needs >= 3 epsilons")
     if max(config.k_list) > len(config.epsilons):
         raise ConfigError(f"k_list entries cannot exceed the number of epsilons ({len(config.epsilons)})")
+    data.solve_largest_first("all")  # verify's largest systems, before any stage
     stages = {}
     rcs = []
 

@@ -657,19 +657,15 @@ def mabuchi_convexity_and_continuity(
     )
 
 
-def boundary_continuity_refinement(
-    bg: Background, endpoint_0, endpoint_1, eps_sequence, n_times=BOUNDARY_N_TIMES
-) -> PropertyResult:
-    """Boundary gaps of the M trace must stay <= 5e-3 and shrink as n_time doubles."""
-    n_times = tuple(int(n) for n in n_times)
+def boundary_continuity_refinement(bg: Background, paths) -> PropertyResult:
+    """Boundary gaps of the M trace must stay <= 5e-3 and shrink as n_time doubles path to path."""
+    n_times = tuple(path.n_time for path in paths)
     if len(n_times) < 2 or any(b != 2 * a for a, b in zip(n_times, n_times[1:])):
         raise ValueError(f"n_times must double at each step, got {n_times}")
     rows = []
-    for nt in n_times:
-        path = weak_geodesic(bg, endpoint_0, endpoint_1, eps_sequence, n_time=nt)
-        trace = mabuchi(bg, path)
-        gaps = _boundary_gaps(trace.values, nt)
-        rows.append({"n_time": nt, "gap0": gaps["gap0"], "gap1": gaps["gap1"]})
+    for path in paths:
+        gaps = _boundary_gaps(mabuchi(bg, path).values, path.n_time)
+        rows.append({"n_time": path.n_time, "gap0": gaps["gap0"], "gap1": gaps["gap1"]})
     worst = max(max(r["gap0"], r["gap1"]) for r in rows)
     margin_level = 5e-3 - worst
     margin_shrink = min(
@@ -1009,6 +1005,7 @@ class SuiteData:
     ladder_geodesic_tol: float = 1e-10
     ladder_fiber_tol: float = 1e-11
     _rungs: dict = field(default_factory=dict, init=False, repr=False)  # (eps prefix, tol) -> rung
+    _boundary_paths: dict = field(default_factory=dict, init=False, repr=False)  # n_time -> path
 
     def __post_init__(self):
         self.endpoint_0 = np.asarray(self.endpoint_0, dtype=float)
@@ -1029,6 +1026,26 @@ class SuiteData:
     def weak_path(self) -> PathField:
         """Weak-geodesic limit of the suites' WEAK_EPSILONS ladder."""
         return weak_limit(self.bg, self._continuation(WEAK_EPSILONS, 1e-10))
+
+    def boundary_path(self, n_time: int) -> PathField:
+        """Weak geodesic of WEAK_EPSILONS at n_time, not via _rungs (keyed at the run's n_time)."""
+        if n_time not in self._boundary_paths:
+            self._boundary_paths[n_time] = weak_geodesic(
+                self.bg, self.endpoint_0, self.endpoint_1, WEAK_EPSILONS, n_time=n_time
+            )
+        return self._boundary_paths[n_time]
+
+    def solve_largest_first(self, suite: str) -> None:
+        """Solve the fixed-n_time objects suite reads, largest (n_time - 1) * n_points first.
+
+        The largest LUs then run on an unfragmented heap, which lowers peak
+        memory; ties keep list order and every other object stays lazy."""
+        jobs = [(nt, lambda nt=nt: self.boundary_path(nt)) for nt in BOUNDARY_N_TIMES
+                if suite in ("all", "convexity")]
+        if suite != "entropy":  # for bounds, run_verify's measured block reads it
+            jobs.append((CURVATURE_N_TIME, lambda: self.eps_geodesic))
+        for _, solve in sorted(jobs, key=lambda job: -job[0]):
+            solve()
 
     @cached_property
     def family(self) -> FiberFamily:
@@ -1108,11 +1125,8 @@ def suite_convexity(data: SuiteData) -> list:
         if k <= len(data.family.epsilons):
             results.append(convexity_inequality_k(data.bg, data.weak_path, data.family, k))
     results.append(mabuchi_convexity_and_continuity(data.bg, data.weak_path, data.family, K_VALUES))
-    results.append(
-        boundary_continuity_refinement(
-            data.bg, data.endpoint_0, data.endpoint_1, WEAK_EPSILONS, BOUNDARY_N_TIMES
-        )
-    )
+    boundary_paths = [data.boundary_path(nt) for nt in BOUNDARY_N_TIMES]
+    results.append(boundary_continuity_refinement(data.bg, boundary_paths))
     for a in EPS_A_VALUES:
         results.append(
             mabuchi_eps_A_almost_convex(data.curved_bg, data.eps_a_traces(a), C_A_BOUND)

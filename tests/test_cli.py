@@ -308,56 +308,73 @@ def test_verify_all_counts_and_measured(tmp_path):
 # study pipeline
 
 
-def test_study_solves_each_config_object_once(tmp_path, monkeypatch):
-    """Outside verify, study solves one eps-geodesic per ladder rung and one family.
+def _log_calls(monkeypatch, owner, name):
+    """Wrap owner.name wherever the package binds it; return the list of call arguments."""
+    calls = []
+    real = getattr(owner, name)
 
-    check_bounds runs once per family_report (fiberwise and mabuchi k) and
-    twice in verify (the family and its scaled control): 4 in all.
-    """
-    counts = {"solve_eps_geodesic": 0, "solve_family": 0}
-    bound_checks = []
-    in_verify = []
+    def logging(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
 
-    def counting(name, real):
-        def wrapper(*args, **kwargs):
-            if not in_verify:
-                counts[name] += 1
-            return real(*args, **kwargs)
-        return wrapper
+    for module in (cli, geodesic, ma_fiber, verify):
+        if getattr(module, name, None) is real:
+            monkeypatch.setattr(module, name, logging)
+    return calls
 
-    real_check_bounds = ma_fiber.check_bounds
 
-    def counting_check_bounds(family):
-        bound_checks.append(family)
-        return real_check_bounds(family)
-
-    for module in (cli, ma_fiber, verify):
-        if getattr(module, "check_bounds", None) is real_check_bounds:
-            monkeypatch.setattr(module, "check_bounds", counting_check_bounds)
-    for name in counts:
-        real = getattr(geodesic if name == "solve_eps_geodesic" else ma_fiber, name)
-        for module in (cli, geodesic, ma_fiber, verify):
-            if getattr(module, name, None) is real:
-                monkeypatch.setattr(module, name, counting(name, real))
-    real_verify = cli.run_verify
-
-    def verify_stage(*args, **kwargs):
-        in_verify.append(True)
-        return real_verify(*args, **kwargs)
-
-    monkeypatch.setattr(cli, "run_verify", verify_stage)
-    epsilons = [0.1, 0.01, 0.001]
-    cfg = _write_config(
+def _study_config(tmp_path, epsilons, **overrides):
+    return _write_config(
         tmp_path,
         epsilons=epsilons,
         deltas=[0.1, 0.05, 0.025],
         k_list=[1, 2],
         truncation={"a_values": [2, 5]},
+        **overrides,
     )
+
+
+def test_study_solves_each_config_object_once(tmp_path, monkeypatch):
+    """study solves each rung of the config's ladder once and its family once.
+
+    Solves are counted by problem (grid, background, n_time, epsilon), so the
+    verify objects that study now solves before its first stage do not count.
+    check_bounds runs once per family_report (fiberwise and mabuchi k) and
+    twice in verify (the family and its scaled control): 4 in all.
+    """
+    solves = _log_calls(monkeypatch, geodesic, "solve_eps_geodesic")
+    families = _log_calls(monkeypatch, ma_fiber, "solve_family")
+    bound_checks = _log_calls(monkeypatch, ma_fiber, "check_bounds")
+    epsilons = [0.1, 0.01, 0.001]
+    cfg = _study_config(tmp_path, epsilons)
     assert main(["study", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
-    assert in_verify
-    assert counts == {"solve_eps_geodesic": len(epsilons), "solve_family": 1}
+
+    def key(problem):
+        return (problem.bg.grid.n_points, problem.bg.psi.tobytes(), problem.n_time, problem.epsilon)
+
+    flat = np.zeros(64).tobytes()
+    solved = [key(problem) for (problem,) in solves]
+    assert [solved.count((64, flat, 8, eps)) for eps in epsilons] == [1, 1, 1]
+    ladders = [(tuple(args[2]), tuple(args[3])) for args in families]
+    assert ladders.count((tuple(epsilons), (0.1, 0.05, 0.025))) == 1
     assert len(bound_checks) == 4
+
+
+@pytest.mark.parametrize("argv", [["study"], ["verify", "--suite", "all"]])
+def test_largest_space_time_systems_are_solved_first(tmp_path, monkeypatch, argv):
+    """On the run's grid the n_time-64 and n_time-32 solves all precede the first n_time-16 one.
+
+    First the n_time-64 boundary ladder (4 rungs) and the curvature geodesic,
+    then the n_time-32 ladder; the 18 calls are those of the lazy order.  The
+    curvature check's coarser-grid levels stay lazy, last in the run.
+    """
+    solves = _log_calls(monkeypatch, geodesic, "solve_eps_geodesic")
+    cfg = _study_config(tmp_path, [0.1, 0.01, 0.001], time={"n_time": 16})
+    assert main([*argv, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert len(solves) == 18
+    n_times = [problem.n_time for (problem,) in solves if problem.bg.grid.n_points == 64]
+    assert n_times[: n_times.index(16)] == [64] * 5 + [32] * 4
+    assert set(n_times[n_times.index(16):]) == {16}
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from kgeolab import (
     entropy_semicontinuity,
     eps_curvature_identity,
     fourier_field,
+    mabuchi,
     mabuchi_eps_A_almost_convex,
     boundary_continuity_refinement,
     max_subharmonic_lemma,
@@ -35,7 +36,7 @@ from kgeolab import (
     truncated_semicontinuity_sweep,
 )
 from kgeolab import geodesic
-from kgeolab.verify import WEAK_EPSILONS, SuiteData, _as_control, _jsonable
+from kgeolab.verify import BOUNDARY_N_TIMES, WEAK_EPSILONS, SuiteData, _as_control, _jsonable
 
 EXPECTED_NAMES = (
     [f"entropy_semicontinuity[seed={i}]" for i in range(20)]
@@ -234,11 +235,34 @@ def test_mabuchi_eps_a_convexity_validation(small_bg):
 
 
 def test_boundary_refinement_validation(small_bg):
-    e = np.zeros(small_bg.grid.n_points)
+    n = small_bg.grid.n_points
+    flat = lambda nt: PathField(small_bg.grid, np.zeros((nt + 1, n)))
     with pytest.raises(ValueError, match="double"):
-        boundary_continuity_refinement(small_bg, e, e, (1e-1, 1e-2, 1e-3), n_times=(32, 48))
+        boundary_continuity_refinement(small_bg, [flat(32), flat(48)])
     with pytest.raises(ValueError, match="double"):
-        boundary_continuity_refinement(small_bg, e, e, (1e-1, 1e-2, 1e-3), n_times=(32,))
+        boundary_continuity_refinement(small_bg, [flat(32)])
+
+
+def test_boundary_refinement_on_cached_paths_equals_direct_solves(small_bg):
+    """SuiteData's boundary paths give the check the margin and rows of fresh weak_geodesic solves."""
+    grid = small_bg.grid
+    endpoint_0 = np.zeros(grid.n_points)
+    endpoint_1 = fourier_field(grid, [(1, 0.05 / (2.0 * np.pi) ** 2, 0.0)])
+    data = SuiteData(bg=small_bg, endpoint_0=endpoint_0, endpoint_1=endpoint_1, n_time=8)
+    cached = boundary_continuity_refinement(small_bg, [data.boundary_path(nt) for nt in BOUNDARY_N_TIMES])
+    assert all(data.boundary_path(nt) is data.boundary_path(nt) for nt in BOUNDARY_N_TIMES)  # cached
+
+    direct = [
+        geodesic.weak_geodesic(small_bg, endpoint_0, endpoint_1, WEAK_EPSILONS, n_time=nt)
+        for nt in BOUNDARY_N_TIMES
+    ]
+    rows = []
+    for nt, path in zip(BOUNDARY_N_TIMES, direct):
+        m = mabuchi(small_bg, path).values
+        rows.append({"n_time": nt, "gap0": abs(m[1] - m[0]), "gap1": abs(m[-2] - m[-1])})
+    assert cached.details["rows"] == rows
+    assert cached.margin == boundary_continuity_refinement(small_bg, direct).margin
+    assert cached.passed
 
 
 # ---------------------------------------------------------------------------
