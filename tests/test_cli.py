@@ -11,6 +11,7 @@ import pytest
 
 from kgeolab import cli, geodesic, ma_fiber, verify
 from kgeolab.cli import main
+from kgeolab.errors import PositivityLoss
 
 AMP = 0.05 / (2.0 * np.pi) ** 2
 
@@ -159,6 +160,20 @@ def test_unreachable_tolerance_exits_2(tmp_path, capsys):
     assert diag["stage"] == "geodesic"
     assert diag["error_type"] == "NoConvergence"
     assert set(diag) == {"timestamp", "stage", "error_type", "message"}
+
+
+def test_study_exits_2_before_its_stages_when_a_verify_object_fails(tmp_path, monkeypatch):
+    """study solves verify's largest objects first: their failure leaves only diagnostic.json."""
+    def losing_the_cone(*args, **kwargs):
+        raise PositivityLoss("cone condition lost")
+
+    monkeypatch.setattr(verify, "weak_geodesic", losing_the_cone)
+    out = tmp_path / "out"
+    cfg = _study_config(tmp_path, [0.1, 0.01, 0.001])
+    assert main(["study", "--config", cfg, "--out", str(out)]) == 2
+    assert [p.name for p in out.iterdir()] == ["diagnostic.json"]
+    diag = json.loads((out / "diagnostic.json").read_text())
+    assert (diag["stage"], diag["error_type"]) == ("study", "PositivityLoss")
 
 
 # ---------------------------------------------------------------------------
