@@ -360,10 +360,11 @@ def convexity_inequality_k(
     grid = bg.grid
     ds = path.ds
     phis = family.phi[:k]  # (k, n_rows, n)
-    num = np.exp(phis)
-    avg = num.mean(axis=0)
+    # shifted log-sum-exp: for k = 1, L is phi itself and the gaps below are exactly 0
+    top = phis.max(axis=0)
+    num = np.exp(phis - top)
     weights = num / num.sum(axis=0)  # softmax over the k fibers
-    L = np.log(avg)
+    L = top + np.log(num.mean(axis=0))
 
     l_xx = path_d2x(grid, L, bg.scheme)
     l_ss = path_d2s(L, ds)

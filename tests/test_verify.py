@@ -1,6 +1,7 @@
 """Property-check machinery: results, controls, sequences, suite composition."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from kgeolab import (
     mabuchi,
     mabuchi_eps_A_almost_convex,
     boundary_continuity_refinement,
+    convexity_inequality_k,
     max_subharmonic_lemma,
     mollified_sequence,
     omega_mask_report,
@@ -325,6 +327,17 @@ def test_density_limit_report(small_family):
     assert len(doc["sup_gaps"]) == 3
     assert doc["sup_gaps"][-1] <= doc["sup_gaps"][0]
     assert doc["l1_gaps"][-1] <= doc["l1_gaps"][0]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_convexity_k1_direction_gap_is_exactly_zero(small_family, seed):
+    """For one fiber the log-average is the fiber itself: Hess L = Hess phi, with no round-off."""
+    path, family = small_family
+    rng = np.random.default_rng(seed)
+    noisy = replace(family, phi=family.phi + rng.uniform(-5.0, 5.0) * rng.standard_normal(family.phi.shape))
+    details = convexity_inequality_k(noisy.bg, path, noisy, 1).details
+    assert details["min_direction_gap"] == 0.0
+    assert details["margin_direction"] == details["tol"] * details["direction_scale"]
 
 
 # ---------------------------------------------------------------------------
