@@ -39,9 +39,18 @@ def load_schema(name: str) -> dict:
     return json.loads(path.read_text(encoding="utf-8"))
 
 
+@lru_cache(maxsize=None)
+def _validator(name: str):
+    # built once: jsonschema.validate re-checks the schema against its metaschema
+    # on every call (18 of its 18.5 ms); the tests check the shipped schemas
+    return jsonschema.validators.validator_for(load_schema(name))(load_schema(name))
+
+
 def validate_against_schema(doc, name: str) -> None:
-    """Validate a document against the shipped schema ``name``."""
-    jsonschema.validate(doc, load_schema(name))
+    """Validate a document against the shipped schema ``name``, raising jsonschema.validate's error."""
+    error = jsonschema.exceptions.best_match(_validator(name).iter_errors(doc))
+    if error is not None:
+        raise error
 
 
 @dataclass(eq=False)

@@ -3,14 +3,17 @@
 import json
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
+from jsonschema.validators import validator_for
 
 from kgeolab import ConfigError, ExperimentConfig, load_config, load_schema, parse_config
 
 AMP = 0.05 / (2.0 * np.pi) ** 2
 
 CONFIGS_DIR = Path(__file__).resolve().parent.parent / "configs"
+SCHEMAS_DIR = Path(__file__).resolve().parent.parent / "src" / "kgeolab" / "schemas"
 
 
 def _doc(**overrides) -> dict:
@@ -47,9 +50,8 @@ def test_endpoints_are_read_only():
         cfg.endpoint_0[0] = 1.0
 
 
-@pytest.mark.parametrize(
-    "overrides",
-    [
+# one structural error each, caught by the schema
+SCHEMA_REJECTED = [
         {"grid": {"n_points": 9}},
         {"grid": {"n_points": 6}},
         {"grid": {"n_points": 64, "scheme": "upwind"}},
@@ -60,11 +62,29 @@ def test_endpoints_are_read_only():
         {"truncation": {"a_values": [0.5]}},
         {"tolerances": {"geodesic": 0.0}},
         {"out_dir": ""},
-    ],
-)
+]
+
+
+@pytest.mark.parametrize("overrides", SCHEMA_REJECTED)
 def test_schema_rejections(overrides):
     with pytest.raises(ConfigError, match="does not match schema"):
         parse_config(_doc(**overrides))
+
+
+@pytest.mark.parametrize("overrides", SCHEMA_REJECTED)
+def test_schema_error_text_equals_jsonschema_validate(overrides):
+    doc = _doc(**overrides)
+    with pytest.raises(jsonschema.ValidationError) as ref:
+        jsonschema.validate(doc, load_schema("config"))
+    with pytest.raises(ConfigError) as got:
+        parse_config(doc)
+    assert str(got.value) == f"config does not match schema: {ref.value.message} (at {ref.value.json_path})"
+
+
+@pytest.mark.parametrize("name", sorted(p.name.split(".")[0] for p in SCHEMAS_DIR.glob("*.schema.json")))
+def test_shipped_schemas_are_valid(name):
+    schema = load_schema(name)
+    validator_for(schema).check_schema(schema)  # validate_against_schema no longer does this per call
 
 
 def test_ladder_order_rules():
