@@ -22,7 +22,7 @@ from .model import (
     Background,
     PathField,
     _as_field_values,
-    _format_float,
+    _write_csv,
     metric_density,
     reduced_hessian,
 )
@@ -57,11 +57,7 @@ class FunctionalTrace:
             raise ValueError("times must be strictly increasing")
 
     def to_csv(self, path) -> None:
-        lines = ["t,value,second_difference"]
-        for t, v, d in zip(self.times, self.values, self.second_differences):
-            lines.append(f"{_format_float(t)},{_format_float(v)},{_format_float(d)}")
-        with open(path, "w", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _write_csv(path, "t,value,second_difference", [self.times, self.values, self.second_differences])
 
 
 @dataclass(frozen=True)

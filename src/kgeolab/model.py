@@ -249,6 +249,13 @@ def _format_float(v: float) -> str:
     return repr(float(v))
 
 
+def _write_csv(path, header: str, columns) -> None:
+    # repr of a Python float is _format_float, without a call per cell
+    rows = (",".join(map(repr, row)) for row in np.column_stack(columns).tolist())
+    with open(path, "w", newline="") as fh:
+        fh.write("\n".join([header, *rows]) + "\n")
+
+
 @dataclass(frozen=True, eq=False)
 class PeriodicField:
     """Nodal values of one periodic field."""
@@ -295,11 +302,7 @@ class PathField:
 
     def to_csv(self, path) -> None:
         header = "s," + ",".join(f"x{j}" for j in range(self.grid.n_points))
-        lines = [header]
-        for si, row in zip(self.times, self.values):
-            lines.append(_format_float(si) + "," + ",".join(_format_float(v) for v in row))
-        with open(path, "w", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _write_csv(path, header, [self.times, self.values])
 
 
 @dataclass(frozen=True, eq=False)

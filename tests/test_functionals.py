@@ -29,7 +29,7 @@ from kgeolab import (
     solve_eps_geodesic,
     truncated_entropy,
 )
-from kgeolab.model import central2_symbol
+from kgeolab.model import _format_float, central2_symbol
 
 AMP = 0.05 / (2.0 * np.pi) ** 2
 
@@ -74,6 +74,17 @@ def test_trace_csv_roundtrip(tmp_path):
     assert np.array_equal(back[:, 0], trace.times)
     assert np.array_equal(back[:, 1], trace.values)
     assert np.array_equal(back[:, 2], trace.second_differences, equal_nan=True)
+
+
+def test_trace_csv_bytes_match_format_float(tmp_path):
+    cells = [-0.0, 5e-324, 1e16, 0.1 + 0.2, float("nan")]
+    times = [0.0, 0.25, 0.5, 0.75, 1.0]
+    trace = FunctionalTrace(times, cells, cells[::-1], meta={})
+    out = tmp_path / "trace.csv"
+    trace.to_csv(out)
+    rows = zip(times, cells, cells[::-1])
+    body = "".join(",".join(_format_float(v) for v in row) + "\n" for row in rows)
+    assert out.read_bytes() == ("t,value,second_difference\n" + body).encode()
 
 
 def test_truncation_spec_validation():

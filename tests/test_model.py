@@ -223,6 +223,16 @@ def test_path_field_csv_roundtrip(tmp_path, small_grid):
     assert header.startswith("s,x0,x1,") and header.endswith(f",x{64 - 1}")
 
 
+def test_path_field_csv_bytes_match_format_float(tmp_path):
+    cells = [-0.0, 5e-324, 1e16, 0.1 + 0.2]
+    path = PathField(SpatialGrid(8), [cells * 2, cells[::-1] * 2])
+    p = tmp_path / "path.csv"
+    path.to_csv(p)
+    rows = [[0.0, *cells * 2], [1.0, *cells[::-1] * 2]]
+    body = "".join(",".join(model._format_float(v) for v in row) + "\n" for row in rows)
+    assert p.read_bytes() == ("s," + ",".join(f"x{j}" for j in range(8)) + "\n" + body).encode()
+
+
 def test_reduced_hessian_det_and_mixed(small_bg):
     rng = np.random.default_rng(6)
     path = PathField(small_bg.grid, 0.001 * rng.standard_normal((9, 64)))
