@@ -5,8 +5,8 @@ residual-decrease line search by halving, an optional acceptance predicate
 that keeps iterates inside a positivity cone, and sup-norm convergence.
 The iterate has a leading batch axis, one independent system per row, and
 norms, halving and convergence are per row: a row at or below tol is frozen.
-The rows still iterating share each callback call, so a caller can factor
-one block-diagonal Jacobian per step; a batch of one row does the
+The rows still iterating share each callback call, so a caller can solve
+one batched linear system per step; a batch of one row does the
 arithmetic of the plain loop.
 """
 
@@ -17,12 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConvergence, PositivityLoss
-
-# splu options of both Newton solvers: each builds its pattern in the order it
-# factors (the fiber blocks need no reordering, the geodesic pattern is in
-# nested-dissection order), and one-column supernodes and panels factor both
-# faster than the defaults
-LU_OPTIONS = dict(permc_spec="NATURAL", relax=1, panel_size=1)
 
 
 @dataclass

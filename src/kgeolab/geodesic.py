@@ -16,7 +16,7 @@ order are built once per (n_points, n_time), so an iterate only gathers its
 coefficients and permutes its right-hand side.  The order is George's nested
 dissection of the periodic (n_time - 1) x n_points strip (_dissection_order),
 and the pattern is emitted already permuted, so the LU runs in natural order
-with the fiber LU's one-column supernodes and panels (LU_OPTIONS).  Against
+with one-column supernodes and panels (LU_OPTIONS).  Against
 minimum degree on A^T + A, which SuperLU recomputed on every factorization
 with its default supernodes and panels, the order keeps 2-3% more fill and
 flops, but the 512 x 31 Jacobian factors in about 0.55 of the time, and the
@@ -44,7 +44,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from ._newton import LU_OPTIONS, damped_newton
+from ._newton import damped_newton
 from .errors import (
     FamilyMismatch,
     NegativeDensity,
@@ -62,6 +62,10 @@ from .model import (
     is_admissible,
     reduced_hessian,
 )
+
+# splu options of the space-time Newton step: its pattern is already in nested-dissection
+# order, and one-column supernodes and panels factor it faster than the defaults
+LU_OPTIONS = dict(permc_spec="NATURAL", relax=1, panel_size=1)
 
 
 @dataclass(frozen=True, eq=False)

@@ -19,28 +19,29 @@ declared at the smallest delta, with the recorded Cauchy increments as
 evidence.
 
 solve_aubin_fiber solves a stack of fibers as one batch of the shared Newton
-driver.  A step factors the block-diagonal periodic-tridiagonal Jacobian
-LU_GROUP blocks at a time, in natural order with one-column supernodes: any
-ordering finds the same fill, and on 6 blocks of 256 nodes this is 1.9x
-faster than splu's defaults (0.65 against 1.21 ms).
+driver.  Per row, -J = -D2 + (1/eps) w e^phi is symmetric positive definite
+and periodic tridiagonal, and a step solves it bordered: one LAPACK dptsv
+(LDL^T) factors the leading (n-1)-blocks of every row still iterating, put
+end to end, and solves for the residual and the corner column; the last node
+follows from the scalar Schur complement.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import splu
+from scipy.linalg.lapack import dptsv
+from scipy.sparse.linalg import splu  # unused, kept: perfbench/layers.py wraps ma_fiber.splu by name
 
-from ._newton import LU_OPTIONS, damped_newton
+from ._newton import damped_newton
 from .errors import (
     FamilyMismatch,
     IncompatibleMass,
     NegativeDensity,
     NotASolution,
+    SingularSystem,
 )
 from .model import (
     Background,
@@ -52,23 +53,6 @@ from .model import (
     metric_density,
 )
 from .regularize import MollifierSpec, mollify_fiberwise, semipositivity_constant
-
-
-# One factorization of all 54 blocks of a 54-pair sweep raised its peak memory
-# by 6% and took 0.13 ms per block; groups of 6 cost 1.3% and 0.11 ms.
-LU_GROUP = 6
-
-
-@lru_cache(maxsize=16)
-def _jacobian_pattern(n: int, rows: int) -> tuple:
-    """CSC indices and indptr of `rows` periodic three-point blocks of n
-    nodes, and the positions of the diagonal entries (in column order)."""
-    block = sparse.diags([1.0, 1.0, 2.0, 1.0, 1.0], [1 - n, -1, 0, 1, n - 1], shape=(n, n))
-    jac = sparse.block_diag([block] * rows, format="csc")
-    out = (jac.indices, jac.indptr, np.flatnonzero(jac.data == 2.0))
-    for arr in out:
-        arr.setflags(write=False)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -132,8 +116,8 @@ def solve_aubin_fiber(
 ) -> FiberSolution:
     """Damped Newton for every row of (*), from phi0 or the constant mass-matching guess.
 
-    Each step factors the block-diagonal Jacobian of the rows still iterating,
-    LU_GROUP blocks per LU; a failure names its row in the exception's ``row``.
+    Each step is one bordered dptsv solve over the rows still iterating; a
+    failure names its row in the exception's ``row``.
     """
     bg = problem.bg
     _require_central2(bg)
@@ -155,14 +139,23 @@ def solve_aubin_fiber(
         return bg.d2(phi) - coef[rows] * np.exp(phi) + source[rows]
 
     def newton_step(phi, r, rows):
-        step = np.empty_like(r)
-        for g in (slice(g, g + LU_GROUP) for g in range(0, len(rows), LU_GROUP)):
-            indices, indptr, diag = _jacobian_pattern(n, len(rows[g]))
-            data = np.full(indices.size, inv_h2)
-            data[diag] = -2.0 * inv_h2 - (coef[rows[g]] * np.exp(phi[g])).ravel()
-            jac = sparse.csc_matrix((data, indices, indptr), shape=(len(diag), len(diag)))
-            step[g] = splu(jac, **LU_OPTIONS).solve(-r[g].ravel()).reshape(-1, n)
-        return step
+        # (-J) step = r: the leading (n-1)-blocks of -J, joined by zero off-diagonals, give y1
+        # (residual) and y2 (corner column b); last = (r_last - b.y1) / (d_last - b.y2)
+        diag = 2.0 * inv_h2 + coef[rows] * np.exp(phi)
+        finite = np.isfinite(diag).all(axis=1)  # dptsv passes NaN and inf; NaN crosses the joins
+        if not finite.all():
+            raise SingularSystem("fiber Jacobian is not finite").at_row(rows[np.argmin(finite)])
+        off = np.tile(np.append(np.full(n - 2, -inv_h2), 0.0), len(rows))[:-1]
+        rhs = np.zeros((2, len(rows), n - 1))
+        rhs[0], rhs[1, :, [0, -1]] = r[:, :-1], -inv_h2
+        _, _, y, info = dptsv(diag[:, :-1].ravel(), off, rhs.reshape(2, -1).T, overwrite_b=1)
+        y1, y2 = y.T.reshape(2, len(rows), n - 1)
+        schur = diag[:, -1] + inv_h2 * (y2[:, 0] + y2[:, -1])
+        if info or not np.all(schur > 0.0):
+            b = (info - 1) // (n - 1) if info > 0 else np.argmin(schur > 0.0)
+            raise SingularSystem(f"fiber Jacobian is not positive definite (dptsv info {info})").at_row(rows[b])
+        last = (r[:, -1:] + inv_h2 * (y1[:, :1] + y1[:, -1:])) / schur[:, None]
+        return np.hstack([y1 - last * y2, last])
 
     phi, rec = damped_newton(
         np.array(phi0, dtype=float, ndmin=2), residual, newton_step, tol=tol, max_iter=max_iter

@@ -24,8 +24,7 @@ from kgeolab import (
     weak_geodesic,
 )
 from kgeolab import geodesic
-from kgeolab._newton import LU_OPTIONS
-from kgeolab.geodesic import rung_increments
+from kgeolab.geodesic import LU_OPTIONS, rung_increments
 from kgeolab.model import fourier_field
 
 AMP = 0.05 / (2.0 * np.pi) ** 2

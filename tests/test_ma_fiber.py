@@ -12,6 +12,7 @@ from kgeolab import (
     NoConvergence,
     NotASolution,
     PathField,
+    SingularSystem,
     SpatialGrid,
     check_bounds,
     density_convergence,
@@ -98,6 +99,50 @@ def test_stacked_rows_match_row_by_row_solves(small_bg):
         assert stacked.row_iters[b] == solo.row_iters[0]
         assert stacked.residual_sup[b] <= 1e-11
     assert stacked.newton_iters == int(np.sum(stacked.row_iters))
+
+
+def _captured_newton_step(bg, eps, monkeypatch):
+    """The newton_step callback of solve_aubin_fiber on rows with these epsilons, before any step."""
+    steps = []
+
+    def spy(x0, residual, newton_step, **kwargs):
+        steps.append(newton_step)
+        raise InterruptedError
+
+    monkeypatch.setattr(ma_fiber, "damped_newton", spy)
+    with pytest.raises(InterruptedError):
+        solve_aubin_fiber(FiberProblem(bg, np.ones((len(eps), bg.grid.n_points)), eps))
+    return steps[0]
+
+
+@pytest.mark.parametrize("n", [8, 256])
+def test_newton_step_equals_dense_periodic_solve(n, monkeypatch):
+    bg = make_background(SpatialGrid(n), psi=fourier_field(SpatialGrid(n), [(1, 0.01, 0.005)]))
+    eps = np.array([1e-1, 1e-2, 1e-3])
+    newton_step = _captured_newton_step(bg, eps, monkeypatch)
+    rng = np.random.default_rng(n)
+    rows = np.array([0, 2, 1])  # any subset of the batch, in any order
+    phi, r = rng.standard_normal((2, len(rows), n))
+    step = newton_step(phi, r, rows)
+    d2 = bg.d2(np.eye(n))  # the periodic three-point matrix
+    for k, b in enumerate(rows):
+        dense = np.linalg.solve(d2 - np.diag(bg.w / eps[b] * np.exp(phi[k])), -r[k])
+        assert np.max(np.abs(step[k] - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+
+def test_non_finite_jacobian_raises_singular_system_naming_its_row(small_bg, monkeypatch):
+    newton_step = _captured_newton_step(small_bg, np.array([0.1, 0.01, 0.001]), monkeypatch)
+    phi = np.zeros((2, 64))
+    phi[1, 7] = np.nan
+    with pytest.raises(SingularSystem) as exc:
+        newton_step(phi, np.ones((2, 64)), np.array([0, 2]))
+    assert exc.value.row == 2
+    monkeypatch.undo()
+    # 1/eps overflows to inf in the second row: its coefficient (1/eps) w is not finite
+    beta = np.ones((2, 64))
+    with pytest.raises(SingularSystem) as exc, np.errstate(over="ignore"):
+        solve_aubin_fiber(FiberProblem(small_bg, beta, np.array([0.1, 1e-320])))
+    assert exc.value.row == 1
 
 
 @given(seed=st.integers(0, 10_000))
