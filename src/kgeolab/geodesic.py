@@ -41,12 +41,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import splu
 
 from ._newton import damped_newton
 from .errors import (
     FamilyMismatch,
+    KGeoError,
     NegativeDensity,
     NonConvexInput,
     NotASolution,
@@ -66,6 +65,12 @@ from .model import (
 # splu options of the space-time Newton step: its pattern is already in nested-dissection
 # order, and one-column supernodes and panels factor it faster than the defaults
 LU_OPTIONS = dict(permc_spec="NATURAL", relax=1, panel_size=1)
+
+
+def splu(matrix, **options):
+    """scipy's sparse LU; newton_step calls this name, so a wrapper of it sees every factorization."""
+    from scipy.sparse.linalg import splu as superlu  # imported at first use, not with the CLI
+    return superlu(matrix, **options)
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,6 +213,8 @@ def solve_eps_geodesic(
     path0: np.ndarray | None = None,
 ) -> EpsGeodesic:
     """Damped Newton over all interior rows jointly."""
+    import scipy.sparse.linalg  # before the solve's arrays: imported among them, it fragments the heap
+
     bg = problem.bg
     _require_central2(bg)
     grid = bg.grid
@@ -265,39 +272,41 @@ def solve_eps_geodesic(
             -q,  # (+1, +1) and (-1, -1)
             q,  # (+1, -1) and (-1, +1)
         ])
-        jac = sparse.csc_matrix(
-            (coefs.ravel()[gather], indices, indptr), shape=(n_int * n, n_int * n)
-        )
+        jac = scipy.sparse.csc_matrix((coefs.ravel()[gather], indices, indptr), shape=(n_int * n, n_int * n))
         step = np.empty_like(r)
         try:
             step[0, perm] = splu(jac, **LU_OPTIONS).solve(-r[0, perm])
-        except RuntimeError as exc:  # pragma: no cover - needs a degenerate iterate
+        except RuntimeError as exc:
             raise SingularSystem(f"space-time Jacobian factorization failed: {exc}") from exc
         return step
 
-    start = initial_guess(problem) if path0 is None else np.asarray(path0, dtype=float)
-    x, rec = damped_newton(
-        start[1:-1, :].reshape(1, -1), residual, newton_step, accept=accept, tol=tol, max_iter=max_iter
-    )
-    path = PathField(grid, full_path(x))
-    cert = eval_geodesic_residual(bg, path, problem.epsilon)
-    cert_sup = float(np.max(np.abs(cert)))
-    newton_sup = rec.residual_sups[0][-1]
-    if not abs(cert_sup - newton_sup) <= 1e-12:
-        raise NotASolution(
-            f"assembly and certificate residuals disagree: {newton_sup:.3e} vs {cert_sup:.3e}"
+    try:
+        start = initial_guess(problem) if path0 is None else np.asarray(path0, dtype=float)
+        x0 = start[1:-1, :].reshape(1, -1)
+        x, rec = damped_newton(x0, residual, newton_step, accept=accept, tol=tol, max_iter=max_iter)
+        path = PathField(grid, full_path(x))
+        cert = eval_geodesic_residual(bg, path, problem.epsilon)
+        cert_sup = float(np.max(np.abs(cert)))
+        newton_sup = rec.residual_sups[0][-1]
+        if not abs(cert_sup - newton_sup) <= 1e-12:
+            raise NotASolution(
+                f"assembly and certificate residuals disagree: {newton_sup:.3e} vs {cert_sup:.3e}"
+            )
+        rh = reduced_hessian(bg, path)
+        margin = float(min(np.min(rh.det()), np.min(rh.m_xx + rh.m_ss)))
+        if not margin > 0.0:
+            raise PositivityLoss(f"cone condition lost at the solution, margin {margin:.3g}")
+        return EpsGeodesic(
+            path=path,
+            residual_sup=cert_sup,
+            positivity_margin=margin,
+            newton_iters=rec.iterations,
+            epsilon=problem.epsilon,
         )
-    rh = reduced_hessian(bg, path)
-    margin = float(min(np.min(rh.det()), np.min(rh.m_xx + rh.m_ss)))
-    if not margin > 0.0:
-        raise PositivityLoss(f"cone condition lost at the solution, margin {margin:.3g}")
-    return EpsGeodesic(
-        path=path,
-        residual_sup=cert_sup,
-        positivity_margin=margin,
-        newton_iters=rec.iterations,
-        epsilon=problem.epsilon,
-    )
+    except KGeoError as exc:  # keep the exception object (and its attributes); prefix the context
+        context = f"eps-geodesic solve failed at (eps={problem.epsilon}, n_time={nt}, n_points={n})"
+        exc.args = (f"{context}: {exc.args[0] if exc.args else exc}", *exc.args[1:])
+        raise
 
 
 def eps_continuation(

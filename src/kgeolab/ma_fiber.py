@@ -32,8 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dptsv
-from scipy.sparse.linalg import splu  # unused, kept: perfbench/layers.py wraps ma_fiber.splu by name
 
 from ._newton import damped_newton
 from .errors import (
@@ -43,6 +41,7 @@ from .errors import (
     NotASolution,
     SingularSystem,
 )
+from .geodesic import splu  # unused, kept: perfbench/layers.py wraps ma_fiber.splu by name
 from .model import (
     Background,
     PathField,
@@ -139,6 +138,8 @@ def solve_aubin_fiber(
         return bg.d2(phi) - coef[rows] * np.exp(phi) + source[rows]
 
     def newton_step(phi, r, rows):
+        from scipy.linalg.lapack import dptsv  # imported at first use, not with the CLI
+
         # (-J) step = r: the leading (n-1)-blocks of -J, joined by zero off-diagonals, give y1
         # (residual) and y2 (corner column b); last = (r_last - b.y1) / (d_last - b.y2)
         diag = 2.0 * inv_h2 + coef[rows] * np.exp(phi)
