@@ -11,7 +11,7 @@ import pytest
 
 from kgeolab import cli, geodesic, ma_fiber, verify
 from kgeolab.cli import main
-from kgeolab.errors import PositivityLoss
+from kgeolab.errors import PositivityLoss, SingularSystem
 
 AMP = 0.05 / (2.0 * np.pi) ** 2
 
@@ -48,6 +48,25 @@ def test_cli_import_leaves_slow_scipy_modules_unloaded():
     )
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_config_loading_and_config_errors_leave_scipy_unloaded(tmp_path):
+    """scipy is imported at the first solve: import, load_config and an exit-1 config error load none of it."""
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])}
+    bad = _write_config(tmp_path, grid={"n_points": 9})
+    code = (
+        "import sys\n"
+        "import kgeolab.cli as cli\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        f"cli.load_config({str(root / 'configs' / 'canonical.json')!r})\n"
+        "print(scipy_modules())\n"
+        f"print(cli.main(['geodesic', '--config', {bad!r}]), scipy_modules())\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines() == ["[]", "1 []"]
+    assert "does not match schema" in done.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +179,28 @@ def test_unreachable_tolerance_exits_2(tmp_path, capsys):
     assert diag["stage"] == "geodesic"
     assert diag["error_type"] == "NoConvergence"
     assert set(diag) == {"timestamp", "stage", "error_type", "message"}
+
+
+def test_geodesic_factorization_failure_exits_2(tmp_path, monkeypatch, capsys):
+    """A failed space-time LU raises SingularSystem, named by its solve, and geodesic exits 2."""
+    def singular(matrix, **options):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(geodesic, "splu", singular)
+    cfg = _write_config(tmp_path, epsilons=[0.1])
+    config = cli.load_config(cfg)
+    problem = geodesic.EpsGeodesicProblem(config.bg, config.endpoint_0, config.endpoint_1, 0.1, config.n_time)
+    with pytest.raises(SingularSystem, match=(
+        r"^eps-geodesic solve failed at \(eps=0\.1, n_time=8, n_points=64\): "
+        r"space-time Jacobian factorization failed: Factor is exactly singular$"
+    )):
+        geodesic.solve_eps_geodesic(problem)
+    out = tmp_path / "out"
+    assert main(["geodesic", "--config", cfg, "--out", str(out)]) == 2
+    assert "error in geodesic: SingularSystem" in capsys.readouterr().err
+    diag = json.loads((out / "diagnostic.json").read_text())
+    assert (diag["stage"], diag["error_type"]) == ("geodesic", "SingularSystem")
+    assert diag["message"].startswith("eps-geodesic solve failed at (eps=0.1, n_time=8, n_points=64): ")
 
 
 def test_study_exits_2_before_its_stages_when_a_verify_object_fails(tmp_path, monkeypatch):

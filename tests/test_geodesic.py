@@ -243,6 +243,17 @@ def test_cone_loss_at_solution_is_typed(small_bg):
         solve_eps_geodesic(EpsGeodesicProblem(small_bg, e0, e1, 1e-8, 8), tol=1e-3)
 
 
+def test_errors_name_the_failing_solve(small_bg):
+    """Errors from Newton and from the checks after it carry (eps, n_time, n_points); objects are kept."""
+    e0, e1 = _endpoints(small_bg.grid)
+    where = r"^eps-geodesic solve failed at \(eps={}, n_time=8, n_points=64\): "
+    with pytest.raises(NoConvergence, match=where.format("0.01")) as info:
+        solve_eps_geodesic(EpsGeodesicProblem(small_bg, e0, e1, 1e-2, 8), tol=1e-18)
+    assert info.value.iterations >= 1 and info.value.residual_sup > 1e-18
+    with pytest.raises(PositivityLoss, match=where.format("1e-08") + "cone condition lost"):
+        solve_eps_geodesic(EpsGeodesicProblem(small_bg, e0, e1, 1e-8, 8), tol=1e-3)
+
+
 # ---------------------------------------------------------------------------
 # continuation
 
