@@ -24,7 +24,9 @@ narrow panels lower the peak memory of a solve.  Another ordering changes
 only the last bits of the solution.
 
 weak_geodesic extracts the small-eps limit of eps_continuation, the one
-warm-started eps-ladder of the package.
+warm-started eps-ladder of the package.  A ladder solved at n_time / 2 can
+start the same ladder at n_time instead: prolong_in_s carries each coarse
+rung to the fine time grid.
 legendre_oracle is the independent surrogate for the exact degenerate
 solution: with P = x^2/2 + psi + phi the admissible cone becomes discrete
 convexity of P, the degenerate flow is affine interpolation of the convex
@@ -141,33 +143,44 @@ _STENCIL = (
 )
 
 
+@lru_cache(maxsize=None)
+def _box_order(rows: int, cols: int) -> tuple:
+    """Nested-dissection order of a rows x cols box, as (row, col) offsets.
+
+    A box is split at its middle column or row, across its longer side, and
+    its separator follows both halves; a box with a side shorter than 3 is
+    emitted as it is, row by row.  The split depends only on the shape, so
+    the order is memoized by shape and translated to each position.
+    """
+    if min(rows, cols) < 3:
+        r, c = np.divmod(np.arange(rows * cols), cols)
+    elif cols >= rows:
+        mid = cols // 2
+        parts = [(_box_order(rows, mid), 0), (_box_order(rows, cols - mid - 1), mid + 1), (_box_order(rows, 1), mid)]
+        r = np.concatenate([rr for (rr, _), _ in parts])
+        c = np.concatenate([cc + shift for (_, cc), shift in parts])
+    else:
+        mid = rows // 2
+        parts = [(_box_order(mid, cols), 0), (_box_order(rows - mid - 1, cols), mid + 1), (_box_order(1, cols), mid)]
+        r = np.concatenate([rr + shift for (rr, _), shift in parts])
+        c = np.concatenate([cc for (_, cc), _ in parts])
+    r.setflags(write=False)
+    c.setflags(write=False)
+    return r, c
+
+
 def _dissection_order(n_int: int, n: int) -> np.ndarray:
     """Nested-dissection order of the n_int x n strip, periodic in x.
 
     George's nested dissection of a regular mesh: the columns x = 0 and
-    x = n/2 open the ring into two boxes and come last; a box is split at
-    its middle column or row, across its longer side, and its separator
-    follows both halves; a box with a side shorter than 3 is emitted as it
-    is, row by row.  Returns the raveled row-major node index of each
-    position.
+    x = n/2 open the ring into two boxes and come last; each box follows
+    _box_order.  Returns the raveled row-major node index of each position.
     """
-    parts = []
-
-    def box(r0, r1, c0, c1):
-        if min(r1 - r0, c1 - c0) < 3:
-            parts.append((np.arange(r0, r1)[:, None] * n + np.arange(c0, c1)).ravel())
-        elif c1 - c0 >= r1 - r0:
-            mid = (c0 + c1) // 2
-            for args in ((r0, r1, c0, mid), (r0, r1, mid + 1, c1), (r0, r1, mid, mid + 1)):
-                box(*args)
-        else:
-            mid = (r0 + r1) // 2
-            for args in ((r0, mid, c0, c1), (mid + 1, r1, c0, c1), (mid, mid + 1, c0, c1)):
-                box(*args)
-
     half = n // 2
+    parts = []
     for c0, c1 in ((1, half), (half + 1, n), (0, 1), (half, half + 1)):
-        box(0, n_int, c0, c1)
+        r, c = _box_order(n_int, c1 - c0)
+        parts.append(r * n + (c + c0))
     return np.concatenate(parts)
 
 
@@ -309,19 +322,48 @@ def solve_eps_geodesic(
         raise
 
 
+def prolong_in_s(coarse: np.ndarray) -> np.ndarray:
+    """Cubic-in-s prolongation of a path from n_c + 1 time rows to 2 n_c + 1.
+
+    The coarse rows become the even rows, bit for bit.  A midpoint row takes
+    the 4-point Lagrange weights (-1, 9, 9, -1)/16 of its coarse neighbours,
+    and the two rows next to s = 0 and s = 1 the one-sided weights
+    (5, 15, -5, 1)/16, so every cubic in s is reproduced.  Linear
+    interpolation would leave the cone: its Phi_ss vanishes on the midpoint
+    rows.
+    """
+    c = np.asarray(coarse, dtype=float)
+    if c.shape[0] < 4:
+        raise ValueError(f"prolongation needs at least 4 time rows, got {c.shape[0]}")
+    fine = np.empty((2 * c.shape[0] - 1, c.shape[1]))
+    fine[::2] = c
+    fine[3:-3:2] = (9.0 * (c[1:-2] + c[2:-1]) - (c[:-3] + c[3:])) / 16.0
+    fine[1] = (5.0 * c[0] + 15.0 * c[1] - 5.0 * c[2] + c[3]) / 16.0
+    fine[-2] = (c[-4] - 5.0 * c[-3] + 15.0 * c[-2] + 5.0 * c[-1]) / 16.0
+    return fine
+
+
 def eps_continuation(
-    bg: Background, endpoint_0, endpoint_1, epsilons, n_time: int, tol: float = 1e-10, solved=()
+    bg: Background, endpoint_0, endpoint_1, epsilons, n_time: int, tol: float = 1e-10, solved=(), coarse=()
 ) -> list:
     """Solve the eps-geodesic at every eps of the ladder, in order.
 
     Each rung starts Newton from the solution of the rung before it (the
     first from the affine guess); the leading rungs already in solved (same
-    endpoints, n_time and tol) are kept.  Returns one EpsGeodesic per rung.
+    endpoints, n_time and tol) are kept.  With coarse, the rungs of the same
+    ladder solved at n_time / 2, rung k instead starts from prolong_in_s of
+    coarse[k]: a transferred solution of the neighbouring grid needs about
+    one Newton step (mesh independence).  Returns one EpsGeodesic per rung.
     """
+    if coarse and [(r.epsilon, 2 * r.path.n_time) for r in coarse] != [(float(e), n_time) for e in epsilons]:
+        raise ValueError(f"coarse rungs must solve the same ladder at n_time {n_time // 2}")
     rungs = list(solved)
-    for eps in epsilons[len(rungs):]:
-        problem = EpsGeodesicProblem(bg, endpoint_0, endpoint_1, float(eps), n_time)
-        path0 = rungs[-1].path.values if rungs else None
+    for k in range(len(rungs), len(epsilons)):
+        problem = EpsGeodesicProblem(bg, endpoint_0, endpoint_1, float(epsilons[k]), n_time)
+        if coarse:
+            path0 = prolong_in_s(coarse[k].path.values)
+        else:
+            path0 = rungs[-1].path.values if rungs else None
         rungs.append(solve_eps_geodesic(problem, tol=tol, path0=path0))
     return rungs
 
@@ -352,16 +394,19 @@ def weak_limit(bg: Background, rungs) -> PathField:
     return path
 
 
-def weak_geodesic(bg: Background, endpoint_0, endpoint_1, eps_sequence, n_time: int = 64) -> PathField:
+def weak_geodesic(
+    bg: Background, endpoint_0, endpoint_1, eps_sequence, n_time: int = 64, coarse=()
+) -> PathField:
     """Warm-started continuation to the smallest eps of the sequence.
 
     The sequence needs at least 3 entries; the returned path is the
-    eps-geodesic at eps_sequence[-1], checked by weak_limit.
+    eps-geodesic at eps_sequence[-1], checked by weak_limit.  coarse is
+    passed on to eps_continuation.
     """
     eps_sequence = _decreasing_ladder(eps_sequence, "eps_sequence")
     if len(eps_sequence) < 3:
         raise ValueError("eps_sequence needs at least 3 entries")
-    return weak_limit(bg, eps_continuation(bg, endpoint_0, endpoint_1, eps_sequence, n_time))
+    return weak_limit(bg, eps_continuation(bg, endpoint_0, endpoint_1, eps_sequence, n_time, coarse=coarse))
 
 
 # ---------------------------------------------------------------------------

@@ -1006,7 +1006,6 @@ class SuiteData:
     ladder_geodesic_tol: float = 1e-10
     ladder_fiber_tol: float = 1e-11
     _rungs: dict = field(default_factory=dict, init=False, repr=False)  # (eps prefix, tol) -> rung
-    _boundary_paths: dict = field(default_factory=dict, init=False, repr=False)  # n_time -> path
 
     def __post_init__(self):
         self.endpoint_0 = np.asarray(self.endpoint_0, dtype=float)
@@ -1028,25 +1027,33 @@ class SuiteData:
         """Weak-geodesic limit of the suites' WEAK_EPSILONS ladder."""
         return weak_limit(self.bg, self._continuation(WEAK_EPSILONS, 1e-10))
 
-    def boundary_path(self, n_time: int) -> PathField:
-        """Weak geodesic of WEAK_EPSILONS at n_time, not via _rungs (keyed at the run's n_time)."""
-        if n_time not in self._boundary_paths:
-            self._boundary_paths[n_time] = weak_geodesic(
-                self.bg, self.endpoint_0, self.endpoint_1, WEAK_EPSILONS, n_time=n_time
-            )
-        return self._boundary_paths[n_time]
+    @cached_property
+    def boundary_paths(self) -> list:
+        """Weak geodesics of WEAK_EPSILONS at BOUNDARY_N_TIMES (32 and 64), not via _rungs.
+
+        The n_time-32 ladder is warm-started along eps; each n_time-64 rung
+        starts from the cubic-in-s prolongation of its n_time-32 rung and
+        takes about one Newton step.  The n_time-32 rungs are dropped once
+        the n_time-64 ladder is solved.
+        """
+        coarse_n_time, fine_n_time = BOUNDARY_N_TIMES
+        args = (self.bg, self.endpoint_0, self.endpoint_1, WEAK_EPSILONS)
+        coarse = eps_continuation(*args, coarse_n_time)
+        return [weak_limit(self.bg, coarse), weak_geodesic(*args, n_time=fine_n_time, coarse=coarse)]
 
     def solve_largest_first(self, suite: str) -> None:
-        """Solve the fixed-n_time objects suite reads, largest (n_time - 1) * n_points first.
+        """Solve the fixed-n_time objects suite reads, before any of the run's n_time.
 
-        The largest LUs then run on an unfragmented heap, which lowers peak
-        memory; ties keep list order and every other object stays lazy."""
-        jobs = [(nt, lambda nt=nt: self.boundary_path(nt)) for nt in BOUNDARY_N_TIMES
-                if suite in ("all", "convexity")]
+        The curvature geodesic (n_time 64) comes first and cold, so the
+        run's first LUs are of its largest size and run on an unfragmented
+        heap, which lowers peak memory.  Then the boundary ladders, n_time 32
+        and then 64: the n_time-64 rungs start from the n_time-32 ones,
+        which cuts their LUs from about three per rung to one.  Every other
+        object stays lazy."""
         if suite != "entropy":  # for bounds, run_verify's measured block reads it
-            jobs.append((CURVATURE_N_TIME, lambda: self.eps_geodesic))
-        for _, solve in sorted(jobs, key=lambda job: -job[0]):
-            solve()
+            self.eps_geodesic
+        if suite in ("all", "convexity"):
+            self.boundary_paths
 
     @cached_property
     def family(self) -> FiberFamily:
@@ -1126,8 +1133,7 @@ def suite_convexity(data: SuiteData) -> list:
         if k <= len(data.family.epsilons):
             results.append(convexity_inequality_k(data.bg, data.weak_path, data.family, k))
     results.append(mabuchi_convexity_and_continuity(data.bg, data.weak_path, data.family, K_VALUES))
-    boundary_paths = [data.boundary_path(nt) for nt in BOUNDARY_N_TIMES]
-    results.append(boundary_continuity_refinement(data.bg, boundary_paths))
+    results.append(boundary_continuity_refinement(data.bg, data.boundary_paths))
     for a in EPS_A_VALUES:
         results.append(
             mabuchi_eps_A_almost_convex(data.curved_bg, data.eps_a_traces(a), C_A_BOUND)

@@ -1,5 +1,6 @@
 """End-to-end CLI runs: exit codes, artifacts, determinism, env overrides."""
 
+import itertools
 import json
 import os
 import subprocess
@@ -364,13 +365,16 @@ def test_verify_all_counts_and_measured(tmp_path):
 # study pipeline
 
 
-def _log_calls(monkeypatch, owner, name):
-    """Wrap owner.name wherever the package binds it; return the list of call arguments."""
+def _log_calls(monkeypatch, owner, name, with_kwargs=False):
+    """Wrap owner.name wherever the package binds it; return the list of call arguments.
+
+    Each entry is the positional arguments, or (args, kwargs) with with_kwargs.
+    """
     calls = []
     real = getattr(owner, name)
 
     def logging(*args, **kwargs):
-        calls.append(args)
+        calls.append((args, kwargs) if with_kwargs else args)
         return real(*args, **kwargs)
 
     for module in (cli, geodesic, ma_fiber, verify):
@@ -420,17 +424,40 @@ def test_study_solves_each_config_object_once(tmp_path, monkeypatch):
 def test_largest_space_time_systems_are_solved_first(tmp_path, monkeypatch, argv):
     """On the run's grid the n_time-64 and n_time-32 solves all precede the first n_time-16 one.
 
-    First the n_time-64 boundary ladder (4 rungs) and the curvature geodesic,
-    then the n_time-32 ladder; the 18 calls are those of the lazy order.  The
-    curvature check's coarser-grid levels stay lazy, last in the run.
+    First the curvature geodesic (n_time 64, cold), then the n_time-32
+    boundary ladder (4 rungs), then the n_time-64 one, each rung started
+    from a prolonged n_time-32 rung; the 18 calls are those of the lazy
+    order.  The curvature check's coarser-grid levels stay lazy, last in
+    the run.
     """
-    solves = _log_calls(monkeypatch, geodesic, "solve_eps_geodesic")
+    solves = _log_calls(monkeypatch, geodesic, "solve_eps_geodesic", with_kwargs=True)
     cfg = _study_config(tmp_path, [0.1, 0.01, 0.001], time={"n_time": 16})
     assert main([*argv, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
     assert len(solves) == 18
-    n_times = [problem.n_time for (problem,) in solves if problem.bg.grid.n_points == 64]
-    assert n_times[: n_times.index(16)] == [64] * 5 + [32] * 4
-    assert set(n_times[n_times.index(16):]) == {16}
+    on_grid = [(problem.n_time, kwargs.get("path0") is not None)
+               for (problem,), kwargs in solves if problem.bg.grid.n_points == 64]
+    n_times = [nt for nt, _ in on_grid]
+    first = n_times.index(16)
+    assert n_times[:first] == [64] + [32] * 4 + [64] * 4
+    assert on_grid[0] == (64, False) and all(started for _, started in on_grid[5:first])
+    assert set(n_times[first:]) == {16}
+
+
+def test_fine_boundary_ladder_factors_once_per_rung(tmp_path, monkeypatch):
+    """verify's n_time-64 boundary ladder, started from the n_time-32 one, makes one LU per rung.
+
+    Along eps alone its 4 rungs took 3, 3, 3 and 2.  The factorizations come
+    in size blocks: the cold curvature geodesic (n_time 64), the n_time-32
+    ladder, the n_time-64 ladder, then only smaller systems.
+    """
+    lus = _log_calls(monkeypatch, geodesic, "splu")
+    cfg = _write_config(tmp_path)
+    assert main(["verify", "--suite", "convexity", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    fine, coarse = 63 * 64, 31 * 64
+    blocks = [(size, len(list(run))) for size, run in itertools.groupby(matrix.shape[0] for (matrix,) in lus)]
+    assert [size for size, _ in blocks[:3]] == [fine, coarse, fine]
+    assert blocks[2] == (fine, 4)
+    assert all(size < coarse for size, _ in blocks[3:])
 
 
 # ---------------------------------------------------------------------------

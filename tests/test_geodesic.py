@@ -133,6 +133,34 @@ def test_dissection_order_is_a_permutation(n, n_time):
     assert np.array_equal(last % n, [[0] * (n_time - 1), [n // 2] * (n_time - 1)])
 
 
+def _recursive_dissection_order(n_int, n):
+    """The order as first written: one recursive call per box, each box at its position."""
+    parts = []
+
+    def box(r0, r1, c0, c1):
+        if min(r1 - r0, c1 - c0) < 3:
+            parts.append((np.arange(r0, r1)[:, None] * n + np.arange(c0, c1)).ravel())
+        elif c1 - c0 >= r1 - r0:
+            mid = (c0 + c1) // 2
+            for args in ((r0, r1, c0, mid), (r0, r1, mid + 1, c1), (r0, r1, mid, mid + 1)):
+                box(*args)
+        else:
+            mid = (r0 + r1) // 2
+            for args in ((r0, mid, c0, c1), (mid + 1, r1, c0, c1), (mid, mid + 1, c0, c1)):
+                box(*args)
+
+    half = n // 2
+    for c0, c1 in ((1, half), (half + 1, n), (0, 1), (half, half + 1)):
+        box(0, n_int, c0, c1)
+    return np.concatenate(parts)
+
+
+@pytest.mark.parametrize("n, n_time", [(256, 64), (256, 32), (256, 16), (64, 16), (128, 32), (512, 32), (8, 8)])
+def test_dissection_order_equals_the_recursive_reference(n, n_time):
+    """Boxes memoized by shape give the same order as recursing box by box."""
+    assert np.array_equal(geodesic._dissection_order(n_time - 1, n), _recursive_dissection_order(n_time - 1, n))
+
+
 def _first_newton_system(monkeypatch, n, n_time):
     """The first Newton step of a curved 0.05-amplitude solve: the permuted
     matrix it factors, that matrix in natural order, the right-hand side in
@@ -270,6 +298,42 @@ def test_weak_geodesic_record_and_bound(small_bg):
     assert np.array_equal(path.values, rungs[-1].path.values)
     det = reduced_hessian(small_bg, path).det()
     assert np.max(np.abs(det)) <= 1e-3 * np.max(small_bg.w) + 1e-10
+
+
+def test_prolong_in_s_reproduces_cubics_and_keeps_the_coarse_rows():
+    """Cubics in s come out exactly (dyadic nodes and weights leave no round-off); coarse rows stay bit for bit."""
+    s_coarse = np.arange(9)[:, None] / 8.0
+    s_fine = np.arange(17)[:, None] / 16.0
+    coefs = np.array([[3.0, -1.0, 0.0, 5.0], [-2.0, 7.0, 4.0, 1.0], [0.0, 0.0, -6.0, 2.0]]).T  # one cubic per column
+
+    def cubic(s):
+        return sum(coefs[p][None, :] * s**p for p in range(4))
+
+    assert np.array_equal(geodesic.prolong_in_s(cubic(s_coarse)), cubic(s_fine))
+
+    rough = np.random.default_rng(0).standard_normal((9, 5))
+    fine = geodesic.prolong_in_s(rough)
+    assert fine.shape == (17, 5) and np.array_equal(fine[::2], rough)
+    with pytest.raises(ValueError, match="at least 4 time rows"):
+        geodesic.prolong_in_s(rough[:3])
+
+
+@pytest.mark.parametrize("a", [0.05, 0.3])
+def test_prolonged_fine_ladder_agrees_with_the_eps_warm_one(a):
+    """Started from the n_time-32 rungs, the n_time-64 weak path is the eps-warm one to 1e-12.
+
+    1e-12 is the absolute bound of tools/compare_artifacts.py on solved
+    fields; a = 0.05 is the canonical endpoint, on the canonical grid.
+    """
+    bg = make_background(SpatialGrid(256))
+    e0, e1 = np.zeros(256), fourier_field(bg.grid, [(1, a / (2.0 * np.pi) ** 2, 0.0)])
+    ladder = (1e-1, 1e-2, 1e-3, 1e-4)
+    coarse = eps_continuation(bg, e0, e1, ladder, 32)
+    prolonged = weak_geodesic(bg, e0, e1, ladder, n_time=64, coarse=coarse)
+    warm = weak_geodesic(bg, e0, e1, ladder, n_time=64)
+    assert np.max(np.abs(prolonged.values - warm.values)) <= 1e-12
+    with pytest.raises(ValueError, match="same ladder at n_time 32"):
+        eps_continuation(bg, e0, e1, ladder[:3], 64, coarse=coarse)
 
 
 def test_weak_geodesic_input_validation(small_bg):

@@ -246,17 +246,23 @@ def test_boundary_refinement_validation(small_bg):
 
 
 def test_boundary_refinement_on_cached_paths_equals_direct_solves(small_bg):
-    """SuiteData's boundary paths give the check the margin and rows of fresh weak_geodesic solves."""
+    """SuiteData's boundary paths give the check the margin and rows of a direct replay of its solve.
+
+    The replay is the same two-level solve: the n_time-32 ladder along eps,
+    then the n_time-64 ladder started from its prolonged rungs.
+    """
     grid = small_bg.grid
     endpoint_0 = np.zeros(grid.n_points)
     endpoint_1 = fourier_field(grid, [(1, 0.05 / (2.0 * np.pi) ** 2, 0.0)])
     data = SuiteData(bg=small_bg, endpoint_0=endpoint_0, endpoint_1=endpoint_1, n_time=8)
-    cached = boundary_continuity_refinement(small_bg, [data.boundary_path(nt) for nt in BOUNDARY_N_TIMES])
-    assert all(data.boundary_path(nt) is data.boundary_path(nt) for nt in BOUNDARY_N_TIMES)  # cached
+    cached = boundary_continuity_refinement(small_bg, data.boundary_paths)
+    assert data.boundary_paths is data.boundary_paths  # cached
 
+    coarse_n_time, fine_n_time = BOUNDARY_N_TIMES
+    coarse = geodesic.eps_continuation(small_bg, endpoint_0, endpoint_1, WEAK_EPSILONS, coarse_n_time)
     direct = [
-        geodesic.weak_geodesic(small_bg, endpoint_0, endpoint_1, WEAK_EPSILONS, n_time=nt)
-        for nt in BOUNDARY_N_TIMES
+        geodesic.weak_limit(small_bg, coarse),
+        geodesic.weak_geodesic(small_bg, endpoint_0, endpoint_1, WEAK_EPSILONS, n_time=fine_n_time, coarse=coarse),
     ]
     rows = []
     for nt, path in zip(BOUNDARY_N_TIMES, direct):
