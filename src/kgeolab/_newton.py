@@ -8,6 +8,16 @@ norms, halving and convergence are per row: a row at or below tol is frozen.
 The rows still iterating share each callback call, so a caller can solve
 one batched linear system per step; a batch of one row does the
 arithmetic of the plain loop.
+
+A Newton step may come with a reusable solve, the factored Jacobian of its
+iterate.  The next iterate then first tries a chord step with it (Kelley,
+Solving Nonlinear Equations with Newton's Method, SIAM 2003): one full
+step, kept only if it stays admissible and cuts the residual by
+CHORD_CONTRACTION; otherwise the factorization is dropped and a fresh
+Newton step with line search is taken at the same iterate, so every failure
+comes from a fresh step.  A row that reaches tol goes on with chord steps
+while each at least halves its residual, at most POLISH_STEPS of them,
+which brings it to the round-off floor wherever it started.
 """
 
 from __future__ import annotations
@@ -18,14 +28,29 @@ import numpy as np
 
 from .errors import NoConvergence, PositivityLoss
 
+#: a chord step before tol is kept only if it cuts the residual sup at least tenfold.
+#: Newton from a near iterate contracts quadratically, a chord step only linearly, at a
+#: rate set by how far the Jacobian moved since it was factored: a tenfold cut keeps the
+#: chord steps to about one per digit still missing, and past that a fresh LU gains more.
+CHORD_CONTRACTION = 0.1
+#: chord steps a row at tol takes while each at least halves its residual; from a
+#: residual near tol the contraction reaches the floor of a double-precision stencil in two
+#: or three, and a step that no longer halves the residual is round-off
+POLISH_STEPS = 3
+
 
 @dataclass
 class NewtonRecord:
-    """Per-row Newton steps and sup-norm histories (start included); halvings of all rows."""
+    """Per-row steps and sup-norm histories (start included); halvings and factorizations of all rows.
+
+    A row's steps count Newton and chord steps alike; factorizations counts
+    the newton_step calls, each over the rows it was given.
+    """
 
     row_iterations: np.ndarray
     residual_sups: list
     halvings: int = 0
+    factorizations: int = 0
 
     @property
     def iterations(self) -> int:  # summed over the rows
@@ -46,11 +71,15 @@ def damped_newton(
     The callbacks get the stack x of the rows still iterating and their
     batch indices ``rows``: ``residual(x, rows)``, ``newton_step(x, r, rows)``
     (the full updates, J(x) step = -r row by row) and ``accept(x, rows)``
-    (one flag per row, gating trial iterates).  A row whose every damping
-    level accept rejects fails with PositivityLoss; a row out of halvings or
-    iterations fails with NoConvergence, carrying its residual_sup and
-    iterations.  The other rows still finish; then the error of the lowest
-    failing row is raised, with its batch index in ``row``.
+    (one flag per row, gating trial iterates).  newton_step may instead
+    return ``(step, solve)``, where ``solve(r, rows)`` applies the same
+    factored Jacobians to the residuals r of any of those rows; the driver
+    keeps one such solve at a time, for chord steps.  A row whose every
+    damping level accept rejects fails with PositivityLoss; a row out of
+    halvings or iterations fails with NoConvergence, carrying its
+    residual_sup and iterations.  The other rows still finish; then the
+    error of the lowest failing row is raised, with its batch index in
+    ``row``.
     """
     x = np.array(x0, dtype=float)
     active = np.arange(len(x))
@@ -62,9 +91,31 @@ def damped_newton(
     r_sup = np.max(np.abs(r), axis=1)
     rec = NewtonRecord(np.zeros(len(x), dtype=int), [[float(s)] for s in r_sup])
     failed = {}
+    solve, solve_rows = None, active[:0]  # the one factorization kept, and the rows it was built for
 
     def unconverged(b, message):
         return NoConvergence(message, residual_sup=float(r_sup[b]), iterations=int(rec.row_iterations[b]))
+
+    def took_step(rows):
+        rec.row_iterations[rows] += 1
+        for b in rows:
+            rec.residual_sups[b].append(float(r_sup[b]))
+
+    def chord(rows, factor):
+        """One full chord step on rows; kept where admissible with residual below factor times the old."""
+        if not rows.size:
+            return rows
+        trial = x[rows] + solve(r[rows], rows)
+        ok = np.ones(len(rows), dtype=bool) if accept is None else accept(trial, rows)
+        trial, won = trial[ok], rows[ok]
+        if won.size:
+            trial_r = residual(trial, won)
+            trial_sup = np.max(np.abs(trial_r), axis=1)
+            better = trial_sup < factor * r_sup[won]
+            won = won[better]
+            x[won], r[won], r_sup[won] = trial[better], trial_r[better], trial_sup[better]
+            took_step(won)
+        return won
 
     active = active[r_sup > tol]
     while active.size:
@@ -74,40 +125,49 @@ def damped_newton(
         active = active[~spent]
         if not active.size:
             break
-        step = None  # release the last step before the factorization, the peak of a step
-        every = slice(None) if len(active) == len(x) else active  # a view, not a copy, when it can
-        step = newton_step(x[every], r[every], active)
-        t = np.ones(len(active))
-        pending = np.arange(len(active))  # positions in active still without a step
-        cone_ok = np.zeros(len(active), dtype=bool)
-        for _ in range(max_halvings + 1):
-            rows = active[pending]
-            trial = x[rows] + t[pending, None] * step[pending]
-            ok = np.ones(len(rows), dtype=bool) if accept is None else accept(trial, rows)
-            cone_ok[pending[ok]] = True
-            trial, rows = trial[ok], rows[ok]
-            if rows.size:
-                trial_r = residual(trial, rows)
-                trial_sup = np.max(np.abs(trial_r), axis=1)
-                better = trial_sup < r_sup[rows]
-                won = rows[better]
-                x[won], r[won], r_sup[won] = trial[better], trial_r[better], trial_sup[better]
-                pending = np.delete(pending, np.flatnonzero(ok)[better])
-            if not pending.size:
-                break
-            t[pending] *= 0.5
-            rec.halvings += len(pending)
-        for b, admissible in zip(active[pending], cone_ok[pending]):
-            at = f"residual {r_sup[b]:.3e}"
-            failed[b] = (
-                unconverged(b, f"damping stalled at {at}") if admissible
-                else PositivityLoss(f"no damping level kept the iterate admissible ({at})")
-            )
-        stepped = np.delete(active, pending)
-        rec.row_iterations[stepped] += 1
-        for b in stepped:
-            rec.residual_sups[b].append(float(r_sup[b]))
-        active = stepped[r_sup[stepped] > tol]
+        chorded = chord(active[np.isin(active, solve_rows)], CHORD_CONTRACTION)
+        fresh = active[~np.isin(active, chorded)]
+        stepped = fresh[:0]
+        if fresh.size:
+            solve, solve_rows, step = None, fresh[:0], None  # release the last LU and step before the next
+            every = slice(None) if len(fresh) == len(x) else fresh  # a view, not a copy, when it can
+            step = newton_step(x[every], r[every], fresh)
+            if isinstance(step, tuple):
+                (step, solve), solve_rows = step, fresh
+            rec.factorizations += 1
+            t = np.ones(len(fresh))
+            pending = np.arange(len(fresh))  # positions in fresh still without a step
+            cone_ok = np.zeros(len(fresh), dtype=bool)
+            for _ in range(max_halvings + 1):
+                rows = fresh[pending]
+                trial = x[rows] + t[pending, None] * step[pending]
+                ok = np.ones(len(rows), dtype=bool) if accept is None else accept(trial, rows)
+                cone_ok[pending[ok]] = True
+                trial, rows = trial[ok], rows[ok]
+                if rows.size:
+                    trial_r = residual(trial, rows)
+                    trial_sup = np.max(np.abs(trial_r), axis=1)
+                    better = trial_sup < r_sup[rows]
+                    won = rows[better]
+                    x[won], r[won], r_sup[won] = trial[better], trial_r[better], trial_sup[better]
+                    pending = np.delete(pending, np.flatnonzero(ok)[better])
+                if not pending.size:
+                    break
+                t[pending] *= 0.5
+                rec.halvings += len(pending)
+            for b, admissible in zip(fresh[pending], cone_ok[pending]):
+                at = f"residual {r_sup[b]:.3e}"
+                failed[b] = (
+                    unconverged(b, f"damping stalled at {at}") if admissible
+                    else PositivityLoss(f"no damping level kept the iterate admissible ({at})")
+                )
+            stepped = np.delete(fresh, pending)
+            took_step(stepped)
+        moved = np.union1d(chorded, stepped)
+        polishing = moved[(r_sup[moved] <= tol) & np.isin(moved, solve_rows)]
+        for _ in range(POLISH_STEPS):
+            polishing = chord(polishing, 0.5)  # kept while it at least halves the residual
+        active = moved[r_sup[moved] > tol]
     if failed:
         b = min(failed)
         raise failed[b].at_row(b)

@@ -44,7 +44,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._newton import damped_newton
+from ._newton import NewtonRecord, damped_newton
 from .errors import (
     FamilyMismatch,
     KGeoError,
@@ -103,13 +103,17 @@ class EpsGeodesicProblem:
 
 @dataclass(frozen=True, eq=False)
 class EpsGeodesic:
-    """Solved path with its residual certificate and cone margins."""
+    """Solved path with its residual certificate, cone margins and Newton record."""
 
     path: PathField
     residual_sup: float
     positivity_margin: float
-    newton_iters: int
+    record: NewtonRecord
     epsilon: float
+
+    @property
+    def newton_iters(self) -> int:  # Newton and chord steps
+        return self.record.iterations
 
 
 def initial_guess(problem: EpsGeodesicProblem) -> np.ndarray:
@@ -219,6 +223,31 @@ def _jacobian_pattern(n: int, n_time: int) -> tuple:
     return out
 
 
+def _stencil_parts(bg: Background, p: np.ndarray) -> tuple:
+    """w + Phi_xx, Phi_ss and Phi_xs on the interior rows of the path values p, as Newton assembles them."""
+    h = bg.grid.spacing
+    ds = 1.0 / (p.shape[0] - 1)
+    inv_h2 = 1.0 / (h * h)
+    inv_ds2 = 1.0 / (ds * ds)
+    m_xx = bg.w[None, :] + (
+        (np.roll(p, -1, axis=1) - p) - (p - np.roll(p, 1, axis=1))
+    )[1:-1, :] * inv_h2
+    phi_ss = ((p[2:, :] - p[1:-1, :]) - (p[1:-1, :] - p[:-2, :])) * inv_ds2
+    phi_xs = (
+        np.roll(p[2:, :], -1, axis=1)
+        - np.roll(p[2:, :], 1, axis=1)
+        - np.roll(p[:-2, :], -1, axis=1)
+        + np.roll(p[:-2, :], 1, axis=1)
+    ) / (4.0 * h * ds)
+    return m_xx, phi_ss, phi_xs
+
+
+def _in_cone(parts) -> bool:
+    """The cone the solver keeps its iterates in: w + Phi_xx > 0 and Phi_ss > 0 on every interior node."""
+    m_xx, phi_ss, _ = parts
+    return float(np.min(m_xx)) > 0.0 and float(np.min(phi_ss)) > 0.0
+
+
 def solve_eps_geodesic(
     problem: EpsGeodesicProblem,
     tol: float = 1e-10,
@@ -244,24 +273,11 @@ def solve_eps_geodesic(
     def full_path(x):
         return np.vstack([e0[None, :], x.reshape(n_int, n), e1[None, :]])
 
-    def parts(p):
-        m_xx = w[None, :] + (
-            (np.roll(p, -1, axis=1) - p) - (p - np.roll(p, 1, axis=1))
-        )[1:-1, :] * inv_h2
-        phi_ss = ((p[2:, :] - p[1:-1, :]) - (p[1:-1, :] - p[:-2, :])) * inv_ds2
-        phi_xs = (
-            np.roll(p[2:, :], -1, axis=1)
-            - np.roll(p[2:, :], 1, axis=1)
-            - np.roll(p[:-2, :], -1, axis=1)
-            + np.roll(p[:-2, :], 1, axis=1)
-        ) / (4.0 * h * ds)
-        return m_xx, phi_ss, phi_xs
-
     last = [None, None]  # accept, residual and the next newton_step read one iterate
 
     def parts_of(x):  # x is a batch of one row, shape (1, n_int * n)
         if not np.array_equal(last[0], x):
-            last[:] = [x.copy(), parts(full_path(x))]
+            last[:] = [x.copy(), _stencil_parts(bg, full_path(x))]
         return last[1]
 
     def residual(x, rows):
@@ -269,8 +285,7 @@ def solve_eps_geodesic(
         return (m_xx * phi_ss - phi_xs * phi_xs - problem.epsilon * w[None, :]).reshape(1, -1)
 
     def accept(x, rows):
-        m_xx, phi_ss, _ = parts_of(x)
-        return np.array([float(np.min(m_xx)) > 0.0 and float(np.min(phi_ss)) > 0.0])
+        return np.array([_in_cone(parts_of(x))])
 
     indices, indptr, gather, perm = _jacobian_pattern(n, nt)
 
@@ -286,12 +301,17 @@ def solve_eps_geodesic(
             q,  # (+1, -1) and (-1, +1)
         ])
         jac = scipy.sparse.csc_matrix((coefs.ravel()[gather], indices, indptr), shape=(n_int * n, n_int * n))
-        step = np.empty_like(r)
         try:
-            step[0, perm] = splu(jac, **LU_OPTIONS).solve(-r[0, perm])
+            lu = splu(jac, **LU_OPTIONS)
         except RuntimeError as exc:
             raise SingularSystem(f"space-time Jacobian factorization failed: {exc}") from exc
-        return step
+
+        def solve(r, rows):  # the driver's chord steps reuse this LU at later iterates
+            step = np.empty_like(r)
+            step[0, perm] = lu.solve(-r[0, perm])
+            return step
+
+        return solve(r, rows), solve
 
     try:
         start = initial_guess(problem) if path0 is None else np.asarray(path0, dtype=float)
@@ -313,7 +333,7 @@ def solve_eps_geodesic(
             path=path,
             residual_sup=cert_sup,
             positivity_margin=margin,
-            newton_iters=rec.iterations,
+            record=rec,
             epsilon=problem.epsilon,
         )
     except KGeoError as exc:  # keep the exception object (and its attributes); prefix the context
@@ -348,12 +368,16 @@ def eps_continuation(
 ) -> list:
     """Solve the eps-geodesic at every eps of the ladder, in order.
 
-    Each rung starts Newton from the solution of the rung before it (the
-    first from the affine guess); the leading rungs already in solved (same
-    endpoints, n_time and tol) are kept.  With coarse, the rungs of the same
-    ladder solved at n_time / 2, rung k instead starts from prolong_in_s of
-    coarse[k]: a transferred solution of the neighbouring grid needs about
-    one Newton step (mesh independence).  Returns one EpsGeodesic per rung.
+    The first rung starts Newton from the affine guess, the second from the
+    first rung, and every later one from the secant extrapolation in eps of
+    the two rungs before it (the predictor of Allgower & Georg, Numerical
+    Continuation Methods, 1990: the rungs are close to linear in eps), or
+    from the rung before it where that start leaves the cone.  The leading
+    rungs already in solved (same endpoints, n_time and tol) are kept.  With
+    coarse, the rungs of the same ladder solved at n_time / 2, rung k
+    instead starts from prolong_in_s of coarse[k]: a transferred solution of
+    the neighbouring grid needs about one Newton step (mesh independence).
+    Returns one EpsGeodesic per rung.
     """
     if coarse and [(r.epsilon, 2 * r.path.n_time) for r in coarse] != [(float(e), n_time) for e in epsilons]:
         raise ValueError(f"coarse rungs must solve the same ladder at n_time {n_time // 2}")
@@ -362,10 +386,19 @@ def eps_continuation(
         problem = EpsGeodesicProblem(bg, endpoint_0, endpoint_1, float(epsilons[k]), n_time)
         if coarse:
             path0 = prolong_in_s(coarse[k].path.values)
+        elif len(rungs) >= 2:
+            path0 = _secant_start(bg, rungs[-2], rungs[-1], problem.epsilon)
         else:
             path0 = rungs[-1].path.values if rungs else None
         rungs.append(solve_eps_geodesic(problem, tol=tol, path0=path0))
     return rungs
+
+
+def _secant_start(bg: Background, a: EpsGeodesic, b: EpsGeodesic, epsilon: float) -> np.ndarray:
+    """The secant extrapolation in eps of rungs a and b to epsilon, or b's path where it leaves the cone."""
+    theta = (epsilon - b.epsilon) / (b.epsilon - a.epsilon)
+    guess = b.path.values + theta * (b.path.values - a.path.values)
+    return guess if _in_cone(_stencil_parts(bg, guess)) else b.path.values
 
 
 def rung_increments(rungs) -> list:

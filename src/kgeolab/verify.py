@@ -902,13 +902,7 @@ def control_curvature(bg: Background, eg: EpsGeodesic, levels=None) -> PropertyR
 def control_residual_c(bg: Background, eg: EpsGeodesic) -> PropertyResult:
     rng = np.random.default_rng(0)
     noisy = eg.path.values + 1e-3 * rng.standard_normal(eg.path.values.shape)
-    fake = EpsGeodesic(
-        path=PathField(bg.grid, noisy),
-        residual_sup=eg.residual_sup,
-        positivity_margin=eg.positivity_margin,
-        newton_iters=eg.newton_iters,
-        epsilon=eg.epsilon,
-    )
+    fake = replace(eg, path=PathField(bg.grid, noisy))
     return _as_control("control:eps_geodesic_residual_c", eps_geodesic_residual_c(bg, fake))
 
 

@@ -460,6 +460,34 @@ def test_fine_boundary_ladder_factors_once_per_rung(tmp_path, monkeypatch):
     assert all(size < coarse for size, _ in blocks[3:])
 
 
+@pytest.mark.parametrize("argv, extra, lus", [
+    (["geodesic"], {"epsilons": [0.1, 10.0**-1.5, 0.01, 10.0**-2.5, 0.001]}, 6),
+    (["verify", "--suite", "convexity"], {}, 19),
+])
+def test_geodesic_lu_counts(tmp_path, monkeypatch, argv, extra, lus):
+    """The LUs of a run, read from the solves' Newton records, which count every splu call.
+
+    Each LU serves chord steps at later iterates, and rungs from the third
+    on start from the secant in eps.  A fresh LU per Newton step from the
+    rung before made 14 and 37.
+    """
+    factored = []
+    real = geodesic.solve_eps_geodesic
+
+    def recording(*args, **kwargs):
+        sol = real(*args, **kwargs)
+        factored.append(sol.record.factorizations)
+        return sol
+
+    for module in (cli, geodesic, verify):
+        if getattr(module, "solve_eps_geodesic", None) is real:
+            monkeypatch.setattr(module, "solve_eps_geodesic", recording)
+    splu_calls = _log_calls(monkeypatch, geodesic, "splu")
+    cfg = _write_config(tmp_path, **extra)
+    assert main([*argv, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert sum(factored) == len(splu_calls) == lus
+
+
 # ---------------------------------------------------------------------------
 # output directory resolution
 

@@ -336,6 +336,62 @@ def test_prolonged_fine_ladder_agrees_with_the_eps_warm_one(a):
         eps_continuation(bg, e0, e1, ladder[:3], 64, coarse=coarse)
 
 
+def test_cold_and_warm_solves_agree_to_round_off(bg, endpoint_0, endpoint_1, eps_geo):
+    """The curvature problem (eps = 1e-2, n_time 64, canonical endpoints), cold and warm from
+    eps = 0.1: both are polished to the round-off floor, so the start no longer shows (7.9e-13
+    when Newton stopped at the first iterate under tol)."""
+    warm = eps_continuation(bg, endpoint_0, endpoint_1, (1e-1, 1e-2), 64)[-1]
+    assert np.max(np.abs(warm.path.values - eps_geo.path.values)) <= 1e-15
+    for sol in (eps_geo, warm):
+        rec = sol.record
+        assert abs(rec.residual_sups[0][-1] - sol.residual_sup) <= 1e-12
+        assert sol.residual_sup <= 1e-14 and rec.halvings == 0
+        assert 1 <= rec.factorizations < rec.iterations == sol.newton_iters
+
+
+def _logged_starts(monkeypatch):
+    """Wrap solve_eps_geodesic; return the list of the path0 arguments it gets."""
+    starts = []
+    real = geodesic.solve_eps_geodesic
+
+    def logging(problem, tol=1e-10, max_iter=60, path0=None):
+        starts.append(path0)
+        return real(problem, tol=tol, max_iter=max_iter, path0=path0)
+
+    monkeypatch.setattr(geodesic, "solve_eps_geodesic", logging)
+    return starts
+
+
+@pytest.mark.parametrize("ladder, secant", [((1e-1, 1e-2, 1e-4), True), ((1e-1, 5e-2, 1e-4), False)])
+def test_secant_start_or_the_last_rung(small_bg, monkeypatch, ladder, secant):
+    """Rung 3 starts from the secant extrapolation in eps of rungs 1 and 2.  The jump from 5e-2
+    to 1e-4, twice the step before it, extrapolates out of the cone (Phi_ss < 0 at some node),
+    and the rung starts from rung 2 instead."""
+    e0, e1 = _endpoints(small_bg.grid)
+    starts = _logged_starts(monkeypatch)
+    rungs = geodesic.eps_continuation(small_bg, e0, e1, ladder, 8)
+    a, b = (r.path.values for r in rungs[:2])
+    assert starts[0] is None and starts[1] is a
+    extrapolated = b + (ladder[2] - ladder[1]) / (ladder[1] - ladder[0]) * (b - a)
+    phi_ss = extrapolated[2:] - 2.0 * extrapolated[1:-1] + extrapolated[:-2]
+    assert bool(np.min(phi_ss) > 0.0) == secant
+    if secant:
+        assert np.array_equal(starts[2], extrapolated)
+    else:
+        assert starts[2] is b
+    assert rungs[2].residual_sup <= 1e-10
+
+
+def test_ladder_rungs_agree_with_cold_solves(small_bg):
+    """Every rung of a half-decade ladder, started from the secant or the rung before it, is
+    its cold solve to 1e-14 (up to 2.4e-12 when Newton stopped at the first iterate under tol)."""
+    e0, e1 = _endpoints(small_bg.grid)
+    ladder = (1e-1, 10.0**-1.5, 1e-2, 10.0**-2.5, 1e-3, 1e-4)
+    for rung in eps_continuation(small_bg, e0, e1, ladder, 8):
+        cold = solve_eps_geodesic(EpsGeodesicProblem(small_bg, e0, e1, rung.epsilon, 8))
+        assert np.max(np.abs(rung.path.values - cold.path.values)) <= 1e-14
+
+
 def test_weak_geodesic_input_validation(small_bg):
     e0, e1 = _endpoints(small_bg.grid)
     with pytest.raises(ValueError, match="at least 3"):

@@ -141,3 +141,113 @@ def test_batch_of_one_matches_the_unbatched_loop():
     assert np.array_equal(x[0], ref_x)
     assert rec.residual_sups == [ref_sups]
     assert rec.iterations == len(ref_sups) - 1
+
+
+# ---------------------------------------------------------------------------
+# chord steps on a reused factorization
+
+
+def _chord_rows(centres, solve_at, log):
+    """Row b solves arctan(x - c[b]) = 0 with Newton steps that also return a solve.
+
+    solve_at(r) is the step the solve gives for residuals r; log gets each
+    iterate that newton_step factors at and "chord" for each solve call.
+    """
+    residual, plain_step = _arctan_rows(centres)
+
+    def newton_step(x, r, rows):
+        log.append(x.copy())
+        return plain_step(x, r, rows), lambda r, rows: (log.append("chord"), solve_at(r))[1]
+
+    return residual, newton_step
+
+
+def test_chord_steps_save_factorizations_and_polish_to_the_floor():
+    """With the derivative of the factorization's iterate, chord steps replace most fresh
+    steps and polish both rows below tol, to the round-off floor."""
+    centres = [0.5, 1.5]
+    c = np.repeat(np.asarray(centres)[:, None], 3, axis=1)
+    residual, plain_step = _arctan_rows(centres)
+
+    def newton_step(x, r, rows):
+        d = dict(zip(rows.tolist(), 1.0 + (x - c[rows]) ** 2))
+        return plain_step(x, r, rows), lambda r, rows: -r * np.array([d[b] for b in rows.tolist()])
+
+    x, rec = damped_newton(np.zeros((2, 3)), residual, newton_step, tol=1e-10)
+    _, plain = damped_newton(np.zeros((2, 3)), residual, plain_step, tol=1e-10)
+    assert 0 < rec.factorizations < plain.factorizations
+    assert rec.iterations > rec.factorizations + 2  # chord steps count as steps
+    assert max(sups[-1] for sups in rec.residual_sups) <= 1e-15 < max(sups[-1] for sups in plain.residual_sups)
+    assert np.max(np.abs(x - c)) <= 1e-15
+
+
+@pytest.mark.parametrize("bad", ["contraction", "accept"])
+def test_rejected_chord_step_is_replaced_by_a_fresh_factorization_at_the_same_iterate(bad):
+    """Every chord step here fails: 0.3 of the Newton step cuts the residual by about 0.7, not
+    0.1, and a Newton step that lands 2e-3 past the root leaves the acceptance region x < c + 1e-3.
+    Each is followed by a factorization at the iterate it started from, and the run is the one
+    without reuse, bit for bit."""
+    centres = [0.5, 1.5]
+    c = np.repeat(np.asarray(centres)[:, None], 3, axis=1)
+    newton_at = lambda r: -r * (1.0 + np.tan(r) ** 2)  # the Newton step at x = c + tan(r)
+    solve_at = (lambda r: 0.3 * newton_at(r)) if bad == "contraction" else (lambda r: newton_at(r) + 2e-3)
+    accept = lambda x, rows: np.max(x - c[rows], axis=1) < 1e-3
+    log, plain_log = [], []
+    residual, newton_step = _chord_rows(centres, solve_at, log)
+    _, counting_step = _chord_rows(centres, solve_at, plain_log)
+    x, rec = damped_newton(np.zeros((2, 3)), residual, newton_step, accept=accept, tol=1e-12)
+    plain_x, plain = damped_newton(
+        np.zeros((2, 3)), residual, lambda *a: counting_step(*a)[0], accept=accept, tol=1e-12
+    )
+    factored = [entry for entry in log if not isinstance(entry, str)]
+    assert [isinstance(entry, str) for entry in log][:4] == [False, True, False, True]
+    assert len(factored) == len(plain_log) == rec.factorizations == plain.factorizations
+    assert all(np.array_equal(a, b) for a, b in zip(factored, plain_log))
+    assert np.array_equal(x, plain_x)
+    assert rec.residual_sups == plain.residual_sups
+    if bad == "accept":  # the same chord steps pass the contraction test: accept alone rejects them
+        _, kept = damped_newton(np.zeros((2, 3)), residual, _chord_rows(centres, solve_at, [])[1], tol=1e-12)
+        assert kept.residual_sups[0][:3] != plain.residual_sups[0][:3]
+
+
+def _failing_system():
+    """Row 0 converges; row 1 stalls at residual 0.25; row 2 tends to a root outside accept."""
+    c = np.array([[0.5], [1.0], [1.0]]) * np.ones((1, 2))
+
+    def residual(x, rows):
+        r = x - c[rows]
+        return np.where((rows == 1)[:, None] & (np.abs(r) < 0.25), 0.25, r)
+
+    def accept(x, rows):
+        return (rows != 2) | (x[:, 0] < 0.5)
+
+    def plain_step(x, r, rows):
+        return -(x - c[rows])
+
+    def reusing_step(x, r, rows):
+        return plain_step(x, r, rows), lambda r, rows: -r
+
+    return residual, accept, plain_step, reusing_step
+
+
+@pytest.mark.parametrize("rows", [[0, 1, 2], [0, 2]])
+def test_failures_with_reuse_match_those_without(rows):
+    residual, accept, plain_step, reusing_step = _failing_system()
+    sub = np.array(rows)
+
+    def solve(step):
+        x0 = np.zeros((len(sub), 2))
+        return damped_newton(
+            x0, lambda x, b: residual(x, sub[b]), lambda x, r, b: step(x, r, sub[b]),
+            accept=lambda x, b: accept(x, sub[b]), tol=1e-12,
+        )
+
+    errors = []
+    for step in (plain_step, reusing_step):
+        with pytest.raises((NoConvergence, PositivityLoss)) as info:
+            solve(step)
+        errors.append(info.value)
+    plain, reused = errors
+    assert type(reused) is type(plain) and reused.row == plain.row == 1
+    assert str(reused) == str(plain)
+    assert isinstance(plain, NoConvergence if rows[1] == 1 else PositivityLoss)

@@ -195,13 +195,7 @@ def test_curvature_levels_validation(small_bg):
 
 def test_curvature_identity_requires_converged_input(small_bg):
     geo = _constant_geodesic(small_bg, 32)
-    fake = EpsGeodesic(
-        path=geo.path,
-        residual_sup=1.0,
-        positivity_margin=geo.positivity_margin,
-        newton_iters=geo.newton_iters,
-        epsilon=geo.epsilon,
-    )
+    fake = replace(geo, residual_sup=1.0)
     with pytest.raises(NotASolution, match="residual"):
         eps_curvature_identity(small_bg, fake)
 
