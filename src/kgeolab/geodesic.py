@@ -10,7 +10,11 @@ Newton with cone-preserving step halving converges from the affine guess
 (1-s) phi0 + s phi1 + (eps/2)(s^2 - s), whose s-Hessian equals eps exactly
 and whose slice densities are convex combinations of the endpoint densities.
 All interior rows are solved jointly; the Jacobian is the nine-point
-space-time stencil, factored sparse per iterate.  Its sparsity pattern, the
+space-time stencil, factored sparse at a Newton step.  The Newton driver
+reuses that LU for chord steps at later iterates while each cuts the
+residual tenfold, and polishes the solution on it to the round-off floor,
+so a solve factors about once or twice and its result does not depend on
+the start beyond round-off.  The Jacobian's sparsity pattern, the
 map from the five coefficient arrays to the CSC entries and the LU's column
 order are built once per (n_points, n_time), so an iterate only gathers its
 coefficients and permutes its right-hand side.  The order is George's nested
@@ -24,9 +28,10 @@ narrow panels lower the peak memory of a solve.  Another ordering changes
 only the last bits of the solution.
 
 weak_geodesic extracts the small-eps limit of eps_continuation, the one
-warm-started eps-ladder of the package.  A ladder solved at n_time / 2 can
-start the same ladder at n_time instead: prolong_in_s carries each coarse
-rung to the fine time grid.
+warm-started eps-ladder of the package.  From its third rung on, a rung
+starts from the secant extrapolation in eps of the two rungs before it.
+A ladder solved at n_time / 2 can start the same ladder at n_time instead:
+prolong_in_s carries each coarse rung to the fine time grid.
 legendre_oracle is the independent surrogate for the exact degenerate
 solution: with P = x^2/2 + psi + phi the admissible cone becomes discrete
 convexity of P, the degenerate flow is affine interpolation of the convex
