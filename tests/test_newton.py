@@ -232,6 +232,8 @@ def _failing_system():
 
 @pytest.mark.parametrize("rows", [[0, 1, 2], [0, 2]])
 def test_failures_with_reuse_match_those_without(rows):
+    """With a solve to reuse, the stall (rows 0-2) and the cone loss (rows 0 and 2) raise the
+    same error type and message on the same batch row as without one."""
     residual, accept, plain_step, reusing_step = _failing_system()
     sub = np.array(rows)
 
