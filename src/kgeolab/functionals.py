@@ -103,12 +103,15 @@ def _slice_density(bg: Background, u, label: str = "") -> np.ndarray:
     return np.maximum(m, 0.0)
 
 
+def _xlogy(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x log y for x >= 0, and 0 where x = 0 (scipy's xlogy, to a few ulp, without scipy.special)."""
+    return x * np.log(y, out=np.zeros_like(x), where=x > 0)
+
+
 def entropy(bg: Background, u) -> float:
     """H(u) = int f log f dmu with f = m[u]/w; nonnegative since int f dmu = 1."""
-    from scipy.special import xlogy  # imported at first use, not with the CLI
-
     m = _slice_density(bg, u)
-    return bg.integrate(xlogy(m, m / bg.w))
+    return bg.integrate(_xlogy(m, m / bg.w))
 
 
 def _truncated_log(bg: Background, f, spec: TruncationSpec) -> np.ndarray:

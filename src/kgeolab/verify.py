@@ -39,6 +39,7 @@ from .functionals import (
     _check_k_family,
     _resolve_chi,
     _truncated_log,
+    _xlogy,
     ddc_energy_check,
     delta_A,
     mabuchi,
@@ -249,10 +250,8 @@ def mollified_sequence(
 
 def density_entropy(bg: Background, f) -> float:
     """H(f) = int f log f dmu for a density f relative to mu."""
-    from scipy.special import xlogy  # imported at first use, not with the CLI
-
     f = np.asarray(f, dtype=float)
-    return bg.integrate_mu(xlogy(f, f))
+    return bg.integrate_mu(_xlogy(f, f))
 
 
 def density_truncated_entropy(bg: Background, f, spec: TruncationSpec) -> float:

@@ -40,7 +40,7 @@ def _no_tmp_leftovers(out_dir):
 
 
 def test_cli_import_leaves_slow_scipy_modules_unloaded():
-    """Importing the CLI loads neither scipy.ndimage (never imported) nor scipy.special (at first use)."""
+    """Importing the CLI loads neither scipy.ndimage nor scipy.special, which the package never imports."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = (
@@ -68,6 +68,21 @@ def test_config_loading_and_config_errors_leave_scipy_unloaded(tmp_path):
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert done.stdout.splitlines() == ["[]", "1 []"]
     assert "does not match schema" in done.stderr
+
+
+def test_study_and_verify_leave_scipy_special_unloaded(tmp_path):
+    """The entropies compute x log y with numpy: a whole study and verify never import scipy.special."""
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])}
+    cfg = _study_config(tmp_path, [0.1, 0.01, 0.001])
+    code = (
+        "import sys\n"
+        "from kgeolab.cli import main\n"
+        f"rcs = [main([cmd, '--config', {cfg!r}, '--out', {str(tmp_path / 'out')!r}]) for cmd in ('study', 'verify')]\n"
+        "print(rcs, 'scipy.sparse.linalg' in sys.modules, 'scipy.special' in sys.modules)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "[0, 0] True False"
 
 
 # ---------------------------------------------------------------------------
