@@ -64,6 +64,7 @@ from .model import (
     PathField,
     _as_field_values,
     _decreasing_ladder,
+    _periodic_pad,
     _require_central2,
     is_admissible,
     reduced_hessian,
@@ -234,16 +235,10 @@ def _stencil_parts(bg: Background, p: np.ndarray) -> tuple:
     ds = 1.0 / (p.shape[0] - 1)
     inv_h2 = 1.0 / (h * h)
     inv_ds2 = 1.0 / (ds * ds)
-    m_xx = bg.w[None, :] + (
-        (np.roll(p, -1, axis=1) - p) - (p - np.roll(p, 1, axis=1))
-    )[1:-1, :] * inv_h2
+    g = _periodic_pad(p)
+    m_xx = bg.w[None, :] + np.diff(g[1:-1], n=2, axis=1) * inv_h2
     phi_ss = ((p[2:, :] - p[1:-1, :]) - (p[1:-1, :] - p[:-2, :])) * inv_ds2
-    phi_xs = (
-        np.roll(p[2:, :], -1, axis=1)
-        - np.roll(p[2:, :], 1, axis=1)
-        - np.roll(p[:-2, :], -1, axis=1)
-        + np.roll(p[:-2, :], 1, axis=1)
-    ) / (4.0 * h * ds)
+    phi_xs = (g[2:, 2:] - g[2:, :-2] - g[:-2, 2:] + g[:-2, :-2]) / (4.0 * h * ds)
     return m_xx, phi_ss, phi_xs
 
 

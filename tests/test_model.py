@@ -77,6 +77,31 @@ def test_d1_spectral(small_grid):
     assert np.max(np.abs(got - 2.0 * np.pi * np.cos(2.0 * np.pi * x))) < 1e-9
 
 
+@pytest.mark.parametrize("n", [8, 256])
+def test_padded_stencils_equal_the_roll_formulas_bit_for_bit(n):
+    """The periodic differences built from one padded array are the np.roll formulas, bit for bit:
+    the same operands in the same order, on a field and on every row of a path."""
+    from kgeolab.geodesic import _stencil_parts
+
+    rng = np.random.default_rng(n)
+    grid = SpatialGrid(n)
+    h = grid.spacing
+    for u in (rng.standard_normal(n), rng.standard_normal((9, n))):
+        up, down = np.roll(u, -1, axis=-1), np.roll(u, 1, axis=-1)
+        assert np.array_equal(path_d2x(grid, u), ((up - u) - (u - down)) / (h * h))
+        assert np.array_equal(path_d1x(grid, u), (up - down) / (2.0 * h))
+
+    bg = make_background(grid, psi=fourier_field(grid, [(1, 0.002, 0.001)]))
+    p = rng.standard_normal((17, n))
+    ds = 1.0 / 16
+    m_xx = bg.w[None, :] + ((np.roll(p, -1, axis=1) - p) - (p - np.roll(p, 1, axis=1)))[1:-1] * (1.0 / (h * h))
+    phi_xs = (
+        np.roll(p[2:], -1, axis=1) - np.roll(p[2:], 1, axis=1) - np.roll(p[:-2], -1, axis=1) + np.roll(p[:-2], 1, axis=1)
+    ) / (4.0 * h * ds)
+    parts = _stencil_parts(bg, p)
+    assert np.array_equal(parts[0], m_xx) and np.array_equal(parts[2], phi_xs)
+
+
 def test_unknown_scheme_rejected(small_grid):
     with pytest.raises(ValueError, match="unknown scheme"):
         path_d2x(small_grid, np.zeros(64), "upwind")
