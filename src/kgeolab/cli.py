@@ -22,7 +22,7 @@ Every stage reads its solved objects from one SuiteData per invocation,
 so a ``study`` solves the config's epsilon ladder and its fiber family
 once each, with the config's ``tolerances``; the verify suites keep their
 calibrated ladders and honour only the fiber override.  ``verify`` and
-``study`` solve verify's largest systems first, everything else lazily.
+``study`` solve verify's eps-ladder chain first, everything else lazily.
 
 Environment overrides, the only two honored: KGEOLAB_OUT_DIR supplies
 the output directory when --out is absent, KGEOLAB_THREADS stands in for
@@ -264,7 +264,7 @@ def run_verify(config: ExperimentConfig, data: SuiteData, out_dir: Path, suite: 
     """
     if suite != "all" and suite not in SUITES:
         raise ConfigError(f"unknown suite {suite!r}; expected one of {sorted(SUITES)} or 'all'")
-    data.solve_largest_first(suite)
+    data.solve_chain_first(suite)
     results = run_suite(data, suite)
 
     for res in results:
@@ -307,7 +307,7 @@ def run_study(config: ExperimentConfig, data: SuiteData, out_dir: Path) -> int:
         raise ConfigError("study needs >= 3 epsilons")
     if max(config.k_list) > len(config.epsilons):
         raise ConfigError(f"k_list entries cannot exceed the number of epsilons ({len(config.epsilons)})")
-    data.solve_largest_first("all")  # verify's largest systems, before any stage
+    data.solve_chain_first("all")  # verify's eps-ladder chain, before any stage
     stages = {}
     rcs = []
 

@@ -428,18 +428,19 @@ def weak_limit(bg: Background, rungs) -> PathField:
 
 
 def weak_geodesic(
-    bg: Background, endpoint_0, endpoint_1, eps_sequence, n_time: int = 64, coarse=()
+    bg: Background, endpoint_0, endpoint_1, eps_sequence, n_time: int = 64, solved=(), coarse=()
 ) -> PathField:
     """Warm-started continuation to the smallest eps of the sequence.
 
     The sequence needs at least 3 entries; the returned path is the
-    eps-geodesic at eps_sequence[-1], checked by weak_limit.  coarse is
-    passed on to eps_continuation.
+    eps-geodesic at eps_sequence[-1], checked by weak_limit.  solved and
+    coarse are passed on to eps_continuation.
     """
     eps_sequence = _decreasing_ladder(eps_sequence, "eps_sequence")
     if len(eps_sequence) < 3:
         raise ValueError("eps_sequence needs at least 3 entries")
-    return weak_limit(bg, eps_continuation(bg, endpoint_0, endpoint_1, eps_sequence, n_time, coarse=coarse))
+    rungs = eps_continuation(bg, endpoint_0, endpoint_1, eps_sequence, n_time, solved=solved, coarse=coarse)
+    return weak_limit(bg, rungs)
 
 
 # ---------------------------------------------------------------------------

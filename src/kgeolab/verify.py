@@ -83,7 +83,8 @@ CURVATURE_KAPPA = 1.0
 KAPPA_FIT_SET = (0.25, 0.5, 1.0, 2.0, 4.0)
 
 # the suites' calibrated ladders, fixed whatever the run's config says
-WEAK_EPSILONS = (1e-1, 1e-2, 1e-3, 1e-4)  # solved at the default geodesic tolerance 1e-10
+WEAK_EPSILONS = (1e-1, 1e-2, 1e-3, 1e-4)
+WEAK_TOL = 1e-10  # the default geodesic tolerance
 # half-decade ladder 1e-1 .. 1e-3: the uniform bounds need the sweep to
 # reach the saturated regime in its first half
 FAMILY_EPSILONS = (1e-1, 10.0**-1.5, 1e-2, 10.0**-2.5, 1e-3)
@@ -97,6 +98,8 @@ CURVED_PSI_AMPLITUDE = 0.002
 EPS_A_EPSILONS = (1e-1, 1e-2, 1e-3)
 EPS_A_VALUES = (5.0, 10.0)
 BOUNDARY_N_TIMES = (32, 64)
+# the n_times of the WEAK_EPSILONS chain, coarse to fine; see SuiteData._chain
+CHAIN_N_TIMES = (16, *BOUNDARY_N_TIMES)
 
 
 # ---------------------------------------------------------------------------
@@ -984,7 +987,12 @@ class SuiteData:
     Each object is solved at most once.  The check suites read the objects
     on their calibrated ladders (the module constants above); the artifact
     stages read the ``ladder_*`` objects, solved on the run's own epsilon
-    and delta ladders.  Defaults reproduce the canonical run: flat
+    and delta ladders.  Every eps-geodesic rung goes into one cache keyed by
+    (eps prefix, n_time, tol), so a ladder that shares leading rungs with an
+    earlier one at the same n_time and tol reuses them.  The verify ladder
+    WEAK_EPSILONS is solved as one chain over CHAIN_N_TIMES (_chain), which
+    holds weak_path's ladder (when the run's n_time is 16), boundary_paths
+    and eps_geodesic.  Defaults reproduce the canonical run: flat
     background, endpoints 0 and the admissible cosine.
     """
 
@@ -998,55 +1006,67 @@ class SuiteData:
     ladder_deltas: tuple = ()
     ladder_geodesic_tol: float = 1e-10
     ladder_fiber_tol: float = 1e-11
-    _rungs: dict = field(default_factory=dict, init=False, repr=False)  # (eps prefix, tol) -> rung
+    _rungs: dict = field(default_factory=dict, init=False, repr=False)  # (eps prefix, n_time, tol) -> rung
 
     def __post_init__(self):
         self.endpoint_0 = np.asarray(self.endpoint_0, dtype=float)
         self.endpoint_1 = np.asarray(self.endpoint_1, dtype=float)
 
-    def _continuation(self, epsilons, tol: float) -> list:
-        """eps_continuation of the run's endpoints, reusing the leading rungs an
-        earlier ladder solved at the same tol (same problems, same starts)."""
-        keys = [(tuple(float(e) for e in epsilons[: k + 1]), tol) for k in range(len(epsilons))]
+    def _continuation(self, epsilons, tol: float, n_time: int | None = None, coarse=()) -> list:
+        """eps_continuation of the run's endpoints at n_time (the run's by default),
+        reusing the leading rungs an earlier ladder solved at the same n_time and tol.
+
+        A rung is reused whatever it started from: the Newton polish leaves
+        the start visible only at round-off."""
+        n_time = self.n_time if n_time is None else n_time
+        keys = [(tuple(float(e) for e in epsilons[: k + 1]), n_time, tol) for k in range(len(epsilons))]
         shared = [self._rungs[key] for key in itertools.takewhile(self._rungs.__contains__, keys)]
         rungs = eps_continuation(
-            self.bg, self.endpoint_0, self.endpoint_1, epsilons, self.n_time, tol=tol, solved=shared
+            self.bg, self.endpoint_0, self.endpoint_1, epsilons, n_time, tol=tol, solved=shared, coarse=coarse
         )
         self._rungs.update(zip(keys, rungs))
         return rungs
 
+    def _chain(self, epsilons) -> dict:
+        """The ladder epsilons at each n_time of CHAIN_N_TIMES, coarse to fine.
+
+        Along eps at n_time 16, then each rung at n_time 32 and 64 from
+        prolong_in_s of the same rung one level coarser, which takes about
+        one Newton step (mesh independence).  A rung at a coarse-started
+        level depends on its coarser rung alone, so a prefix of WEAK_EPSILONS
+        solves the same rungs as the whole ladder.  Returns n_time -> rungs."""
+        levels, coarse = {}, ()
+        for n_time in CHAIN_N_TIMES:
+            coarse = levels[n_time] = self._continuation(epsilons, WEAK_TOL, n_time, coarse=coarse)
+        return levels
+
     @cached_property
     def weak_path(self) -> PathField:
-        """Weak-geodesic limit of the suites' WEAK_EPSILONS ladder."""
-        return weak_limit(self.bg, self._continuation(WEAK_EPSILONS, 1e-10))
+        """Weak-geodesic limit of the suites' WEAK_EPSILONS ladder at the run's n_time."""
+        return weak_limit(self.bg, self._continuation(WEAK_EPSILONS, WEAK_TOL))
 
     @cached_property
     def boundary_paths(self) -> list:
-        """Weak geodesics of WEAK_EPSILONS at BOUNDARY_N_TIMES (32 and 64), not via _rungs.
+        """Weak geodesics of the chain's WEAK_EPSILONS ladders at BOUNDARY_N_TIMES (32 and 64).
 
-        The n_time-32 ladder is warm-started along eps; each n_time-64 rung
-        starts from the cubic-in-s prolongation of its n_time-32 rung and
-        takes about one Newton step.  The n_time-32 rungs are dropped once
-        the n_time-64 ladder is solved.
-        """
-        coarse_n_time, fine_n_time = BOUNDARY_N_TIMES
+        weak_geodesic certifies each limit from the chain's solved rungs."""
+        levels = self._chain(WEAK_EPSILONS)
         args = (self.bg, self.endpoint_0, self.endpoint_1, WEAK_EPSILONS)
-        coarse = eps_continuation(*args, coarse_n_time)
-        return [weak_limit(self.bg, coarse), weak_geodesic(*args, n_time=fine_n_time, coarse=coarse)]
+        return [weak_geodesic(*args, n_time=n_time, solved=levels[n_time]) for n_time in BOUNDARY_N_TIMES]
 
-    def solve_largest_first(self, suite: str) -> None:
-        """Solve the fixed-n_time objects suite reads, before any of the run's n_time.
+    def solve_chain_first(self, suite: str) -> None:
+        """Solve the part of the WEAK_EPSILONS chain that suite reads, before any stage.
 
-        The curvature geodesic (n_time 64) comes first and cold, so the
-        run's first LUs are of its largest size and run on an unfragmented
-        heap, which lowers peak memory.  Then the boundary ladders, n_time 32
-        and then 64: the n_time-64 rungs start from the n_time-32 ones,
-        which cuts their LUs from about three per rung to one.  Every other
-        object stays lazy."""
-        if suite != "entropy":  # for bounds, run_verify's measured block reads it
-            self.eps_geodesic
+        convexity and all read the whole chain (boundary_paths, which holds
+        eps_geodesic); curvature and bounds only its prefix up to
+        CURVATURE_EPSILON (eps_geodesic; for bounds, run_verify's measured
+        block reads it); entropy none of it.  Either way the levels come
+        coarse to fine, so a failing solve stops the run before its first
+        stage.  Every other object stays lazy."""
         if suite in ("all", "convexity"):
             self.boundary_paths
+        if suite != "entropy":
+            self.eps_geodesic
 
     @cached_property
     def family(self) -> FiberFamily:
@@ -1056,14 +1076,9 @@ class SuiteData:
 
     @cached_property
     def eps_geodesic(self) -> EpsGeodesic:
-        problem = EpsGeodesicProblem(
-            self.bg,
-            self.endpoint_0,
-            self.endpoint_1,
-            CURVATURE_EPSILON,
-            CURVATURE_N_TIME,
-        )
-        return solve_eps_geodesic(problem)
+        """The (CURVATURE_EPSILON, CURVATURE_N_TIME) rung of the chain, solved up to that eps only."""
+        prefix = WEAK_EPSILONS[: WEAK_EPSILONS.index(CURVATURE_EPSILON) + 1]
+        return self._chain(prefix)[CURVATURE_N_TIME][-1]
 
     @cached_property
     def levels(self) -> list:

@@ -8,6 +8,9 @@ which only re-exports.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "kgeolab"
@@ -58,3 +61,17 @@ def test_every_public_name_has_a_package_caller():
 def test_allowlist_entries_are_still_defined_and_unused():
     unused = {q.rsplit(":", 1)[-1] for q in unused_public_names()}
     assert set(ALLOWED) <= unused, f"stale allowlist entries: {sorted(set(ALLOWED) - unused)}"
+
+
+def test_benchmark_layer_hooks_install_on_the_package():
+    """perfbench/layers.py wraps package names (weak_geodesic, ma_fiber.splu, mollify_spacetime, ...)
+    by name, so renaming or deleting one breaks the traced benchmark: it must fail here too.
+
+    The hooks are installed in a fresh interpreter that writes no bytecode, so perfbench/ is
+    only read."""
+    root = SRC.parents[1]
+    path = [str(root / "perfbench"), str(root / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    code = "import layers\nlayers.install(layers.Tracer())\n"
+    done = subprocess.run([sys.executable, "-B", "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

@@ -436,55 +436,58 @@ def test_study_solves_each_config_object_once(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("argv", [["study"], ["verify", "--suite", "all"]])
-def test_largest_space_time_systems_are_solved_first(tmp_path, monkeypatch, argv):
-    """On the run's grid the n_time-64 and n_time-32 solves all precede the first n_time-16 one.
+def test_verify_chain_is_solved_first_coarse_to_fine(tmp_path, monkeypatch, argv):
+    """verify's WEAK_EPSILONS chain comes before every other solve, coarse to fine.
 
-    First the curvature geodesic (n_time 64, cold), then the n_time-32
-    boundary ladder (4 rungs), then the n_time-64 one, each rung started
-    from a prolonged n_time-32 rung; the 18 calls are those of the lazy
-    order.  The curvature check's coarser-grid levels stay lazy, last in
-    the run.
+    First n_time 16 along eps (the first rung cold), then n_time 32 and 64,
+    every rung started from a prolonged coarser rung.  With the run's
+    n_time at 16, weak_path and the config's ladder (a prefix of
+    WEAK_EPSILONS) are the chain's n_time-16 rungs, and the curvature
+    geodesic is its (1e-2, 64) rung, so 17 solves remain: the chain's 12,
+    the curved background's 3 and the curvature check's two coarser-grid
+    levels, lazy and last.
     """
     solves = _log_calls(monkeypatch, geodesic, "solve_eps_geodesic", with_kwargs=True)
     cfg = _study_config(tmp_path, [0.1, 0.01, 0.001], time={"n_time": 16})
     assert main([*argv, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
-    assert len(solves) == 18
-    on_grid = [(problem.n_time, kwargs.get("path0") is not None)
-               for (problem,), kwargs in solves if problem.bg.grid.n_points == 64]
-    n_times = [nt for nt, _ in on_grid]
-    first = n_times.index(16)
-    assert n_times[:first] == [64] + [32] * 4 + [64] * 4
-    assert on_grid[0] == (64, False) and all(started for _, started in on_grid[5:first])
-    assert set(n_times[first:]) == {16}
+    assert len(solves) == 17
+    chain = [(problem.n_time, problem.epsilon, kwargs.get("path0") is not None) for (problem,), kwargs in solves[:12]]
+    assert chain == [(nt, eps, (nt, eps) != (16, 0.1)) for nt in (16, 32, 64) for eps in verify.WEAK_EPSILONS]
+    rest = [(problem.bg.grid.n_points, problem.bg.psi.any(), problem.n_time) for (problem,), _ in solves[12:]]
+    assert rest == [(64, True, 16)] * 3 + [(16, False, 16), (32, False, 32)]
 
 
 def test_fine_boundary_ladder_factors_once_per_rung(tmp_path, monkeypatch):
-    """verify's n_time-64 boundary ladder, started from the n_time-32 one, makes one LU per rung.
+    """verify's n_time-32 and n_time-64 ladders, started from the prolonged rungs of the level
+    below, make one LU per rung.
 
-    Along eps alone its 4 rungs took 3, 3, 3 and 2.  The factorizations come
-    in size blocks: the cold curvature geodesic (n_time 64), the n_time-32
-    ladder, the n_time-64 ladder, then only smaller systems.
+    Along eps alone the 4 rungs took 5 LUs at n_time 32 (3, 3, 3 and 2 at
+    n_time 64 before the chord steps).  The factorizations come in size
+    blocks, coarse to fine: the chain's n_time-16 ladder along eps, its
+    n_time-32 and n_time-64 levels, then only smaller systems.
     """
     lus = _log_calls(monkeypatch, geodesic, "splu")
     cfg = _write_config(tmp_path)
     assert main(["verify", "--suite", "convexity", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
-    fine, coarse = 63 * 64, 31 * 64
+    sizes = [15 * 64, 31 * 64, 63 * 64]
     blocks = [(size, len(list(run))) for size, run in itertools.groupby(matrix.shape[0] for (matrix,) in lus)]
-    assert [size for size, _ in blocks[:3]] == [fine, coarse, fine]
-    assert blocks[2] == (fine, 4)
-    assert all(size < coarse for size, _ in blocks[3:])
+    assert blocks[:3] == [(sizes[0], 5), (sizes[1], 4), (sizes[2], 4)]
+    assert all(size < sizes[0] for size, _ in blocks[3:])
 
 
 @pytest.mark.parametrize("argv, extra, lus", [
     (["geodesic"], {"epsilons": [0.1, 10.0**-1.5, 0.01, 10.0**-2.5, 0.001]}, 6),
-    (["verify", "--suite", "convexity"], {}, 19),
+    (["verify", "--suite", "convexity"], {}, 22),
 ])
 def test_geodesic_lu_counts(tmp_path, monkeypatch, argv, extra, lus):
     """The LUs of a run, read from the solves' Newton records, which count every splu call.
 
     Each LU serves chord steps at later iterates, and rungs from the third
     on start from the secant in eps.  A fresh LU per Newton step from the
-    rung before made 14 and 37.
+    rung before made 14 and 37.  The verify run made 19 with a cold
+    curvature geodesic (one LU of 4,032 unknowns); its geodesic now comes
+    from the chain, whose n_time-16 ladder (5 LUs of 960 unknowns) this
+    config's n_time of 8 does not share with weak_path.
     """
     factored = []
     real = geodesic.solve_eps_geodesic
@@ -501,6 +504,42 @@ def test_geodesic_lu_counts(tmp_path, monkeypatch, argv, extra, lus):
     cfg = _write_config(tmp_path, **extra)
     assert main([*argv, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
     assert sum(factored) == len(splu_calls) == lus
+
+
+def _solved_problems(solves) -> list:
+    """(n_points, psi, n_time, epsilon) of each logged solve_eps_geodesic call."""
+    return [(p.bg.grid.n_points, p.bg.psi.tobytes(), p.n_time, p.epsilon) for (p,), _ in solves]
+
+
+def test_verify_all_solves_no_problem_twice(tmp_path, monkeypatch):
+    """The curvature geodesic is the chain's (1e-2, 64) rung, not a second solve of it.
+
+    21 problems: the chain's 12, weak_path's 4 at this config's n_time of 8,
+    the curved background's 3 and the curvature check's 2 coarser grids.
+    """
+    solves = _log_calls(monkeypatch, geodesic, "solve_eps_geodesic", with_kwargs=True)
+    cfg = _write_config(tmp_path)
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    problems = _solved_problems(solves)
+    assert len(problems) == len(set(problems)) == 21
+
+
+def test_curvature_suite_reads_the_chain_prefix_of_suite_all(tmp_path, monkeypatch):
+    """--suite curvature solves the chain only up to CURVATURE_EPSILON, and its rows are those
+    of --suite all byte for byte: the same geodesic, the same margins."""
+    solves = _log_calls(monkeypatch, geodesic, "solve_eps_geodesic", with_kwargs=True)
+    cfg = _write_config(tmp_path)
+    rows = {}
+    for suite in ("curvature", "all"):
+        out = tmp_path / suite
+        assert main(["verify", "--suite", suite, "--config", cfg, "--out", str(out)]) == 0
+        report = json.loads((out / "verify_report.json").read_text())
+        rows[suite] = [r for r in report["results"] if r["name"].endswith("eps_curvature_identity")]
+        if suite == "curvature":
+            on_grid = [(nt, eps) for n, _, nt, eps in _solved_problems(solves) if n == 64]
+            assert on_grid == [(nt, eps) for nt in verify.CHAIN_N_TIMES for eps in (0.1, 0.01)]
+    assert len(rows["all"]) == 2
+    assert json.dumps(rows["curvature"]) == json.dumps(rows["all"])
 
 
 # ---------------------------------------------------------------------------

@@ -337,16 +337,22 @@ def test_prolonged_fine_ladder_agrees_with_the_eps_warm_one(a):
 
 
 def test_cold_and_warm_solves_agree_to_round_off(bg, endpoint_0, endpoint_1, eps_geo):
-    """The curvature problem (eps = 1e-2, n_time 64, canonical endpoints), cold and warm from
-    eps = 0.1: both are polished to the round-off floor, so the start no longer shows (7.9e-13
-    when Newton stopped at the first iterate under tol)."""
+    """The curvature problem (eps = 1e-2, n_time 64, canonical endpoints), cold, warm from
+    eps = 0.1 and as the rung of verify's chain (from the prolonged n_time-32 rung): all are
+    polished to the round-off floor, so the start no longer shows (7.9e-13 between cold and
+    warm when Newton stopped at the first iterate under tol)."""
+    cold = solve_eps_geodesic(EpsGeodesicProblem(bg, endpoint_0, endpoint_1, 1e-2, 64))
     warm = eps_continuation(bg, endpoint_0, endpoint_1, (1e-1, 1e-2), 64)[-1]
-    assert np.max(np.abs(warm.path.values - eps_geo.path.values)) <= 1e-15
-    for sol in (eps_geo, warm):
+    for other in (warm, eps_geo):
+        assert np.max(np.abs(other.path.values - cold.path.values)) <= 1e-15
+    for sol in (cold, warm, eps_geo):
         rec = sol.record
         assert abs(rec.residual_sups[0][-1] - sol.residual_sup) <= 1e-12
         assert sol.residual_sup <= 1e-14 and rec.halvings == 0
-        assert 1 <= rec.factorizations < rec.iterations == sol.newton_iters
+        assert 1 <= rec.factorizations <= rec.iterations == sol.newton_iters
+    # cold and warm polish on their last LU; the prolonged start needs one Newton step alone
+    assert cold.record.factorizations < cold.newton_iters and warm.record.factorizations < warm.newton_iters
+    assert eps_geo.newton_iters == 1
 
 
 def _logged_starts(monkeypatch):

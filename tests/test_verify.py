@@ -38,7 +38,17 @@ from kgeolab import (
     truncated_semicontinuity_sweep,
 )
 from kgeolab import geodesic
-from kgeolab.verify import BOUNDARY_N_TIMES, WEAK_EPSILONS, SuiteData, _as_control, _jsonable
+from kgeolab.errors import PositivityLoss
+from kgeolab.verify import (
+    BOUNDARY_N_TIMES,
+    CHAIN_N_TIMES,
+    CURVATURE_EPSILON,
+    CURVATURE_N_TIME,
+    WEAK_EPSILONS,
+    SuiteData,
+    _as_control,
+    _jsonable,
+)
 
 EXPECTED_NAMES = (
     [f"entropy_semicontinuity[seed={i}]" for i in range(20)]
@@ -242,8 +252,9 @@ def test_boundary_refinement_validation(small_bg):
 def test_boundary_refinement_on_cached_paths_equals_direct_solves(small_bg):
     """SuiteData's boundary paths give the check the margin and rows of a direct replay of its solve.
 
-    The replay is the same two-level solve: the n_time-32 ladder along eps,
-    then the n_time-64 ladder started from its prolonged rungs.
+    The replay is the same three-level chain: the n_time-16 ladder along
+    eps, then the n_time-32 and n_time-64 ladders, each started from the
+    prolonged rungs of the level below.
     """
     grid = small_bg.grid
     endpoint_0 = np.zeros(grid.n_points)
@@ -252,12 +263,12 @@ def test_boundary_refinement_on_cached_paths_equals_direct_solves(small_bg):
     cached = boundary_continuity_refinement(small_bg, data.boundary_paths)
     assert data.boundary_paths is data.boundary_paths  # cached
 
-    coarse_n_time, fine_n_time = BOUNDARY_N_TIMES
-    coarse = geodesic.eps_continuation(small_bg, endpoint_0, endpoint_1, WEAK_EPSILONS, coarse_n_time)
-    direct = [
-        geodesic.weak_limit(small_bg, coarse),
-        geodesic.weak_geodesic(small_bg, endpoint_0, endpoint_1, WEAK_EPSILONS, n_time=fine_n_time, coarse=coarse),
-    ]
+    assert CHAIN_N_TIMES == (16, *BOUNDARY_N_TIMES)
+    rungs = geodesic.eps_continuation(small_bg, endpoint_0, endpoint_1, WEAK_EPSILONS, 16)
+    direct = []
+    for n_time in BOUNDARY_N_TIMES:
+        rungs = geodesic.eps_continuation(small_bg, endpoint_0, endpoint_1, WEAK_EPSILONS, n_time, coarse=rungs)
+        direct.append(geodesic.weak_limit(small_bg, rungs))
     rows = []
     for nt, path in zip(BOUNDARY_N_TIMES, direct):
         m = mabuchi(small_bg, path).values
@@ -394,6 +405,27 @@ def test_bounds_rows_details(all_results):
     assert by_name["mass_pairing"].details["worst_gap"] <= 1e-10
     assert by_name["density_convergence"].details["final_max"] <= 1e-2
     assert by_name["family_uniform_bounds"].details["passed"] is True
+
+
+def test_curvature_geodesic_is_a_rung_of_the_chain():
+    """eps_geodesic is read off the WEAK_EPSILONS chain, so its eps and n_time must be on it."""
+    assert CURVATURE_EPSILON in WEAK_EPSILONS
+    assert CURVATURE_N_TIME in BOUNDARY_N_TIMES and CURVATURE_N_TIME in CHAIN_N_TIMES
+
+
+def test_chain_converges_where_the_cold_curvature_solve_loses_the_cone(small_bg):
+    """At density amplitude 0.95 the cold (1e-2, 64) solve raises PositivityLoss; the chain's
+    rung, started from the prolonged n_time-32 rung, converges."""
+    grid = small_bg.grid
+    endpoint_0 = np.zeros(grid.n_points)
+    endpoint_1 = fourier_field(grid, [(1, 0.95 / (2.0 * np.pi) ** 2, 0.0)])
+    problem = EpsGeodesicProblem(small_bg, endpoint_0, endpoint_1, CURVATURE_EPSILON, CURVATURE_N_TIME)
+    with pytest.raises(PositivityLoss):
+        solve_eps_geodesic(problem)
+    data = SuiteData(bg=small_bg, endpoint_0=endpoint_0, endpoint_1=endpoint_1, n_time=8)
+    eg = data.eps_geodesic
+    assert (eg.epsilon, eg.path.n_time) == (CURVATURE_EPSILON, CURVATURE_N_TIME)
+    assert eg.residual_sup <= 1e-10 and eg.positivity_margin > 0.0
 
 
 def test_weak_path_reuses_the_ladder_rungs_it_shares(small_bg, monkeypatch):
