@@ -220,7 +220,8 @@ def test_geodesic_factorization_failure_exits_2(tmp_path, monkeypatch, capsys):
 
 
 def test_study_exits_2_before_its_stages_when_a_verify_object_fails(tmp_path, monkeypatch):
-    """study solves verify's largest objects first: their failure leaves only diagnostic.json."""
+    """study solves verify's eps-ladder chain and certifies its weak limits first: a failure there
+    leaves only diagnostic.json."""
     def losing_the_cone(*args, **kwargs):
         raise PositivityLoss("cone condition lost")
 

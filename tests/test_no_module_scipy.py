@@ -1,7 +1,8 @@
 """No module of the package imports scipy at module level.
 
-scipy is imported inside the function that first needs it (a solve), so ``import kgeolab``, ``load_config`` and every exit-1 config
-error run without loading it.  The scan is syntactic (``ast``), over every
+scipy is imported inside the function that first needs it (a solve), so
+``import kgeolab``, ``load_config`` and every exit-1 config error run
+without loading it.  The scan is syntactic (``ast``), over every
 module under ``src/kgeolab``: an import counts as module level unless it
 sits in a function body.
 """
