@@ -29,6 +29,7 @@ from .errors import (
     NonConvexInput,
     NotASolution,
     PositivityLoss,
+    SchemaViolation,
     SingularSystem,
     SkippedHypothesis,
 )

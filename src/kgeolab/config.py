@@ -16,14 +16,15 @@ schema cannot express them.
 from __future__ import annotations
 
 import json
+import numbers
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
-import jsonschema
 import numpy as np
 
-from .errors import ConfigError, NonAdmissiblePsi
+from .errors import ConfigError, NonAdmissiblePsi, SchemaViolation
 from .model import Background, SpatialGrid, fourier_field, is_admissible, make_background
 from .model import _decreasing_ladder
 
@@ -39,18 +40,195 @@ def load_schema(name: str) -> dict:
     return json.loads(path.read_text(encoding="utf-8"))
 
 
+# ---------------------------------------------------------------------------
+# schema validation
+#
+# The shipped schemas use a handful of draft 2020-12 keywords, so they are
+# walked here instead of through jsonschema, which costs every process about
+# 0.09 s and 4 MB to import.  Type rules, messages, paths and the choice among
+# several violations follow jsonschema 4.26 (_keywords.py, _types.py and
+# exceptions.best_match); tests/test_schema_validator.py checks them against it.
+
+#: keywords that carry no assertion
+_ANNOTATIONS = frozenset({"$schema", "$id", "title", "description", "$defs"})
+
+_TYPES = {
+    "array": lambda v: isinstance(v, list),
+    "boolean": lambda v: isinstance(v, bool),
+    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool))
+    or (isinstance(v, float) and v.is_integer()),
+    "null": lambda v: v is None,
+    "number": lambda v: isinstance(v, numbers.Number) and not isinstance(v, bool),
+    "object": lambda v: isinstance(v, dict),
+    "string": lambda v: isinstance(v, str),
+}
+
+
+def _type_names(types) -> list:
+    return [types] if isinstance(types, str) else types
+
+
+def _is_type(instance, types) -> bool:
+    return any(_TYPES[t](instance) for t in _type_names(types))
+
+
+def _violations(keyword: str, value, instance, schema: dict) -> list:
+    """The messages of one assertion keyword, as jsonschema's _keywords.py words them."""
+    if keyword == "type":
+        if _is_type(instance, value):
+            return []
+        return [f"{instance!r} is not of type {', '.join(map(repr, _type_names(value)))}"]
+    if keyword == "enum":  # string members only (_check_schema), so == is JSON equality
+        return [] if instance in value else [f"{instance!r} is not one of {value!r}"]
+    if isinstance(instance, dict):
+        if keyword == "required":
+            return [f"{name!r} is a required property" for name in value if name not in instance]
+        if keyword == "additionalProperties":  # false
+            extras = sorted({k for k in instance if k not in schema.get("properties", {})}, key=str)
+            if extras:
+                verb = "was" if len(extras) == 1 else "were"
+                return [f"Additional properties are not allowed ({', '.join(map(repr, extras))} {verb} unexpected)"]
+    elif isinstance(instance, list):
+        prefix = len(schema.get("prefixItems", ()))
+        if keyword == "items" and len(instance) > prefix:  # items: false
+            extra = len(instance) - prefix
+            rest = instance[prefix:] if extra != 1 else instance[prefix]
+            return [f"Expected at most {prefix} {'items' if prefix != 1 else 'item'} but found {extra} extra: {rest!r}"]
+        if keyword == "minItems" and len(instance) < value:
+            return [f"{instance!r} {'should be non-empty' if value == 1 else 'is too short'}"]
+        if keyword == "maxItems" and len(instance) > value:
+            return [f"{instance!r} {'is expected to be empty' if value == 0 else 'is too long'}"]
+    elif isinstance(instance, str):
+        if keyword == "minLength" and len(instance) < value:
+            return [f"{instance!r} {'should be non-empty' if value == 1 else 'is too short'}"]
+    elif _TYPES["number"](instance):
+        if keyword == "minimum" and instance < value:
+            return [f"{instance!r} is less than the minimum of {value!r}"]
+        if keyword == "exclusiveMinimum" and instance <= value:
+            return [f"{instance!r} is less than or equal to the minimum of {value!r}"]
+        if keyword == "multipleOf":
+            if isinstance(value, float):
+                quotient = instance / value
+                try:
+                    failed = int(quotient) != quotient
+                except OverflowError:  # an infinite quotient: decide exactly
+                    from fractions import Fraction
+
+                    failed = (Fraction(instance) / Fraction(value)).denominator != 1
+            else:
+                failed = instance % value
+            if failed:
+                return [f"{instance!r} is not a multiple of {value}"]
+    return []
+
+
+_ASSERTIONS = frozenset({
+    "type", "enum", "required", "additionalProperties", "minItems", "maxItems",
+    "minLength", "minimum", "exclusiveMinimum", "multipleOf",
+})
+_APPLICATORS = frozenset({"properties", "items", "prefixItems", "$ref"})
+
+
+def _resolve(root: dict, ref: str) -> dict:
+    prefix = "#/$defs/"
+    name = ref[len(prefix):]
+    if not ref.startswith(prefix) or name not in root.get("$defs", {}):
+        raise ValueError(f"schema $ref {ref!r} is not a local reference into $defs")
+    return root["$defs"][name]
+
+
+def _check_schema(schema, root: dict) -> None:
+    """Raise ValueError on any keyword or form the validator does not implement."""
+    if not isinstance(schema, dict):
+        raise ValueError(f"schema {schema!r} is not an object")
+    for keyword, value in schema.items():
+        if keyword not in _ASSERTIONS and keyword not in _APPLICATORS and keyword not in _ANNOTATIONS:
+            raise ValueError(f"schema keyword {keyword!r} is not supported")
+        if keyword == "type":
+            supported = all(t in _TYPES for t in _type_names(value))
+        elif keyword == "additionalProperties":
+            supported = value is False
+        elif keyword == "enum":
+            supported = all(isinstance(v, str) for v in value)
+        else:
+            supported = True
+        if not supported:
+            raise ValueError(f"schema keyword {keyword!r} with value {value!r} is not supported")
+    subschemas = [
+        *schema.get("properties", {}).values(),
+        *schema.get("prefixItems", ()),
+        *schema.get("$defs", {}).values(),
+    ]
+    if "$ref" in schema:
+        subschemas.append(_resolve(root, schema["$ref"]))
+    if schema.get("items", False) is not False:
+        subschemas.append(schema["items"])
+    for sub in subschemas:
+        _check_schema(sub, root)
+
+
+def _collect_errors(instance, schema: dict, root: dict, path: tuple, out: list) -> None:
+    """Append (path, message, schema, instance) per violation, in jsonschema's order."""
+    for keyword, value in schema.items():
+        if keyword == "properties":
+            if isinstance(instance, dict):
+                for name, sub in value.items():
+                    if name in instance:
+                        _collect_errors(instance[name], sub, root, path + (name,), out)
+        elif keyword == "prefixItems":
+            if isinstance(instance, list):
+                for index, (item, sub) in enumerate(zip(instance, value)):
+                    _collect_errors(item, sub, root, path + (index,), out)
+        elif keyword == "items" and value is not False:
+            if isinstance(instance, list):
+                for index in range(len(schema.get("prefixItems", ())), len(instance)):
+                    _collect_errors(instance[index], value, root, path + (index,), out)
+        elif keyword == "$ref":
+            _collect_errors(instance, _resolve(root, value), root, path, out)
+        elif keyword not in _ANNOTATIONS:
+            out.extend((path, message, schema, instance) for message in _violations(keyword, value, instance, schema))
+
+
+def _relevance(error) -> tuple:
+    """jsonschema.exceptions.relevance for keywords that are neither weak nor strong."""
+    path, _, schema, instance = error
+    return (-len(path), path, not ("type" in schema and _is_type(instance, schema["type"])))
+
+
+_JSON_PATH_NAME = re.compile("^[a-zA-Z][a-zA-Z0-9_]*$")
+
+
+def _json_path(path: tuple) -> str:
+    parts = ["$"]
+    for elem in path:
+        if isinstance(elem, int):
+            parts.append(f"[{elem}]")
+        elif _JSON_PATH_NAME.match(elem):
+            parts.append(f".{elem}")
+        else:
+            parts.append("['" + elem.replace("\\", "\\\\").replace("'", "\\'") + "']")
+    return "".join(parts)
+
+
 @lru_cache(maxsize=None)
-def _validator(name: str):
-    # built once: jsonschema.validate re-checks the schema against its metaschema
-    # on every call (18 of its 18.5 ms); the tests check the shipped schemas
-    return jsonschema.validators.validator_for(load_schema(name))(load_schema(name))
+def _checked_schema(name: str) -> dict:
+    schema = load_schema(name)
+    _check_schema(schema, schema)
+    return schema
 
 
 def validate_against_schema(doc, name: str) -> None:
-    """Validate a document against the shipped schema ``name``, raising jsonschema.validate's error."""
-    error = jsonschema.exceptions.best_match(_validator(name).iter_errors(doc))
-    if error is not None:
-        raise error
+    """Validate a document against the shipped schema ``name``.
+
+    Raises SchemaViolation with the message and JSON path of the error that
+    jsonschema.exceptions.best_match would pick.
+    """
+    schema = _checked_schema(name)
+    errors = []
+    _collect_errors(doc, schema, schema, (), errors)
+    if errors:
+        path, message, _, _ = max(errors, key=_relevance)
+        raise SchemaViolation(name, message, _json_path(path))
 
 
 @dataclass(eq=False)
@@ -109,7 +287,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
     """Build an ExperimentConfig from an already-decoded JSON document."""
     try:
         validate_against_schema(doc, "config")
-    except jsonschema.ValidationError as exc:
+    except SchemaViolation as exc:
         raise ConfigError(f"config does not match schema: {exc.message} (at {exc.json_path})") from exc
 
     grid_doc = doc["grid"]

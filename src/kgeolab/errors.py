@@ -62,3 +62,17 @@ class SkippedHypothesis(KGeoError):
 
 class ConfigError(KGeoError):
     """Experiment configuration is malformed or inconsistent."""
+
+
+class SchemaViolation(KGeoError):
+    """A config or report does not match its shipped JSON schema.
+
+    ``message`` and ``json_path`` are those of the violation that
+    jsonschema.exceptions.best_match would report.
+    """
+
+    def __init__(self, schema, message, json_path):
+        super().__init__(f"{schema} document does not match its schema: {message} (at {json_path})")
+        self.schema = schema
+        self.message = message
+        self.json_path = json_path

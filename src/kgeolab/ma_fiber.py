@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._newton import damped_newton
+from ._newton import NewtonRecord, damped_newton
 from .errors import (
     FamilyMismatch,
     IncompatibleMass,
@@ -98,9 +98,16 @@ class FiberSolution:
 
     phi: np.ndarray  # (rows, n_points)
     residual_sup: np.ndarray
-    row_iters: np.ndarray
-    newton_iters: int  # summed over the rows
+    record: NewtonRecord
     min_metric_eigen: np.ndarray
+
+    @property
+    def row_iters(self) -> np.ndarray:
+        return self.record.row_iterations
+
+    @property
+    def newton_iters(self) -> int:  # summed over the rows
+        return self.record.iterations
 
 
 # ---------------------------------------------------------------------------
@@ -170,8 +177,7 @@ def solve_aubin_fiber(
     return FiberSolution(
         phi=phi,
         residual_sup=np.array([sups[-1] for sups in rec.residual_sups]),
-        row_iters=rec.row_iterations,
-        newton_iters=rec.iterations,
+        record=rec,
         min_metric_eigen=np.min(source + bg.d2(phi), axis=1),
     )
 

@@ -12,7 +12,7 @@ import pytest
 
 from kgeolab import cli, geodesic, ma_fiber, verify
 from kgeolab.cli import main
-from kgeolab.errors import PositivityLoss, SingularSystem
+from kgeolab.errors import PositivityLoss, SchemaViolation, SingularSystem
 
 AMP = 0.05 / (2.0 * np.pi) ** 2
 
@@ -217,6 +217,28 @@ def test_geodesic_factorization_failure_exits_2(tmp_path, monkeypatch, capsys):
     diag = json.loads((out / "diagnostic.json").read_text())
     assert (diag["stage"], diag["error_type"]) == ("geodesic", "SingularSystem")
     assert diag["message"].startswith("eps-geodesic solve failed at (eps=0.1, n_time=8, n_points=64): ")
+
+
+def test_malformed_report_raises_schema_violation_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    """A report that fails its schema raises SchemaViolation before any byte is written; the run exits 2."""
+    report = {"timestamp": "t", "config": {}, "stages": {}, "passed": "yes"}
+    with pytest.raises(SchemaViolation) as exc:
+        cli._write_json(tmp_path, "study_report.json", report, "study_report")
+    assert (exc.value.schema, exc.value.json_path) == ("study_report", "$.stages")
+    assert exc.value.message == "'geodesic' is a required property"
+    assert list(tmp_path.iterdir()) == []
+
+    monkeypatch.setattr(cli, "rung_increments", lambda rungs: ["not a number"] * len(rungs))
+    out = tmp_path / "out"
+    assert main(["geodesic", "--config", _write_config(tmp_path, epsilons=[0.1]), "--out", str(out)]) == 2
+    assert "error in geodesic: SchemaViolation" in capsys.readouterr().err
+    assert not (out / "geodesic_report.json").exists() and _no_tmp_leftovers(out)
+    diag = json.loads((out / "diagnostic.json").read_text())
+    assert (diag["stage"], diag["error_type"]) == ("geodesic", "SchemaViolation")
+    assert diag["message"] == (
+        "geodesic_report document does not match its schema: "
+        "'not a number' is not of type 'number' (at $.increments[0])"
+    )
 
 
 def test_study_exits_2_before_its_stages_when_a_verify_object_fails(tmp_path, monkeypatch):

@@ -101,6 +101,26 @@ def test_stacked_rows_match_row_by_row_solves(small_bg):
     assert stacked.newton_iters == int(np.sum(stacked.row_iters))
 
 
+def test_solution_keeps_its_newton_record(small_bg, monkeypatch):
+    """The NewtonRecord of the solve, halvings included, stays on the solution."""
+    records = []
+    real = ma_fiber.damped_newton
+
+    def keep(*args, **kwargs):
+        x, rec = real(*args, **kwargs)
+        records.append(rec)
+        return x, rec
+
+    monkeypatch.setattr(ma_fiber, "damped_newton", keep)
+    x = small_bg.grid.nodes
+    problem = FiberProblem(small_bg, (1.0 + 0.5 * np.cos(2.0 * np.pi * x)) / 1e-3, 1e-3)
+    sol = solve_aubin_fiber(problem, phi0=5.0 * np.cos(6.0 * np.pi * x))  # a far start: one halving
+    assert sol.record is records[0]
+    assert sol.record.halvings == 1
+    assert sol.row_iters is sol.record.row_iterations
+    assert sol.newton_iters == sol.record.iterations == 10
+
+
 def _captured_newton_step(bg, eps, monkeypatch):
     """The newton_step callback of solve_aubin_fiber on rows with these epsilons, before any step."""
     steps = []
