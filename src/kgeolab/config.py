@@ -83,14 +83,14 @@ def _violations(keyword: str, value, instance, schema: dict) -> list:
     if isinstance(instance, dict):
         if keyword == "required":
             return [f"{name!r} is a required property" for name in value if name not in instance]
-        if keyword == "additionalProperties":  # false
+        if keyword == "additionalProperties":  # false, the one form _check_schema lets through
             extras = sorted({k for k in instance if k not in schema.get("properties", {})}, key=str)
             if extras:
                 verb = "was" if len(extras) == 1 else "were"
                 return [f"Additional properties are not allowed ({', '.join(map(repr, extras))} {verb} unexpected)"]
     elif isinstance(instance, list):
         prefix = len(schema.get("prefixItems", ()))
-        if keyword == "items" and len(instance) > prefix:  # items: false
+        if keyword == "items" and len(instance) > prefix:  # items: false; a schema is descended into
             extra = len(instance) - prefix
             rest = instance[prefix:] if extra != 1 else instance[prefix]
             return [f"Expected at most {prefix} {'items' if prefix != 1 else 'item'} but found {extra} extra: {rest!r}"]

@@ -210,7 +210,7 @@ def test_one_violation_corpus_matches_jsonschema(documents):
         assert expected is not None, (name, keyword, path)
         assert _package_error(doc, name) == expected, (name, keyword, path)
         count += 1
-    assert count > 300
+    assert count > 500
 
 
 @pytest.mark.parametrize("n_points, error", [
@@ -262,7 +262,7 @@ def test_pairs_of_config_violations_select_the_best_match():
         doc = _replace(_replace(FULL_CONFIG, path_a, value_a), path_b, value_b)
         assert _package_error(doc, "config") == _jsonschema_error(doc, "config"), (path_a, path_b)
         pairs += 1
-    assert pairs > 700
+    assert pairs > 800
 
 
 # ---------------------------------------------------------------------------
