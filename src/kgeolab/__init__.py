@@ -76,7 +76,6 @@ from .ma_fiber import (
 from .model import (
     Background,
     PathField,
-    PeriodicField,
     ReducedHessian,
     SpatialGrid,
     fourier_field,

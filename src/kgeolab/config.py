@@ -291,7 +291,6 @@ def parse_config(doc: dict) -> ExperimentConfig:
         raise ConfigError(f"config does not match schema: {exc.message} (at {exc.json_path})") from exc
 
     grid_doc = doc["grid"]
-    scheme = grid_doc.get("scheme", "central2")
     try:
         grid = SpatialGrid(int(grid_doc["n_points"]))
     except ValueError as exc:
@@ -299,7 +298,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
 
     psi_terms = doc.get("background", {}).get("psi", [])
     try:
-        bg = make_background(grid, psi=fourier_field(grid, psi_terms), scheme=scheme)
+        bg = make_background(grid, psi=fourier_field(grid, psi_terms))
     except (NonAdmissiblePsi, ValueError) as exc:
         raise ConfigError(f"background: {exc}") from exc
 

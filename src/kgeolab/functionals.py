@@ -13,7 +13,7 @@ time grid; boundary rows carry nan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -44,8 +44,6 @@ class FunctionalTrace:
     values: np.ndarray
     second_differences: np.ndarray
     meta: dict
-    e_part: np.ndarray | None = field(default=None, repr=False)
-    h_part: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -155,21 +153,18 @@ def _check_k_family(path: PathField, family, k: int) -> None:
 
 def _mabuchi_trace(bg: Background, path: PathField, slice_entropy, meta: dict) -> FunctionalTrace:
     """(S/2) E - E^Ric plus slice_entropy(i, u) on every row u = path.values[i]."""
-    e_part, h_part = [], []
+    values = []
     for i, u in enumerate(path.values):
         try:
-            h_part.append(slice_entropy(i, u))
+            values.append(_energy_part(bg, u) + slice_entropy(i, u))
         except NegativeDensity as exc:
             raise NegativeDensity(f"{exc} at slice {i}") from exc
-        e_part.append(_energy_part(bg, u))
-    values = np.array([e + h for e, h in zip(e_part, h_part)])
+    values = np.array(values)
     return FunctionalTrace(
         times=path.times,
         values=values,
         second_differences=second_differences(values, path.ds),
         meta=meta,
-        e_part=np.array(e_part),
-        h_part=np.array(h_part),
     )
 
 
@@ -229,12 +224,7 @@ class DdcReport:
     rel_discrepancy: float
 
     def to_dict(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "abs_discrepancy": self.abs_discrepancy,
-            "rel_discrepancy": self.rel_discrepancy,
-        }
+        return asdict(self)
 
 
 def ddc_energy_check(bg: Background, path: PathField, test_fn) -> DdcReport:

@@ -65,7 +65,6 @@ from .model import (
     _as_field_values,
     _decreasing_ladder,
     _periodic_pad,
-    _require_central2,
     is_admissible,
     reduced_hessian,
 )
@@ -258,7 +257,6 @@ def solve_eps_geodesic(
     import scipy.sparse.linalg  # before the solve's arrays: imported among them, it fragments the heap
 
     bg = problem.bg
-    _require_central2(bg)
     grid = bg.grid
     n = grid.n_points
     nt = problem.n_time

@@ -47,7 +47,6 @@ from .model import (
     PathField,
     _as_field_values,
     _decreasing_ladder,
-    _require_central2,
     fourier_field,
     metric_density,
 )
@@ -126,7 +125,6 @@ def solve_aubin_fiber(
     failure names its row in the exception's ``row``.
     """
     bg = problem.bg
-    _require_central2(bg)
     n = bg.grid.n_points
     source = problem.theta + problem.beta
     eps = problem.epsilon
@@ -211,9 +209,16 @@ class FiberFamily:
 
 
 class _Report:
-    """to_dict() gives the fields named in REPORTED as JSON-ready lists and scalars."""
+    """A fiber check: passed is margin >= 0, its one acceptance rule.
+
+    to_dict() gives the fields named in REPORTED as JSON-ready lists and scalars.
+    """
 
     REPORTED = ()
+
+    @property
+    def passed(self) -> bool:
+        return self.margin >= 0.0
 
     def to_dict(self) -> dict:
         return {key: np.asarray(getattr(self, key)).tolist() for key in self.REPORTED}
@@ -221,11 +226,7 @@ class _Report:
 
 @dataclass(eq=False)
 class BoundReport(_Report):
-    """The three uniform bounds per epsilon and the halves comparison.
-
-    margin is the smallest halves margin of the three bounds, so passed is
-    margin >= 0.
-    """
+    """The three uniform bounds per epsilon; margin is their smallest halves margin."""
 
     REPORTED = ("epsilons", "sup_phi", "neg_eps_inf_phi", "eps_d2_phi", "maxima", "passed")
     epsilons: tuple
@@ -233,7 +234,6 @@ class BoundReport(_Report):
     neg_eps_inf_phi: np.ndarray
     eps_d2_phi: np.ndarray
     maxima: tuple
-    passed: bool
     margin: float
 
 
@@ -246,7 +246,7 @@ class ConvergenceReport(_Report):
     errors: np.ndarray  # (n_eps, n_times, n_test)
     max_per_eps: np.ndarray
     final_max: float
-    passed: bool
+    margin: float
 
 
 @dataclass(eq=False)
@@ -256,7 +256,7 @@ class VanishingReport(_Report):
     REPORTED = ("epsilons", "sup_norms", "passed")
     epsilons: tuple
     sup_norms: np.ndarray
-    passed: bool
+    margin: float
 
 
 def solve_family(bg: Background, path: PathField, epsilons, deltas, tol: float = 1e-11) -> FiberFamily:
@@ -269,7 +269,6 @@ def solve_family(bg: Background, path: PathField, epsilons, deltas, tol: float =
     solution kept is the one at the smallest delta; the sup-norm Cauchy
     increments across consecutive deltas are recorded and must decrease.
     """
-    _require_central2(bg)
     epsilons = _decreasing_ladder(epsilons, "epsilons")
     deltas = _decreasing_ladder(deltas, "deltas")
 
@@ -381,7 +380,6 @@ def check_bounds(family: FiberFamily) -> BoundReport:
         neg_eps_inf_phi=neg_inf,
         eps_d2_phi=eps_d2,
         maxima=(float(np.max(sup_phi)), float(np.max(neg_inf)), float(np.max(eps_d2))),
-        passed=margin >= 0.0,
         margin=margin,
     )
 
@@ -392,39 +390,36 @@ def default_test_set(grid) -> list[np.ndarray]:
     return [fourier_field(grid, [mode]) for mode in modes]
 
 
-def density_convergence(family: FiberFamily, path: PathField, test_set=None) -> ConvergenceReport:
-    """Pairings |int (e^phi w - m[path]) xi dx| over the epsilon sweep.
+def density_convergence(family: FiberFamily, path: PathField) -> ConvergenceReport:
+    """Pairings |int (e^phi w - m[path]) xi dx| with the default test set over the epsilon sweep.
 
-    PASS iff every final-epsilon error is <= 1e-2 and the worst error over
-    (t, xi) decreases from the first epsilon to the last.
+    margin >= 0 iff every final-epsilon error is <= 1e-2 and the worst error
+    over (t, xi) does not grow from the first epsilon to the last.
     """
     bg = family.bg
-    if test_set is None:
-        test_set = default_test_set(bg.grid)
-    test_set = [_as_field_values(bg.grid, xi) for xi in test_set]
-    if not test_set:
-        raise ValueError("test_set must be nonempty")
+    test_set = default_test_set(bg.grid)
     gap = np.exp(family.phi) * bg.w - metric_density(bg, path.values)  # (eps, t, x)
     errors = np.stack([np.abs(bg.grid.spacing * np.sum(gap * xi, axis=-1)) for xi in test_set], axis=-1)
     max_per_eps = errors.reshape(len(errors), -1).max(axis=1)
-    passed = bool(np.max(errors[-1]) <= 1e-2 and max_per_eps[-1] <= max_per_eps[0])
+    final, first = float(max_per_eps[-1]), float(max_per_eps[0])
+    margin = min(1e-2 - final, first - final)
     return ConvergenceReport(
         epsilons=family.epsilons,
         errors=errors,
         max_per_eps=max_per_eps,
-        final_max=float(max_per_eps[-1]),
-        passed=passed,
+        final_max=final,
+        margin=margin,
     )
 
 
 def eps_phi_vanishing(family: FiberFamily) -> VanishingReport:
-    """sup_t ||eps phi||_inf must decrease along the sweep and end <= first/2."""
+    """sup_t ||eps phi||_inf must not grow along the sweep and must end <= first/2."""
     if len(family.epsilons) < 3:
         raise ValueError("need at least 3 epsilons to judge the trend")
     sups = np.array([eps * float(np.max(np.abs(mat))) for eps, mat in zip(family.epsilons, family.phi)])
-    decreasing = all(b < a or (a == 0.0 and b == 0.0) for a, b in zip(sups, sups[1:]))
-    passed = bool(decreasing and sups[-1] <= 0.5 * sups[0])
-    return VanishingReport(epsilons=family.epsilons, sup_norms=sups, passed=passed)
+    steps = [a - b for a, b in zip(sups, sups[1:]) if a or b]  # a step between two zeros does not count
+    margin = float(min([*steps, 0.5 * float(sups[0]) - float(sups[-1])]))
+    return VanishingReport(epsilons=family.epsilons, sup_norms=sups, margin=margin)
 
 
 def family_report(family: FiberFamily) -> dict:

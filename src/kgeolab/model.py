@@ -7,22 +7,21 @@ periodic second-derivative operator.  The rectangle rule h * sum(u) is the
 quadrature; on a uniform periodic grid it is exact for trigonometric
 polynomials below the Nyquist frequency.
 
-Two derivative schemes are provided.  ``central2`` is the compact three-point
-stencil (u_{j+1} - 2 u_j + u_{j-1}) / h^2, whose Fourier symbol at wavenumber
-k is -(2/h^2)(1 - cos(2 pi k h)); it keeps Newton Jacobians banded and is the
-default everywhere.  ``spectral`` applies the exact multiplier -(2 pi k)^2
-through the FFT and is used for cross-checks.
+Every x-derivative uses one stencil, ``central2``: D2 u = (u_{j+1} - 2 u_j +
+u_{j-1}) / h^2, whose Fourier symbol at wavenumber k, -(2/h^2)(1 - cos(2 pi k
+h)), approximates the exact -(2 pi k)^2 to second order, and D1 u = (u_{j+1} -
+u_{j-1}) / 2h.  The solvers assemble their banded Newton Jacobians from the
+same stencil, so residuals and Jacobians agree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from .errors import NonAdmissiblePsi
-
-SCHEMES = ("central2", "spectral")
 
 
 @dataclass(frozen=True)
@@ -45,18 +44,9 @@ class SpatialGrid:
     def nodes(self) -> np.ndarray:
         return np.arange(self.n_points) * self.spacing
 
-    @property
-    def wavenumbers(self) -> np.ndarray:
-        """Nonnegative wavenumbers of the real FFT layout."""
-        return np.arange(self.n_points // 2 + 1)
-
 
 def _as_field_values(grid: SpatialGrid, values) -> np.ndarray:
-    """Nodal values on ``grid`` of a PeriodicField or of an array-like."""
-    if isinstance(values, PeriodicField):
-        if values.grid != grid:
-            raise ValueError("field lives on a different grid")
-        return values.values
+    """Nodal values on ``grid`` of an array-like: finite, one per node."""
     out = np.asarray(values, dtype=float)
     if out.shape != (grid.n_points,):
         raise ValueError(
@@ -75,13 +65,6 @@ def _decreasing_ladder(values, label: str, error=ValueError) -> tuple:
     if vals[-1] <= 0.0:
         raise error(f"{label} must be positive, got {list(vals)}")
     return vals
-
-
-def _require_central2(bg: "Background") -> None:
-    # Jacobians are assembled from the three-point stencil; a spectral
-    # background would make residual and Jacobian inconsistent
-    if bg.scheme != "central2":
-        raise ValueError("solvers require a central2 background")
 
 
 def central2_symbol(grid: SpatialGrid, k) -> np.ndarray:
@@ -125,8 +108,9 @@ class Background:
     D2 of any periodic field has zero discrete mean.
     """
 
+    # the one stencil; perfbench/layers.py reads it into each traced geodesic solve's key
+    scheme: ClassVar[str] = "central2"
     grid: SpatialGrid
-    scheme: str
     psi: np.ndarray
     w: np.ndarray
     r: np.ndarray
@@ -137,7 +121,7 @@ class Background:
             arr.setflags(write=False)
 
     def d2(self, values) -> np.ndarray:
-        return path_d2x(self.grid, values, self.scheme)
+        return path_d2x(self.grid, values)
 
     def integrate(self, values) -> float:
         return integrate(self.grid, values)
@@ -147,28 +131,26 @@ class Background:
         return integrate(self.grid, np.asarray(values, dtype=float) * self.w)
 
 
-def make_background(grid: SpatialGrid, psi=None, scheme: str = "central2") -> Background:
+def make_background(grid: SpatialGrid, psi=None) -> Background:
     """Build the reference density w = 1 + D2(psi), renormalized to unit mass.
 
     Raises NonAdmissiblePsi when 1 + D2(psi) is not strictly positive.
     """
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
     if psi is None:
         psi = np.zeros(grid.n_points)
     psi = _as_field_values(grid, psi)
-    w_raw = 1.0 + path_d2x(grid, psi, scheme)
+    w_raw = 1.0 + path_d2x(grid, psi)
     if np.min(w_raw) <= 0.0:
         raise NonAdmissiblePsi(
             f"min(1 + D2 psi) = {np.min(w_raw):.6g} <= 0; "
             "background potential is not admissible"
         )
     w = w_raw / integrate(grid, w_raw)
-    r = -path_d2x(grid, np.log(w), scheme)
+    r = -path_d2x(grid, np.log(w))
     ricci_mean = integrate(grid, r) / integrate(grid, w)
     if not abs(ricci_mean) <= 1e-12:
         raise NonAdmissiblePsi(f"curvature mean {ricci_mean:g} out of tolerance 1e-12")
-    return Background(grid=grid, scheme=scheme, psi=psi, w=w, r=r, ricci_mean=ricci_mean)
+    return Background(grid=grid, psi=psi, w=w, r=r, ricci_mean=ricci_mean)
 
 
 def metric_density(bg: Background, u) -> np.ndarray:
@@ -198,39 +180,18 @@ def _periodic_pad(u: np.ndarray) -> np.ndarray:
     return np.concatenate([u[..., -1:], u, u[..., :1]], axis=-1)
 
 
-def path_d2x(grid: SpatialGrid, values, scheme: str = "central2") -> np.ndarray:
-    """Periodic second x-derivative along the last axis: a field or every path row.
-
-    central2: (u_{j+1} - 2 u_j + u_{j-1}) / h^2.
-    spectral: FFT multiplier -(2 pi k)^2.
-    """
-    u = np.asarray(values, dtype=float)
-    if scheme == "central2":
-        h = grid.spacing
-        # difference-of-differences keeps the cancellation error at the
-        # scale of the local increments, not of the nodal values
-        return np.diff(_periodic_pad(u), n=2, axis=-1) / (h * h)
-    if scheme == "spectral":
-        k = grid.wavenumbers
-        mult = -((2.0 * np.pi * k) ** 2)
-        return np.fft.irfft(np.fft.rfft(u, axis=-1) * mult, n=grid.n_points, axis=-1)
-    raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+def path_d2x(grid: SpatialGrid, values) -> np.ndarray:
+    """Periodic (u_{j+1} - 2 u_j + u_{j-1}) / h^2 along the last axis: a field or every path row."""
+    h = grid.spacing
+    # difference-of-differences keeps the cancellation error at the
+    # scale of the local increments, not of the nodal values
+    return np.diff(_periodic_pad(np.asarray(values, dtype=float)), n=2, axis=-1) / (h * h)
 
 
-def path_d1x(grid: SpatialGrid, values, scheme: str = "central2") -> np.ndarray:
-    """Periodic first x-derivative along the last axis; central or FFT multiplier."""
-    u = np.asarray(values, dtype=float)
-    if scheme == "central2":
-        h = grid.spacing
-        g = _periodic_pad(u)
-        return (g[..., 2:] - g[..., :-2]) / (2.0 * h)
-    if scheme == "spectral":
-        k = grid.wavenumbers.astype(float)
-        mult = 1j * 2.0 * np.pi * k
-        # the Nyquist mode has no well-defined odd derivative; drop it
-        mult[-1] = 0.0
-        return np.fft.irfft(np.fft.rfft(u, axis=-1) * mult, n=grid.n_points, axis=-1)
-    raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+def path_d1x(grid: SpatialGrid, values) -> np.ndarray:
+    """Periodic central first x-derivative (u_{j+1} - u_{j-1}) / 2h along the last axis."""
+    g = _periodic_pad(np.asarray(values, dtype=float))
+    return (g[..., 2:] - g[..., :-2]) / (2.0 * grid.spacing)
 
 
 def path_d2s(path, ds: float) -> np.ndarray:
@@ -245,9 +206,9 @@ def path_d1s(path, ds: float) -> np.ndarray:
     return (p[2:, :] - p[:-2, :]) / (2.0 * ds)
 
 
-def path_dxds(grid: SpatialGrid, path, ds: float, scheme: str = "central2") -> np.ndarray:
+def path_dxds(grid: SpatialGrid, path, ds: float) -> np.ndarray:
     """Mixed derivative on interior rows: D1_s then D1_x (the stencils commute)."""
-    return path_d1x(grid, path_d1s(path, ds), scheme)
+    return path_d1x(grid, path_d1s(path, ds))
 
 
 # ---------------------------------------------------------------------------
@@ -264,18 +225,6 @@ def _write_csv(path, header: str, columns) -> None:
     rows = (",".join(map(repr, row)) for row in np.column_stack(columns).tolist())
     with open(path, "w", newline="") as fh:
         fh.write("\n".join([header, *rows]) + "\n")
-
-
-@dataclass(frozen=True, eq=False)
-class PeriodicField:
-    """Nodal values of one periodic field."""
-
-    grid: SpatialGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _as_field_values(self.grid, self.values))
-        self.values.setflags(write=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -341,6 +290,6 @@ def reduced_hessian(bg: Background, path: PathField) -> ReducedHessian:
     m_xx = metric_density(bg, vals)
     return ReducedHessian(
         m_xx=m_xx[1:-1, :],
-        m_xs=path_dxds(bg.grid, vals, ds, bg.scheme),
+        m_xs=path_dxds(bg.grid, vals, ds),
         m_ss=path_d2s(vals, ds),
     )

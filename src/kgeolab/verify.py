@@ -65,7 +65,6 @@ from .ma_fiber import (
 from .model import (
     Background,
     PathField,
-    PeriodicField,
     SpatialGrid,
     fourier_field,
     make_background,
@@ -368,9 +367,9 @@ def convexity_inequality_k(
     weights = num / num.sum(axis=0)  # softmax over the k fibers
     L = top + np.log(num.mean(axis=0))
 
-    l_xx = path_d2x(grid, L, bg.scheme)
+    l_xx = path_d2x(grid, L)
     l_ss = path_d2s(L, ds)
-    l_xs = path_dxds(grid, L, ds, bg.scheme)
+    l_xs = path_dxds(grid, L, ds)
     rh = reduced_hessian(bg, path)
     a_xx = l_xx[1:-1] - bg.r[None, :]
     mixed = rh.mixed_det(a_xx, l_xs, l_ss)
@@ -378,7 +377,7 @@ def convexity_inequality_k(
     margin_main = float(np.min(mixed)) + tol * scale
 
     # log-sum-exp directional convexity, Hess L >= sum p_j Hess phi_j
-    phi_xx = np.array([path_d2x(grid, phis[j], bg.scheme) for j in range(k)])
+    phi_xx = np.array([path_d2x(grid, phis[j]) for j in range(k)])
     phi_ss = np.array([path_d2s(phis[j], ds) for j in range(k)])
     gap_x = l_xx - np.sum(weights * phi_xx, axis=0)
     gap_s = l_ss - np.sum(weights[:, 1:-1, :] * phi_ss, axis=0)
@@ -418,12 +417,12 @@ def _curvature_fields(bg: Background, eg: EpsGeodesic) -> dict:
     f_rows = np.log(m_rows / bg.w[None, :])
     g_rows = np.log(m_rows)
     expf = bg.w[None, :] / m_rows  # e^-f
-    out = {"a": a, "a_x": path_d1x(grid, a, bg.scheme), "m_int": m_int}
+    out = {"a": a, "a_x": path_d1x(grid, a), "m_int": m_int}
     for tag, rows in (("f", f_rows), ("g", g_rows)):
-        out[tag + "_xx"] = path_d2x(grid, rows, bg.scheme)[1:-1]
+        out[tag + "_xx"] = path_d2x(grid, rows)[1:-1]
         out[tag + "_ss"] = path_d2s(rows, ds)
-        out[tag + "_xs"] = path_dxds(grid, rows, ds, bg.scheme)
-    out["eps_term"] = eg.epsilon * path_d2x(grid, expf, bg.scheme)[1:-1] / m_int
+        out[tag + "_xs"] = path_dxds(grid, rows, ds)
+    out["eps_term"] = eg.epsilon * path_d2x(grid, expf)[1:-1] / m_int
     return out
 
 
@@ -450,7 +449,7 @@ def curvature_levels(bg: Background, eg: EpsGeodesic) -> list:
     levels = []
     for f in (4, 2):
         coarse_grid = SpatialGrid(n // f)
-        coarse_bg = make_background(coarse_grid, psi=bg.psi[::f], scheme=bg.scheme)
+        coarse_bg = make_background(coarse_grid, psi=bg.psi[::f])
         problem = EpsGeodesicProblem(coarse_bg, e0[::f], e1[::f], eg.epsilon, nt // f)
         levels.append((coarse_bg, solve_eps_geodesic(problem)))
     levels.append((bg, eg))
@@ -737,8 +736,7 @@ def max_subharmonic_lemma(
     Nodewise D2 max(u, v) >= min(D2 u, D2 v) wherever the larger branch is
     active, so the bound holds exactly on the discrete circle.
     """
-    u = u.values if isinstance(u, PeriodicField) else np.asarray(u, dtype=float)
-    v = v.values if isinstance(v, PeriodicField) else np.asarray(v, dtype=float)
+    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
     m_v = metric_density(bg, v)
     if float(np.min(m_v)) < -tol:
         raise SkippedHypothesis(
@@ -776,27 +774,16 @@ def family_bounds_property(family: FiberFamily) -> PropertyResult:
     return _result("family_uniform_bounds", report.margin, report.to_dict())
 
 
-def density_convergence_property(
-    family: FiberFamily, path: PathField, test_set=None
-) -> PropertyResult:
+def density_convergence_property(family: FiberFamily, path: PathField) -> PropertyResult:
     """Weak-convergence errors: final epsilon small and no growth over the sweep."""
-    report = density_convergence(family, path, test_set)
-    final = float(report.max_per_eps[-1])
-    first = float(report.max_per_eps[0])
-    margin = min(1e-2 - final, first - final)
-    return _result("density_convergence", margin, report.to_dict())
+    report = density_convergence(family, path)
+    return _result("density_convergence", report.margin, report.to_dict())
 
 
 def eps_vanishing_property(family: FiberFamily) -> PropertyResult:
-    """sup_t ||eps phi||_inf decreasing and at least halved over the sweep."""
+    """sup_t ||eps phi||_inf not growing and at least halved over the sweep."""
     report = eps_phi_vanishing(family)
-    sups = report.sup_norms
-    margin_dec = min(
-        (a - b if not (a == 0.0 and b == 0.0) else math.inf for a, b in zip(sups, sups[1:])),
-        default=math.inf,
-    )
-    margin = min(margin_dec, 0.5 * float(sups[0]) - float(sups[-1]))
-    return _result("eps_phi_vanishing", margin, report.to_dict())
+    return _result("eps_phi_vanishing", report.margin, report.to_dict())
 
 
 def mass_pairing_property(
@@ -1087,7 +1074,7 @@ class SuiteData:
     @cached_property
     def curved_bg(self) -> Background:
         psi = fourier_field(self.bg.grid, [(1, CURVED_PSI_AMPLITUDE, 0.0)])
-        return make_background(self.bg.grid, psi=psi, scheme=self.bg.scheme)
+        return make_background(self.bg.grid, psi=psi)
 
     @cached_property
     def curved_geodesics(self) -> list:

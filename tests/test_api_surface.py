@@ -8,6 +8,7 @@ which only re-exports.
 """
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -64,15 +65,37 @@ def test_allowlist_entries_are_still_defined_and_unused():
     assert set(ALLOWED) <= unused, f"stale allowlist entries: {sorted(set(ALLOWED) - unused)}"
 
 
+# after the hooks are installed, one small geodesic solve and one fiber solve through the
+# wrapped names: the wrappers read package attributes (Background.scheme, the solve's
+# arguments, its result) only while a solve runs
+TRACED_SOLVES = """
+import json
+import numpy as np
+import layers
+tracer = layers.Tracer()
+layers.install(tracer)
+from kgeolab import EpsGeodesicProblem, FiberProblem, SpatialGrid, make_background, solve_aubin_fiber, solve_eps_geodesic
+bg = make_background(SpatialGrid(8))
+solve_eps_geodesic(EpsGeodesicProblem(bg, np.zeros(8), 0.01 * np.cos(2.0 * np.pi * bg.grid.nodes), 0.1, 8))
+solve_aubin_fiber(FiberProblem(bg, np.ones(8), 0.1))
+print(json.dumps(tracer.snapshot()))
+"""
+
+
 def test_benchmark_layer_hooks_install_on_the_package():
     """perfbench/layers.py wraps package names (weak_geodesic, ma_fiber.splu, mollify_spacetime, ...)
-    by name, so renaming or deleting one breaks the traced benchmark: it must fail here too.
+    by name and reads package attributes at solve time, so renaming or deleting one breaks the
+    traced benchmark: it must fail here too.
 
     The hooks are installed in a fresh interpreter that writes no bytecode, so perfbench/ is
     only read."""
     root = SRC.parents[1]
     path = [str(root / "perfbench"), str(root / "src"), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-    code = "import layers\nlayers.install(layers.Tracer())\n"
-    done = subprocess.run([sys.executable, "-B", "-c", code], env=env, capture_output=True, text=True)
+    command = [sys.executable, "-B", "-c", TRACED_SOLVES]
+    done = subprocess.run(command, env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+    traced = json.loads(done.stdout.splitlines()[-1])
+    assert traced["geodesic.solve_calls"] == traced["geodesic.solve_distinct"] == 1
+    assert traced["geodesic.lu_calls"] >= 1
+    assert traced["ma_fiber.fiber_calls"] == 1

@@ -298,8 +298,6 @@ def test_density_convergence_report(small_family):
     assert report.max_per_eps[-1] <= report.max_per_eps[0]
     # mass pairing row (xi = 1) is an identity, not a convergence statement
     assert np.max(report.errors[:, :, 0]) <= 1e-10
-    with pytest.raises(ValueError, match="nonempty"):
-        density_convergence(family, path, test_set=[])
 
 
 def test_eps_phi_vanishing_trend(small_family):

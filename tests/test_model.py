@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from kgeolab import (
     NonAdmissiblePsi,
     PathField,
-    PeriodicField,
     SpatialGrid,
     fourier_field,
     integrate,
@@ -20,7 +19,7 @@ from kgeolab import (
     reduced_hessian,
 )
 from kgeolab import model
-from kgeolab.model import central2_symbol
+from kgeolab.model import _as_field_values, central2_symbol
 
 
 # ---------------------------------------------------------------------------
@@ -45,36 +44,22 @@ def test_grid_rejects_small_or_odd(n):
 
 
 def test_d2_kills_constants(small_grid):
-    for scheme in ("central2", "spectral"):
-        out = path_d2x(small_grid, np.full(64, 3.7), scheme)
-        assert np.max(np.abs(out)) < 1e-9
+    assert np.max(np.abs(path_d2x(small_grid, np.full(64, 3.7)))) < 1e-9
 
 
 def test_d2_central2_symbol(small_grid):
     u = np.cos(2.0 * np.pi * small_grid.nodes)
     sym = central2_symbol(small_grid, 1)
-    got = path_d2x(small_grid, u, "central2")
+    got = path_d2x(small_grid, u)
     assert np.max(np.abs(got + sym * u)) < 1e-9
-
-
-def test_d2_spectral_exact_eigenfunction(small_grid):
-    u = np.cos(2.0 * np.pi * small_grid.nodes)
-    got = path_d2x(small_grid, u, "spectral")
-    assert np.max(np.abs(got + (2.0 * np.pi) ** 2 * u)) < 1e-9
 
 
 def test_d1_central_symbol(small_grid):
     x = small_grid.nodes
-    got = path_d1x(small_grid, np.sin(2.0 * np.pi * x), "central2")
+    got = path_d1x(small_grid, np.sin(2.0 * np.pi * x))
     # central two-point stencil: symbol sin(2 pi h) / h at wavenumber 1
     sym = np.sin(2.0 * np.pi * small_grid.spacing) / small_grid.spacing
     assert np.max(np.abs(got - sym * np.cos(2.0 * np.pi * x))) < 1e-9
-
-
-def test_d1_spectral(small_grid):
-    x = small_grid.nodes
-    got = path_d1x(small_grid, np.sin(2.0 * np.pi * x), "spectral")
-    assert np.max(np.abs(got - 2.0 * np.pi * np.cos(2.0 * np.pi * x))) < 1e-9
 
 
 @pytest.mark.parametrize("n", [8, 256])
@@ -102,11 +87,6 @@ def test_padded_stencils_equal_the_roll_formulas_bit_for_bit(n):
     assert np.array_equal(parts[0], m_xx) and np.array_equal(parts[2], phi_xs)
 
 
-def test_unknown_scheme_rejected(small_grid):
-    with pytest.raises(ValueError, match="unknown scheme"):
-        path_d2x(small_grid, np.zeros(64), "upwind")
-
-
 @given(
     a=st.floats(-5, 5),
     b=st.floats(-5, 5),
@@ -118,20 +98,26 @@ def test_d2_linearity(a, b, k1, k2):
     grid = SpatialGrid(64)
     u = fourier_field(grid, [(k1, 1.0, 0.3)])
     v = fourier_field(grid, [(k2, 0.5, -1.0)])
-    for scheme in ("central2", "spectral"):
-        lhs = path_d2x(grid, a * u + b * v, scheme)
-        rhs = a * path_d2x(grid, u, scheme) + b * path_d2x(grid, v, scheme)
-        assert np.max(np.abs(lhs - rhs)) <= 1e-9 * (1.0 + np.max(np.abs(rhs)))
+    lhs = path_d2x(grid, a * u + b * v)
+    rhs = a * path_d2x(grid, u) + b * path_d2x(grid, v)
+    assert np.max(np.abs(lhs - rhs)) <= 1e-9 * (1.0 + np.max(np.abs(rhs)))
+    # against the exact multiplier -(2 pi k)^2 the gap is the stencil's truncation error,
+    # (2 pi k)^4 h^2 / 12 per unit amplitude (both fields have amplitude below 1.2)
+    exact = -((2.0 * np.pi) ** 2) * (a * k1 * k1 * u + b * k2 * k2 * v)
+    truncation = (2.0 * np.pi * max(k1, k2)) ** 4 * grid.spacing**2 / 12.0 * 1.2 * (abs(a) + abs(b))
+    assert np.max(np.abs(lhs - exact)) <= truncation + 1e-9 * (1.0 + np.max(np.abs(exact)))
 
 
 def test_scheme_agreement_second_order():
-    """central2 converges to the spectral values at order >= 1.9."""
+    """central2 converges to the exact multiplier -(2 pi k)^2 at order >= 1.9."""
     errs = []
     ns = (64, 128, 256, 512)
     for n in ns:
         grid = SpatialGrid(n)
         u = fourier_field(grid, [(1, 1.0, 0.0), (2, 0.0, 0.3)])
-        gap = path_d2x(grid, u, "central2") - path_d2x(grid, u, "spectral")
+        x = grid.nodes
+        exact = -((2.0 * np.pi) ** 2) * np.cos(2.0 * np.pi * x) - 0.3 * (4.0 * np.pi) ** 2 * np.sin(4.0 * np.pi * x)
+        gap = path_d2x(grid, u) - exact
         errs.append(np.max(np.abs(gap)))
     order = -np.polyfit(np.log(ns), np.log(errs), 1)[0]
     assert order >= 1.9, f"observed order {order:.3f}"
@@ -170,7 +156,7 @@ def test_non_admissible_psi(small_grid):
 def test_nonzero_mean_curvature_is_typed(small_grid, monkeypatch):
     """A curvature density with nonzero mean is rejected as NonAdmissiblePsi."""
     real = model.path_d2x
-    monkeypatch.setattr(model, "path_d2x", lambda grid, v, scheme="central2": real(grid, v, scheme) + 1e-6)
+    monkeypatch.setattr(model, "path_d2x", lambda grid, v: real(grid, v) + 1e-6)
     with pytest.raises(NonAdmissiblePsi, match="curvature mean"):
         make_background(small_grid)
 
@@ -219,10 +205,12 @@ def test_is_admissible(small_bg):
 
 
 def test_periodic_field_shape_checks(small_grid):
-    with pytest.raises(ValueError):
-        PeriodicField(small_grid, np.zeros(63))
-    with pytest.raises(ValueError):
-        PeriodicField(small_grid, np.full(64, np.nan))
+    """Nodal values of one periodic field: one finite value per grid node."""
+    assert np.array_equal(_as_field_values(small_grid, range(64)), np.arange(64.0))
+    with pytest.raises(ValueError, match="expected 64 nodal values"):
+        _as_field_values(small_grid, np.zeros(63))
+    with pytest.raises(ValueError, match="finite"):
+        _as_field_values(small_grid, np.full(64, np.nan))
 
 
 def test_path_field_checks(small_grid):
@@ -234,6 +222,8 @@ def test_path_field_checks(small_grid):
         PathField(small_grid, np.zeros((9, 63)))
     with pytest.raises(ValueError):
         PathField(small_grid, np.zeros((1, 64)))
+    with pytest.raises(ValueError, match="finite"):
+        PathField(small_grid, np.full((9, 64), np.inf))
 
 
 def test_path_field_csv_roundtrip(tmp_path, small_grid):

@@ -18,9 +18,11 @@ from kgeolab import (
     SkippedHypothesis,
     TruncationSpec,
     curvature_levels,
+    density_convergence,
     density_limit_report,
     entropy_semicontinuity,
     eps_curvature_identity,
+    eps_phi_vanishing,
     fourier_field,
     mabuchi,
     mabuchi_eps_A_almost_convex,
@@ -48,6 +50,9 @@ from kgeolab.verify import (
     SuiteData,
     _as_control,
     _jsonable,
+    _with_phi,
+    density_convergence_property,
+    eps_vanishing_property,
 )
 
 EXPECTED_NAMES = (
@@ -338,6 +343,48 @@ def test_density_limit_report(small_family):
     assert len(doc["sup_gaps"]) == 3
     assert doc["sup_gaps"][-1] <= doc["sup_gaps"][0]
     assert doc["l1_gaps"][-1] <= doc["l1_gaps"][0]
+
+
+def test_eps_vanishing_tie_passes_in_report_and_row(small_family):
+    """Two equal consecutive eps sup|phi| do not grow: the report and the verify row both pass."""
+    _, family = small_family
+    tied = _with_phi(family, lambda eps, t, phi: np.where(eps > 5e-3, 1.0, 0.25) / eps + 0.0 * phi)
+    report = eps_phi_vanishing(tied)
+    assert report.sup_norms[0] == report.sup_norms[1]  # the tie is exact
+    row = eps_vanishing_property(tied)
+    assert report.margin == row.margin == 0.0
+    assert report.passed == row.passed is True
+
+
+def test_density_convergence_at_the_threshold_passes_in_report_and_row(small_family):
+    """A final-epsilon error of exactly 1e-2 passes the report and the verify row alike.
+
+    On the flat background with a zero path, a potential that is 0 except at node 0 leaves
+    one nonzero gap e^phi - 1 there, so every test function that is 1 at node 0 pairs to
+    (e^phi - 1) / 64. At the final epsilon phi is the float at or next to log(0.36) for which
+    that pairing is exactly 1e-2; at the others it is log(0.3), a larger error.
+    """
+    _, family = small_family
+    grid = family.bg.grid
+    flat = PathField(grid, np.zeros((len(family.times), grid.n_points)))
+    node0 = np.arange(grid.n_points) == 0
+
+    def at_node0(first, last):
+        node_value = lambda eps, t, phi: np.where(node0, np.where(eps > 5e-3, first, last), 0.0) + 0.0 * t
+        return _with_phi(family, node_value)
+
+    down = up = np.log(0.36)
+    candidates = [down]
+    for _ in range(8):  # exp may round log(0.36) back to a neighbour of 0.36
+        down, up = np.nextafter(down, -np.inf), np.nextafter(up, np.inf)
+        candidates += [down, up]
+    hits = [c for c in candidates if density_convergence(at_node0(np.log(0.3), c), flat).final_max == 1e-2]
+    assert hits, "no potential near log(0.36) gives a final error of exactly 1e-2"
+    tied = at_node0(np.log(0.3), hits[0])
+    report = density_convergence(tied, flat)
+    row = density_convergence_property(tied, flat)
+    assert report.margin == row.margin == 0.0
+    assert report.passed == row.passed is True
 
 
 @pytest.mark.parametrize("seed", range(4))
