@@ -14,18 +14,18 @@ space-time stencil, factored sparse at a Newton step.  The Newton driver
 reuses that LU for chord steps at later iterates while each cuts the
 residual tenfold, and polishes the solution on it to the round-off floor,
 so a solve factors about once or twice and its result does not depend on
-the start beyond round-off.  The Jacobian's sparsity pattern, the
-map from the five coefficient arrays to the CSC entries and the LU's column
-order are built once per (n_points, n_time), so an iterate only gathers its
-coefficients and permutes its right-hand side.  The order is George's nested
-dissection of the periodic (n_time - 1) x n_points strip (_dissection_order),
-and the pattern is emitted already permuted, so the LU runs in natural order
-with one-column supernodes and panels (LU_OPTIONS).  Against
-minimum degree on A^T + A, which SuperLU recomputed on every factorization
-with its default supernodes and panels, the order keeps 2-3% more fill and
-flops, but the 512 x 31 Jacobian factors in about 0.55 of the time, and the
-narrow panels lower the peak memory of a solve.  Another ordering changes
-only the last bits of the solution.
+the start beyond round-off.  The LU is numpy's, multifrontal in George's
+nested-dissection order of the periodic (n_time - 1) x n_points strip
+(George, SIAM J. Numer. Anal. 1973): the columns x = 0 and x = n/2 open the
+ring, every box is split at its middle across its longer side, and boxes of
+at most LEAF_NODES nodes are pivoted whole.  The tree, the map from the five
+coefficient arrays into each front and the solve's batches are built once
+per (n_points, n_time) (_dissection); fronts of one level and one local
+shape are factored as one batch of dense blocks (splu), and a solve is one
+sweep up and one down the tree.  Against SuperLU on the same order, the
+factor stores about 0.9 of the entries, factors in about the same time and
+solves in 0.7-0.95 of it; another ordering changes only the last bits of
+the solution.
 
 weak_geodesic extracts the small-eps limit of eps_continuation, the one
 warm-started eps-ladder of the package.  From its third rung on, a rung
@@ -46,6 +46,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,17 +70,6 @@ from .model import (
     is_admissible,
     reduced_hessian,
 )
-
-# splu options of the space-time Newton step: its pattern is already in nested-dissection
-# order, and one-column supernodes and panels factor it faster than the defaults
-LU_OPTIONS = dict(permc_spec="NATURAL", relax=1, panel_size=1)
-
-
-def splu(matrix, **options):
-    """scipy's sparse LU; newton_step calls this name, so a wrapper of it sees every factorization."""
-    from scipy.sparse.linalg import splu as superlu  # imported at first use, not with the CLI
-    return superlu(matrix, **options)
-
 
 @dataclass(frozen=True, eq=False)
 class EpsGeodesicProblem:
@@ -152,80 +143,248 @@ _STENCIL = (
 )
 
 
-@lru_cache(maxsize=None)
-def _box_order(rows: int, cols: int) -> tuple:
-    """Nested-dissection order of a rows x cols box, as (row, col) offsets.
+#: a box of at most this many nodes is a leaf of the dissection: its nodes are pivoted together,
+#: in one dense front.  Smaller leaves mean more batches, so more numpy calls per factor and
+#: solve; larger ones a dense inverse of a sparse box.  At 16 the leaves of the usual grids are
+#: 3 x 3 boxes, and the factor stores 0.86-0.91 of the entries SuperLU keeps on the same order.
+LEAF_NODES = 16
 
-    A box is split at its middle column or row, across its longer side, and
-    its separator follows both halves; a box with a side shorter than 3 is
-    emitted as it is, row by row.  The split depends only on the shape, so
-    the order is memoized by shape and translated to each position.
+
+def _front(rows: int, cols: int, top: bool, bottom: bool) -> tuple:
+    """Pivots, ring and child boxes of the front of a rows x cols box.
+
+    Nodes are (row, col) offsets from the box origin.  A box of at most
+    LEAF_NODES nodes is a leaf and pivots all of them; a larger box is split
+    at its middle column or row, across its longer side, and pivots that
+    separator.  The ring is every node outside the box that the nine-point
+    stencil reaches from inside it; top and bottom say that the box touches
+    the first or last time row, where no ring row lies beyond.  Returns
+    (pivots, ring, children), each child as ((rows, cols, top, bottom),
+    (row offset, col offset)).
     """
-    if min(rows, cols) < 3:
-        r, c = np.divmod(np.arange(rows * cols), cols)
+    if rows * cols <= LEAF_NODES:
+        pivots = [(r, c) for r in range(rows) for c in range(cols)]
+        children = []
     elif cols >= rows:
         mid = cols // 2
-        parts = [(_box_order(rows, mid), 0), (_box_order(rows, cols - mid - 1), mid + 1), (_box_order(rows, 1), mid)]
-        r = np.concatenate([rr for (rr, _), _ in parts])
-        c = np.concatenate([cc + shift for (_, cc), shift in parts])
+        pivots = [(r, mid) for r in range(rows)]
+        children = [((rows, mid, top, bottom), (0, 0)), ((rows, cols - mid - 1, top, bottom), (0, mid + 1))]
     else:
         mid = rows // 2
-        parts = [(_box_order(mid, cols), 0), (_box_order(rows - mid - 1, cols), mid + 1), (_box_order(1, cols), mid)]
-        r = np.concatenate([rr + shift for (rr, _), shift in parts])
-        c = np.concatenate([cc for (_, cc), _ in parts])
-    r.setflags(write=False)
-    c.setflags(write=False)
-    return r, c
+        pivots = [(mid, c) for c in range(cols)]
+        children = [((mid, cols, top, False), (0, 0)), ((rows - mid - 1, cols, False, bottom), (mid + 1, 0))]
+    ring = [
+        (r, c)
+        for r in range(0 if top else -1, rows if bottom else rows + 1)
+        for c in range(-1, cols + 1)
+        if not (0 <= r < rows and 0 <= c < cols)
+    ]
+    return pivots, ring, children
 
 
-def _dissection_order(n_int: int, n: int) -> np.ndarray:
-    """Nested-dissection order of the n_int x n strip, periodic in x.
+class _Fronts(NamedTuple):
+    """Fronts of one tree level with one local structure, factored as one batch; a row per front."""
 
-    George's nested dissection of a regular mesh: the columns x = 0 and
-    x = n/2 open the ring into two boxes and come last; each box follows
-    _box_order.  Returns the raveled row-major node index of each position.
-    """
-    half = n // 2
-    parts = []
-    for c0, c1 in ((1, half), (half + 1, n), (0, 1), (half, half + 1)):
-        r, c = _box_order(n_int, c1 - c0)
-        parts.append(r * n + (c + c0))
-    return np.concatenate(parts)
+    piv: np.ndarray  # (batch, p) unknowns pivoted here, in front order
+    ring: np.ndarray  # (batch, r) the ring, in front order after the pivots
+    pos: np.ndarray  # (E,) position of each stencil entry of the front in the raveled f x f front
+    gather: np.ndarray  # (E, batch) index of that entry in the raveled (5, n_int, n) coefficient stack
+    kids: tuple  # per child slot: (its group, its slice of that batch, front positions of its ring)
+    release: list  # the child groups whose updates this group consumes last
+    sweep: int  # the _Sweep that solves with these fronts
+    rp: np.ndarray | None = None  # leaves only: which of the E entries make up F_RP
+    pr: np.ndarray | None = None  # and F_PR
+
+
+class _Sweep(NamedTuple):
+    """Fronts that a solve handles together: all leaves of one pivot count, or the groups of
+    one tree level with one front size.  Their factor blocks are stacked in group order."""
+
+    piv: np.ndarray  # (batch, p)
+    ring: np.ndarray  # (batch, r); empty for leaves, whose couplings are entry lists:
+    # each F_RP entry as (its column in the raveled (batch, p) pivot values, its ring unknown)
+    # and each F_PR entry as (its row there, its ring unknown)
+    rp: tuple = ()
+    pr: tuple = ()
 
 
 @lru_cache(maxsize=16)
-def _jacobian_pattern(n: int, n_time: int) -> tuple:
-    """CSC pattern of the space-time Jacobian in nested-dissection order.
+def _dissection(n_int: int, n: int) -> tuple:
+    """Symbolic phase of splu: George's nested dissection of the periodic n_int x n strip.
 
-    Returns (indices, indptr, gather, perm): the CSC row indices and column
-    pointers of P J P^T, for every stored entry its position in the raveled
-    stack of the five coefficient arrays of newton_step, and the order perm
-    itself (unknown perm[k] is unknown k of the permuted system).  Rows next
-    to the Dirichlet rows drop the off-grid neighbours, x wraps
-    periodically.  Entries are in canonical CSC order (rows sorted within
-    each column), as coo_matrix(...).tocsc() would store them.
+    The root front pivots the columns x = 0 and x = n/2, which open the ring
+    into two boxes; every box follows _front.  Fronts of one tree level and
+    one box signature (shape and the two boundary flags) have the same local
+    structure, so they form one _Fronts group, children before parents.
+    A solve takes all leaves of one size together, since leaves depend on
+    nothing, and the separators of one level and one front size together:
+    one _Sweep each.  Returns (groups, sweeps).
     """
-    n_int = n_time - 1
+    half = n // 2
     size = n_int * n
-    perm = _dissection_order(n_int, n)
-    rank = np.empty(size, dtype=np.int64)
-    rank[perm] = np.arange(size)
-    i, j = np.indices((n_int, n))
-    eq = (i * n + j).ravel()
-    rows, cols, src = [], [], []
-    for dr, dc, k in _STENCIL:
-        ti = i + dr
-        keep = ((ti >= 0) & (ti < n_int)).ravel()
-        rows.append(rank[eq[keep]])
-        cols.append(rank[(ti * n + (j + dc) % n).ravel()[keep]])
-        src.append(k * size + eq[keep])
-    rows, cols, src = np.concatenate(rows), np.concatenate(cols), np.concatenate(src)
-    order = np.lexsort((rows, cols))
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=size))])
-    out = (rows[order].astype(np.int32), indptr.astype(np.int32), src[order], perm)
-    for arr in out:
-        arr.setflags(write=False)
-    return out
+    root = [(r, 0) for r in range(n_int)] + [(r, half) for r in range(n_int)]
+    boxes = [((n_int, half - 1, True, True), (0, 1)), ((n_int, n - half - 1, True, True), (0, half + 1))]
+    templates = {"root": (root, [], boxes)}
+    level = {"root": [(0, 0)]}
+    levels = []
+    while level:  # breadth first; the children of one group and slot are contiguous in theirs
+        below, links = {}, {}
+        for sig, origins in level.items():
+            for k, (child, (dr, dc)) in enumerate(templates[sig][2]):
+                if child[0] * child[1]:
+                    if child not in templates:
+                        templates[child] = _front(*child)
+                    taken = below.setdefault(child, [])
+                    links[sig, k] = (child, slice(len(taken), len(taken) + len(origins)), (dr, dc))
+                    taken += [(r + dr, c + dc) for r, c in origins]
+        levels.append((level, links))
+        level = below
+    groups, index, last_use, sweeps = [], {}, {}, {}
+    for depth, (level, links) in reversed(list(enumerate(levels))):
+        for sig, origins in level.items():
+            pivots, ring, children = templates[sig]
+            nodes = pivots + ring
+            p, f = len(pivots), len(nodes)
+            where = {node: k for k, node in enumerate(nodes)}
+            if sig == "root":  # box x = n/2 + 1 .. n - 1 reaches round to x = 0
+                where.update({(r, n): k for k, (r, c) in enumerate(pivots) if c == 0})
+            entries = []  # (front row, front col, stencil row, front position of the equation's node)
+            for a, (r, c) in enumerate(pivots):
+                for dr, dc, k in _STENCIL:
+                    b = where.get((r + dr, c + dc))
+                    if b is not None:  # a node inside the box but not pivoted here is a descendant's
+                        entries.append((a, b, k, a))
+                        if b >= p:
+                            entries.append((b, a, k, b))
+            origin = np.array(origins)[:, None, :]
+            local = np.array(nodes)[None, :, :] + origin
+            glob = local[..., 0] * n + local[..., 1] % n
+            rows, cols, stencil, eq = np.array(entries).T
+            kids = []
+            for k in range(len(children)):
+                if (sig, k) in links:
+                    child, batch, (dr, dc) = links[sig, k]
+                    slot = np.array([where[r + dr, c + dc] for r, c in templates[child][1]])
+                    kids.append((index[depth + 1, child], batch, slot))
+                    last_use[index[depth + 1, child]] = len(groups)
+            key = ("leaf", p) if not children else ("level", depth, p, f - p)
+            members, rp_entries, pr_entries = sweeps.setdefault(key, ([], [], []))
+            fronts = _Fronts(
+                np.ascontiguousarray(glob[:, :p]), np.ascontiguousarray(glob[:, p:]), rows * f + cols,
+                (stencil[:, None] * size + glob[:, eq].T).astype(np.int32), tuple(kids), [], list(sweeps).index(key),
+            )
+            if not children:
+                rp, pr = np.flatnonzero(rows >= p), np.flatnonzero(cols >= p)
+                at = (sum(len(g.piv) for g in members) + np.arange(len(origins))) * p  # its pivot values
+                rp_entries.append(((at + cols[rp][:, None]).ravel(), glob[:, rows[rp]].T.ravel()))
+                pr_entries.append(((at + rows[pr][:, None]).ravel(), glob[:, cols[pr]].T.ravel()))
+                fronts = fronts._replace(rp=rp, pr=pr)
+            members.append(fronts)
+            index[depth, sig] = len(groups)
+            groups.append(fronts)
+    for child, user in last_use.items():
+        groups[user].release.append(child)
+    # a sweep comes after every sweep that holds a descendant of its fronts, since the deepest
+    # level comes first and a level's sweeps open before the next level up is reached
+    solve = []
+    for (kind, *_), (members, rp_entries, pr_entries) in sweeps.items():
+        piv = np.concatenate([g.piv for g in members])
+        if kind == "leaf":
+            couplings = [tuple(map(np.concatenate, zip(*entries))) for entries in (rp_entries, pr_entries)]
+            solve.append(_Sweep(piv, piv[:, :0], *couplings))
+        else:
+            solve.append(_Sweep(piv, np.concatenate([g.ring for g in members])))
+    return tuple(groups), tuple(solve)
+
+
+class _FrontalLU:
+    """The factor splu returns: per front, F_PP^-1 and the couplings F_RP and F_PR.
+
+    A separator keeps F_RP and F_PP^-1 F_PR dense, since its children's
+    updates fill them; a leaf keeps only the stencil entries of F_RP and
+    F_PR.  L holds the inverted pivot blocks and F_RP, U the rest; their nnz
+    count the entries stored.
+    """
+
+    def __init__(self, sweeps: tuple, blocks: list):
+        self.sweeps, self.blocks = sweeps, blocks
+        self.L = SimpleNamespace(nnz=sum(inv.size + lower.size for inv, lower, _ in blocks))
+        self.U = SimpleNamespace(nnz=sum(upper.size for _, _, upper in blocks))
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """x with J x = rhs: one sweep up the tree (forward), one down (backward)."""
+        b = np.array(rhs, dtype=float)
+        x = np.empty_like(b)
+        for sweep, (inv, lower, _) in zip(self.sweeps, self.blocks):
+            z = x[sweep.piv] = _matvec(inv, b[sweep.piv])
+            # b_R -= F_RP z, summed over fronts that share ring unknowns
+            if sweep.rp:
+                cols, ring = sweep.rp
+                np.subtract.at(b, ring, lower * z.ravel()[cols])
+            elif sweep.ring.size:
+                np.subtract.at(b, sweep.ring.ravel(), _matvec(lower, z).ravel())
+        for sweep, (inv, _, upper) in zip(reversed(self.sweeps), reversed(self.blocks)):
+            # x_P = z - F_PP^-1 F_PR x_R
+            if sweep.pr:
+                rows, ring = sweep.pr
+                coupled = np.zeros(sweep.piv.shape)
+                np.add.at(coupled.reshape(-1), rows, upper * x[ring])
+                x[sweep.piv] -= _matvec(inv, coupled)
+            elif sweep.ring.size:
+                x[sweep.piv] -= _matvec(upper, x[sweep.ring])
+        return x
+
+
+def _matvec(blocks: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """blocks[k] @ vectors[k] for every k; for stacks of small blocks einsum beats matmul's loop."""
+    return np.einsum("kij,kj->ki", blocks, vectors)
+
+
+def splu(coefs: np.ndarray) -> _FrontalLU:
+    """Multifrontal LU of the space-time Jacobian in nested-dissection order.
+
+    coefs is newton_step's (5, n_time - 1, n_points) stack of the stencil
+    coefficients.  This is the numeric phase, one batch of fronts at a time,
+    children first: each front is assembled from its children's Schur
+    updates and the stencil coefficients of its pivot rows and columns, its
+    pivot block is inverted with np.linalg.inv (partial pivoting inside the
+    block), and F_RR - F_RP F_PP^-1 F_PR goes on to the parent.  newton_step
+    calls this name once per factorization, so a wrapper of it sees every
+    one.  Raises np.linalg.LinAlgError on an exactly singular pivot block.
+    """
+    groups, sweeps = _dissection(*coefs.shape[1:])
+    coefs = np.ascontiguousarray(coefs).reshape(-1)
+    updates, parts, blocks = {}, [[] for _ in sweeps], [None] * len(sweeps)
+    pending = [sum(fronts.sweep == k for fronts in groups) for k in range(len(sweeps))]
+    for g, fronts in enumerate(groups):
+        batch, p = fronts.piv.shape
+        f = p + fronts.ring.shape[1]
+        if fronts.kids:  # assembled batch last, where each scattered entry moves a whole row
+            front = np.zeros((f * f, batch))
+            for child, rows, slot in fronts.kids:
+                front[(slot[:, None] * f + slot).ravel()] += updates[child][:, rows]
+            for child in fronts.release:
+                del updates[child]
+            front[fronts.pos] += coefs[fronts.gather]
+            front = np.ascontiguousarray(front.T).reshape(batch, f, f)
+        else:  # a leaf holds stencil entries only, each in its own place
+            front = np.zeros((batch, f * f))
+            front[:, fronts.pos] = coefs[fronts.gather].T
+            front = front.reshape(batch, f, f)
+        inv = np.linalg.inv(front[:, :p, :p])
+        v = inv @ front[:, :p, p:]
+        if f > p:
+            updates[g] = (front[:, p:, p:] - front[:, p:, :p] @ v).reshape(batch, -1).T.copy()
+        if fronts.rp is not None:  # the leaves' coupling entries, raveled entry by entry
+            rp, pr = coefs[fronts.gather[fronts.rp]], coefs[fronts.gather[fronts.pr]]
+            parts[fronts.sweep].append((inv, rp.ravel(), pr.ravel()))
+        else:
+            parts[fronts.sweep].append((inv, front[:, p:, :p].copy(), v))  # a copy, so that the front is freed
+        pending[fronts.sweep] -= 1
+        if not pending[fronts.sweep]:  # stack a sweep's blocks once its last group is factored
+            blocks[fronts.sweep] = tuple(np.concatenate(arrays) for arrays in zip(*parts[fronts.sweep]))
+            parts[fronts.sweep] = None
+    return _FrontalLU(sweeps, blocks)
 
 
 def _stencil_parts(bg: Background, p: np.ndarray) -> tuple:
@@ -254,8 +413,6 @@ def solve_eps_geodesic(
     path0: np.ndarray | None = None,
 ) -> EpsGeodesic:
     """Damped Newton over all interior rows jointly."""
-    import scipy.sparse.linalg  # before the solve's arrays: imported among them, it fragments the heap
-
     bg = problem.bg
     grid = bg.grid
     n = grid.n_points
@@ -285,8 +442,6 @@ def solve_eps_geodesic(
     def accept(x, rows):
         return np.array([_in_cone(parts_of(x))])
 
-    indices, indptr, gather, perm = _jacobian_pattern(n, nt)
-
     def newton_step(x, r, rows):
         m_xx, phi_ss, phi_xs = parts_of(x)
         last[:] = [None, None]  # the next iterate is a new one: drop the memo before the LU
@@ -298,16 +453,15 @@ def solve_eps_geodesic(
             -q,  # (+1, +1) and (-1, -1)
             q,  # (+1, -1) and (-1, +1)
         ])
-        jac = scipy.sparse.csc_matrix((coefs.ravel()[gather], indices, indptr), shape=(n_int * n, n_int * n))
+        if not np.isfinite(coefs).all():  # np.linalg.inv passes NaN and inf through
+            raise SingularSystem("space-time Jacobian is not finite")
         try:
-            lu = splu(jac, **LU_OPTIONS)
-        except RuntimeError as exc:
+            lu = splu(coefs)
+        except (RuntimeError, np.linalg.LinAlgError) as exc:
             raise SingularSystem(f"space-time Jacobian factorization failed: {exc}") from exc
 
         def solve(r, rows):  # the driver's chord steps reuse this LU at later iterates
-            step = np.empty_like(r)
-            step[0, perm] = lu.solve(-r[0, perm])
-            return step
+            return lu.solve(-r[0])[None, :]
 
         return solve(r, rows), solve
 

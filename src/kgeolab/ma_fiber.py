@@ -20,9 +20,9 @@ evidence.
 
 solve_aubin_fiber solves a stack of fibers as one batch of the shared Newton
 driver.  Per row, -J = -D2 + (1/eps) w e^phi is symmetric positive definite
-and periodic tridiagonal, and a step solves it bordered: one LAPACK dptsv
-(LDL^T) factors the leading (n-1)-blocks of every row still iterating, put
-end to end, and solves for the residual and the corner column; the last node
+and periodic tridiagonal, and a step solves it bordered: one batched cyclic
+reduction (_cyclic_reduction) solves the leading (n-1)-blocks of every row
+still iterating for the residual and the corner column, and the last node
 follows from the scalar Schur complement.
 """
 
@@ -113,6 +113,52 @@ class FiberSolution:
 # fiber solver
 
 
+def _cyclic_reduction(d: np.ndarray, e: float, b: np.ndarray) -> tuple:
+    """Solve symmetric tridiagonal systems T x = b by cyclic reduction, batched.
+
+    Column k of d (m, batch) is the diagonal of T_k and e its constant
+    off-diagonal; b[:, :, k] (m, n_rhs, batch) holds its right-hand sides.
+    Each level eliminates the unknowns 0, 2, 4, ... of the system the level
+    before left, which leaves a tridiagonal system of half the size on the
+    odd ones (Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 1970); m is
+    padded with decoupled unit rows to 2^l - 1.  The pivots are the
+    diagonals of the eliminated unknowns, level by level, so T_k is
+    positive definite iff all of them are positive.  Returns (x, the
+    smallest pivot of each system).
+    """
+    m, batch = d.shape
+    size = 1
+    while size < m:
+        size = 2 * size + 1
+    dd, ee, bb = d, np.full((m - 1, batch), e), b
+    if size > m:
+        dd = np.concatenate([d, np.ones((size - m, batch))])
+        ee = np.concatenate([ee, np.zeros((size - m, batch))])
+        bb = np.concatenate([b, np.zeros((size - m, *b.shape[1:]))])
+    levels, low = [], np.full(batch, np.inf)
+    while len(dd) > 1:
+        piv = dd[::2]
+        low = np.minimum(low, piv.min(axis=0))
+        inv = 1.0 / piv
+        lo, hi = ee[::2], ee[1::2]  # the couplings of each kept unknown to its two neighbours
+        alpha, beta = lo * inv[:-1], hi * inv[1:]
+        levels.append((inv, ee, bb))
+        dd = dd[1::2] - alpha * lo - beta * hi
+        ee = -beta[:-1] * ee[2::2]
+        bb = bb[1::2] - alpha[:, None] * bb[:-1:2] - beta[:, None] * bb[2::2]
+    low = np.minimum(low, dd[0])
+    x = bb / dd[:, None]
+    for inv, ee, bb in reversed(levels):  # back substitution, coarse to fine
+        full = np.empty((2 * len(x) + 1, *bb.shape[1:]))
+        full[1::2] = x
+        elim = bb[::2].copy()
+        elim[1:] -= ee[1::2, None] * x
+        elim[:-1] -= ee[::2, None] * x
+        full[::2] = elim * inv[:, None]
+        x = full
+    return x[:m], low
+
+
 def solve_aubin_fiber(
     problem: FiberProblem,
     phi0=None,
@@ -121,7 +167,7 @@ def solve_aubin_fiber(
 ) -> FiberSolution:
     """Damped Newton for every row of (*), from phi0 or the constant mass-matching guess.
 
-    Each step is one bordered dptsv solve over the rows still iterating; a
+    Each step is one bordered cyclic reduction over the rows still iterating; a
     failure names its row in the exception's ``row``.
     """
     bg = problem.bg
@@ -143,23 +189,21 @@ def solve_aubin_fiber(
         return bg.d2(phi) - coef[rows] * np.exp(phi) + source[rows]
 
     def newton_step(phi, r, rows):
-        from scipy.linalg.lapack import dptsv  # imported at first use, not with the CLI
-
-        # (-J) step = r: the leading (n-1)-blocks of -J, joined by zero off-diagonals, give y1
-        # (residual) and y2 (corner column b); last = (r_last - b.y1) / (d_last - b.y2)
+        # (-J) step = r: the leading (n-1)-blocks of -J give y1 (residual) and y2 (corner
+        # column b); last = (r_last - b.y1) / (d_last - b.y2)
         diag = 2.0 * inv_h2 + coef[rows] * np.exp(phi)
-        finite = np.isfinite(diag).all(axis=1)  # dptsv passes NaN and inf; NaN crosses the joins
+        finite = np.isfinite(diag).all(axis=1)  # else a NaN would read as an indefinite Jacobian
         if not finite.all():
             raise SingularSystem("fiber Jacobian is not finite").at_row(rows[np.argmin(finite)])
-        off = np.tile(np.append(np.full(n - 2, -inv_h2), 0.0), len(rows))[:-1]
-        rhs = np.zeros((2, len(rows), n - 1))
-        rhs[0], rhs[1, :, [0, -1]] = r[:, :-1], -inv_h2
-        _, _, y, info = dptsv(diag[:, :-1].ravel(), off, rhs.reshape(2, -1).T, overwrite_b=1)
-        y1, y2 = y.T.reshape(2, len(rows), n - 1)
+        rhs = np.zeros((n - 1, 2, len(rows)))
+        rhs[:, 0], rhs[[0, -1], 1] = r[:, :-1].T, -inv_h2
+        y, low = _cyclic_reduction(diag[:, :-1].T, -inv_h2, rhs)
+        y1, y2 = y[:, 0].T, y[:, 1].T
         schur = diag[:, -1] + inv_h2 * (y2[:, 0] + y2[:, -1])
-        if info or not np.all(schur > 0.0):
-            b = (info - 1) // (n - 1) if info > 0 else np.argmin(schur > 0.0)
-            raise SingularSystem(f"fiber Jacobian is not positive definite (dptsv info {info})").at_row(rows[b])
+        low = np.minimum(low, schur)
+        if not np.all(low > 0.0):
+            b = np.argmin(low > 0.0)
+            raise SingularSystem(f"fiber Jacobian is not positive definite (pivot {low[b]:.3g})").at_row(rows[b])
         last = (r[:, -1:] + inv_h2 * (y1[:, :1] + y1[:, -1:])) / schur[:, None]
         return np.hstack([y1 - last * y2, last])
 

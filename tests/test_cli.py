@@ -52,7 +52,7 @@ def test_cli_import_leaves_slow_scipy_modules_unloaded():
 
 
 def test_config_loading_and_config_errors_leave_scipy_unloaded(tmp_path):
-    """scipy is imported at the first solve: import, load_config and an exit-1 config error load none of it."""
+    """Import, load_config and an exit-1 config error load no scipy module."""
     root = Path(__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])}
     bad = _write_config(tmp_path, grid={"n_points": 9})
@@ -71,18 +71,21 @@ def test_config_loading_and_config_errors_leave_scipy_unloaded(tmp_path):
 
 
 def test_study_and_verify_leave_scipy_special_unloaded(tmp_path):
-    """The entropies compute x log y with numpy: a whole study and verify never import scipy.special."""
+    """study and verify on the canonical config pass with scipy blocked and load no scipy module:
+    the entropies compute x log y with numpy, the geodesic factors its Jacobian by nested
+    dissection and the fiber step solves by cyclic reduction."""
     root = Path(__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])}
-    cfg = _study_config(tmp_path, [0.1, 0.01, 0.001])
+    cfg = str(root / "configs" / "canonical.json")
     code = (
         "import sys\n"
+        "sys.modules['scipy'] = None  # any import of it raises ImportError\n"
         "from kgeolab.cli import main\n"
         f"rcs = [main([cmd, '--config', {cfg!r}, '--out', {str(tmp_path / 'out')!r}]) for cmd in ('study', 'verify')]\n"
-        "print(rcs, 'scipy.sparse.linalg' in sys.modules, 'scipy.special' in sys.modules)\n"
+        "print(rcs, sorted(m for m in sys.modules if m.startswith('scipy.')))\n"
     )
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert done.stdout.splitlines()[-1] == "[0, 0] True False"
+    assert done.stdout.splitlines()[-1] == "[0, 0] []"
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +496,7 @@ def test_fine_boundary_ladder_factors_once_per_rung(tmp_path, monkeypatch):
     cfg = _write_config(tmp_path)
     assert main(["verify", "--suite", "convexity", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
     sizes = [15 * 64, 31 * 64, 63 * 64]
-    blocks = [(size, len(list(run))) for size, run in itertools.groupby(matrix.shape[0] for (matrix,) in lus)]
+    blocks = [(size, len(list(run))) for size, run in itertools.groupby(coefs[0].size for (coefs,) in lus)]
     assert blocks[:3] == [(sizes[0], 5), (sizes[1], 4), (sizes[2], 4)]
     assert all(size < sizes[0] for size, _ in blocks[3:])
 

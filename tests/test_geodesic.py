@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-from scipy.sparse.linalg import splu
 
 from kgeolab import (
     EpsGeodesicProblem,
@@ -14,6 +13,7 @@ from kgeolab import (
     NonConvexInput,
     NotASolution,
     PositivityLoss,
+    SingularSystem,
     eps_continuation,
     eval_geodesic_residual,
     initial_guess,
@@ -24,7 +24,7 @@ from kgeolab import (
     weak_geodesic,
 )
 from kgeolab import geodesic
-from kgeolab.geodesic import LU_OPTIONS, rung_increments
+from kgeolab.geodesic import rung_increments
 from kgeolab.model import fourier_field
 
 AMP = 0.05 / (2.0 * np.pi) ** 2
@@ -71,12 +71,42 @@ def test_solve_small(small_bg):
     assert np.array_equal(sol.path.values[0], e0) and np.array_equal(sol.path.values[-1], e1)
 
 
+def _nine_point_entries(coefs):
+    """(rows, cols, values) of the space-time Jacobian of a (5, n_int, n) coefficient stack, in
+    natural order, written out stencil entry by stencil entry."""
+    _, n_int, n = coefs.shape
+    i, j = np.indices((n_int, n))
+    offsets = [(0, 0, 0), (0, 1, 1), (0, -1, 1), (1, 0, 2), (-1, 0, 2), (1, 1, 3), (-1, -1, 3), (1, -1, 4), (-1, 1, 4)]
+    rows, cols, vals = [], [], []
+    for di, dj, k in offsets:
+        keep = (i + di >= 0) & (i + di < n_int)  # the Dirichlet rows are not unknowns
+        rows.append((i * n + j)[keep])
+        cols.append(((i + di) * n + (j + dj) % n)[keep])
+        vals.append(coefs[k][keep])
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+
+
+def _nine_point_csc(coefs):
+    sparse = pytest.importorskip("scipy.sparse")
+    size = coefs[0].size
+    rows, cols, vals = _nine_point_entries(coefs)
+    return sparse.csc_matrix((vals, (rows, cols)), shape=(size, size))
+
+
+def _random_coefs(n, n_int, seed):
+    """The coefficient stack newton_step builds, at random cone values of w + Phi_xx, Phi_ss and Phi_xs."""
+    rng = np.random.default_rng(seed)
+    h, ds = 1.0 / n, 1.0 / (n_int + 1)
+    m_xx, phi_ss = rng.uniform(0.5, 1.5, (2, n_int, n))
+    q = rng.uniform(-0.3, 0.3, (n_int, n)) / (2.0 * h * ds)
+    return np.stack([-2.0 * phi_ss / h**2 - 2.0 * m_xx / ds**2, phi_ss / h**2, m_xx / ds**2, -q, q])
+
+
 def test_newton_jacobian_matches_finite_differences(monkeypatch):
     """The matrix the Newton step factors is the derivative of the interior residual.
 
     Checked entry by entry against central differences of the independent
-    certificate residual, once the symmetric nested-dissection permutation of
-    the pattern is undone, on 8 points so that the periodic wrap and the rows
+    certificate residual, on 8 points so that the periodic wrap and the rows
     next to both Dirichlet rows make up most of the matrix.  The residual is
     quadratic in the unknowns, so central differences are exact up to
     round-off.
@@ -93,16 +123,16 @@ def test_newton_jacobian_matches_finite_differences(monkeypatch):
     factored = []
     real_splu = geodesic.splu
 
-    def spy(matrix, *args, **kwargs):
-        factored.append(matrix.toarray())
-        return real_splu(matrix, *args, **kwargs)
+    def spy(coefs):
+        factored.append(coefs.copy())
+        return real_splu(coefs)
 
     monkeypatch.setattr(geodesic, "splu", spy)
     solve_eps_geodesic(problem, path0=start)
-    # the first Newton step linearizes at the start; the LU sees P J P^T
-    perm = geodesic._jacobian_pattern(8, n_time)[3]
-    jac = np.empty_like(factored[0])
-    jac[np.ix_(perm, perm)] = factored[0]
+    # the first Newton step linearizes at the start
+    rows, cols, vals = _nine_point_entries(factored[0])
+    jac = np.zeros((7 * 8, 7 * 8))
+    jac[rows, cols] = vals
 
     def residual(x):
         path = np.vstack([e0, x.reshape(n_time - 1, 8), e1])
@@ -115,7 +145,6 @@ def test_newton_jacobian_matches_finite_differences(monkeypatch):
         dx = np.zeros_like(x0)
         dx[k] = step
         fd[:, k] = (residual(x0 + dx) - residual(x0 - dx)) / (2.0 * step)
-    assert jac.shape == (7 * 8, 7 * 8)
     assert np.max(np.abs(jac - fd)) <= 1e-9 * np.max(np.abs(jac))
     # the pattern is the nine-point stencil: wrap entries present, nothing else
     assert jac[0, 7] != 0.0 and jac[0, 8 + 7] != 0.0 and jac[6 * 8, 5 * 8 + 7] != 0.0
@@ -126,45 +155,99 @@ def test_newton_jacobian_matches_finite_differences(monkeypatch):
 @pytest.mark.parametrize("n", [8, 64, 256, 512])
 @pytest.mark.parametrize("n_time", [8, 16, 32, 64])
 def test_dissection_order_is_a_permutation(n, n_time):
-    perm = geodesic._dissection_order(n_time - 1, n)
-    assert np.array_equal(np.sort(perm), np.arange((n_time - 1) * n))
-    # the columns x = 0 and x = n/2 that open the ring come last
-    last = perm[-2 * (n_time - 1):].reshape(2, n_time - 1)
-    assert np.array_equal(last % n, [[0] * (n_time - 1), [n // 2] * (n_time - 1)])
+    """The symbolic phase pivots every unknown exactly once, and so does each solve, and the
+    columns x = 0 and x = n/2 that open the ring are the last front."""
+    groups, sweeps = geodesic._dissection(n_time - 1, n)
+    for batches in (groups, sweeps):
+        order = np.concatenate([batch.piv.ravel() for batch in batches])
+        assert np.array_equal(np.sort(order), np.arange((n_time - 1) * n))
+    root = groups[-1]
+    assert root.ring.size == 0 and np.array_equal(root.piv, sweeps[-1].piv)
+    assert np.array_equal(root.piv.reshape(2, n_time - 1) % n, [[0] * (n_time - 1), [n // 2] * (n_time - 1)])
 
 
-def _recursive_dissection_order(n_int, n):
-    """The order as first written: one recursive call per box, each box at its position."""
-    parts = []
+def _recursive_fronts(n_int, n):
+    """Every front as (pivots, ring), children first, from one recursive call per box: a box of
+    at most LEAF_NODES nodes pivots them all, a larger one its middle column or row across its
+    longer side, and its ring is every stencil neighbour outside it."""
+    fronts = []
+
+    def ring(r0, r1, c0, c1):
+        return {
+            r * n + c % n
+            for r in range(max(r0 - 1, 0), min(r1 + 1, n_int))
+            for c in range(c0 - 1, c1 + 1)
+            if not (r0 <= r < r1 and c0 <= c < c1)
+        }
 
     def box(r0, r1, c0, c1):
-        if min(r1 - r0, c1 - c0) < 3:
-            parts.append((np.arange(r0, r1)[:, None] * n + np.arange(c0, c1)).ravel())
+        if (r1 - r0) * (c1 - c0) <= geodesic.LEAF_NODES:
+            pivots = {r * n + c for r in range(r0, r1) for c in range(c0, c1)}
         elif c1 - c0 >= r1 - r0:
             mid = (c0 + c1) // 2
-            for args in ((r0, r1, c0, mid), (r0, r1, mid + 1, c1), (r0, r1, mid, mid + 1)):
-                box(*args)
+            box(r0, r1, c0, mid)
+            box(r0, r1, mid + 1, c1)
+            pivots = {r * n + mid for r in range(r0, r1)}
         else:
             mid = (r0 + r1) // 2
-            for args in ((r0, mid, c0, c1), (mid + 1, r1, c0, c1), (mid, mid + 1, c0, c1)):
-                box(*args)
+            box(r0, mid, c0, c1)
+            box(mid + 1, r1, c0, c1)
+            pivots = {mid * n + c for c in range(c0, c1)}
+        fronts.append((frozenset(pivots), frozenset(ring(r0, r1, c0, c1))))
 
     half = n // 2
-    for c0, c1 in ((1, half), (half + 1, n), (0, 1), (half, half + 1)):
-        box(0, n_int, c0, c1)
-    return np.concatenate(parts)
+    box(0, n_int, 1, half)
+    box(0, n_int, half + 1, n)
+    fronts.append((frozenset(r * n + c for r in range(n_int) for c in (0, half)), frozenset()))
+    return fronts
 
 
 @pytest.mark.parametrize("n, n_time", [(256, 64), (256, 32), (256, 16), (64, 16), (128, 32), (512, 32), (8, 8)])
 def test_dissection_order_equals_the_recursive_reference(n, n_time):
-    """Boxes memoized by shape give the same order as recursing box by box."""
-    assert np.array_equal(geodesic._dissection_order(n_time - 1, n), _recursive_dissection_order(n_time - 1, n))
+    """Fronts batched by box signature are the fronts of recursing box by box."""
+    batched = [
+        (frozenset(p), frozenset(r))
+        for fronts in geodesic._dissection(n_time - 1, n)[0]
+        for p, r in zip(fronts.piv.tolist(), fronts.ring.tolist())
+    ]
+    reference = _recursive_fronts(n_time - 1, n)
+    assert len(batched) == len(reference) and set(batched) == set(reference)
+
+
+@pytest.mark.parametrize("n, n_int", [(8, 7), (30, 9), (256, 63), (512, 31)])
+def test_child_ring_lies_in_parent_front(n, n_int):
+    """Every child's Schur update lands inside its parent's front: the front positions a child
+    slot names hold exactly the child's ring, the child is factored first, and each update
+    is released once, after its last parent."""
+    groups, _ = geodesic._dissection(n_int, n)
+    covered, last_user, released = {}, {}, {}
+    for g, fronts in enumerate(groups):
+        nodes = np.concatenate([fronts.piv, fronts.ring], axis=1)
+        for child, batch, slot in fronts.kids:
+            assert child < g
+            assert np.array_equal(nodes[:, slot], groups[child].ring[batch])
+            covered.setdefault(child, []).extend(range(len(groups[child].piv))[batch])
+            last_user[child] = g
+        released.update({child: g for child in fronts.release})
+    assert released == last_user
+    assert sorted(covered) == [g for g, fronts in enumerate(groups) if fronts.ring.size]
+    assert all(sorted(rows) == list(range(len(groups[child].piv))) for child, rows in covered.items())
+
+
+@pytest.mark.parametrize("n, n_int", [(8, 7), (30, 9), (64, 15), (256, 63), (512, 31)])
+def test_nested_dissection_solve_matches_superlu(n, n_int):
+    """The multifrontal LU solves random nine-point Jacobians as SuperLU does, to 1e-12 relative."""
+    linalg = pytest.importorskip("scipy.sparse.linalg")
+    coefs = _random_coefs(n, n_int, seed=n * n_int)
+    rhs = np.random.default_rng(n).standard_normal(n * n_int)
+    x = geodesic.splu(coefs).solve(rhs)
+    reference = linalg.splu(_nine_point_csc(coefs)).solve(rhs)
+    assert np.max(np.abs(x - reference)) <= 1e-12 * np.max(np.abs(reference))
 
 
 def _first_newton_system(monkeypatch, n, n_time):
-    """The first Newton step of a curved 0.05-amplitude solve: the permuted
-    matrix it factors, that matrix in natural order, the right-hand side in
-    natural order and the step it returned."""
+    """The first Newton step of a curved 0.05-amplitude solve: the coefficient stack it
+    factors, the right-hand side its factor solved and the step that came back."""
     grid = SpatialGrid(n)
     bg = make_background(grid, psi=fourier_field(grid, [(1, 0.002, 0.001)]))
     e0, e1 = _endpoints(grid)
@@ -179,33 +262,58 @@ def _first_newton_system(monkeypatch, n, n_time):
             seen.append((rhs.copy(), self.lu.solve(rhs)))
             return seen[-1][1]
 
-    def spy(matrix, *args, **kwargs):
-        seen.append(matrix.copy())
-        return Spy(real_splu(matrix, *args, **kwargs))
+    def spy(coefs):
+        seen.append(coefs.copy())
+        return Spy(real_splu(coefs))
 
     monkeypatch.setattr(geodesic, "splu", spy)
     solve_eps_geodesic(EpsGeodesicProblem(bg, e0, e1, 1e-2, n_time))
     monkeypatch.undo()
-    permuted, (rhs, step) = seen[0], seen[1]
-    # position k of the permuted system is unknown perm[k]
-    rank = np.argsort(geodesic._jacobian_pattern(n, n_time)[3])
-    return permuted, permuted[rank][:, rank].tocsc(), rhs[rank], step[rank]
+    coefs, (rhs, step) = seen[0], seen[1]
+    return coefs, rhs, step
 
 
 def test_dissection_fill_is_close_to_minimum_degree(monkeypatch):
-    """On a 256 x 16 Jacobian the natural-order LU of the dissection pattern
-    keeps within 5% of the fill of SuperLU's minimum degree on A^T + A."""
-    permuted, natural, _, _ = _first_newton_system(monkeypatch, 256, 16)
-    nd = splu(permuted, **LU_OPTIONS)
-    mmd = splu(natural, permc_spec="MMD_AT_PLUS_A")
-    assert nd.L.nnz + nd.U.nnz <= 1.05 * (mmd.L.nnz + mmd.U.nnz)
+    """On a 256 x 16 Jacobian the multifrontal factor stores fewer entries than SuperLU keeps
+    with minimum degree on A^T + A."""
+    linalg = pytest.importorskip("scipy.sparse.linalg")
+    coefs, _, _ = _first_newton_system(monkeypatch, 256, 16)
+    nd = geodesic.splu(coefs)
+    mmd = linalg.splu(_nine_point_csc(coefs), permc_spec="MMD_AT_PLUS_A")
+    assert nd.L.nnz + nd.U.nnz <= mmd.L.nnz + mmd.U.nnz
 
 
 def test_newton_step_equals_minimum_degree_solve(monkeypatch):
-    """The step scattered back through the permutation solves the unpermuted system."""
-    _, natural, rhs, step = _first_newton_system(monkeypatch, 256, 16)
-    reference = splu(natural, permc_spec="MMD_AT_PLUS_A").solve(rhs)
+    """The Newton step solves the natural-order system as SuperLU with minimum degree does."""
+    linalg = pytest.importorskip("scipy.sparse.linalg")
+    coefs, rhs, step = _first_newton_system(monkeypatch, 256, 16)
+    reference = linalg.splu(_nine_point_csc(coefs), permc_spec="MMD_AT_PLUS_A").solve(rhs)
     assert np.max(np.abs(step - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+
+def test_non_finite_jacobian_raises_singular_system(small_bg):
+    """np.linalg.inv passes inf and NaN through, so the step checks its coefficients: a start so
+    steep in s that the Jacobian overflows raises SingularSystem, named by its solve."""
+    e0, e1 = _endpoints(small_bg.grid)
+    problem = EpsGeodesicProblem(small_bg, e0, e1, 1e-2, 8)
+    s = np.arange(9) / 8.0
+    steep = initial_guess(problem) + 1e306 * (s * s - s)[:, None]  # Phi_ss = 2e306: in the cone
+    with pytest.raises(SingularSystem, match=(
+        r"^eps-geodesic solve failed at \(eps=0\.01, n_time=8, n_points=64\): space-time Jacobian is not finite$"
+    )), np.errstate(over="ignore", invalid="ignore"):
+        solve_eps_geodesic(problem, path0=steep)
+
+
+def test_singular_pivot_block_raises_singular_system(small_bg, monkeypatch):
+    """np.linalg.inv's LinAlgError on a singular pivot block becomes SingularSystem, named by its solve."""
+    real_splu = geodesic.splu
+    monkeypatch.setattr(geodesic, "splu", lambda coefs: real_splu(0.0 * coefs))
+    e0, e1 = _endpoints(small_bg.grid)
+    with pytest.raises(SingularSystem, match=(
+        r"^eps-geodesic solve failed at \(eps=0\.01, n_time=8, n_points=64\): "
+        r"space-time Jacobian factorization failed: Singular matrix$"
+    )):
+        solve_eps_geodesic(EpsGeodesicProblem(small_bg, e0, e1, 1e-2, 8))
 
 
 def test_equal_constant_endpoints_closed_form(small_bg):

@@ -1,5 +1,7 @@
 """Fiber solvers, families, and the uniform-bound machinery."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -163,6 +165,39 @@ def test_non_finite_jacobian_raises_singular_system_naming_its_row(small_bg, mon
     with pytest.raises(SingularSystem) as exc, np.errstate(over="ignore"):
         solve_aubin_fiber(FiberProblem(small_bg, beta, np.array([0.1, 1e-320])))
     assert exc.value.row == 1
+
+
+@pytest.mark.parametrize("node", [5, 63])
+def test_indefinite_jacobian_raises_not_positive_definite_naming_its_row(small_bg, monkeypatch, node):
+    """A negative density node makes the Jacobian of the row whose potential peaks there indefinite:
+    inside the (n-1)-block a reduced pivot of the cyclic reduction turns negative (node 5), at the
+    last node the Schur complement does (node 63)."""
+    w = small_bg.w.copy()
+    w[node] = -1.0
+    newton_step = _captured_newton_step(dataclasses.replace(small_bg, w=w), np.full(3, 0.01), monkeypatch)
+    phi = np.zeros((2, 64))
+    phi[1, node] = 6.0  # (1/eps) w e^phi = -4e4 there, against 2/h^2 = 8192
+    with pytest.raises(SingularSystem, match="fiber Jacobian is not positive definite") as exc:
+        newton_step(phi, np.ones((2, 64)), np.array([0, 2]))
+    assert exc.value.row == 2
+
+
+@pytest.mark.parametrize("rows", [1, 17])
+@pytest.mark.parametrize("m", [7, 8, 63, 255, 511])
+def test_cyclic_reduction_matches_dptsv(m, rows):
+    """Cyclic reduction solves the fiber step's (n-1)-block systems as LAPACK's LDL^T does, to
+    1e-13 relative, on diagonals 2/h^2 + (1/eps) w e^phi with (1/eps) w e^phi from 10 to 1e3."""
+    lapack = pytest.importorskip("scipy.linalg.lapack")
+    rng = np.random.default_rng(m * rows)
+    inv_h2 = float((m + 1) ** 2)
+    diag = 2.0 * inv_h2 + np.exp(rng.uniform(np.log(10.0), np.log(1e3), (m, rows)))
+    rhs = rng.standard_normal((m, 2, rows))
+    x, low = ma_fiber._cyclic_reduction(diag, -inv_h2, rhs)
+    assert np.all(low > 0.0) and np.all(low <= diag.min(axis=0))
+    for k in range(rows):
+        _, _, reference, info = lapack.dptsv(diag[:, k], np.full(m - 1, -inv_h2), rhs[:, :, k])
+        assert info == 0
+        assert np.max(np.abs(x[:, :, k] - reference)) <= 1e-13 * np.max(np.abs(reference))
 
 
 @given(seed=st.integers(0, 10_000))

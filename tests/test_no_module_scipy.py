@@ -1,11 +1,10 @@
-"""The package's import graph: scipy only inside functions, jsonschema nowhere.
+"""The package's import graph: neither scipy nor jsonschema, anywhere.
 
-scipy is imported inside the function that first needs it (a solve), so
-``import kgeolab``, ``load_config`` and every exit-1 config error run
-without loading it.  jsonschema is a test dependency only: the package
-validates configs and reports with its own walker of the shipped schemas.
-The scan is syntactic (``ast``), over every module under ``src/kgeolab``:
-an import counts as module level unless it sits in a function body.
+Both are test dependencies only.  The package factors its sparse systems
+with numpy (nested dissection for the space-time Jacobian, cyclic reduction
+for the fiber step) and validates configs and reports with its own walker
+of the shipped schemas.  The scan is syntactic (``ast``), over every module
+under ``src/kgeolab``, and counts imports inside function bodies too.
 """
 
 import ast
@@ -20,26 +19,17 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "kgeolab"
 ROOT = SRC.parents[1]
 
 
-def _run_at_import(node):
-    """node and every node below it that is not inside a function."""
-    yield node
-    for child in ast.iter_child_nodes(node):
-        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            yield from _run_at_import(child)
-
-
 def _is_in(name, package) -> bool:
     return name is not None and (name == package or name.startswith(package + "."))
 
 
-def imports_of(package: str, root: Path = SRC, anywhere: bool = False) -> list:
-    """file:line of every import of package under root: run at module import, or anywhere."""
+def imports_of(package: str, root: Path = SRC) -> list:
+    """file:line of every import of package under root, at module level or inside a function."""
     found = []
     for path in sorted(root.rglob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
         lines = sorted(
             node.lineno
-            for node in (ast.walk(tree) if anywhere else _run_at_import(tree))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
             if (isinstance(node, ast.Import) and any(_is_in(a.name, package) for a in node.names))
             or (isinstance(node, ast.ImportFrom) and node.level == 0 and _is_in(node.module, package))
         )
@@ -47,13 +37,13 @@ def imports_of(package: str, root: Path = SRC, anywhere: bool = False) -> list:
     return found
 
 
-def test_package_imports_scipy_only_inside_functions():
+def test_package_never_imports_scipy():
     found = imports_of("scipy")
-    assert found == [], f"scipy imported at module level; import it where it is first used: {found}"
+    assert found == [], f"scipy is a test dependency only: {found}"
 
 
 def test_package_never_imports_jsonschema():
-    found = imports_of("jsonschema", anywhere=True)
+    found = imports_of("jsonschema")
     assert found == [], f"jsonschema is a test dependency only: {found}"
 
 
@@ -72,11 +62,9 @@ def test_scan_finds_a_module_level_scipy_import(tmp_path):
         "    import jsonschema.exceptions\n"
         "    return xlogy(x, x)\n"
     )
-    assert imports_of("scipy", tmp_path) == ["mod.py:2", "mod.py:4"]
-    assert imports_of("scipy", tmp_path, anywhere=True) == ["mod.py:2", "mod.py:4", "mod.py:10"]
-    assert imports_of("jsonschema", tmp_path) == []
-    assert imports_of("jsonschema", tmp_path, anywhere=True) == ["mod.py:11"]
-    assert imports_of("scip", tmp_path, anywhere=True) == []  # a package, not a name prefix
+    assert imports_of("scipy", tmp_path) == ["mod.py:2", "mod.py:4", "mod.py:10"]
+    assert imports_of("jsonschema", tmp_path) == ["mod.py:11"]
+    assert imports_of("scip", tmp_path) == []  # a package, not a name prefix
 
 
 def test_cli_loads_and_runs_without_jsonschema(tmp_path):
