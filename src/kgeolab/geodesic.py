@@ -23,9 +23,9 @@ coefficient arrays into each front and the solve's batches are built once
 per (n_points, n_time) (_dissection); fronts of one level and one local
 shape are factored as one batch of dense blocks (splu), and a solve is one
 sweep up and one down the tree.  Against SuperLU on the same order, the
-factor stores about 0.9 of the entries, factors in about the same time and
-solves in 0.7-0.95 of it; another ordering changes only the last bits of
-the solution.
+factor stores about 0.9 of the entries, and it takes 1.0-1.2 times as long
+to factor and 0.75-1.0 times as long to solve; another ordering changes
+only the last bits of the solution.
 
 weak_geodesic extracts the small-eps limit of eps_continuation, the one
 warm-started eps-ladder of the package.  From its third rung on, a rung
@@ -190,7 +190,7 @@ class _Fronts(NamedTuple):
     pos: np.ndarray  # (E,) position of each stencil entry of the front in the raveled f x f front
     gather: np.ndarray  # (E, batch) index of that entry in the raveled (5, n_int, n) coefficient stack
     kids: tuple  # per child slot: (its group, its slice of that batch, front positions of its ring)
-    release: list  # the child groups whose updates this group consumes last
+    release: tuple  # the child groups whose updates this group consumes last
     sweep: int  # the _Sweep that solves with these fronts
     rp: np.ndarray | None = None  # leaves only: which of the E entries make up F_RP
     pr: np.ndarray | None = None  # and F_PR
@@ -284,6 +284,7 @@ def _dissection(n_int: int, n: int) -> tuple:
             groups.append(fronts)
     for child, user in last_use.items():
         groups[user].release.append(child)
+    groups = [g._replace(release=tuple(g.release)) for g in groups]
     # a sweep comes after every sweep that holds a descendant of its fronts, since the deepest
     # level comes first and a level's sweeps open before the next level up is reached
     solve = []
@@ -294,7 +295,18 @@ def _dissection(n_int: int, n: int) -> tuple:
             solve.append(_Sweep(piv, piv[:, :0], *couplings))
         else:
             solve.append(_Sweep(piv, np.concatenate([g.ring for g in members])))
-    return tuple(groups), tuple(solve)
+    out = tuple(groups), tuple(solve)
+    _read_only(out)  # cached, so shared by every factorization of this grid
+    return out
+
+
+def _read_only(item) -> None:
+    """Mark every array in a nest of tuples read-only."""
+    if isinstance(item, np.ndarray):
+        item.setflags(write=False)
+    elif isinstance(item, tuple):
+        for sub in item:
+            _read_only(sub)
 
 
 class _FrontalLU:
