@@ -7,6 +7,9 @@ mean curvature S of the background vanishes on the circle up to round-off;
 it is kept in the formulas rather than patched out, so the energy part of
 the Mabuchi functional is (S/2) E - E^Ric.
 
+The pointwise functionals take a field or a whole path: model.integrate acts
+on the last axis like the stencils, so a path gives one value per row.
+
 The second-difference diagnostics attached to every trace use the uniform
 time grid; boundary rows carry nan.
 """
@@ -22,6 +25,7 @@ from .model import (
     Background,
     PathField,
     _as_field_values,
+    _as_nodal_values,
     _write_csv,
     metric_density,
     reduced_hessian,
@@ -80,24 +84,26 @@ def _resolve_chi(bg: Background, spec: TruncationSpec) -> np.ndarray:
 # pointwise functionals
 
 
-def energy(bg: Background, u) -> float:
-    """E(u) = int u (m[u] + w) dx; polynomial in u, no admissibility needed."""
-    u = _as_field_values(bg.grid, u)
+def energy(bg: Background, u):
+    """E(u) = int u (m[u] + w) dx of a field or of each path row; polynomial in u, no admissibility needed."""
+    u = _as_nodal_values(bg.grid, u)
     return bg.integrate(u * (metric_density(bg, u) + bg.w))
 
 
-def energy_alpha(bg: Background, u, alpha) -> float:
-    """E^alpha(u) = int u alpha dx; with alpha = r this is the Ricci energy."""
-    u = _as_field_values(bg.grid, u)
+def energy_alpha(bg: Background, u, alpha):
+    """E^alpha(u) = int u alpha dx of a field or of each path row; with alpha = r this is the Ricci energy."""
+    u = _as_nodal_values(bg.grid, u)
     return bg.integrate(u * _as_field_values(bg.grid, alpha))
 
 
-def _slice_density(bg: Background, u, label: str = "") -> np.ndarray:
-    """Density clipped to [0, inf); rejects genuinely negative slices."""
-    m = metric_density(bg, u)
-    low = float(np.min(m))
-    if low < -1e-10:
-        raise NegativeDensity(f"density reaches {low:.3g}{label}")
+def _slice_density(bg: Background, u) -> np.ndarray:
+    """Density of a field or of each path row, clipped to [0, inf); rejects genuinely negative slices."""
+    m = metric_density(bg, _as_nodal_values(bg.grid, u))
+    low = np.min(m, axis=-1)
+    bad = np.flatnonzero(low < -1e-10)
+    if bad.size:
+        where = f" at slice {bad[0]}" if m.ndim > 1 else ""
+        raise NegativeDensity(f"density reaches {low.flat[bad[0]]:.3g}{where}")
     return np.maximum(m, 0.0)
 
 
@@ -106,21 +112,21 @@ def _xlogy(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x * np.log(y, out=np.zeros_like(x), where=x > 0)
 
 
-def entropy(bg: Background, u) -> float:
-    """H(u) = int f log f dmu with f = m[u]/w; nonnegative since int f dmu = 1."""
+def entropy(bg: Background, u):
+    """H(u) = int f log f dmu with f = m[u]/w, of a field or of each path row; nonnegative since int f dmu = 1."""
     m = _slice_density(bg, u)
     return bg.integrate(_xlogy(m, m / bg.w))
 
 
 def _truncated_log(bg: Background, f, spec: TruncationSpec) -> np.ndarray:
-    """max(log f, chi - A) nodewise; finite where the density f vanishes."""
+    """max(log f, chi - A) nodewise, for a density f or a stack of them; finite where f vanishes."""
     floor = _resolve_chi(bg, spec) - spec.A
-    above = np.log(f, out=np.array(floor, dtype=float), where=f > np.exp(floor))
+    above = np.log(f, out=np.array(np.broadcast_to(floor, np.shape(f))), where=f > np.exp(floor))
     return np.maximum(above, floor)
 
 
-def truncated_entropy(bg: Background, u, spec: TruncationSpec) -> float:
-    """H_A(u) = int f log max(f, h_A) dmu >= H(u), with h_A = e^(chi - A)."""
+def truncated_entropy(bg: Background, u, spec: TruncationSpec):
+    """H_A(u) = int f log max(f, h_A) dmu >= H(u), with h_A = e^(chi - A), of a field or of each path row."""
     m = _slice_density(bg, u)
     return bg.integrate(m * _truncated_log(bg, m / bg.w, spec))
 
@@ -138,10 +144,6 @@ def delta_A(bg: Background, spec: TruncationSpec) -> tuple[float, float, float]:
 # Mabuchi family along paths
 
 
-def _energy_part(bg: Background, u) -> float:
-    return 0.5 * bg.ricci_mean * energy(bg, u) - energy_alpha(bg, u, bg.r)
-
-
 def _check_k_family(path: PathField, family, k: int) -> None:
     """Raise FamilyMismatch unless 1 <= k <= #epsilons and the times match the path."""
     if k < 1 or k > len(family.epsilons):
@@ -151,15 +153,9 @@ def _check_k_family(path: PathField, family, k: int) -> None:
         raise FamilyMismatch("family times do not match the path grid")
 
 
-def _mabuchi_trace(bg: Background, path: PathField, slice_entropy, meta: dict) -> FunctionalTrace:
-    """(S/2) E - E^Ric plus slice_entropy(i, u) on every row u = path.values[i]."""
-    values = []
-    for i, u in enumerate(path.values):
-        try:
-            values.append(_energy_part(bg, u) + slice_entropy(i, u))
-        except NegativeDensity as exc:
-            raise NegativeDensity(f"{exc} at slice {i}") from exc
-    values = np.array(values)
+def _mabuchi_trace(bg: Background, path: PathField, entropies: np.ndarray, meta: dict) -> FunctionalTrace:
+    """(S/2) E - E^Ric of every path row plus that row's entry of entropies."""
+    values = 0.5 * bg.ricci_mean * energy(bg, path.values) - energy_alpha(bg, path.values, bg.r) + entropies
     return FunctionalTrace(
         times=path.times,
         values=values,
@@ -170,7 +166,7 @@ def _mabuchi_trace(bg: Background, path: PathField, slice_entropy, meta: dict) -
 
 def mabuchi(bg: Background, path: PathField) -> FunctionalTrace:
     """M(t) = (S/2) E - E^Ric + int m log(m/w) dx, slice by slice."""
-    return _mabuchi_trace(bg, path, lambda i, u: entropy(bg, u), {"name": "mabuchi"})
+    return _mabuchi_trace(bg, path, entropy(bg, path.values), {"name": "mabuchi"})
 
 
 def mabuchi_k(bg: Background, path: PathField, family, k: int) -> FunctionalTrace:
@@ -185,7 +181,7 @@ def mabuchi_k(bg: Background, path: PathField, family, k: int) -> FunctionalTrac
     return _mabuchi_trace(
         bg,
         path,
-        lambda i, u: bg.integrate(_slice_density(bg, u) * log_avg[i]),
+        bg.integrate(_slice_density(bg, path.values) * log_avg),
         {"name": "mabuchi_k", "k": int(k), "epsilons": list(family.epsilons[:k])},
     )
 
@@ -200,7 +196,7 @@ def mabuchi_eps_A(bg: Background, eps_geodesic, spec: TruncationSpec) -> Functio
     return _mabuchi_trace(
         bg,
         eps_geodesic.path,
-        lambda i, u: truncated_entropy(bg, u, spec),
+        truncated_entropy(bg, eps_geodesic.path.values, spec),
         {
             "name": "mabuchi_eps_A",
             "epsilon": float(eps_geodesic.epsilon),
@@ -241,11 +237,11 @@ def ddc_energy_check(bg: Background, path: PathField, test_fn) -> DdcReport:
     if np.any(edge != 0.0):
         raise ValueError("test function must vanish at the two boundary rows on each side")
     ds = path.ds
-    energies = np.array([energy(bg, u) for u in path.values])
+    energies = energy(bg, path.values)
     d2tau = second_differences(tau, ds)[1:-1]
     lhs = ds * float(np.sum(energies[1:-1] * d2tau))
     det = reduced_hessian(bg, path).det()
-    pushforward = 2.0 * bg.grid.spacing * det.sum(axis=1)
+    pushforward = 2.0 * bg.integrate(det)
     rhs = ds * float(np.sum(pushforward * tau[1:-1]))
     gap = abs(lhs - rhs)
     scale = max(abs(lhs), abs(rhs))

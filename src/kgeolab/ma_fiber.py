@@ -101,10 +101,6 @@ class FiberSolution:
     min_metric_eigen: np.ndarray
 
     @property
-    def row_iters(self) -> np.ndarray:
-        return self.record.row_iterations
-
-    @property
     def newton_iters(self) -> int:  # summed over the rows
         return self.record.iterations
 
@@ -174,7 +170,7 @@ def solve_aubin_fiber(
     n = bg.grid.n_points
     source = problem.theta + problem.beta
     eps = problem.epsilon
-    total = bg.grid.spacing * np.sum(source, axis=1)
+    total = bg.integrate(source)
     if np.any(total <= 0.0):
         b = int(np.argmax(total <= 0.0))
         raise IncompatibleMass(
@@ -393,9 +389,9 @@ def solve_family(bg: Background, path: PathField, epsilons, deltas, tol: float =
 
 
 def _bound_stats(bg: Background, eps, phi: np.ndarray) -> np.ndarray:
-    """sup phi, -eps inf phi and eps sup |D2 phi| of each row of phi, with eps per row."""
+    """sup phi, -eps inf phi and eps sup |D2 phi| of each row of phi (last axis), with eps per row."""
     d2 = np.abs(bg.d2(phi))
-    return np.stack([phi.max(axis=1), -eps * phi.min(axis=1), eps * d2.max(axis=1)], axis=1)
+    return np.stack([phi.max(axis=-1), -eps * phi.min(axis=-1), eps * d2.max(axis=-1)], axis=-1)
 
 
 def _halves_margin(values: np.ndarray) -> float:
@@ -414,9 +410,8 @@ def check_bounds(family: FiberFamily) -> BoundReport:
     the maximum over the second half of the (decreasing) epsilon sweep must
     not exceed 1.5 times the maximum over the first half.
     """
-    per_eps = zip(family.epsilons, family.phi)
-    stats = np.array([_bound_stats(family.bg, e, mat).max(axis=0) for e, mat in per_eps])
-    sup_phi, neg_inf, eps_d2 = stats.T
+    eps = np.array(family.epsilons)[:, None]
+    sup_phi, neg_inf, eps_d2 = _bound_stats(family.bg, eps, family.phi).max(axis=1).T
     margin = min(_halves_margin(sup_phi), _halves_margin(neg_inf), _halves_margin(eps_d2))
     return BoundReport(
         epsilons=family.epsilons,
@@ -428,10 +423,10 @@ def check_bounds(family: FiberFamily) -> BoundReport:
     )
 
 
-def default_test_set(grid) -> list[np.ndarray]:
-    """Low-frequency test functions {1, cos 2pi x, sin 2pi x, cos 4pi x, sin 4pi x}."""
+def default_test_set(grid) -> np.ndarray:
+    """Low-frequency test functions {1, cos 2pi x, sin 2pi x, cos 4pi x, sin 4pi x}, one per row."""
     modes = ((0, 1.0, 0.0), (1, 1.0, 0.0), (1, 0.0, 1.0), (2, 1.0, 0.0), (2, 0.0, 1.0))
-    return [fourier_field(grid, [mode]) for mode in modes]
+    return np.array([fourier_field(grid, [mode]) for mode in modes])
 
 
 def density_convergence(family: FiberFamily, path: PathField) -> ConvergenceReport:
@@ -441,9 +436,8 @@ def density_convergence(family: FiberFamily, path: PathField) -> ConvergenceRepo
     over (t, xi) does not grow from the first epsilon to the last.
     """
     bg = family.bg
-    test_set = default_test_set(bg.grid)
     gap = np.exp(family.phi) * bg.w - metric_density(bg, path.values)  # (eps, t, x)
-    errors = np.stack([np.abs(bg.grid.spacing * np.sum(gap * xi, axis=-1)) for xi in test_set], axis=-1)
+    errors = np.abs(bg.integrate(gap[..., None, :] * default_test_set(bg.grid)))  # (eps, t, xi)
     max_per_eps = errors.reshape(len(errors), -1).max(axis=1)
     final, first = float(max_per_eps[-1]), float(max_per_eps[0])
     margin = min(1e-2 - final, first - final)
@@ -460,9 +454,10 @@ def eps_phi_vanishing(family: FiberFamily) -> VanishingReport:
     """sup_t ||eps phi||_inf must not grow along the sweep and must end <= first/2."""
     if len(family.epsilons) < 3:
         raise ValueError("need at least 3 epsilons to judge the trend")
-    sups = np.array([eps * float(np.max(np.abs(mat))) for eps, mat in zip(family.epsilons, family.phi)])
-    steps = [a - b for a, b in zip(sups, sups[1:]) if a or b]  # a step between two zeros does not count
-    margin = float(min([*steps, 0.5 * float(sups[0]) - float(sups[-1])]))
+    sups = np.array(family.epsilons) * np.max(np.abs(family.phi), axis=(1, 2))
+    a, b = sups[:-1], sups[1:]
+    steps = (a - b)[(a != 0.0) | (b != 0.0)]  # a step between two zeros does not count
+    margin = float(np.min([*steps, 0.5 * sups[0] - sups[-1]]))
     return VanishingReport(epsilons=family.epsilons, sup_norms=sups, margin=margin)
 
 

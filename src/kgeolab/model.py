@@ -5,7 +5,9 @@ nodes.  Metric data is carried by densities against dx: a potential u induces
 the density m[u] = w + D2 u, where w is the background density and D2 a
 periodic second-derivative operator.  The rectangle rule h * sum(u) is the
 quadrature; on a uniform periodic grid it is exact for trigonometric
-polynomials below the Nyquist frequency.
+polynomials below the Nyquist frequency.  Like the x-stencils it acts on the
+last axis, so it integrates a field, every row of a path or any stack of
+fields in one call.
 
 Every x-derivative uses one stencil, ``central2``: D2 u = (u_{j+1} - 2 u_j +
 u_{j-1}) / h^2, whose Fourier symbol at wavenumber k, -(2/h^2)(1 - cos(2 pi k
@@ -45,16 +47,22 @@ class SpatialGrid:
         return np.arange(self.n_points) * self.spacing
 
 
-def _as_field_values(grid: SpatialGrid, values) -> np.ndarray:
-    """Nodal values on ``grid`` of an array-like: finite, one per node."""
+def _as_nodal_values(grid: SpatialGrid, values) -> np.ndarray:
+    """Nodal values on ``grid`` of a field or a stack of fields: finite, one per node along the last axis."""
     out = np.asarray(values, dtype=float)
-    if out.shape != (grid.n_points,):
-        raise ValueError(
-            f"expected {grid.n_points} nodal values, got shape {out.shape}"
-        )
+    if out.shape[-1:] != (grid.n_points,):
+        raise ValueError(f"expected {grid.n_points} nodal values, got shape {out.shape}")
     if not np.all(np.isfinite(out)):
         raise ValueError("field values must be finite")
     return out
+
+
+def _as_field_values(grid: SpatialGrid, values) -> np.ndarray:
+    """Nodal values on ``grid`` of one field: finite, one per node."""
+    out = np.asarray(values, dtype=float)
+    if out.ndim != 1:
+        raise ValueError(f"expected {grid.n_points} nodal values, got shape {out.shape}")
+    return _as_nodal_values(grid, out)
 
 
 def _decreasing_ladder(values, label: str, error=ValueError) -> tuple:
@@ -73,9 +81,14 @@ def central2_symbol(grid: SpatialGrid, k) -> np.ndarray:
     return (2.0 / (h * h)) * (1.0 - np.cos(2.0 * np.pi * np.asarray(k, dtype=float) * h))
 
 
-def integrate(grid: SpatialGrid, values) -> float:
-    """Rectangle-rule integral h * sum(u) over one period."""
-    return grid.spacing * float(np.sum(np.asarray(values, dtype=float)))
+def integrate(grid: SpatialGrid, values):
+    """Rectangle-rule integral h * sum(u) along the last axis: a float for a field, one per row for a stack.
+
+    Each row gets the bits of integrating it alone: numpy sums a C-order row
+    pairwise, as it sums a field, so a stack of another layout is copied first.
+    """
+    total = grid.spacing * np.sum(np.ascontiguousarray(values, dtype=float), axis=-1)
+    return float(total) if total.ndim == 0 else total
 
 
 def fourier_field(grid: SpatialGrid, terms) -> np.ndarray:
@@ -123,11 +136,11 @@ class Background:
     def d2(self, values) -> np.ndarray:
         return path_d2x(self.grid, values)
 
-    def integrate(self, values) -> float:
+    def integrate(self, values):
         return integrate(self.grid, values)
 
-    def integrate_mu(self, values) -> float:
-        """Integral against the probability measure d mu = w dx."""
+    def integrate_mu(self, values):
+        """Integral against the probability measure d mu = w dx, along the last axis."""
         return integrate(self.grid, np.asarray(values, dtype=float) * self.w)
 
 
@@ -168,7 +181,8 @@ def is_admissible(bg: Background, u) -> bool:
 
 # ---------------------------------------------------------------------------
 # stencils (paths are (n_time + 1, n_points) arrays; row 0 is s=0; the x
-# stencils act on the last axis, so on a field or on every row of a path)
+# stencils act on the last axis, so on a field or on every row of a path,
+# and the s stencils on the second-to-last, so on a path or a stack of paths)
 
 
 def _periodic_pad(u: np.ndarray) -> np.ndarray:
@@ -195,15 +209,15 @@ def path_d1x(grid: SpatialGrid, values) -> np.ndarray:
 
 
 def path_d2s(path, ds: float) -> np.ndarray:
-    """Second s-derivative on interior rows 1..n_time-1."""
+    """Second s-derivative on interior rows 1..n_time-1 along the second-to-last axis."""
     p = np.asarray(path, dtype=float)
-    return ((p[2:, :] - p[1:-1, :]) - (p[1:-1, :] - p[:-2, :])) / (ds * ds)
+    return ((p[..., 2:, :] - p[..., 1:-1, :]) - (p[..., 1:-1, :] - p[..., :-2, :])) / (ds * ds)
 
 
 def path_d1s(path, ds: float) -> np.ndarray:
-    """Central first s-derivative on interior rows 1..n_time-1."""
+    """Central first s-derivative on interior rows 1..n_time-1 along the second-to-last axis."""
     p = np.asarray(path, dtype=float)
-    return (p[2:, :] - p[:-2, :]) / (2.0 * ds)
+    return (p[..., 2:, :] - p[..., :-2, :]) / (2.0 * ds)
 
 
 def path_dxds(grid: SpatialGrid, path, ds: float) -> np.ndarray:

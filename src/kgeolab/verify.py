@@ -123,18 +123,15 @@ def _jsonable(obj):
 
 @dataclass(frozen=True, eq=False)
 class PropertyResult:
-    """One verdict: margin is the signed distance to the threshold."""
+    """One verdict: margin is the signed distance to the threshold, and passed is margin >= 0."""
 
     name: str
-    passed: bool
     margin: float
     details: dict
 
-    def __post_init__(self):
-        if self.passed != (self.margin >= 0.0):
-            raise ValueError(
-                f"{self.name}: pass flag {self.passed} contradicts margin {self.margin:g}"
-            )
+    @property
+    def passed(self) -> bool:
+        return self.margin >= 0.0
 
     def to_dict(self) -> dict:
         return {
@@ -146,8 +143,7 @@ class PropertyResult:
 
 
 def _result(name: str, margin: float, details: dict) -> PropertyResult:
-    margin = float(margin)
-    return PropertyResult(name=name, passed=margin >= 0.0, margin=margin, details=_jsonable(details))
+    return PropertyResult(name=name, margin=float(margin), details=_jsonable(details))
 
 
 def _as_control(name: str, raw: PropertyResult) -> PropertyResult:
@@ -173,27 +169,27 @@ def _scale(*arrays) -> float:
 
 @dataclass(eq=False)
 class DensitySequence:
-    """Densities f_i >= 0 of unit mu-mass converging weakly to f_limit."""
+    """Densities f_i >= 0 of unit mu-mass converging weakly to f_limit; members is (count, n_points)."""
 
     bg: Background
     f_limit: np.ndarray
-    members: list
+    members: np.ndarray
     bound: float
 
     def __post_init__(self):
         self.f_limit = np.asarray(self.f_limit, dtype=float)
-        self.members = [np.asarray(m, dtype=float) for m in self.members]
-        for label, f in [("f_limit", self.f_limit)] + [
-            (f"member {i}", m) for i, m in enumerate(self.members)
-        ]:
-            low = float(np.min(f))
-            if low < 0.0:
-                raise NegativeDensity(f"{label} reaches {low:.3g}")
-            if float(np.max(f)) > self.bound + 1e-12:
+        self.members = np.array(self.members, dtype=float, ndmin=2)
+        f = np.vstack([self.f_limit, self.members])  # row 0 is f_limit, row i + 1 member i
+        low, high, mass = f.min(axis=1), f.max(axis=1), self.bg.integrate_mu(f)
+        bad = np.flatnonzero((low < 0.0) | (high > self.bound + 1e-12) | (np.abs(mass - 1.0) > 1e-10))
+        if bad.size:
+            i = bad[0]
+            label = f"member {i - 1}" if i else "f_limit"
+            if low[i] < 0.0:
+                raise NegativeDensity(f"{label} reaches {low[i]:.3g}")
+            if high[i] > self.bound + 1e-12:
                 raise ValueError(f"{label} exceeds the declared bound {self.bound:g}")
-            mass = self.bg.integrate_mu(f)
-            if abs(mass - 1.0) > 1e-10:
-                raise ValueError(f"{label} has mu-mass {mass!r}, expected 1")
+            raise ValueError(f"{label} has mu-mass {float(mass[i])!r}, expected 1")
 
 
 def oscillation_sequence(
@@ -210,12 +206,10 @@ def oscillation_sequence(
         raise ValueError(f"count must be in [1, {bg.grid.n_points // 2 - 1}], got {count}")
     f = np.ones(bg.grid.n_points) if f_limit is None else np.asarray(f_limit, dtype=float)
     f = f / bg.integrate_mu(f)
-    x = bg.grid.nodes
-    members = []
-    for i in range(1, count + 1):
-        g = f * (1.0 + amplitude * np.sin(2.0 * np.pi * i * x))
-        members.append(g / bg.integrate_mu(g))
-    bound = max(float(np.max(f)), max(float(np.max(m)) for m in members))
+    i = np.arange(1, count + 1)[:, None]
+    g = f * (1.0 + amplitude * np.sin(2.0 * np.pi * i * bg.grid.nodes))
+    members = g / bg.integrate_mu(g)[:, None]
+    bound = max(float(np.max(f)), float(np.max(members)))
     return DensitySequence(bg=bg, f_limit=f, members=members, bound=bound)
 
 
@@ -245,19 +239,19 @@ def mollified_sequence(
     f = f / bg.integrate_mu(f)
     smooth = mollify_fiberwise(bg.grid, f, MollifierSpec(delta, "fiberwise"))
     smooth = smooth / bg.integrate_mu(smooth)
-    members = [smooth.copy() for _ in range(count)]
+    members = np.repeat(smooth[None, :], count, axis=0)
     bound = max(float(np.max(f)), float(np.max(smooth)))
     return DensitySequence(bg=bg, f_limit=f, members=members, bound=bound)
 
 
-def density_entropy(bg: Background, f) -> float:
-    """H(f) = int f log f dmu for a density f relative to mu."""
+def density_entropy(bg: Background, f):
+    """H(f) = int f log f dmu for a density f relative to mu, or for each row of a stack."""
     f = np.asarray(f, dtype=float)
     return bg.integrate_mu(_xlogy(f, f))
 
 
-def density_truncated_entropy(bg: Background, f, spec: TruncationSpec) -> float:
-    """H_A(f) = int f log max(f, e^(chi - A)) dmu; finite on zero sets."""
+def density_truncated_entropy(bg: Background, f, spec: TruncationSpec):
+    """H_A(f) = int f log max(f, e^(chi - A)) dmu, for a density or each row of a stack; finite on zero sets."""
     f = np.asarray(f, dtype=float)
     return bg.integrate_mu(f * _truncated_log(bg, f, spec))
 
@@ -270,9 +264,9 @@ def _tail_start(n: int) -> int:
 def entropy_semicontinuity(bg: Background, seq: DensitySequence, tol: float = 1e-6) -> PropertyResult:
     """liminf H(f_i) >= H(f): tail gaps must clear -tol."""
     base = density_entropy(bg, seq.f_limit)
-    gaps = [density_entropy(bg, f) - base for f in seq.members]
+    gaps = density_entropy(bg, seq.members) - base
     start = _tail_start(len(gaps))
-    margin = min(gaps[start:]) + tol
+    margin = np.min(gaps[start:]) + tol
     return _result(
         "entropy_semicontinuity",
         margin,
@@ -286,9 +280,9 @@ def truncated_semicontinuity(
     """Tail gaps of H_A may dip below zero by at most delta(A)."""
     slack = delta_A(bg, spec)[2]
     base = density_truncated_entropy(bg, seq.f_limit, spec)
-    gaps = [density_truncated_entropy(bg, f, spec) - base for f in seq.members]
+    gaps = density_truncated_entropy(bg, seq.members, spec) - base
     start = _tail_start(len(gaps))
-    margin = min(gaps[start:]) + slack + tol
+    margin = np.min(gaps[start:]) + slack + tol
     return _result(
         f"truncated_semicontinuity[A={spec.A:g}]",
         margin,
@@ -377,8 +371,8 @@ def convexity_inequality_k(
     margin_main = float(np.min(mixed)) + tol * scale
 
     # log-sum-exp directional convexity, Hess L >= sum p_j Hess phi_j
-    phi_xx = np.array([path_d2x(grid, phis[j]) for j in range(k)])
-    phi_ss = np.array([path_d2s(phis[j], ds) for j in range(k)])
+    phi_xx = path_d2x(grid, phis)
+    phi_ss = path_d2s(phis, ds)
     gap_x = l_xx - np.sum(weights * phi_xx, axis=0)
     gap_s = l_ss - np.sum(weights[:, 1:-1, :] * phi_ss, axis=0)
     scale_dir = _scale(l_xx, phi_xx, l_ss, phi_ss)
@@ -705,13 +699,13 @@ def ddc_test_function(n_time: int) -> np.ndarray:
 # maximum of subharmonic potentials
 
 
-def subharmonic_test_fields(grid: SpatialGrid) -> list:
-    """Fixed nonnegative test family for the distributional pairing."""
+def subharmonic_test_fields(grid: SpatialGrid) -> np.ndarray:
+    """Fixed nonnegative test family for the distributional pairing, one field per row."""
     x = grid.nodes
     cos1 = np.cos(2.0 * np.pi * x)
     sin1 = np.sin(2.0 * np.pi * x)
     cos2 = np.cos(4.0 * np.pi * x)
-    return [
+    return np.array([
         np.ones(grid.n_points),
         1.0 + cos1,
         1.0 - cos1,
@@ -719,7 +713,7 @@ def subharmonic_test_fields(grid: SpatialGrid) -> list:
         1.0 - sin1,
         0.5 * (1.0 + cos1) ** 2,
         1.0 + 0.5 * cos2,
-    ]
+    ])
 
 
 def max_subharmonic_lemma(
@@ -749,14 +743,10 @@ def max_subharmonic_lemma(
             "u is not background-subharmonic on {u > v - 1}: "
             f"min m[u] there = {np.min(m_u[mask]):.3g}"
         )
-    g = np.maximum(u, v)
-    h = bg.grid.spacing
-    pairings = []
-    lower = []
-    for xi in subharmonic_test_fields(bg.grid):
-        pairings.append(h * float(np.sum(g * bg.d2(xi))))
-        lower.append(-bg.integrate(xi * bg.w))
-    margin = min(p - lo for p, lo in zip(pairings, lower)) + tol_pair
+    xi = subharmonic_test_fields(bg.grid)
+    pairings = bg.integrate(np.maximum(u, v) * bg.d2(xi))
+    lower = -bg.integrate_mu(xi)
+    margin = np.min(pairings - lower) + tol_pair
     return _result(
         "max_subharmonic_lemma",
         margin,
@@ -798,9 +788,8 @@ def mass_pairing_property(
     spec = MollifierSpec(family.deltas[-1], "fiberwise")
     m_d = metric_density(bg, mollify_fiberwise(bg.grid, path.values, spec))
     sources = m_d + family.slacks[-1]
-    h = bg.grid.spacing
-    lhs = h * np.sum(np.exp(family.phi) * bg.w, axis=-1)  # (eps, t)
-    rhs = np.array(family.epsilons)[:, None] * bg.integrate(-bg.r) + h * np.sum(sources, axis=-1)
+    lhs = bg.integrate_mu(np.exp(family.phi))  # (eps, t)
+    rhs = np.array(family.epsilons)[:, None] * bg.integrate(-bg.r) + bg.integrate(sources)
     worst = float(np.max(np.abs(lhs - rhs)))
     margin = tol - worst
     return _result("mass_pairing", margin, {"worst_gap": worst, "tol": tol})
@@ -817,7 +806,7 @@ def omega_mask_report(bg: Background, eg: EpsGeodesic, spec: TruncationSpec) -> 
     floor = np.exp(_resolve_chi(bg, spec) - spec.A)[None, :]
     mask = f >= floor
     fractions = mask.mean(axis=1)
-    mu_measures = np.array([bg.integrate_mu(row.astype(float)) for row in mask])
+    mu_measures = bg.integrate_mu(mask)
     return {
         "A": float(spec.A),
         "epsilon": float(eg.epsilon),
@@ -837,7 +826,7 @@ def density_limit_report(family: FiberFamily, path: PathField) -> dict:
     return {
         "epsilons": list(family.epsilons),
         "sup_gaps": [float(v) for v in np.max(gap, axis=(1, 2))],
-        "l1_gaps": [float(v) for v in np.max(bg.grid.spacing * np.sum(gap, axis=-1), axis=1)],
+        "l1_gaps": [float(v) for v in np.max(bg.integrate(gap), axis=1)],
     }
 
 

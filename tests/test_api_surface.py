@@ -20,7 +20,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "kgeolab"
 ALLOWED = {
     "central2_symbol": "the exact Fourier symbol of the stencil that the tests compare against",
     "mollify_spacetime": "wrapped by name in perfbench/layers.py; removing it breaks the traced benchmark",
-    "FiberSolution.row_iters": "per-row Newton steps, a property over the record in place of the field it was; the tests read it",
 }
 
 

@@ -1,6 +1,7 @@
 """Energies, entropies, Mabuchi traces, and the discrete pairing identity."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from kgeolab import (
     solve_eps_geodesic,
     truncated_entropy,
 )
-from kgeolab.functionals import _energy_part, _slice_density, _xlogy
+from kgeolab.functionals import _xlogy
 from kgeolab.model import _format_float, central2_symbol
 
 AMP = 0.05 / (2.0 * np.pi) ** 2
@@ -217,19 +218,59 @@ def _affine_path(grid, endpoint_1, n_time: int) -> PathField:
     return PathField(grid, s * np.asarray(endpoint_1)[None, :])
 
 
+def _energy_terms(bg, u) -> float:
+    """(S/2) E - E^Ric of one field, from the public energies."""
+    return 0.5 * bg.ricci_mean * energy(bg, u) - energy_alpha(bg, u, bg.r)
+
+
 def test_mabuchi_parts_sum_exactly(small_bg):
+    """Each trace, taken on the whole path at once, equals per-field calls bit for bit."""
+    curved = make_background(small_bg.grid, psi=fourier_field(small_bg.grid, [(1, 0.002, 0.0)]))
     path = _affine_path(small_bg.grid, _cos_potential(small_bg.grid, 0.4), 8)
-    trace = mabuchi(small_bg, path)
-    assert trace.meta == {"name": "mabuchi"}
-    rows = [_energy_part(small_bg, u) + entropy(small_bg, u) for u in path.values]
-    assert np.array_equal(trace.values, rows)
+    # chi lifts the floor e^(chi - A) above the density where cos < 0, so the truncation acts
+    spec = TruncationSpec(1.0, chi=-0.7 * np.cos(2.0 * np.pi * small_bg.grid.nodes))
+    for bg in (small_bg, curved):
+        trace = mabuchi(bg, path)
+        assert trace.meta == {"name": "mabuchi"}
+        rows = [_energy_terms(bg, u) + entropy(bg, u) for u in path.values]
+        assert np.array_equal(trace.values, rows)
+        truncated = mabuchi_eps_A(bg, SimpleNamespace(path=path, epsilon=0.1), spec)
+        rows = [_energy_terms(bg, u) + truncated_entropy(bg, u, spec) for u in path.values]
+        assert np.array_equal(truncated.values, rows)
+    assert truncated_entropy(small_bg, path.values[-1], spec) > entropy(small_bg, path.values[-1])
 
 
 def test_mabuchi_equals_entropy_on_flat(small_bg):
     path = _affine_path(small_bg.grid, _cos_potential(small_bg.grid, 0.4), 8)
     trace = mabuchi(small_bg, path)
-    assert all(_energy_part(small_bg, u) == 0.0 for u in path.values)
+    assert all(_energy_terms(small_bg, u) == 0.0 for u in path.values)
     assert np.array_equal(trace.values, [entropy(small_bg, u) for u in path.values])
+
+
+def test_functionals_take_a_path_and_check_its_shape(small_bg):
+    """A path gives one value per row; a wrong last axis or a non-finite value raises ValueError."""
+    path = _affine_path(small_bg.grid, _cos_potential(small_bg.grid, 0.4), 4).values
+    spec = TruncationSpec(5.0)
+    functionals = (
+        lambda u: energy(small_bg, u),
+        lambda u: energy_alpha(small_bg, u, small_bg.r),
+        lambda u: entropy(small_bg, u),
+        lambda u: truncated_entropy(small_bg, u, spec),
+    )
+    for f in functionals:
+        assert type(f(path[1])) is float
+        assert np.array_equal(f(path), [f(u) for u in path])
+        with pytest.raises(ValueError, match="expected 64 nodal values"):
+            f(path[:, :-1])
+        bad = path.copy()
+        bad[2, 5] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            f(bad)
+
+
+def test_negative_field_density_names_no_slice(small_bg):
+    with pytest.raises(NegativeDensity, match=r"density reaches -[0-9.e-]+$"):
+        entropy(small_bg, 0.5 * np.cos(2.0 * np.pi * small_bg.grid.nodes))
 
 
 def test_mabuchi_constant_shift_invariance(small_grid):
@@ -256,7 +297,7 @@ def test_mabuchi_k_meta_and_errors(small_bg, small_family):
     assert trace.meta == {"name": "mabuchi_k", "k": 2, "epsilons": [0.1, 0.01]}
     log_avg = np.log(np.mean(np.exp(family.phi[:2]), axis=0))
     rows = [
-        _energy_part(small_bg, u) + small_bg.integrate(_slice_density(small_bg, u) * log_avg[i])
+        _energy_terms(small_bg, u) + small_bg.integrate(metric_density(small_bg, u) * log_avg[i])
         for i, u in enumerate(path.values)
     ]
     assert np.array_equal(trace.values, rows)

@@ -94,13 +94,13 @@ def test_stacked_rows_match_row_by_row_solves(small_bg):
     shapes = zip((0.3, 0.1, 0.5, 0.2), (1, 2, 1, 3), eps)
     beta = np.array([(1.0 + a * np.cos(2.0 * np.pi * k * x)) / e for a, k, e in shapes])
     stacked = solve_aubin_fiber(FiberProblem(small_bg, beta, eps))
-    assert len(set(stacked.row_iters.tolist())) > 1  # rows freeze at different steps
+    assert len(set(stacked.record.row_iterations.tolist())) > 1  # rows freeze at different steps
     for b in range(len(eps)):
         solo = solve_aubin_fiber(FiberProblem(small_bg, beta[b], eps[b]))
         assert np.max(np.abs(stacked.phi[b] - solo.phi[0])) <= 1e-13
-        assert stacked.row_iters[b] == solo.row_iters[0]
+        assert stacked.record.row_iterations[b] == solo.record.row_iterations[0]
         assert stacked.residual_sup[b] <= 1e-11
-    assert stacked.newton_iters == int(np.sum(stacked.row_iters))
+    assert stacked.newton_iters == int(np.sum(stacked.record.row_iterations))
 
 
 def test_solution_keeps_its_newton_record(small_bg, monkeypatch):
@@ -119,7 +119,6 @@ def test_solution_keeps_its_newton_record(small_bg, monkeypatch):
     sol = solve_aubin_fiber(problem, phi0=5.0 * np.cos(6.0 * np.pi * x))  # a far start: one halving
     assert sol.record is records[0]
     assert sol.record.halvings == 1
-    assert sol.row_iters is sol.record.row_iterations
     assert sol.newton_iters == sol.record.iterations == 10
 
 

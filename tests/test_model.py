@@ -128,6 +128,33 @@ def test_integrate_rectangle_rule(small_grid):
     assert abs(integrate(small_grid, np.cos(2.0 * np.pi * small_grid.nodes))) < 1e-15
 
 
+@pytest.mark.parametrize("rows", [1, 17])
+@pytest.mark.parametrize("n", [8, 10, 64, 256, 512])
+def test_integrate_stack_equals_rowwise_bit_for_bit(n, rows):
+    """A stack integrates along its last axis to the bits of each row on its own.
+
+    This is the contract that lets the functionals and checks integrate a
+    whole path or density stack and still write byte-identical reports.
+    """
+    grid = SpatialGrid(n)
+    bg = make_background(grid)
+    rng = np.random.default_rng([n, rows])
+    views = {
+        "contiguous": rng.standard_normal((rows, n)),
+        "strided": rng.standard_normal((rows, 2 * n))[:, ::2],
+        "transposed": rng.standard_normal((n, rows)).T,
+    }
+    for label, stack in views.items():
+        for quad in (lambda v: integrate(grid, v), bg.integrate, bg.integrate_mu):
+            whole = quad(stack)
+            assert isinstance(whole, np.ndarray) and whole.shape == (rows,), label
+            assert np.array_equal(whole, [quad(row) for row in stack]), label
+    field = quad(views["contiguous"][0])
+    assert type(field) is float and type(integrate(grid, np.ones(n))) is float
+    paths = rng.standard_normal((3, rows, n))
+    assert np.array_equal(integrate(grid, paths), [[integrate(grid, r) for r in p] for p in paths])
+
+
 # ---------------------------------------------------------------------------
 # backgrounds
 
@@ -211,6 +238,8 @@ def test_periodic_field_shape_checks(small_grid):
         _as_field_values(small_grid, np.zeros(63))
     with pytest.raises(ValueError, match="finite"):
         _as_field_values(small_grid, np.full(64, np.nan))
+    with pytest.raises(ValueError, match="expected 64 nodal values"):
+        _as_field_values(small_grid, np.zeros((2, 64)))
 
 
 def test_path_field_checks(small_grid):

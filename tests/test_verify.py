@@ -105,15 +105,13 @@ def _constant_geodesic(bg, n_time: int, epsilon: float = 0.1) -> EpsGeodesic:
 
 
 def test_property_result_consistency():
-    PropertyResult(name="ok", passed=True, margin=0.0, details={})
-    with pytest.raises(ValueError, match="contradicts"):
-        PropertyResult(name="bad", passed=True, margin=-1.0, details={})
-    with pytest.raises(ValueError, match="contradicts"):
-        PropertyResult(name="bad", passed=False, margin=0.5, details={})
+    assert PropertyResult(name="ok", margin=0.0, details={}).passed
+    assert not PropertyResult(name="bad", margin=-1.0, details={}).passed
+    assert PropertyResult(name="ok", margin=0.5, details={}).to_dict()["pass"] is True
 
 
 def test_property_result_serializes_real_booleans():
-    r = PropertyResult(name="x", passed=True, margin=0.5, details={"flag": np.bool_(True)})
+    r = PropertyResult(name="x", margin=0.5, details={"flag": np.bool_(True)})
     doc = json.dumps(r.to_dict())
     assert '"pass": true' in doc
     assert '"flag": true' in doc
@@ -126,14 +124,14 @@ def test_jsonable_numpy_scalars():
 
 
 def test_as_control_flips_verdict():
-    raw = PropertyResult(name="x", passed=True, margin=0.5, details={"tol": 1e-6})
+    raw = PropertyResult(name="x", margin=0.5, details={"tol": 1e-6})
     inv = _as_control("control:x", raw)
     assert inv.name == "control:x"
     assert not inv.passed and inv.margin == -0.5
     assert inv.details["control"] is True
     assert inv.details["raw_margin"] == 0.5 and inv.details["raw_pass"] is True
     # a zero margin must still flip to a strict failure
-    zero = PropertyResult(name="z", passed=True, margin=0.0, details={})
+    zero = PropertyResult(name="z", margin=0.0, details={})
     assert not _as_control("control:z", zero).passed
 
 
