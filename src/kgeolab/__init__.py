@@ -59,12 +59,9 @@ from .geodesic import (
     weak_geodesic,
 )
 from .ma_fiber import (
-    BoundReport,
-    ConvergenceReport,
     FiberFamily,
     FiberProblem,
     FiberSolution,
-    VanishingReport,
     check_bounds,
     default_test_set,
     density_convergence,
@@ -76,6 +73,7 @@ from .ma_fiber import (
 from .model import (
     Background,
     PathField,
+    PropertyResult,
     ReducedHessian,
     SpatialGrid,
     fourier_field,
@@ -101,7 +99,6 @@ from .verify import (
     CURVATURE_KAPPA,
     SUITES,
     DensitySequence,
-    PropertyResult,
     SuiteData,
     boundary_continuity_refinement,
     convexity_inequality_k,
@@ -109,15 +106,12 @@ from .verify import (
     ddc_property,
     ddc_test_function,
     delta_a_closed_form,
-    density_convergence_property,
     density_entropy,
     density_limit_report,
     density_truncated_entropy,
     entropy_semicontinuity,
     eps_curvature_identity,
     eps_geodesic_residual_c,
-    eps_vanishing_property,
-    family_bounds_property,
     mabuchi_convexity_and_continuity,
     mabuchi_eps_A_almost_convex,
     mass_pairing_property,

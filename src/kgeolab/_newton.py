@@ -37,6 +37,8 @@ CHORD_CONTRACTION = 0.1
 #: residual near tol the contraction reaches the floor of a double-precision stencil in two
 #: or three, and a step that no longer halves the residual is round-off
 POLISH_STEPS = 3
+#: step halvings a fresh Newton step may take before its row counts as stalled
+MAX_HALVINGS = 30
 
 
 @dataclass
@@ -64,7 +66,6 @@ def damped_newton(
     accept=None,
     tol: float = 1e-11,
     max_iter: int = 200,
-    max_halvings: int = 30,
 ):
     """Drive every row of x0, of shape (rows, n), to a residual sup norm <= tol.
 
@@ -138,7 +139,7 @@ def damped_newton(
             t = np.ones(len(fresh))
             pending = np.arange(len(fresh))  # positions in fresh still without a step
             cone_ok = np.zeros(len(fresh), dtype=bool)
-            for _ in range(max_halvings + 1):
+            for _ in range(MAX_HALVINGS + 1):
                 rows = fresh[pending]
                 trial = x[rows] + t[pending, None] * step[pending]
                 ok = np.ones(len(rows), dtype=bool) if accept is None else accept(trial, rows)

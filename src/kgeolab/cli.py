@@ -10,7 +10,9 @@ summary.
 
 Exit codes: 0 success, 1 configuration error, 2 solver or pipeline
 failure (a diagnostic JSON is written when the output directory is
-already known), 3 verification or bound-check failure.
+already known), 3 verification or bound-check failure.  A config that
+lacks what a subcommand reads, for study what any of its stages reads,
+exits 1 before the first solve.
 
 Reports are deterministic for a fixed config: keys are sorted, floats
 use shortest round-trip formatting, and embedded file references are
@@ -47,11 +49,10 @@ from .errors import ConfigError
 from .functionals import TruncationSpec, mabuchi, mabuchi_eps_A, mabuchi_k
 from .geodesic import legendre_oracle, rung_increments
 from .ma_fiber import density_convergence, eps_phi_vanishing, family_report
-from .model import PathField, _format_float
+from .model import PathField, _format_float, _jsonable
 from .verify import (
     SUITES,
     SuiteData,
-    _jsonable,
     density_limit_report,
     omega_mask_report,
     run_suite,
@@ -59,6 +60,63 @@ from .verify import (
 
 SUBCOMMANDS = ("geodesic", "fiberwise", "mabuchi", "verify", "study")
 VARIANTS = ("exact", "k", "epsA")
+# the (subcommand, variant or suite) stages that study chains, in order
+STUDY_STAGES = (
+    ("geodesic", None), ("fiberwise", None), *(("mabuchi", v) for v in VARIANTS), ("verify", "all")
+)
+# the optional config sections each stage reads besides epsilons
+STAGE_SECTIONS = {"fiberwise": ("deltas",), "k": ("deltas", "k_list"), "epsA": ("a_values",)}
+
+
+# ---------------------------------------------------------------------------
+# config requirements, checked before any solve
+
+
+def _check_requirements(config: ExperimentConfig, args: argparse.Namespace) -> None:
+    """Raise ConfigError unless config has what every stage of the subcommand reads.
+
+    A stage is a subcommand with its mabuchi variant or verify suite; study
+    runs the STUDY_STAGES.  The solves at the run's n_time need n_time >= 8:
+    every pipeline's, and verify's in the suites all, convexity and bounds.
+    The entropy checks (suites all and entropy) oscillate at 12 frequencies
+    below Nyquist, so n_points must be >= 26.  The curvature refinement
+    study (suites all and curvature) restricts the grid to a half and a
+    quarter, which must be grids too: n_points a multiple of 8 and >= 32.
+    """
+    if args.command == "study":
+        stages = STUDY_STAGES
+    else:
+        given = vars(args)
+        stages = [(args.command, given.get("variant", given.get("suite")))]
+    for command, option in stages:
+        if command == "mabuchi" and option not in VARIANTS:
+            raise ConfigError(f"unknown variant {option!r}; expected one of {list(VARIANTS)}")
+        if command == "verify":
+            if option != "all" and option not in SUITES:
+                raise ConfigError(f"unknown suite {option!r}; expected one of {sorted(SUITES)} or 'all'")
+            if option in ("all", "convexity", "bounds") and config.n_time < 8:
+                raise ConfigError(f"verify --suite {option} needs time.n_time >= 8")
+            n = config.grid.n_points
+            if option in ("all", "entropy") and n < 26:
+                raise ConfigError(
+                    f"verify --suite {option} needs grid.n_points >= 26 for the oscillating "
+                    f"density sequences of the entropy checks, got {n}"
+                )
+            if option in ("all", "curvature") and (n % 8 != 0 or n < 32):
+                raise ConfigError(
+                    f"verify --suite {option} needs grid.n_points a multiple of 8 and >= 32 for the "
+                    f"quarter grid of the curvature refinement study, got {n}"
+                )
+            continue
+        config.require("epsilons", *STAGE_SECTIONS.get(option or command, ()))
+        if config.n_time < 8:
+            raise ConfigError(f"{command} runs need time.n_time >= 8")
+        if command == "fiberwise" and len(config.epsilons) < 3:
+            raise ConfigError("fiberwise needs at least 3 epsilons (continuation and trend checks)")
+        if option in ("exact", "k") and len(config.epsilons) < 3:
+            raise ConfigError(f"variant={option} needs >= 3 epsilons for the weak-geodesic continuation")
+        if option == "k" and max(config.k_list) > len(config.epsilons):
+            raise ConfigError(f"k_list entries cannot exceed the number of epsilons ({len(config.epsilons)})")
 
 
 # ---------------------------------------------------------------------------
@@ -101,9 +159,6 @@ def _write_csv_rows(out_dir: Path, name: str, header: str, rows: list[str]) -> N
 
 def run_geodesic(config: ExperimentConfig, data: SuiteData, out_dir: Path) -> int:
     """Epsilon sweep with warm starts; one path CSV per epsilon."""
-    config.require("epsilons")
-    if config.n_time < 8:
-        raise ConfigError("geodesic runs need time.n_time >= 8")
     oracle = legendre_oracle(config.bg, config.endpoint_0, config.endpoint_1, config.n_time)
     rungs = data.ladder_rungs
     files = []
@@ -129,11 +184,6 @@ def run_geodesic(config: ExperimentConfig, data: SuiteData, out_dir: Path) -> in
 
 def run_fiberwise(config: ExperimentConfig, data: SuiteData, out_dir: Path) -> int:
     """Family solve along the weak geodesic plus the three family checks."""
-    config.require("epsilons", "deltas")
-    if len(config.epsilons) < 3:
-        raise ConfigError("fiberwise needs at least 3 epsilons (continuation and trend checks)")
-    if config.n_time < 8:
-        raise ConfigError("fiberwise runs need time.n_time >= 8")
     path = data.ladder_path
     family = data.ladder_family
     fam_report = family_report(family)
@@ -164,8 +214,8 @@ def run_fiberwise(config: ExperimentConfig, data: SuiteData, out_dir: Path) -> i
         "config": config.raw,
         "n_time": config.n_time,
         "family": fam_report,
-        "convergence": convergence.to_dict(),
-        "vanishing": vanishing.to_dict(),
+        "convergence": convergence.details,
+        "vanishing": vanishing.details,
         "density_limit": density_limit_report(family, path),
         "files": {"bound_samples_csv": "fiber_bound_samples.csv", "phi_csvs": phi_files},
         "passed": passed,
@@ -178,30 +228,17 @@ def run_fiberwise(config: ExperimentConfig, data: SuiteData, out_dir: Path) -> i
 
 def run_mabuchi(config: ExperimentConfig, data: SuiteData, out_dir: Path, variant: str) -> int:
     """Functional traces along solved paths; no pass/fail judgement here."""
-    if variant not in VARIANTS:
-        raise ConfigError(f"unknown variant {variant!r}; expected one of {list(VARIANTS)}")
-    config.require("epsilons")
-    if config.n_time < 8:
-        raise ConfigError("mabuchi runs need time.n_time >= 8")
     bg = config.bg
     traces = []
     extra: dict = {}
-    if variant in ("exact", "k") and len(config.epsilons) < 3:
-        raise ConfigError(f"variant={variant} needs >= 3 epsilons for the weak-geodesic continuation")
     if variant == "exact":
         traces.append(("mabuchi_trace.csv", mabuchi(bg, data.ladder_path)))
     elif variant == "k":
-        config.require("deltas", "k_list")
-        if max(config.k_list) > len(config.epsilons):
-            raise ConfigError(
-                f"k_list entries cannot exceed the number of epsilons ({len(config.epsilons)})"
-            )
         family = data.ladder_family
         for k in config.k_list:
             traces.append((f"mabuchi_k{k}_trace.csv", mabuchi_k(bg, data.ladder_path, family, k)))
         extra["family"] = family_report(family)
     else:
-        config.require("a_values")
         for i, sol in enumerate(data.ladder_rungs):
             for j, a in enumerate(config.a_values):
                 spec = TruncationSpec(float(a), chi=config.chi)
@@ -262,8 +299,6 @@ def run_verify(config: ExperimentConfig, data: SuiteData, out_dir: Path, suite: 
     exactly when the underlying check rejects the tampered input), so the
     uniform all-rows rule covers them too.
     """
-    if suite != "all" and suite not in SUITES:
-        raise ConfigError(f"unknown suite {suite!r}; expected one of {sorted(SUITES)} or 'all'")
     data.solve_chain_first(suite)
     results = run_suite(data, suite)
 
@@ -302,11 +337,6 @@ def run_verify(config: ExperimentConfig, data: SuiteData, out_dir: Path, suite: 
 
 def run_study(config: ExperimentConfig, data: SuiteData, out_dir: Path) -> int:
     """Full pipeline: geodesic, fiberwise, all mabuchi variants, verify all."""
-    config.require("epsilons", "deltas", "k_list", "a_values")
-    if len(config.epsilons) < 3:
-        raise ConfigError("study needs >= 3 epsilons")
-    if max(config.k_list) > len(config.epsilons):
-        raise ConfigError(f"k_list entries cannot exceed the number of epsilons ({len(config.epsilons)})")
     data.solve_chain_first("all")  # verify's eps-ladder chain, before any stage
     stages = {}
     rcs = []
@@ -406,6 +436,7 @@ def main(argv=None) -> int:
     out_dir = None
     try:
         config = load_config(args.config)
+        _check_requirements(config, args)
         _check_threads(args.threads)
         out_dir = _resolve_out_dir(config, args.out)
         out_dir.mkdir(parents=True, exist_ok=True)

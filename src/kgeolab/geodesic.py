@@ -421,7 +421,6 @@ def _in_cone(parts) -> bool:
 def solve_eps_geodesic(
     problem: EpsGeodesicProblem,
     tol: float = 1e-10,
-    max_iter: int = 60,
     path0: np.ndarray | None = None,
 ) -> EpsGeodesic:
     """Damped Newton over all interior rows jointly."""
@@ -480,7 +479,7 @@ def solve_eps_geodesic(
     try:
         start = initial_guess(problem) if path0 is None else np.asarray(path0, dtype=float)
         x0 = start[1:-1, :].reshape(1, -1)
-        x, rec = damped_newton(x0, residual, newton_step, accept=accept, tol=tol, max_iter=max_iter)
+        x, rec = damped_newton(x0, residual, newton_step, accept=accept, tol=tol, max_iter=60)
         path = PathField(grid, full_path(x))
         cert = eval_geodesic_residual(bg, path, problem.epsilon)
         cert_sup = float(np.max(np.abs(cert)))

@@ -18,6 +18,10 @@ the source beta = (1/eps)(m_delta + slack), and the delta -> 0 limit is
 declared at the smallest delta, with the recorded Cauchy increments as
 evidence.
 
+check_bounds, density_convergence and eps_phi_vanishing judge a family and
+return a PropertyResult, the verdict type of every check; its details are
+what the fiberwise report shows, passed flag included.
+
 solve_aubin_fiber solves a stack of fibers as one batch of the shared Newton
 driver.  Per row, -J = -D2 + (1/eps) w e^phi is symmetric positive definite
 and periodic tridiagonal, and a step solves it bordered: one batched cyclic
@@ -45,8 +49,10 @@ from .geodesic import splu  # unused, kept: perfbench/layers.py wraps ma_fiber.s
 from .model import (
     Background,
     PathField,
+    PropertyResult,
     _as_field_values,
     _decreasing_ladder,
+    _result,
     fourier_field,
     metric_density,
 )
@@ -155,12 +161,7 @@ def _cyclic_reduction(d: np.ndarray, e: float, b: np.ndarray) -> tuple:
     return x[:m], low
 
 
-def solve_aubin_fiber(
-    problem: FiberProblem,
-    phi0=None,
-    tol: float = 1e-11,
-    max_iter: int = 200,
-) -> FiberSolution:
+def solve_aubin_fiber(problem: FiberProblem, phi0=None, tol: float = 1e-11) -> FiberSolution:
     """Damped Newton for every row of (*), from phi0 or the constant mass-matching guess.
 
     Each step is one bordered cyclic reduction over the rows still iterating; a
@@ -204,7 +205,7 @@ def solve_aubin_fiber(
         return np.hstack([y1 - last * y2, last])
 
     phi, rec = damped_newton(
-        np.array(phi0, dtype=float, ndmin=2), residual, newton_step, tol=tol, max_iter=max_iter
+        np.array(phi0, dtype=float, ndmin=2), residual, newton_step, tol=tol, max_iter=200
     )
     top = np.argmax(phi, axis=1)
     for b in np.flatnonzero(source[np.arange(len(phi)), top] > 0.0):  # guaranteed at an exact solution
@@ -246,57 +247,6 @@ class FiberFamily:
     equicontinuity_constant: float
     slacks: tuple
     bound_samples: np.ndarray | None = None  # (n_eps, n_delta, 3) sweep diagnostics
-
-
-class _Report:
-    """A fiber check: passed is margin >= 0, its one acceptance rule.
-
-    to_dict() gives the fields named in REPORTED as JSON-ready lists and scalars.
-    """
-
-    REPORTED = ()
-
-    @property
-    def passed(self) -> bool:
-        return self.margin >= 0.0
-
-    def to_dict(self) -> dict:
-        return {key: np.asarray(getattr(self, key)).tolist() for key in self.REPORTED}
-
-
-@dataclass(eq=False)
-class BoundReport(_Report):
-    """The three uniform bounds per epsilon; margin is their smallest halves margin."""
-
-    REPORTED = ("epsilons", "sup_phi", "neg_eps_inf_phi", "eps_d2_phi", "maxima", "passed")
-    epsilons: tuple
-    sup_phi: np.ndarray
-    neg_eps_inf_phi: np.ndarray
-    eps_d2_phi: np.ndarray
-    maxima: tuple
-    margin: float
-
-
-@dataclass(eq=False)
-class ConvergenceReport(_Report):
-    """Weak-convergence errors |int (e^phi w - m) xi dx| over the sweep."""
-
-    REPORTED = ("epsilons", "max_per_eps", "final_max", "passed")
-    epsilons: tuple
-    errors: np.ndarray  # (n_eps, n_times, n_test)
-    max_per_eps: np.ndarray
-    final_max: float
-    margin: float
-
-
-@dataclass(eq=False)
-class VanishingReport(_Report):
-    """sup_t ||eps phi_{t,eps}||_inf along the sweep."""
-
-    REPORTED = ("epsilons", "sup_norms", "passed")
-    epsilons: tuple
-    sup_norms: np.ndarray
-    margin: float
 
 
 def solve_family(bg: Background, path: PathField, epsilons, deltas, tol: float = 1e-11) -> FiberFamily:
@@ -403,23 +353,30 @@ def _halves_margin(values: np.ndarray) -> float:
     return 1.5 * float(np.max(first)) - float(np.max(second))
 
 
-def check_bounds(family: FiberFamily) -> BoundReport:
+def _check(name: str, margin: float, **details) -> PropertyResult:
+    """A fiber check's verdict; its details repeat passed, as the fiberwise report shows them."""
+    return _result(name, margin, {**details, "passed": margin >= 0.0})
+
+
+def check_bounds(family: FiberFamily) -> PropertyResult:
     """Three uniform bounds per epsilon; PASS by the 1.5x halves rule.
 
     Uniformity proxy: for each of sup phi, -eps inf phi and eps |D2 phi|,
     the maximum over the second half of the (decreasing) epsilon sweep must
-    not exceed 1.5 times the maximum over the first half.
+    not exceed 1.5 times the maximum over the first half; the margin is the
+    smallest of the three halves margins.
     """
     eps = np.array(family.epsilons)[:, None]
     sup_phi, neg_inf, eps_d2 = _bound_stats(family.bg, eps, family.phi).max(axis=1).T
     margin = min(_halves_margin(sup_phi), _halves_margin(neg_inf), _halves_margin(eps_d2))
-    return BoundReport(
+    return _check(
+        "family_uniform_bounds",
+        margin,
         epsilons=family.epsilons,
         sup_phi=sup_phi,
         neg_eps_inf_phi=neg_inf,
         eps_d2_phi=eps_d2,
-        maxima=(float(np.max(sup_phi)), float(np.max(neg_inf)), float(np.max(eps_d2))),
-        margin=margin,
+        maxima=(np.max(sup_phi), np.max(neg_inf), np.max(eps_d2)),
     )
 
 
@@ -429,7 +386,7 @@ def default_test_set(grid) -> np.ndarray:
     return np.array([fourier_field(grid, [mode]) for mode in modes])
 
 
-def density_convergence(family: FiberFamily, path: PathField) -> ConvergenceReport:
+def density_convergence(family: FiberFamily, path: PathField) -> PropertyResult:
     """Pairings |int (e^phi w - m[path]) xi dx| with the default test set over the epsilon sweep.
 
     margin >= 0 iff every final-epsilon error is <= 1e-2 and the worst error
@@ -441,16 +398,12 @@ def density_convergence(family: FiberFamily, path: PathField) -> ConvergenceRepo
     max_per_eps = errors.reshape(len(errors), -1).max(axis=1)
     final, first = float(max_per_eps[-1]), float(max_per_eps[0])
     margin = min(1e-2 - final, first - final)
-    return ConvergenceReport(
-        epsilons=family.epsilons,
-        errors=errors,
-        max_per_eps=max_per_eps,
-        final_max=final,
-        margin=margin,
+    return _check(
+        "density_convergence", margin, epsilons=family.epsilons, max_per_eps=max_per_eps, final_max=final
     )
 
 
-def eps_phi_vanishing(family: FiberFamily) -> VanishingReport:
+def eps_phi_vanishing(family: FiberFamily) -> PropertyResult:
     """sup_t ||eps phi||_inf must not grow along the sweep and must end <= first/2."""
     if len(family.epsilons) < 3:
         raise ValueError("need at least 3 epsilons to judge the trend")
@@ -458,18 +411,17 @@ def eps_phi_vanishing(family: FiberFamily) -> VanishingReport:
     a, b = sups[:-1], sups[1:]
     steps = (a - b)[(a != 0.0) | (b != 0.0)]  # a step between two zeros does not count
     margin = float(np.min([*steps, 0.5 * sups[0] - sups[-1]]))
-    return VanishingReport(epsilons=family.epsilons, sup_norms=sups, margin=margin)
+    return _check("eps_phi_vanishing", margin, epsilons=family.epsilons, sup_norms=sups)
 
 
 def family_report(family: FiberFamily) -> dict:
     """JSON-ready summary {epsilons, times, bounds, residuals, ...}."""
-    report = check_bounds(family)
     return {
         "epsilons": list(family.epsilons),
         "times": list(family.times),
         "deltas": list(family.deltas),
         "slacks": list(family.slacks),
-        "bounds": report.to_dict(),
+        "bounds": check_bounds(family).details,
         "residuals": family.residuals.tolist(),
         "cauchy_increments": [list(map(float, inc)) for inc in family.cauchy_increments],
         "lipschitz_constants": [float(v) for v in family.lipschitz_constants],

@@ -226,7 +226,7 @@ def path_dxds(grid: SpatialGrid, path, ds: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# field containers with serialization
+# field containers and check verdicts, with serialization
 
 
 def _format_float(v: float) -> str:
@@ -239,6 +239,47 @@ def _write_csv(path, header: str, columns) -> None:
     rows = (",".join(map(repr, row)) for row in np.column_stack(columns).tolist())
     with open(path, "w", newline="") as fh:
         fh.write("\n".join([header, *rows]) + "\n")
+
+
+def _jsonable(obj):
+    if isinstance(obj, dict):
+        return {str(k): _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [_jsonable(v) for v in obj.tolist()]
+    if isinstance(obj, (np.bool_, bool)):  # before int: bool is an int subclass
+        return bool(obj)
+    if isinstance(obj, (np.floating, float)):
+        return float(obj)
+    if isinstance(obj, (np.integer, int)):
+        return int(obj)
+    return obj
+
+
+@dataclass(frozen=True, eq=False)
+class PropertyResult:
+    """One check's verdict: margin is the signed distance to the threshold, and passed is margin >= 0."""
+
+    name: str
+    margin: float
+    details: dict
+
+    @property
+    def passed(self) -> bool:
+        return self.margin >= 0.0
+
+    def to_dict(self) -> dict:
+        return {
+            "name": self.name,
+            "pass": bool(self.passed),
+            "margin": float(self.margin),
+            "details": _jsonable(self.details),
+        }
+
+
+def _result(name: str, margin: float, details: dict) -> PropertyResult:
+    return PropertyResult(name=name, margin=float(margin), details=_jsonable(details))
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,10 +1,13 @@
 """Theorem-level property checks with signed margins and negative controls.
 
 Every check condenses to a PropertyResult whose margin is the signed
-distance to its acceptance threshold, so pass == (margin >= 0) always.
-Thresholds are relative to a computed scale (the largest magnitude the
-tested quantity reaches on the run) except for identities that must hold
-at round-off, whose tolerances are absolute.
+distance to its acceptance threshold, so pass == (margin >= 0) always; the
+fiber-family checks of ma_fiber return the same type and the suites run
+them as they are.  Thresholds are relative to a computed scale (the
+largest magnitude the tested quantity reaches on the run) except for
+identities that must hold at round-off, whose tolerances are absolute.
+A threshold is a constant in its check's body, or a module constant where
+a caller shares it, never a parameter.
 
 Each check is paired with a constructed failing input.  The control
 helpers run the check on that input and return the result with the margin
@@ -65,7 +68,9 @@ from .ma_fiber import (
 from .model import (
     Background,
     PathField,
+    PropertyResult,
     SpatialGrid,
+    _result,
     fourier_field,
     make_background,
     metric_density,
@@ -88,7 +93,7 @@ WEAK_TOL = 1e-10  # the default geodesic tolerance
 # reach the saturated regime in its first half
 FAMILY_EPSILONS = (1e-1, 10.0**-1.5, 1e-2, 10.0**-2.5, 1e-3)
 FAMILY_DELTAS = (0.1, 0.05, 0.025)
-A_VALUES = (2.0, 5.0, 10.0, 20.0)
+A_VALUES = (2.0, 5.0, 10.0, 20.0)  # floats: the checks report them as they are
 K_VALUES = (1, 2, 4)
 C_A_BOUND = 100.0
 CURVATURE_EPSILON = 1e-2
@@ -102,48 +107,7 @@ CHAIN_N_TIMES = (16, *BOUNDARY_N_TIMES)
 
 
 # ---------------------------------------------------------------------------
-# result container
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.bool_, bool)):  # before int: bool is an int subclass
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    return obj
-
-
-@dataclass(frozen=True, eq=False)
-class PropertyResult:
-    """One verdict: margin is the signed distance to the threshold, and passed is margin >= 0."""
-
-    name: str
-    margin: float
-    details: dict
-
-    @property
-    def passed(self) -> bool:
-        return self.margin >= 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "pass": bool(self.passed),
-            "margin": float(self.margin),
-            "details": _jsonable(self.details),
-        }
-
-
-def _result(name: str, margin: float, details: dict) -> PropertyResult:
-    return PropertyResult(name=name, margin=float(margin), details=_jsonable(details))
+# verdict helpers
 
 
 def _as_control(name: str, raw: PropertyResult) -> PropertyResult:
@@ -213,33 +177,25 @@ def oscillation_sequence(
     return DensitySequence(bg=bg, f_limit=f, members=members, bound=bound)
 
 
-def random_density_sequence(
-    bg: Background, seed: int, count: int = 12, amplitude: float = 0.5
-) -> DensitySequence:
+def random_density_sequence(bg: Background, seed: int) -> DensitySequence:
     """Oscillation sequence around a random smooth positive limit density."""
     rng = np.random.default_rng(seed)
     terms = [(k, rng.uniform(-0.2, 0.2), rng.uniform(-0.2, 0.2)) for k in (1, 2, 3)]
     base = 1.0 + fourier_field(bg.grid, terms)
-    return oscillation_sequence(bg, base, count=count, amplitude=amplitude)
+    return oscillation_sequence(bg, base)
 
 
-def mollified_sequence(
-    bg: Background, f_limit=None, count: int = 9, delta: float = 0.1
-) -> DensitySequence:
-    """Members strictly smoother than the limit: entropy drops, never rises.
+def mollified_sequence(bg: Background) -> DensitySequence:
+    """Nine copies of the limit 1 + cos(2 pi x)/2 mollified at delta = 0.1: entropy drops, never rises.
 
     This is the canonical failing input for the semicontinuity checks; the
     gap sequence sits at a strictly negative level.
     """
-    f = (
-        1.0 + 0.5 * fourier_field(bg.grid, [(1, 1.0, 0.0)])
-        if f_limit is None
-        else np.asarray(f_limit, dtype=float)
-    )
+    f = 1.0 + 0.5 * fourier_field(bg.grid, [(1, 1.0, 0.0)])
     f = f / bg.integrate_mu(f)
-    smooth = mollify_fiberwise(bg.grid, f, MollifierSpec(delta, "fiberwise"))
+    smooth = mollify_fiberwise(bg.grid, f, MollifierSpec(0.1, "fiberwise"))
     smooth = smooth / bg.integrate_mu(smooth)
-    members = np.repeat(smooth[None, :], count, axis=0)
+    members = np.repeat(smooth[None, :], 9, axis=0)
     bound = max(float(np.max(f)), float(np.max(smooth)))
     return DensitySequence(bg=bg, f_limit=f, members=members, bound=bound)
 
@@ -261,8 +217,9 @@ def _tail_start(n: int) -> int:
     return min(n - 1, (2 * n) // 3)
 
 
-def entropy_semicontinuity(bg: Background, seq: DensitySequence, tol: float = 1e-6) -> PropertyResult:
-    """liminf H(f_i) >= H(f): tail gaps must clear -tol."""
+def entropy_semicontinuity(bg: Background, seq: DensitySequence) -> PropertyResult:
+    """liminf H(f_i) >= H(f): tail gaps must clear -tol = -1e-6."""
+    tol = 1e-6
     base = density_entropy(bg, seq.f_limit)
     gaps = density_entropy(bg, seq.members) - base
     start = _tail_start(len(gaps))
@@ -274,10 +231,9 @@ def entropy_semicontinuity(bg: Background, seq: DensitySequence, tol: float = 1e
     )
 
 
-def truncated_semicontinuity(
-    bg: Background, seq: DensitySequence, spec: TruncationSpec, tol: float = 1e-6
-) -> PropertyResult:
-    """Tail gaps of H_A may dip below zero by at most delta(A)."""
+def truncated_semicontinuity(bg: Background, seq: DensitySequence, spec: TruncationSpec) -> PropertyResult:
+    """Tail gaps of H_A may dip below zero by at most delta(A) + tol, tol = 1e-6."""
+    tol = 1e-6
     slack = delta_A(bg, spec)[2]
     base = density_truncated_entropy(bg, seq.f_limit, spec)
     gaps = density_truncated_entropy(bg, seq.members, spec) - base
@@ -297,12 +253,9 @@ def truncated_semicontinuity(
     )
 
 
-def truncated_semicontinuity_sweep(
-    bg: Background, seq: DensitySequence, a_values=A_VALUES, tol: float = 1e-6
-) -> PropertyResult:
-    """The per-A checks must pass and the slacks delta(A) must decrease in A."""
-    a_values = tuple(float(a) for a in a_values)
-    results = [truncated_semicontinuity(bg, seq, TruncationSpec(a), tol) for a in a_values]
+def truncated_semicontinuity_sweep(bg: Background, seq: DensitySequence) -> PropertyResult:
+    """The per-A checks over A_VALUES must pass and the slacks delta(A) must decrease in A."""
+    results = [truncated_semicontinuity(bg, seq, TruncationSpec(a)) for a in A_VALUES]
     slacks = [r.details["delta_A"] for r in results]
     margin_mono = min(
         (a - b for a, b in zip(slacks, slacks[1:])), default=math.inf
@@ -312,22 +265,22 @@ def truncated_semicontinuity_sweep(
         "truncated_semicontinuity_sweep",
         margin,
         {
-            "a_values": list(a_values),
+            "a_values": list(A_VALUES),
             "delta_values": slacks,
             "per_a_margins": [r.margin for r in results],
         },
     )
 
 
-def delta_a_closed_form(bg: Background, a_values=A_VALUES) -> PropertyResult:
-    """With chi = 0 and unit mu-mass, delta(A) = (A + 2) e^-A to round-off."""
+def delta_a_closed_form(bg: Background) -> PropertyResult:
+    """With chi = 0 and unit mu-mass, delta(A) = (A + 2) e^-A to round-off over A_VALUES."""
     worst = 0.0
     rows = []
-    for a in a_values:
-        c1, c2, slack = delta_A(bg, TruncationSpec(float(a)))
-        closed = (float(a) + 2.0) * math.exp(-float(a))
+    for a in A_VALUES:
+        c1, c2, slack = delta_A(bg, TruncationSpec(a))
+        closed = (a + 2.0) * math.exp(-a)
         worst = max(worst, abs(slack - closed))
-        rows.append({"A": float(a), "delta": slack, "closed_form": closed})
+        rows.append({"A": a, "delta": slack, "closed_form": closed})
     tail = delta_A(bg, TruncationSpec(20.0))[2]
     margin = min(1e-12 - worst, 1e-7 - tail)
     return _result(
@@ -341,10 +294,8 @@ def delta_a_closed_form(bg: Background, a_values=A_VALUES) -> PropertyResult:
 # convexity of the k-averaged potential (log-sum-exp inequality)
 
 
-def convexity_inequality_k(
-    bg: Background, path: PathField, family: FiberFamily, k: int, tol: float = 1e-6
-) -> PropertyResult:
-    """mixedDet(Hess L - Ric, G) >= -tol for L = log of the k-fiber average.
+def convexity_inequality_k(bg: Background, path: PathField, family: FiberFamily, k: int) -> PropertyResult:
+    """mixedDet(Hess L - Ric, G) >= -tol * scale, tol = 1e-6, for L = log of the k-fiber average.
 
     G is the reduced Hessian of the path (degenerate for a weak geodesic),
     Ric acts on the xx slot only.  The log-sum-exp convexity inequality
@@ -352,6 +303,7 @@ def convexity_inequality_k(
     directions on the same data.
     """
     _check_k_family(path, family, k)
+    tol = 1e-6
     grid = bg.grid
     ds = path.ds
     phis = family.phi[:k]  # (k, n_rows, n)
@@ -455,12 +407,11 @@ def eps_curvature_identity(
     eg: EpsGeodesic,
     kappa: float = CURVATURE_KAPPA,
     levels=None,
-    tol: float = 1e-6,
 ) -> PropertyResult:
     """Inequality margin plus refinement-ratio certificate of the identity.
 
-    (a) (Hess f - Ric)(v, v) - eps D2(e^-f)/m >= -tol * scale nodewise; the
-        continuum value is (D1 a)^2 >= 0.
+    (a) (Hess f - Ric)(v, v) - eps D2(e^-f)/m >= -tol * scale nodewise, with
+        tol = 1e-6; the continuum value is (D1 a)^2 >= 0.
     (b) the identity residual with the frozen kappa must shrink by a factor
         in [3, 5] per refinement level, i.e. at second order.
     """
@@ -470,6 +421,7 @@ def eps_curvature_identity(
         )
     if levels is None:
         levels = curvature_levels(bg, eg)
+    tol = 1e-6
 
     fields = _curvature_fields(bg, eg)
     a = fields["a"]
@@ -514,8 +466,8 @@ def eps_curvature_identity(
     )
 
 
-def eps_geodesic_residual_c(bg: Background, eg: EpsGeodesic, tol: float = 1e-9) -> PropertyResult:
-    """c = Phi_ss - Phi_xs^2 / m equals eps e^-f, and RH - c e_ss is singular.
+def eps_geodesic_residual_c(bg: Background, eg: EpsGeodesic) -> PropertyResult:
+    """c = Phi_ss - Phi_xs^2 / m equals eps e^-f, and RH - c e_ss is singular, both to tol = 1e-9.
 
     The second part is algebraically exact for the discrete stencils, so its
     residual sits at round-off for any path; the first part certifies the
@@ -527,6 +479,7 @@ def eps_geodesic_residual_c(bg: Background, eg: EpsGeodesic, tol: float = 1e-9) 
     res_c = float(np.max(np.abs(c - target)))
     det_shifted = rh.m_xx * (rh.m_ss - c) - rh.m_xs * rh.m_xs
     res_det = float(np.max(np.abs(det_shifted)))
+    tol = 1e-9
     margin = tol - max(res_c, res_det)
     return _result(
         "eps_geodesic_residual_c",
@@ -546,14 +499,13 @@ def trace_convexity_margin(trace: FunctionalTrace, rel_tol: float) -> tuple[floa
     return float(np.min(d2)) + rel_tol * scale, scale
 
 
-def mabuchi_eps_A_almost_convex(
-    bg: Background, traces, c_a_bound: float = C_A_BOUND, tol_rel: float = 1e-8
-) -> PropertyResult:
+def mabuchi_eps_A_almost_convex(bg: Background, traces) -> PropertyResult:
     """Minimal hat-C per epsilon with M_{eps,A} + eps hat-C t(1-t) convex.
 
     The discrete second difference of t(1-t) is exactly -2, so the smallest
-    admissible constant is max(0, max_i(-d2_i - tol)) / (2 eps).  Every
-    hat-C must stay below the cap and must not grow as eps decreases.
+    admissible constant is max(0, max_i(-d2_i - tol)) / (2 eps), with tol
+    1e-8 times the trace's scale.  Every hat-C must stay below the cap
+    C_A_BOUND and must not grow as eps decreases.
     """
     traces = list(traces)
     if len(traces) < 3:
@@ -567,9 +519,9 @@ def mabuchi_eps_A_almost_convex(
     c_hats = []
     for t, e in zip(traces, eps):
         d2 = t.second_differences[1:-1]
-        tol = tol_rel * _scale(t.values)
+        tol = 1e-8 * _scale(t.values)
         c_hats.append(max(0.0, float(np.max(-d2 - tol)) / (2.0 * e)))
-    margin_bound = min(c_a_bound - c for c in c_hats)
+    margin_bound = min(C_A_BOUND - c for c in c_hats)
     margin_mono = min((a - b + 1e-12 for a, b in zip(c_hats, c_hats[1:])), default=math.inf)
     margin = min(margin_bound, margin_mono)
     return _result(
@@ -579,7 +531,7 @@ def mabuchi_eps_A_almost_convex(
             "A": traces[0].meta["A"],
             "epsilons": eps,
             "c_hats": c_hats,
-            "c_a_bound": c_a_bound,
+            "c_a_bound": C_A_BOUND,
             "margin_bound": margin_bound,
             "margin_monotone": margin_mono,
         },
@@ -598,9 +550,7 @@ def _boundary_gaps(values: np.ndarray, n_time: int) -> dict:
     }
 
 
-def mabuchi_convexity_and_continuity(
-    bg: Background, path: PathField, family: FiberFamily, k_values=K_VALUES
-) -> PropertyResult:
+def mabuchi_convexity_and_continuity(bg: Background, path: PathField, family: FiberFamily) -> PropertyResult:
     """Convexity of M along the path, boundary continuity, and the k-ladder.
 
     (i)   interior second differences of M >= -1e-3 * scale;
@@ -608,8 +558,8 @@ def mabuchi_convexity_and_continuity(
           oscillation + 5e-3;
     (iii) the same bounds read as one-sided limsup/liminf inequalities at
           both ends;
-    (iv)  each M_k trace is convex at 1e-6 * scale and the sup distance to
-          the M trace decreases in k.
+    (iv)  for k in K_VALUES, each M_k trace is convex at 1e-6 * scale and
+          the sup distance to the M trace decreases in k.
     """
     trace = mabuchi(bg, path)
     margin_convex, scale_convex = trace_convexity_margin(trace, 1e-3)
@@ -619,9 +569,9 @@ def mabuchi_convexity_and_continuity(
     margin_limsup = min(v[0] + gaps["bound0"] - v[1], v[-1] + gaps["bound1"] - v[-2])
     margin_liminf = min(v[1] - v[0] + gaps["bound0"], v[-2] - v[-1] + gaps["bound1"])
 
-    ks = [k for k in k_values if 1 <= k <= len(family.epsilons)]
+    ks = [k for k in K_VALUES if 1 <= k <= len(family.epsilons)]
     if not ks:
-        raise FamilyMismatch(f"no usable k in {k_values} for {len(family.epsilons)} epsilons")
+        raise FamilyMismatch(f"no usable k in {K_VALUES} for {len(family.epsilons)} epsilons")
     k_margins = {}
     distances = []
     for k in ks:
@@ -676,8 +626,9 @@ def boundary_continuity_refinement(bg: Background, paths) -> PropertyResult:
     )
 
 
-def ddc_property(bg: Background, path: PathField, test_fn, tol: float = 1e-3) -> PropertyResult:
-    """Wrap the energy pairing identity as a margin against tol."""
+def ddc_property(bg: Background, path: PathField, test_fn) -> PropertyResult:
+    """Wrap the energy pairing identity as a margin against the relative tol = 1e-3."""
+    tol = 1e-3
     report = ddc_energy_check(bg, path, test_fn)
     margin = tol - report.rel_discrepancy
     return _result("ddc_energy_identity", margin, {**report.to_dict(), "tol": tol})
@@ -716,20 +667,19 @@ def subharmonic_test_fields(grid: SpatialGrid) -> np.ndarray:
     ])
 
 
-def max_subharmonic_lemma(
-    bg: Background, u, v, tol: float = 1e-12, tol_pair: float = 1e-10
-) -> PropertyResult:
+def max_subharmonic_lemma(bg: Background, u, v) -> PropertyResult:
     """max(u, v) stays subharmonic relative to the background.
 
-    Hypotheses: m[v] >= -tol everywhere and m[u] >= -tol on {u > v - 1}
-    (checked; SkippedHypothesis otherwise).  Conclusion, tested against the
-    fixed family of nonnegative xi:
+    Hypotheses, with tol = 1e-12: m[v] >= -tol everywhere and m[u] >= -tol
+    on {u > v - 1} (checked; SkippedHypothesis otherwise).  Conclusion,
+    tested against the fixed family of nonnegative xi:
 
-        sum max(u, v) D2(xi) h >= -int xi w dx - tol_pair.
+        sum max(u, v) D2(xi) h >= -int xi w dx - tol_pair,  tol_pair = 1e-10.
 
     Nodewise D2 max(u, v) >= min(D2 u, D2 v) wherever the larger branch is
     active, so the bound holds exactly on the discrete circle.
     """
+    tol, tol_pair = 1e-12, 1e-10
     u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
     m_v = metric_density(bg, v)
     if float(np.min(m_v)) < -tol:
@@ -755,31 +705,11 @@ def max_subharmonic_lemma(
 
 
 # ---------------------------------------------------------------------------
-# wrapped fiber-family theorems (margins around the ma_fiber reports)
+# mass identity of the fiber family
 
 
-def family_bounds_property(family: FiberFamily) -> PropertyResult:
-    """Uniform-bounds halves rule as a signed margin per tracked quantity."""
-    report = check_bounds(family)
-    return _result("family_uniform_bounds", report.margin, report.to_dict())
-
-
-def density_convergence_property(family: FiberFamily, path: PathField) -> PropertyResult:
-    """Weak-convergence errors: final epsilon small and no growth over the sweep."""
-    report = density_convergence(family, path)
-    return _result("density_convergence", report.margin, report.to_dict())
-
-
-def eps_vanishing_property(family: FiberFamily) -> PropertyResult:
-    """sup_t ||eps phi||_inf not growing and at least halved over the sweep."""
-    report = eps_phi_vanishing(family)
-    return _result("eps_phi_vanishing", report.margin, report.to_dict())
-
-
-def mass_pairing_property(
-    family: FiberFamily, path: PathField, tol: float = 1e-10
-) -> PropertyResult:
-    """|int e^phi w dx - eps int (theta + beta) dx| <= tol at every (eps, t).
+def mass_pairing_property(family: FiberFamily, path: PathField) -> PropertyResult:
+    """|int e^phi w dx - eps int (theta + beta) dx| <= tol = 1e-10 at every (eps, t).
 
     The sources are rebuilt from the smallest mollification scale exactly as
     the family solver does, so this re-derives the identity from scratch.
@@ -791,6 +721,7 @@ def mass_pairing_property(
     lhs = bg.integrate_mu(np.exp(family.phi))  # (eps, t)
     rhs = np.array(family.epsilons)[:, None] * bg.integrate(-bg.r) + bg.integrate(sources)
     worst = float(np.max(np.abs(lhs - rhs)))
+    tol = 1e-10
     margin = tol - worst
     return _result("mass_pairing", margin, {"worst_gap": worst, "tol": tol})
 
@@ -840,13 +771,10 @@ def _with_phi(family: FiberFamily, new_phi) -> FiberFamily:
     return replace(family, phi=new_phi(eps, t, family.phi))
 
 
-def _tampered_family(family: FiberFamily, bump_amplitude: float = 0.5) -> FiberFamily:
+def _tampered_family(family: FiberFamily) -> FiberFamily:
     """Copy of the family with a strongly t-concave bump written into phi."""
     x = family.bg.grid.nodes
-    return _with_phi(
-        family,
-        lambda eps, t, phi: phi + bump_amplitude * np.sin(np.pi * t) * np.cos(2.0 * np.pi * x),
-    )
+    return _with_phi(family, lambda eps, t, phi: phi + 0.5 * np.sin(np.pi * t) * np.cos(2.0 * np.pi * x))
 
 
 def _scaled_family(family: FiberFamily) -> FiberFamily:
@@ -885,11 +813,11 @@ def control_residual_c(bg: Background, eg: EpsGeodesic) -> PropertyResult:
 
 
 def control_family_bounds(family: FiberFamily) -> PropertyResult:
-    return _as_control("control:family_uniform_bounds", family_bounds_property(_scaled_family(family)))
+    return _as_control("control:family_uniform_bounds", check_bounds(_scaled_family(family)))
 
 
 def control_eps_vanishing(family: FiberFamily) -> PropertyResult:
-    return _as_control("control:eps_phi_vanishing", eps_vanishing_property(_scaled_family(family)))
+    return _as_control("control:eps_phi_vanishing", eps_phi_vanishing(_scaled_family(family)))
 
 
 def control_density_convergence(family: FiberFamily, path: PathField) -> PropertyResult:
@@ -897,7 +825,7 @@ def control_density_convergence(family: FiberFamily, path: PathField) -> Propert
     grid = family.bg.grid
     shift = 0.05 / (2.0 * np.pi) ** 2 * np.cos(2.0 * np.pi * grid.nodes)
     wrong = PathField(grid, path.values + shift[None, :])
-    raw = density_convergence_property(family, wrong)
+    raw = density_convergence(family, wrong)
     return _as_control("control:density_convergence", raw)
 
 
@@ -915,7 +843,7 @@ def control_eps_A(bg: Background) -> PropertyResult:
                 meta={"name": "mabuchi_eps_A", "epsilon": eps, "A": 5.0},
             )
         )
-    raw = mabuchi_eps_A_almost_convex(bg, traces, C_A_BOUND)
+    raw = mabuchi_eps_A_almost_convex(bg, traces)
     return _as_control("control:mabuchi_eps_A_almost_convex", raw)
 
 
@@ -927,7 +855,8 @@ def control_mabuchi_convexity(bg: Background, path: PathField, family: FiberFami
     return _as_control("control:mabuchi_convexity_and_continuity", raw)
 
 
-def control_ddc(bg: Background, n_time: int = 64) -> PropertyResult:
+def control_ddc(bg: Background) -> PropertyResult:
+    n_time = 64
     rng = np.random.default_rng(1)
     rough = 0.01 * rng.standard_normal((n_time + 1, bg.grid.n_points))
     raw = ddc_property(bg, PathField(bg.grid, rough), ddc_test_function(n_time))
@@ -1104,8 +1033,8 @@ def suite_entropy(data: SuiteData) -> list:
         results.append(
             _result(f"entropy_semicontinuity[seed={seed}]", res.margin, res.details)
         )
-    results.append(truncated_semicontinuity_sweep(data.bg, seq0, A_VALUES))
-    results.append(delta_a_closed_form(data.bg, A_VALUES))
+    results.append(truncated_semicontinuity_sweep(data.bg, seq0))
+    results.append(delta_a_closed_form(data.bg))
     results.append(control_entropy(data.bg))
     results.append(control_truncated(data.bg))
     return results
@@ -1116,12 +1045,10 @@ def suite_convexity(data: SuiteData) -> list:
     for k in K_VALUES:
         if k <= len(data.family.epsilons):
             results.append(convexity_inequality_k(data.bg, data.weak_path, data.family, k))
-    results.append(mabuchi_convexity_and_continuity(data.bg, data.weak_path, data.family, K_VALUES))
+    results.append(mabuchi_convexity_and_continuity(data.bg, data.weak_path, data.family))
     results.append(boundary_continuity_refinement(data.bg, data.boundary_paths))
     for a in EPS_A_VALUES:
-        results.append(
-            mabuchi_eps_A_almost_convex(data.curved_bg, data.eps_a_traces(a), C_A_BOUND)
-        )
+        results.append(mabuchi_eps_A_almost_convex(data.curved_bg, data.eps_a_traces(a)))
     results.append(
         ddc_property(
             data.bg, data.eps_geodesic.path, ddc_test_function(data.eps_geodesic.path.n_time)
@@ -1147,9 +1074,9 @@ def suite_bounds(data: SuiteData) -> list:
     u = 0.01 * np.cos(2.0 * np.pi * data.bg.grid.nodes) / (2.0 * np.pi) ** 2
     v = 0.01 * np.sin(2.0 * np.pi * data.bg.grid.nodes) / (2.0 * np.pi) ** 2 + 0.003
     return [
-        family_bounds_property(data.family),
-        density_convergence_property(data.family, data.weak_path),
-        eps_vanishing_property(data.family),
+        check_bounds(data.family),
+        density_convergence(data.family, data.weak_path),
+        eps_phi_vanishing(data.family),
         mass_pairing_property(data.family, data.weak_path),
         max_subharmonic_lemma(data.bg, u, v),
         control_family_bounds(data.family),

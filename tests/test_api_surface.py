@@ -5,6 +5,9 @@ pipeline or a verify check uses it, or it goes.  The scan is syntactic: a
 name counts as used when it appears as a bare name or an attribute anywhere
 in ``src/kgeolab`` outside its own definition and outside ``__init__.py``,
 which only re-exports.
+
+The same holds for defaulted parameters: a default that no package caller
+overrides is a knob, and a check's threshold is the bar, not a knob.
 """
 
 import ast
@@ -62,6 +65,70 @@ def test_every_public_name_has_a_package_caller():
 def test_allowlist_entries_are_still_defined_and_unused():
     unused = {q.rsplit(":", 1)[-1] for q in unused_public_names()}
     assert set(ALLOWED) <= unused, f"stale allowlist entries: {sorted(set(ALLOWED) - unused)}"
+
+
+# "function.parameter" -> why the default stays with no package caller that passes it
+ALLOWED_DEFAULTS = {
+    "main.argv": "the console entry point calls main() with no argument; tests pass argv",
+    "oscillation_sequence.count": "its range check against the Nyquist limit is exercised by the tests",
+    "oscillation_sequence.amplitude": "its |amplitude| < 1 check is exercised by the tests",
+}
+# defaulted public parameters before checks stopped taking their thresholds and fixed inputs as
+# arguments, and the most there may be now
+DEFAULTS_BEFORE, DEFAULTS_CAP = 46, 22
+
+
+def _defaulted_parameters(node):
+    """(index among the positional parameters or None for keyword-only, name) of each defaulted parameter."""
+    args = node.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    yield from ((i, a.arg) for i, a in enumerate(positional) if i >= first)
+    yield from ((None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None)
+
+
+def _passes(call, index, name) -> bool:
+    """Whether call may set the parameter: by keyword, by position, or through * / ** unpacking."""
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    return index is not None and (len(call.args) > index or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def defaulted_public_parameters() -> dict:
+    """"module:function.parameter" -> whether some call inside the package passes it, for every
+    defaulted parameter of a public function or method; calls match by the callee's bare name."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+    calls = {}
+    for module, tree in trees.items():
+        if module != "__init__.py":
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                    calls.setdefault(callee, []).append(node)
+    found = {}
+    for module, tree in trees.items():
+        for qualname, node in _public_definitions(tree):
+            name = qualname.rsplit(".", 1)[-1]
+            skip = 1 if "." in qualname else 0  # a method's call sites do not pass self
+            for index, param in _defaulted_parameters(node):
+                at = None if index is None else index - skip
+                passed = any(_passes(call, at, param) for call in calls.get(name, []))
+                found[f"{module}:{qualname}.{param}"] = passed
+    return found
+
+
+def test_every_defaulted_public_parameter_is_passed_by_a_package_caller():
+    """A default no caller overrides is a knob: a check threshold or a fixed input belongs in the body."""
+    found = defaulted_public_parameters()
+    knobs = [q for q, passed in found.items() if not passed and q.split(":", 1)[1] not in ALLOWED_DEFAULTS]
+    assert knobs == [], f"defaulted parameters no package caller passes: {knobs}"
+    assert len(found) <= DEFAULTS_CAP < DEFAULTS_BEFORE, f"{len(found)} defaulted public parameters"
+
+
+def test_default_allowlist_entries_are_still_defined_and_unpassed():
+    unpassed = {q.split(":", 1)[1] for q, passed in defaulted_public_parameters().items() if not passed}
+    assert set(ALLOWED_DEFAULTS) <= unpassed, f"stale entries: {sorted(set(ALLOWED_DEFAULTS) - unpassed)}"
 
 
 # after the hooks are installed, one small geodesic solve and one fiber solve through the

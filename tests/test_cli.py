@@ -153,6 +153,37 @@ def test_geodesic_needs_wide_time_grid(tmp_path, capsys):
     assert "n_time >= 8" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, overrides, message", [
+    pytest.param(["verify"], {"time": {"n_time": 4}}, "verify --suite all needs time.n_time >= 8",
+                 id="verify-n_time4"),
+    pytest.param(["verify", "--suite", "convexity"], {"time": {"n_time": 4}}, "needs time.n_time >= 8",
+                 id="verify-convexity-n_time4"),
+    pytest.param(["verify", "--suite", "bounds"], {"time": {"n_time": 4}}, "needs time.n_time >= 8",
+                 id="verify-bounds-n_time4"),
+    pytest.param(["verify", "--suite", "curvature"], {"grid": {"n_points": 130}}, "a multiple of 8 and >= 32",
+                 id="verify-curvature-n_points130"),
+    pytest.param(["verify", "--suite", "curvature"], {"grid": {"n_points": 36}}, "a multiple of 8 and >= 32",
+                 id="verify-curvature-n_points36"),
+    pytest.param(["verify", "--suite", "curvature"], {"grid": {"n_points": 24}}, "a multiple of 8 and >= 32",
+                 id="verify-curvature-n_points24"),
+    pytest.param(["verify", "--suite", "entropy"], {"grid": {"n_points": 16}}, "grid.n_points >= 26",
+                 id="verify-entropy-n_points16"),
+    pytest.param(["verify"], {"grid": {"n_points": 130}}, "a multiple of 8 and >= 32", id="verify-n_points130"),
+    pytest.param(["study"], {"grid": {"n_points": 130}}, "a multiple of 8 and >= 32", id="study-n_points130"),
+    pytest.param(["study"], {"time": {"n_time": 4}}, "n_time >= 8", id="study-n_time4"),
+])
+def test_config_requirements_exit_1_before_any_solve(tmp_path, monkeypatch, capsys, argv, overrides, message):
+    """A config the subcommand cannot run exits 1 with no geodesic solve and no diagnostic.json,
+    study included: it meets the requirements of every stage it chains."""
+    solves = _log_calls(monkeypatch, geodesic, "solve_eps_geodesic")
+    out = tmp_path / "out"
+    cfg = _study_config(tmp_path, [0.1, 0.01, 0.001], **overrides)
+    assert main([*argv, "--config", cfg, "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert solves == []
+    assert not (out / "diagnostic.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # geodesic pipeline
 

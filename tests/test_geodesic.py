@@ -468,9 +468,9 @@ def _logged_starts(monkeypatch):
     starts = []
     real = geodesic.solve_eps_geodesic
 
-    def logging(problem, tol=1e-10, max_iter=60, path0=None):
+    def logging(problem, tol=1e-10, path0=None):
         starts.append(path0)
-        return real(problem, tol=tol, max_iter=max_iter, path0=path0)
+        return real(problem, tol=tol, path0=path0)
 
     monkeypatch.setattr(geodesic, "solve_eps_geodesic", logging)
     return starts

@@ -22,6 +22,7 @@ from kgeolab import (
     family_report,
     fourier_field,
     make_background,
+    metric_density,
     solve_aubin_fiber,
     solve_family,
 )
@@ -321,23 +322,29 @@ def test_check_bounds_constant_family(small_bg):
     path = PathField(small_bg.grid, np.zeros((9, 64)))
     family = solve_family(small_bg, path, (1e-1, 1e-2, 1e-3), (0.1, 0.05))
     report = check_bounds(family)
-    assert report.passed
-    assert max(report.maxima) < 1e-10
+    assert report.name == "family_uniform_bounds"
+    assert report.passed and report.details["passed"] is True
+    assert max(report.details["maxima"]) < 1e-10
 
 
 def test_density_convergence_report(small_family):
     path, family = small_family
     report = density_convergence(family, path)
-    assert report.errors.shape == (3, 9, 5)
-    assert report.max_per_eps[-1] <= report.max_per_eps[0]
-    # mass pairing row (xi = 1) is an identity, not a convergence statement
-    assert np.max(report.errors[:, :, 0]) <= 1e-10
+    assert report.name == "density_convergence"
+    assert set(report.details) == {"epsilons", "max_per_eps", "final_max", "passed"}
+    max_per_eps = report.details["max_per_eps"]
+    assert len(max_per_eps) == 3 and max_per_eps[-1] <= max_per_eps[0]
+    # the pairing with xi = 1 is the mass identity, not a convergence statement
+    bg = family.bg
+    mass_gaps = bg.integrate(np.exp(family.phi) * bg.w - metric_density(bg, path.values))  # (eps, t)
+    assert np.max(np.abs(mass_gaps)) <= 1e-10
 
 
 def test_eps_phi_vanishing_trend(small_family):
     _, family = small_family
     report = eps_phi_vanishing(family)
-    sups = report.sup_norms
+    assert report.name == "eps_phi_vanishing"
+    sups = report.details["sup_norms"]
     assert report.passed
     assert all(b < a for a, b in zip(sups, sups[1:]))
     assert sups[-1] <= 0.5 * sups[0]

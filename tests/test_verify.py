@@ -41,7 +41,9 @@ from kgeolab import (
 )
 from kgeolab import geodesic
 from kgeolab.errors import PositivityLoss
+from kgeolab.model import _jsonable
 from kgeolab.verify import (
+    A_VALUES,
     BOUNDARY_N_TIMES,
     CHAIN_N_TIMES,
     CURVATURE_EPSILON,
@@ -49,10 +51,7 @@ from kgeolab.verify import (
     WEAK_EPSILONS,
     SuiteData,
     _as_control,
-    _jsonable,
     _with_phi,
-    density_convergence_property,
-    eps_vanishing_property,
 )
 
 EXPECTED_NAMES = (
@@ -185,8 +184,9 @@ def test_mollified_sequence_breaks_semicontinuity(small_bg):
 
 def test_truncated_sweep_monotone_slacks(small_bg):
     seq = oscillation_sequence(small_bg, count=6)
-    res = truncated_semicontinuity_sweep(small_bg, seq, a_values=(2.0, 5.0, 10.0))
+    res = truncated_semicontinuity_sweep(small_bg, seq)
     assert res.passed
+    assert res.details["a_values"] == list(A_VALUES)
     slacks = res.details["delta_values"]
     assert all(b < a for a, b in zip(slacks, slacks[1:]))
 
@@ -344,18 +344,18 @@ def test_density_limit_report(small_family):
 
 
 def test_eps_vanishing_tie_passes_in_report_and_row(small_family):
-    """Two equal consecutive eps sup|phi| do not grow: the report and the verify row both pass."""
+    """Two equal consecutive eps sup|phi| do not grow: the verify row and the passed flag
+    its details give the fiberwise report both pass."""
     _, family = small_family
     tied = _with_phi(family, lambda eps, t, phi: np.where(eps > 5e-3, 1.0, 0.25) / eps + 0.0 * phi)
-    report = eps_phi_vanishing(tied)
-    assert report.sup_norms[0] == report.sup_norms[1]  # the tie is exact
-    row = eps_vanishing_property(tied)
-    assert report.margin == row.margin == 0.0
-    assert report.passed == row.passed is True
+    row = eps_phi_vanishing(tied)
+    assert row.details["sup_norms"][0] == row.details["sup_norms"][1]  # the tie is exact
+    assert row.margin == 0.0
+    assert row.passed is row.details["passed"] is True
 
 
 def test_density_convergence_at_the_threshold_passes_in_report_and_row(small_family):
-    """A final-epsilon error of exactly 1e-2 passes the report and the verify row alike.
+    """A final-epsilon error of exactly 1e-2 passes the verify row and its fiberwise-report flag alike.
 
     On the flat background with a zero path, a potential that is 0 except at node 0 leaves
     one nonzero gap e^phi - 1 there, so every test function that is 1 at node 0 pairs to
@@ -376,13 +376,12 @@ def test_density_convergence_at_the_threshold_passes_in_report_and_row(small_fam
     for _ in range(8):  # exp may round log(0.36) back to a neighbour of 0.36
         down, up = np.nextafter(down, -np.inf), np.nextafter(up, np.inf)
         candidates += [down, up]
-    hits = [c for c in candidates if density_convergence(at_node0(np.log(0.3), c), flat).final_max == 1e-2]
+    final = lambda c: density_convergence(at_node0(np.log(0.3), c), flat).details["final_max"]
+    hits = [c for c in candidates if final(c) == 1e-2]
     assert hits, "no potential near log(0.36) gives a final error of exactly 1e-2"
-    tied = at_node0(np.log(0.3), hits[0])
-    report = density_convergence(tied, flat)
-    row = density_convergence_property(tied, flat)
-    assert report.margin == row.margin == 0.0
-    assert report.passed == row.passed is True
+    row = density_convergence(at_node0(np.log(0.3), hits[0]), flat)
+    assert row.margin == 0.0
+    assert row.passed is row.details["passed"] is True
 
 
 @pytest.mark.parametrize("seed", range(4))
