@@ -26,7 +26,6 @@ from .errors import (
     NegativeDensity,
     NoConvergence,
     NonAdmissiblePsi,
-    NonConvexInput,
     NotASolution,
     PositivityLoss,
     SchemaViolation,

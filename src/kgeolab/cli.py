@@ -9,10 +9,10 @@ the theorem-check suites; ``study`` chains all of the above into one
 summary.
 
 Exit codes: 0 success, 1 configuration error, 2 solver or pipeline
-failure (a diagnostic JSON is written when the output directory is
-already known), 3 verification or bound-check failure.  A config that
-lacks what a subcommand reads, for study what any of its stages reads,
-exits 1 before the first solve.
+failure (a diagnostic JSON naming the stage, for study study:<stage>, is
+written when the output directory is already known), 3 verification or
+bound-check failure.  A config that lacks what a subcommand reads, for
+study what any of its stages reads, exits 1 before the first solve.
 
 Reports are deterministic for a fixed config: keys are sorted, floats
 use shortest round-trip formatting, and embedded file references are
@@ -336,24 +336,28 @@ def run_verify(config: ExperimentConfig, data: SuiteData, out_dir: Path, suite: 
 
 
 def run_study(config: ExperimentConfig, data: SuiteData, out_dir: Path) -> int:
-    """Full pipeline: geodesic, fiberwise, all mabuchi variants, verify all."""
-    data.solve_chain_first("all")  # verify's eps-ladder chain, before any stage
+    """Full pipeline: verify's eps-ladder chain, then the STUDY_STAGES in order.
+
+    An exception leaves with its stage as study_report.json names it, for
+    main's diagnostic.json: study:fiberwise, study:mabuchi_k and so on; a
+    failure in the chain reads study:verify.
+    """
+    # looked up per call, so a wrapper installed on a module-level run_* name sees its stage
+    pipelines = {"geodesic": run_geodesic, "fiberwise": run_fiberwise, "mabuchi": run_mabuchi, "verify": run_verify}
     stages = {}
-    rcs = []
+    name = "verify"
+    try:
+        data.solve_chain_first("all")
+        for command, option in STUDY_STAGES:
+            name = f"mabuchi_{option.lower()}" if command == "mabuchi" else command
+            rc = pipelines[command](config, data, out_dir, *filter(None, [option]))
+            stages[name] = {"report": f"{name}_report.json", "passed": rc == 0}
+            print(f"study stage {name}: {'ok' if rc == 0 else f'exit {rc}'}")
+    except Exception as exc:
+        exc.stage = f"study:{name}"
+        raise
 
-    def stage(name: str, report_name: str, rc: int) -> None:
-        stages[name] = {"report": report_name, "passed": rc == 0}
-        rcs.append(rc)
-        print(f"study stage {name}: {'ok' if rc == 0 else f'exit {rc}'}")
-
-    stage("geodesic", "geodesic_report.json", run_geodesic(config, data, out_dir))
-    stage("fiberwise", "fiberwise_report.json", run_fiberwise(config, data, out_dir))
-    stage("mabuchi_exact", "mabuchi_exact_report.json", run_mabuchi(config, data, out_dir, "exact"))
-    stage("mabuchi_k", "mabuchi_k_report.json", run_mabuchi(config, data, out_dir, "k"))
-    stage("mabuchi_epsa", "mabuchi_epsa_report.json", run_mabuchi(config, data, out_dir, "epsA"))
-    stage("verify", "verify_report.json", run_verify(config, data, out_dir, "all"))
-
-    passed = all(rc == 0 for rc in rcs)
+    passed = all(stage["passed"] for stage in stages.values())
     report = {
         "timestamp": _timestamp(),
         "config": config.raw,
@@ -454,6 +458,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # the contract is exit 2 plus a diagnostic artifact
+        stage = getattr(exc, "stage", stage)
         if out_dir is not None:
             try:
                 _write_json(

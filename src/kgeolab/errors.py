@@ -36,10 +36,6 @@ class PositivityLoss(KGeoError):
     """Damping could not keep an iterate inside the positivity cone."""
 
 
-class NonConvexInput(KGeoError):
-    """Potential fails the convexity round-trip on the universal cover."""
-
-
 class NegativeDensity(KGeoError):
     """Entropy-type integrand received a density below -1e-10."""
 

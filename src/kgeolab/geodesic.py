@@ -34,12 +34,11 @@ A ladder solved at n_time / 2 can start the same ladder at n_time instead:
 prolong_in_s carries each coarse rung to the fine time grid.
 legendre_oracle is the independent surrogate for the exact degenerate
 solution: with P = x^2/2 + psi + phi the admissible cone becomes discrete
-convexity of P, the degenerate flow is affine interpolation of the convex
-conjugates P*, and conjugation is evaluated on three unrolled periods with a
-4x dual grid through a monotone searchsorted scan.  The double conjugate
-reproduces P exactly whenever every node carries density at least 1/4 (the
-dual spacing h/4 then hits every subdifferential gap); the involution check
-turns silent failures of that condition into NonConvexInput.
+convexity of P, and the degenerate flow is affine interpolation of the convex
+conjugates P*.  On three unrolled periods P* is piecewise linear with breaks
+at the chord slopes of P, so the conjugates are evaluated, by a monotone
+searchsorted scan, at the union of both endpoints' slopes: exact for the
+piecewise-linear interpolants, at any positive node density.
 """
 
 from __future__ import annotations
@@ -56,7 +55,6 @@ from .errors import (
     FamilyMismatch,
     KGeoError,
     NegativeDensity,
-    NonConvexInput,
     NotASolution,
     PositivityLoss,
     SingularSystem,
@@ -71,6 +69,16 @@ from .model import (
     reduced_hessian,
 )
 
+def _admissible_endpoints(bg: Background, endpoint_0, endpoint_1) -> list:
+    """Nodal values of both endpoints; NegativeDensity names one that is not admissible on bg."""
+    values = []
+    for name, endpoint in (("endpoint_0", endpoint_0), ("endpoint_1", endpoint_1)):
+        values.append(_as_field_values(bg.grid, endpoint))
+        if not is_admissible(bg, values[-1]):
+            raise NegativeDensity(f"{name} is not admissible on this background")
+    return values
+
+
 @dataclass(frozen=True, eq=False)
 class EpsGeodesicProblem:
     """Boundary data and grid for one eps-geodesic solve."""
@@ -82,15 +90,11 @@ class EpsGeodesicProblem:
     n_time: int
 
     def __post_init__(self):
-        e0 = _as_field_values(self.bg.grid, self.endpoint_0)
-        e1 = _as_field_values(self.bg.grid, self.endpoint_1)
         if not self.epsilon > 0.0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if self.n_time < 8:
             raise ValueError(f"n_time must be >= 8, got {self.n_time}")
-        for name, endpoint in (("endpoint_0", e0), ("endpoint_1", e1)):
-            if not is_admissible(self.bg, endpoint):
-                raise NegativeDensity(f"{name} is not admissible on this background")
+        e0, e1 = _admissible_endpoints(self.bg, self.endpoint_0, self.endpoint_1)
         object.__setattr__(self, "endpoint_0", e0)
         object.__setattr__(self, "endpoint_1", e1)
         e0.setflags(write=False)
@@ -615,8 +619,8 @@ def _conjugate(xs: np.ndarray, fs: np.ndarray, ys: np.ndarray) -> np.ndarray:
 
     The maximizer index is monotone in y and equals the number of chord
     slopes below y, so a searchsorted over the slope sequence evaluates the
-    whole transform in sorted order.  On non-convex data the selection is
-    wrong by construction; callers detect that through the involution check.
+    whole transform in sorted order.  The samples must be convex: on other
+    data the selection is wrong by construction.
     """
     slopes = np.diff(fs) / np.diff(xs)
     idx = np.searchsorted(slopes, ys)
@@ -624,30 +628,12 @@ def _conjugate(xs: np.ndarray, fs: np.ndarray, ys: np.ndarray) -> np.ndarray:
 
 
 def legendre_oracle(bg: Background, endpoint_0, endpoint_1, n_time: int) -> PathField:
-    """Exact-solution surrogate: affine interpolation of convex conjugates."""
+    """Exact-solution surrogate: affine interpolation of convex conjugates, taken at their breakpoints."""
     grid = bg.grid
-    endpoints = [_as_field_values(grid, endpoint_0), _as_field_values(grid, endpoint_1)]
-    n = grid.n_points
-    h = grid.spacing
-    xs = (np.arange(3 * n) - n) * h
-    ys = (np.arange(12 * n) - 4 * n) * (h / 4.0)
-    x_central = grid.nodes
-    quad_central = 0.5 * x_central * x_central + bg.psi
-    duals = []
-    for phi in endpoints:
-        p = 0.5 * xs * xs + np.tile(bg.psi + phi, 3)
-        pstar = _conjugate(xs, p, ys)
-        back = _conjugate(ys, pstar, x_central)
-        defect = float(np.max(np.abs(back - (quad_central + phi))))
-        if defect > 1e-8:
-            raise NonConvexInput(
-                f"conjugation involution defect {defect:.3e} > 1e-08; "
-                "endpoint potential is not discretely convex enough"
-            )
-        duals.append(pstar)
-    rows = np.empty((n_time + 1, n))
-    for i in range(n_time + 1):
-        s = i / n_time
-        pstar_s = (1.0 - s) * duals[0] + s * duals[1]
-        rows[i] = _conjugate(ys, pstar_s, x_central) - quad_central
-    return PathField(grid, rows)
+    xs = (np.arange(3 * grid.n_points) - grid.n_points) * grid.spacing
+    convex = [0.5 * xs * xs + np.tile(bg.psi + phi, 3) for phi in _admissible_endpoints(bg, endpoint_0, endpoint_1)]
+    ys = np.unique(np.concatenate([np.diff(p) / np.diff(xs) for p in convex]))
+    duals = [_conjugate(xs, p, ys) for p in convex]
+    s = (np.arange(n_time + 1) / n_time)[:, None]
+    rows = [_conjugate(ys, pstar, grid.nodes) for pstar in (1.0 - s) * duals[0] + s * duals[1]]
+    return PathField(grid, np.array(rows) - (0.5 * grid.nodes * grid.nodes + bg.psi))

@@ -893,12 +893,13 @@ class SuiteData:
     on their calibrated ladders (the module constants above); the artifact
     stages read the ``ladder_*`` objects, solved on the run's own epsilon
     and delta ladders.  Every eps-geodesic rung goes into one cache keyed by
-    (eps prefix, n_time, tol), so a ladder that shares leading rungs with an
-    earlier one at the same n_time and tol reuses them.  The verify ladder
-    WEAK_EPSILONS is solved as one chain over CHAIN_N_TIMES (_chain), which
-    holds weak_path's ladder (when the run's n_time is 16), boundary_paths
-    and eps_geodesic.  Defaults reproduce the canonical run: flat
-    background, endpoints 0 and the admissible cosine.
+    (eps prefix, n_time, tol, start), so a ladder that shares leading rungs
+    with an earlier one at the same n_time and tol, started the same way,
+    reuses them.  The verify ladder WEAK_EPSILONS is solved as one chain
+    over CHAIN_N_TIMES (_chain), which holds weak_path's ladder (when the
+    run's n_time is in CHAIN_N_TIMES), boundary_paths and eps_geodesic.
+    Defaults reproduce the canonical run: flat background, endpoints 0 and
+    the admissible cosine.
     """
 
     bg: Background
@@ -911,7 +912,7 @@ class SuiteData:
     ladder_deltas: tuple = ()
     ladder_geodesic_tol: float = 1e-10
     ladder_fiber_tol: float = 1e-11
-    _rungs: dict = field(default_factory=dict, init=False, repr=False)  # (eps prefix, n_time, tol) -> rung
+    _rungs: dict = field(default_factory=dict, init=False, repr=False)  # (eps prefix, n_time, tol, start) -> rung
 
     def __post_init__(self):
         self.endpoint_0 = np.asarray(self.endpoint_0, dtype=float)
@@ -921,10 +922,11 @@ class SuiteData:
         """eps_continuation of the run's endpoints at n_time (the run's by default),
         reusing the leading rungs an earlier ladder solved at the same n_time and tol.
 
-        A rung is reused whatever it started from: the Newton polish leaves
-        the start visible only at round-off."""
+        A rung is reused only from a ladder started the same way, along eps or
+        from the coarse level at n_time / 2: the start shows in the last bits."""
         n_time = self.n_time if n_time is None else n_time
-        keys = [(tuple(float(e) for e in epsilons[: k + 1]), n_time, tol) for k in range(len(epsilons))]
+        start = n_time // 2 if coarse else None
+        keys = [(tuple(float(e) for e in epsilons[: k + 1]), n_time, tol, start) for k in range(len(epsilons))]
         shared = [self._rungs[key] for key in itertools.takewhile(self._rungs.__contains__, keys)]
         rungs = eps_continuation(
             self.bg, self.endpoint_0, self.endpoint_1, epsilons, n_time, tol=tol, solved=shared, coarse=coarse
@@ -932,8 +934,8 @@ class SuiteData:
         self._rungs.update(zip(keys, rungs))
         return rungs
 
-    def _chain(self, epsilons) -> dict:
-        """The ladder epsilons at each n_time of CHAIN_N_TIMES, coarse to fine.
+    def _chain(self, epsilons, top: int = CHAIN_N_TIMES[-1]) -> dict:
+        """The ladder epsilons at each n_time of CHAIN_N_TIMES up to top, coarse to fine.
 
         Along eps at n_time 16, then each rung at n_time 32 and 64 from
         prolong_in_s of the same rung one level coarser, which takes about
@@ -941,13 +943,16 @@ class SuiteData:
         level depends on its coarser rung alone, so a prefix of WEAK_EPSILONS
         solves the same rungs as the whole ladder.  Returns n_time -> rungs."""
         levels, coarse = {}, ()
-        for n_time in CHAIN_N_TIMES:
+        for n_time in CHAIN_N_TIMES[: CHAIN_N_TIMES.index(top) + 1]:
             coarse = levels[n_time] = self._continuation(epsilons, WEAK_TOL, n_time, coarse=coarse)
         return levels
 
     @cached_property
     def weak_path(self) -> PathField:
-        """Weak-geodesic limit of the suites' WEAK_EPSILONS ladder at the run's n_time."""
+        """Weak-geodesic limit of the suites' WEAK_EPSILONS ladder at the run's n_time,
+        the chain's level there when CHAIN_N_TIMES holds it."""
+        if self.n_time in CHAIN_N_TIMES:
+            return weak_limit(self.bg, self._chain(WEAK_EPSILONS, self.n_time)[self.n_time])
         return weak_limit(self.bg, self._continuation(WEAK_EPSILONS, WEAK_TOL))
 
     @cached_property

@@ -12,7 +12,7 @@ import pytest
 
 from kgeolab import cli, geodesic, ma_fiber, verify
 from kgeolab.cli import main
-from kgeolab.errors import PositivityLoss, SchemaViolation, SingularSystem
+from kgeolab.errors import NoConvergence, PositivityLoss, SchemaViolation, SingularSystem
 
 AMP = 0.05 / (2.0 * np.pi) ** 2
 
@@ -216,6 +216,20 @@ def test_geodesic_equal_endpoints_oracle_distance(tmp_path):
     assert report["oracle_distance"][0] == pytest.approx(0.1 / 8.0, abs=1e-9)
 
 
+def test_geodesic_degenerate_endpoint_approaches_the_oracle(tmp_path):
+    """On the canonical config with a = 0.9 (node density 0.1007) geodesic exits 0, and the
+    oracle distance falls strictly along eps."""
+    doc = json.loads((Path(__file__).resolve().parents[1] / "configs" / "canonical.json").read_text())
+    doc["endpoints"]["endpoint_1"] = [[1, 0.9 / (2.0 * np.pi) ** 2, 0.0]]
+    cfg = tmp_path / "degenerate.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["geodesic", "--config", str(cfg), "--out", str(out)]) == 0
+    distances = json.loads((out / "geodesic_report.json").read_text())["oracle_distance"]
+    assert len(distances) == 5
+    assert all(b < a for a, b in zip(distances, distances[1:]))
+
+
 # ---------------------------------------------------------------------------
 # exit code 2: solver failure with diagnostic artifact
 
@@ -287,7 +301,20 @@ def test_study_exits_2_before_its_stages_when_a_verify_object_fails(tmp_path, mo
     assert main(["study", "--config", cfg, "--out", str(out)]) == 2
     assert [p.name for p in out.iterdir()] == ["diagnostic.json"]
     diag = json.loads((out / "diagnostic.json").read_text())
-    assert (diag["stage"], diag["error_type"]) == ("study", "PositivityLoss")
+    assert (diag["stage"], diag["error_type"]) == ("study:verify", "PositivityLoss")
+
+
+def test_study_diagnostic_names_the_failing_stage(tmp_path, monkeypatch):
+    """A failing study stage is named study:<stage>, with the stage names of study_report.json."""
+    def stalling(*args, **kwargs):
+        raise NoConvergence("fiber solve stalled", residual_sup=2e-11, iterations=3)
+
+    monkeypatch.setattr(verify, "solve_family", stalling)
+    out = tmp_path / "out"
+    assert main(["study", "--config", _study_config(tmp_path, [0.1, 0.01, 0.001]), "--out", str(out)]) == 2
+    assert (out / "geodesic_report.json").is_file()
+    diag = json.loads((out / "diagnostic.json").read_text())
+    assert (diag["stage"], diag["error_type"]) == ("study:fiberwise", "NoConvergence")
 
 
 # ---------------------------------------------------------------------------
@@ -597,6 +624,34 @@ def test_curvature_suite_reads_the_chain_prefix_of_suite_all(tmp_path, monkeypat
             assert on_grid == [(nt, eps) for nt in verify.CHAIN_N_TIMES for eps in (0.1, 0.01)]
     assert len(rows["all"]) == 2
     assert json.dumps(rows["curvature"]) == json.dumps(rows["all"])
+
+
+def test_bounds_suite_rows_equal_those_of_suite_all_at_a_chain_n_time(tmp_path):
+    """At n_time 32, a level of verify's chain, --suite bounds reads weak_path off the chain as
+    --suite all does, so its rows are those of --suite all byte for byte."""
+    cfg = _study_config(tmp_path, [0.1, 0.01, 0.001], time={"n_time": 32})
+    rows = {}
+    for suite in ("bounds", "all"):
+        out = tmp_path / suite
+        assert main(["verify", "--suite", suite, "--config", cfg, "--out", str(out)]) == 0
+        rows[suite] = json.loads((out / "verify_report.json").read_text())["results"]
+    names = {r["name"] for r in rows["bounds"]}
+    assert json.dumps(rows["bounds"]) == json.dumps([r for r in rows["all"] if r["name"] in names])
+
+
+def test_study_writes_the_geodesic_artifacts_of_geodesic_at_a_chain_n_time(tmp_path):
+    """At n_time 32 study solves the config's ladder along eps, as geodesic does, and not from the
+    prolonged rungs of verify's chain at the same eps: the same bytes and Newton counts."""
+    cfg = _study_config(tmp_path, [0.1, 0.01, 0.001], time={"n_time": 32})
+    for command in ("geodesic", "study"):
+        assert main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 0
+    names = [f"geodesic_path_eps{i:02d}.csv" for i in range(3)]
+    for name in names:
+        assert (tmp_path / "geodesic" / name).read_bytes() == (tmp_path / "study" / name).read_bytes()
+    reports = [json.loads((tmp_path / c / "geodesic_report.json").read_text()) for c in ("geodesic", "study")]
+    for report in reports:
+        del report["timestamp"]
+    assert reports[0] == reports[1]
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from kgeolab import (
     FamilyMismatch,
     NegativeDensity,
     NoConvergence,
-    NonConvexInput,
     NotASolution,
     PositivityLoss,
     SingularSystem,
@@ -25,7 +24,7 @@ from kgeolab import (
 )
 from kgeolab import geodesic
 from kgeolab.geodesic import rung_increments, weak_limit
-from kgeolab.model import fourier_field
+from kgeolab.model import fourier_field, metric_density
 
 AMP = 0.05 / (2.0 * np.pi) ** 2
 
@@ -542,8 +541,49 @@ def test_oracle_constant_endpoints(small_bg):
 
 def test_oracle_rejects_nonconvex_cover(small_bg):
     bad = np.cos(2.0 * np.pi * small_bg.grid.nodes)  # density 1 - (2 pi)^2 cos < 0
-    with pytest.raises(NonConvexInput):
+    with pytest.raises(NegativeDensity, match="^endpoint_1 is not admissible"):
         legendre_oracle(small_bg, np.zeros(64), bad, 8)
+
+
+def _exhaustive_oracle(bg, e0, e1, n_time):
+    """Affine interpolation of Legendre conjugates, each conjugate a brute-force max over all pairs.
+
+    P = x^2/2 + psi + phi on three unrolled periods; its conjugate is taken
+    at every chord slope of either endpoint's P by a max over every node,
+    and the interpolated conjugate is conjugated back at every node by a
+    max over every slope.
+    """
+    n = bg.grid.n_points
+    xs = (np.arange(3 * n) - n) / n
+    convex = [0.5 * xs**2 + np.tile(bg.psi + e, 3) for e in (e0, e1)]
+    slopes = np.unique(np.concatenate([np.diff(p) * n for p in convex]))
+    stars = [np.max(slopes[:, None] * xs[None, :] - p[None, :], axis=1) for p in convex]
+    x = bg.grid.nodes
+    rows = []
+    for s in np.arange(n_time + 1) / n_time:
+        star = (1.0 - s) * stars[0] + s * stars[1]
+        rows.append(np.max(x[:, None] * slopes[None, :] - star[None, :], axis=1) - 0.5 * x**2 - bg.psi)
+    return np.array(rows)
+
+
+def test_oracle_equals_the_exhaustive_conjugates_at_low_density():
+    """The oracle is exact for the piecewise-linear interpolants at any positive node density:
+    a = 0.9 (density 0.1007 at its lowest node) and a random curved case."""
+    grid = SpatialGrid(64)
+    flat = make_background(grid)
+    degenerate = fourier_field(grid, [(1, 0.9 / (2.0 * np.pi) ** 2, 0.0)])
+    assert 0.1 < np.min(metric_density(flat, degenerate)) < 0.101
+    rng = np.random.default_rng(7)
+
+    def random_field(modes):  # each mode moves the density by about 0.1
+        return fourier_field(grid, [(k, *rng.normal(0.0, 0.1, 2) / (2.0 * np.pi * k) ** 2) for k in modes])
+
+    curved = make_background(grid, psi=random_field((1, 2)))
+    e0, e1 = random_field((1, 2, 3)), random_field((1, 2, 3))
+    for bg, a, b in ((flat, np.zeros(64), degenerate), (curved, e0, e1)):
+        assert min(np.min(metric_density(bg, a)), np.min(metric_density(bg, b))) > 0.0
+        oracle = legendre_oracle(bg, a, b, 8)
+        assert np.max(np.abs(oracle.values - _exhaustive_oracle(bg, a, b, 8))) <= 1e-14
 
 
 def test_continuation_approaches_oracle(small_bg):
