@@ -46,13 +46,16 @@ class NewtonRecord:
     """Per-row steps and sup-norm histories (start included); halvings and factorizations of all rows.
 
     A row's steps count Newton and chord steps alike; factorizations counts
-    the newton_step calls, each over the rows it was given.
+    the newton_step calls, each over the rows it was given.  fallbacks is the
+    caller's: the steps whose reduced-precision factor failed and were
+    factored again in float64, each one factorization more.
     """
 
     row_iterations: np.ndarray
     residual_sups: list
     halvings: int = 0
     factorizations: int = 0
+    fallbacks: int = 0
 
     @property
     def iterations(self) -> int:  # summed over the rows

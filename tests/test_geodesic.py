@@ -1,5 +1,7 @@
 """Space-time solver, continuation limit, and the duality oracle."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -102,7 +104,7 @@ def _random_coefs(n, n_int, seed):
 
 
 def test_newton_jacobian_matches_finite_differences(monkeypatch):
-    """The matrix the Newton step factors is the derivative of the interior residual.
+    """The matrix of the linear system the Newton step solves is the derivative of the interior residual.
 
     Checked entry by entry against central differences of the independent
     certificate residual, on 8 points so that the periodic wrap and the rows
@@ -120,13 +122,13 @@ def test_newton_jacobian_matches_finite_differences(monkeypatch):
     start[1:-1] += 1e-6 * np.random.default_rng(3).standard_normal((n_time - 1, 8))
 
     factored = []
-    real_splu = geodesic.splu
+    real = geodesic._factor_and_solve
 
-    def spy(coefs):
+    def spy(coefs, b):
         factored.append(coefs.copy())
-        return real_splu(coefs)
+        return real(coefs, b)
 
-    monkeypatch.setattr(geodesic, "splu", spy)
+    monkeypatch.setattr(geodesic, "_factor_and_solve", spy)
     solve_eps_geodesic(problem, path0=start)
     # the first Newton step linearizes at the start
     rows, cols, vals = _nine_point_entries(factored[0])
@@ -235,40 +237,34 @@ def test_child_ring_lies_in_parent_front(n, n_int):
 
 @pytest.mark.parametrize("n, n_int", [(8, 7), (30, 9), (64, 15), (256, 63), (512, 31)])
 def test_nested_dissection_solve_matches_superlu(n, n_int):
-    """The multifrontal LU solves random nine-point Jacobians as SuperLU does, to 1e-12 relative."""
+    """The refined solve on the float32 multifrontal LU solves random nine-point Jacobians as
+    SuperLU does, to 1e-12 relative."""
     linalg = pytest.importorskip("scipy.sparse.linalg")
     coefs = _random_coefs(n, n_int, seed=n * n_int)
     rhs = np.random.default_rng(n).standard_normal(n * n_int)
-    x = geodesic.splu(coefs).solve(rhs)
+    lu, x, fell_back = geodesic._factor_and_solve(coefs, rhs)
+    assert lu.dtype == np.float32 and not fell_back
     reference = linalg.splu(_nine_point_csc(coefs)).solve(rhs)
     assert np.max(np.abs(x - reference)) <= 1e-12 * np.max(np.abs(reference))
 
 
 def _first_newton_system(monkeypatch, n, n_time):
-    """The first Newton step of a curved 0.05-amplitude solve: the coefficient stack it
-    factors, the right-hand side its factor solved and the step that came back."""
+    """The first Newton step of a curved 0.05-amplitude solve: the float64 coefficient stack of
+    its linear system, the right-hand side and the step that came back."""
     grid = SpatialGrid(n)
     bg = make_background(grid, psi=fourier_field(grid, [(1, 0.002, 0.001)]))
     e0, e1 = _endpoints(grid)
-    real_splu = geodesic.splu
+    real = geodesic._factor_and_solve
     seen = []
 
-    class Spy:
-        def __init__(self, lu):
-            self.lu = lu
+    def spy(coefs, b):
+        seen.append((coefs.copy(), b.copy(), real(coefs, b)))
+        return seen[-1][2]
 
-        def solve(self, rhs):
-            seen.append((rhs.copy(), self.lu.solve(rhs)))
-            return seen[-1][1]
-
-    def spy(coefs):
-        seen.append(coefs.copy())
-        return Spy(real_splu(coefs))
-
-    monkeypatch.setattr(geodesic, "splu", spy)
+    monkeypatch.setattr(geodesic, "_factor_and_solve", spy)
     solve_eps_geodesic(EpsGeodesicProblem(bg, e0, e1, 1e-2, n_time))
     monkeypatch.undo()
-    coefs, (rhs, step) = seen[0], seen[1]
+    coefs, rhs, (_, step, _) = seen[0]
     return coefs, rhs, step
 
 
@@ -283,7 +279,8 @@ def test_dissection_fill_is_close_to_minimum_degree(monkeypatch):
 
 
 def test_newton_step_equals_minimum_degree_solve(monkeypatch):
-    """The Newton step solves the natural-order system as SuperLU with minimum degree does."""
+    """The Newton step, refined on its float32 factor, solves the natural-order float64 system as
+    SuperLU with minimum degree does."""
     linalg = pytest.importorskip("scipy.sparse.linalg")
     coefs, rhs, step = _first_newton_system(monkeypatch, 256, 16)
     reference = linalg.splu(_nine_point_csc(coefs), permc_spec="MMD_AT_PLUS_A").solve(rhs)
@@ -313,6 +310,94 @@ def test_singular_pivot_block_raises_singular_system(small_bg, monkeypatch):
         r"space-time Jacobian factorization failed: Singular matrix$"
     )):
         solve_eps_geodesic(EpsGeodesicProblem(small_bg, e0, e1, 1e-2, 8))
+
+
+def _coupled_only_below_float32(n, n_int, node):
+    """A constant nine-point stack in which every entry of node's column is 1e-60: zero in
+    float32, so any float32 front that pivots node is singular, while the float64 system is
+    regular up to the scale of that unknown."""
+    coefs = np.stack([np.full((n_int, n), v) for v in (-4.0, 1.0, 1.0, 0.1, -0.1)])
+    i, j = node
+    coefs[:, i, j] = 0.0
+    for di, dj, k in ((0, 0, 0), (0, 1, 1), (0, -1, 1), (1, 0, 2), (-1, 0, 2), (1, 1, 3), (-1, -1, 3), (1, -1, 4), (-1, 1, 4)):
+        coefs[k, i - di, (j - dj) % n] = 1e-60  # row node - offset reaches node through entry k
+    return coefs
+
+
+def test_float32_singular_pivot_block_falls_back_to_float64():
+    """A stack that np.linalg.inv rejects in float32 but not in float64 is factored again in
+    float64, and the step is that factor's solve."""
+    coefs = _coupled_only_below_float32(8, 7, (3, 4))
+    b = np.random.default_rng(0).standard_normal(coefs[0].size)
+    with pytest.raises(np.linalg.LinAlgError):
+        geodesic.splu(coefs.astype(np.float32))
+    lu, step, fell_back = geodesic._factor_and_solve(coefs, b)
+    assert fell_back and lu.dtype == np.float64
+    assert np.array_equal(step, geodesic.splu(coefs).solve(b))
+    assert np.max(np.abs(b - geodesic._jacobian_times(coefs, step))) <= 1e-14 * np.max(np.abs(b))
+
+
+def test_stack_beyond_float32_range_falls_back_to_float64():
+    """Coefficients that overflow float32 fail the float32 factor quietly, as a singular block does."""
+    coefs = 1e36 * _random_coefs(64, 7, seed=3)
+    b = np.ones(coefs[0].size)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lu, step, fell_back = geodesic._factor_and_solve(coefs, b)
+    assert fell_back and lu.dtype == np.float64
+    assert np.array_equal(step, geodesic.splu(coefs).solve(b))
+
+
+def test_refinement_that_does_not_contract_falls_back_to_float64(small_bg, monkeypatch):
+    """A float32 factor whose first refinement sweep does not halve the residual is replaced by
+    a float64 one.  Here the float32 factor is that of 3 J, so every sweep cuts the residual by
+    only 2/3.  The solve counts one fallback per Newton step and ends where the float32 solve
+    does, to round-off."""
+    e0, e1 = _endpoints(small_bg.grid)
+    problem = EpsGeodesicProblem(small_bg, e0, e1, 1e-2, 8)
+    reference = solve_eps_geodesic(problem)
+    assert reference.record.fallbacks == 0
+    real_splu = geodesic.splu
+    precisions = []
+
+    def off_by_three(coefs):
+        precisions.append(coefs.dtype)
+        return real_splu(3.0 * coefs if coefs.dtype == np.float32 else coefs)
+
+    monkeypatch.setattr(geodesic, "splu", off_by_three)
+    coefs = _random_coefs(64, 7, seed=5)
+    lu, step, fell_back = geodesic._factor_and_solve(coefs, np.ones(coefs[0].size))
+    assert fell_back and lu.dtype == np.float64 and precisions == [np.float32, np.float64]
+    precisions.clear()
+    sol = solve_eps_geodesic(problem)
+    rec = sol.record
+    assert rec.fallbacks == rec.factorizations >= 1
+    assert precisions == [np.float32, np.float64] * rec.factorizations
+    assert sol.residual_sup <= 1e-13
+    assert np.max(np.abs(sol.path.values - reference.path.values)) <= 1e-15
+
+
+def test_large_factor_stores_float32_blocks_with_unchanged_fill(monkeypatch):
+    """The 256 x 63 factors of a solve are float32 throughout, store the 942,810 entries a float64
+    factor of the same stack stores, and come from one splu call per factorization."""
+    grid = SpatialGrid(256)
+    bg = make_background(grid, psi=fourier_field(grid, [(1, 0.002, 0.001)]))
+    e0, e1 = _endpoints(grid)
+    real_splu = geodesic.splu
+    factors = []
+
+    def keep(coefs):
+        factors.append((coefs.copy(), real_splu(coefs)))
+        return factors[-1][1]
+
+    monkeypatch.setattr(geodesic, "splu", keep)
+    sol = solve_eps_geodesic(EpsGeodesicProblem(bg, e0, e1, 1e-2, 64))
+    assert len(factors) == sol.record.factorizations >= 1 and sol.record.fallbacks == 0
+    for coefs, lu in factors:
+        assert coefs.dtype == lu.dtype == np.float32
+        assert all(block.dtype == np.float32 for blocks in lu.blocks for block in blocks)
+        wide = real_splu(coefs.astype(float))
+        assert lu.L.nnz + lu.U.nnz == wide.L.nnz + wide.U.nnz == 942_810
 
 
 def test_equal_constant_endpoints_closed_form(small_bg):
