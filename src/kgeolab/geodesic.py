@@ -32,7 +32,7 @@ float64 stencil, kept while each at least halves it, take the step from
 the float32 solve's 1e-7..1e-4 relative error to the float64 floor in two
 sweeps.  The factor stores its blocks in half the bytes (3.8 instead of
 7.5 MB on 256 x 63) and takes about a third less time than in float64
-(256 x 63: 37 -> 26 ms; 512 x 31: 23 -> 17 ms).  A float32 pivot block
+(256 x 63: 36 -> 24 ms; 512 x 31: 22 -> 15 ms).  A float32 pivot block
 that np.linalg.inv rejects, a float32 overflow or a first sweep that does
 not halve the residual makes the step factor again in float64, and the
 solve's NewtonRecord counts these fallbacks.  Chord steps use the factor

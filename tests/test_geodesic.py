@@ -319,7 +319,7 @@ def _coupled_only_below_float32(n, n_int, node):
     coefs = np.stack([np.full((n_int, n), v) for v in (-4.0, 1.0, 1.0, 0.1, -0.1)])
     i, j = node
     coefs[:, i, j] = 0.0
-    for di, dj, k in ((0, 0, 0), (0, 1, 1), (0, -1, 1), (1, 0, 2), (-1, 0, 2), (1, 1, 3), (-1, -1, 3), (1, -1, 4), (-1, 1, 4)):
+    for di, dj, k in geodesic._STENCIL:
         coefs[k, i - di, (j - dj) % n] = 1e-60  # row node - offset reaches node through entry k
     return coefs
 
