@@ -16,7 +16,9 @@ a space-time path: the path is mollified fiberwise at scale delta, each
 slice density plus a semipositivity slack (zero for admissible data) becomes
 the source beta = (1/eps)(m_delta + slack), and the delta -> 0 limit is
 declared at the smallest delta, with the recorded Cauchy increments as
-evidence.
+evidence.  Each time row is one batch over every (eps, delta) pair, and
+every row starts from the balance start log(eps (theta + beta) / w), which
+solves (*) with D2 phi dropped and so is within O(eps) of the solution.
 
 check_bounds, density_convergence and eps_phi_vanishing judge a family and
 return a PropertyResult, the verdict type of every check; its details are
@@ -104,7 +106,6 @@ class FiberSolution:
     phi: np.ndarray  # (rows, n_points)
     residual_sup: np.ndarray
     record: NewtonRecord
-    min_metric_eigen: np.ndarray
 
     @property
     def newton_iters(self) -> int:  # summed over the rows
@@ -217,7 +218,6 @@ def solve_aubin_fiber(problem: FiberProblem, phi0=None, tol: float = 1e-11) -> F
         phi=phi,
         residual_sup=np.array([sups[-1] for sups in rec.residual_sups]),
         record=rec,
-        min_metric_eigen=np.min(source + bg.d2(phi), axis=1),
     )
 
 
@@ -253,9 +253,10 @@ def solve_family(bg: Background, path: PathField, epsilons, deltas, tol: float =
     """Solve the fiber equation on every path row for each (eps, delta).
 
     For each delta (decreasing) the path is mollified fiberwise, and the
-    slice densities m_delta plus the slack make beta.  Row 0 chains through
-    the (eps, delta) pairs; then one batched call per time row j solves row
-    j of every pair from row j - 1 of the same pair.  Per epsilon, the
+    slice densities m_delta plus the slack make beta.  One batched call per
+    time row j solves row j of every (eps, delta) pair, each from the balance
+    start log(eps (theta + beta) / w), or from the mass-matching constant
+    where eps (theta + beta) is not positive at every node.  Per epsilon, the
     solution kept is the one at the smallest delta; the sup-norm Cauchy
     increments across consecutive deltas are recorded and must decrease.
     """
@@ -280,38 +281,34 @@ def solve_family(bg: Background, path: PathField, epsilons, deltas, tol: float =
     # one batch row per (eps, delta) pair, epsilon-major; only the current time row is held
     sources = np.array(sources)  # (delta, t, x)
     pair_eps, n_pairs = np.repeat(epsilons, len(deltas)), len(epsilons) * len(deltas)
-    row, res = np.empty((n_pairs, sources.shape[2])), np.empty(n_pairs)
     stats = np.full((n_pairs, 3), -np.inf)  # running _bound_stats per pair
     gaps = np.zeros(n_pairs)  # running sup |phi - phi of the pair before| (the previous delta)
     phi = np.empty((len(epsilons), *sources.shape[1:]))  # kept rows: the smallest delta
     residuals = np.empty(phi.shape[:2])
     kept = slice(len(deltas) - 1, None, len(deltas))
 
-    def solve(pairs, j, phi0):  # time row j of the given pairs, warm-started from phi0
-        beta = sources[pairs % len(deltas), j] / pair_eps[pairs, None]
-        prob = FiberProblem(bg=bg, beta=beta, epsilon=pair_eps[pairs])
+    for j in range(len(times)):
+        source = np.tile(sources[:, j], (len(epsilons), 1))
+        prob = FiberProblem(bg=bg, beta=source / pair_eps[:, None], epsilon=pair_eps)
+        # balance start: (1/eps) e^phi w ~ theta + beta; the mass-matching constant where that has no log
+        balance = pair_eps[:, None] * prob.theta + source
+        flat = ~np.all(balance > 0.0, axis=1, keepdims=True)
+        with np.errstate(divide="ignore", invalid="ignore"):  # a row of no mass raises IncompatibleMass first
+            phi0 = np.log(np.where(flat, bg.integrate(balance)[:, None], balance / bg.w))
         try:
             sol = solve_aubin_fiber(prob, phi0=phi0, tol=tol)
         except Exception as exc:
             # keep the exception object (and its attributes); prefix the context
             where = f"t={times[j]}"
             if getattr(exc, "row", None) is not None:
-                i, k = divmod(pairs[exc.row], len(deltas))
+                i, k = divmod(exc.row, len(deltas))
                 where += f", eps={epsilons[i]}, delta={deltas[k]}"
             context = f"fiber solve failed at ({where})"
             exc.args = (f"{context}: {exc.args[0] if exc.args else exc}", *exc.args[1:])
             raise
-        row[pairs], res[pairs] = sol.phi, sol.residual_sup
-
-    for j in range(len(times)):
-        if j == 0:  # row 0 chains through the pairs
-            for p in range(n_pairs):
-                solve(np.array([p]), 0, row[p - 1 : p] if p else None)
-        else:  # row j of every pair starts from its row j - 1
-            solve(np.arange(n_pairs), j, row)
-        np.maximum(stats, _bound_stats(bg, pair_eps, row), out=stats)
-        np.maximum(gaps[1:], np.max(np.abs(row[1:] - row[:-1]), axis=1), out=gaps[1:])
-        phi[:, j], residuals[:, j] = row[kept], res[kept]
+        np.maximum(stats, _bound_stats(bg, pair_eps, sol.phi), out=stats)
+        np.maximum(gaps[1:], np.max(np.abs(sol.phi[1:] - sol.phi[:-1]), axis=1), out=gaps[1:])
+        phi[:, j], residuals[:, j] = sol.phi[kept], sol.residual_sup[kept]
 
     bound_samples = stats.reshape(len(epsilons), len(deltas), 3)
     increments = [[float(g) for g in rows[1:]] for rows in gaps.reshape(len(epsilons), len(deltas))]

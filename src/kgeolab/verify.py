@@ -848,7 +848,9 @@ def control_eps_A(bg: Background) -> PropertyResult:
 
 
 def control_mabuchi_convexity(bg: Background, path: PathField, family: FiberFamily) -> PropertyResult:
-    dent = 0.5 / (2.0 * np.pi) ** 2 * np.cos(2.0 * np.pi * bg.grid.nodes)
+    # a concave bump in s that lowers the density by at most 0.9 of its floor, so the path stays in the cone
+    depth = min(0.5, 0.9 * float(np.min(metric_density(bg, path.values))))
+    dent = depth / (2.0 * np.pi) ** 2 * np.cos(2.0 * np.pi * bg.grid.nodes)
     s = path.times[:, None]
     dented = PathField(bg.grid, path.values + np.sin(np.pi * s) * dent[None, :])
     raw = mabuchi_convexity_and_continuity(bg, dented, family)

@@ -66,7 +66,6 @@ def test_aubin_identities_on_generic_source(small_bg):
     prob = FiberProblem(small_bg, beta, eps)
     sol = solve_aubin_fiber(prob)
     assert sol.residual_sup <= 1e-11
-    assert sol.min_metric_eigen > 0.0
 
 
 def test_aubin_zero_source_rejected(small_bg):
@@ -267,7 +266,7 @@ def test_family_mollifies_each_delta_once(small_bg, small_family, monkeypatch):
 
 
 def test_family_batches_the_time_rows(small_bg, small_family, monkeypatch):
-    """Row 0 chains through the n_eps * n_delta pairs; then one call per later row serves every pair."""
+    """One call per time row serves every one of the n_eps * n_delta pairs."""
     path, expected = small_family
     sizes = []
     real = ma_fiber.solve_aubin_fiber
@@ -278,8 +277,38 @@ def test_family_batches_the_time_rows(small_bg, small_family, monkeypatch):
 
     monkeypatch.setattr(ma_fiber, "solve_aubin_fiber", counting)
     family = solve_family(small_bg, path, (1e-1, 1e-2, 1e-3), (0.1, 0.05, 0.025))
-    assert sizes == [1] * 9 + [9] * path.n_time
+    assert sizes == [9] * (path.n_time + 1)
     assert np.array_equal(family.phi, expected.phi)
+
+
+def test_family_row_without_a_balance_start_starts_from_the_mass_constant(small_grid, monkeypatch):
+    """On a curved background eps theta + m_delta dips below 0 at eps = 0.1 (theta = -r reaches -237),
+    so those rows start from the constant log int (eps theta + m_delta) dx and end where a solo solve
+    from no start ends; the eps = 1e-3 rows of the same call keep the balance start."""
+    bg = make_background(small_grid, psi=fourier_field(small_grid, [(3, 0.8 / (6.0 * np.pi) ** 2, 0.0)]))
+    path = PathField(small_grid, np.linspace(0.0, 1.0, 9)[:, None] * 0.05 / (2.0 * np.pi) ** 2
+                     * np.cos(2.0 * np.pi * small_grid.nodes)[None, :])
+    calls = []
+    real = ma_fiber.solve_aubin_fiber
+
+    def keep(problem, phi0=None, tol=1e-11):
+        sol = real(problem, phi0=phi0, tol=tol)
+        calls.append((problem, phi0, sol))
+        return sol
+
+    monkeypatch.setattr(ma_fiber, "solve_aubin_fiber", keep)
+    family = solve_family(bg, path, (1e-1, 1e-3), (0.1, 0.05))
+    assert np.all(family.residuals <= 1e-11)
+    for problem, phi0, sol in calls:
+        balance = problem.epsilon[:, None] * (problem.theta + problem.beta)
+        flat = ~np.all(balance > 0.0, axis=1)
+        assert flat.tolist() == [True, True, False, False]
+        assert np.max(np.abs(phi0[2:] - np.log(balance[2:] / bg.w))) <= 1e-14
+        for b in np.flatnonzero(flat):
+            assert np.max(np.abs(phi0[b] - np.log(bg.integrate(balance[b])))) <= 1e-14
+            assert sol.residual_sup[b] <= 1e-11
+            solo = real(FiberProblem(bg, problem.beta[b], problem.epsilon[b]))
+            assert np.max(np.abs(sol.phi[b] - solo.phi[0])) <= 1e-13
 
 
 def test_family_failure_keeps_exception_and_names_the_solve(small_bg, small_family):

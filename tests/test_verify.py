@@ -24,11 +24,14 @@ from kgeolab import (
     eps_curvature_identity,
     eps_phi_vanishing,
     fourier_field,
+    legendre_oracle,
     mabuchi,
+    mabuchi_convexity_and_continuity,
     mabuchi_eps_A_almost_convex,
     boundary_continuity_refinement,
     convexity_inequality_k,
     max_subharmonic_lemma,
+    metric_density,
     mollified_sequence,
     omega_mask_report,
     oscillation_sequence,
@@ -36,6 +39,7 @@ from kgeolab import (
     run_suite,
     second_differences,
     solve_eps_geodesic,
+    solve_family,
     subharmonic_test_fields,
     truncated_semicontinuity_sweep,
 )
@@ -48,10 +52,13 @@ from kgeolab.verify import (
     CHAIN_N_TIMES,
     CURVATURE_EPSILON,
     CURVATURE_N_TIME,
+    FAMILY_DELTAS,
+    FAMILY_EPSILONS,
     WEAK_EPSILONS,
     SuiteData,
     _as_control,
     _with_phi,
+    control_mabuchi_convexity,
 )
 
 EXPECTED_NAMES = (
@@ -132,6 +139,19 @@ def test_as_control_flips_verdict():
     # a zero margin must still flip to a strict failure
     zero = PropertyResult(name="z", margin=0.0, details={})
     assert not _as_control("control:z", zero).passed
+
+
+def test_mabuchi_convexity_control_fires_on_a_path_of_low_density(small_bg):
+    """On the weak geodesic to density amplitude 0.9 (floor 0.1007) the raw check passes, and the
+    control's dent, scaled to that floor, keeps the path in the cone and makes the check fail."""
+    grid = small_bg.grid
+    endpoint_1 = 0.9 / (2.0 * np.pi) ** 2 * np.cos(2.0 * np.pi * grid.nodes)
+    path = legendre_oracle(small_bg, np.zeros(grid.n_points), endpoint_1, 8)
+    assert 0.1 < np.min(metric_density(small_bg, path.values)) < 0.11
+    family = solve_family(small_bg, path, FAMILY_EPSILONS, FAMILY_DELTAS, tol=1e-10)
+    assert mabuchi_convexity_and_continuity(small_bg, path, family).passed
+    control = control_mabuchi_convexity(small_bg, path, family)
+    assert control.passed and control.details["raw_pass"] is False
 
 
 # ---------------------------------------------------------------------------
