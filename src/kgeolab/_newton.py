@@ -1,8 +1,10 @@
 """Shared damped Newton driver.
 
 One loop serves every nonlinear solve in the package: full steps with
-residual-decrease line search by halving, an optional acceptance predicate
-that keeps iterates inside a positivity cone, and sup-norm convergence.
+residual-decrease line search by halving, iterates kept admissible (inside
+a positivity cone), and sup-norm convergence.  One callback, ``evaluate``,
+answers for a trial iterate both its residual and whether it is admissible,
+and every trial, chord, damped or polishing, takes the same path through it.
 The iterate has a leading batch axis, one independent system per row, and
 norms, halving and convergence are per row: a row at or below tol is frozen.
 The rows still iterating share each callback call, so a caller can solve
@@ -62,36 +64,26 @@ class NewtonRecord:
         return int(self.row_iterations.sum())
 
 
-def damped_newton(
-    x0,
-    residual,
-    newton_step,
-    accept=None,
-    tol: float = 1e-11,
-    max_iter: int = 200,
-):
+def damped_newton(x0, evaluate, newton_step, tol: float = 1e-11, max_iter: int = 200):
     """Drive every row of x0, of shape (rows, n), to a residual sup norm <= tol.
 
     The callbacks get the stack x of the rows still iterating and their
-    batch indices ``rows``: ``residual(x, rows)``, ``newton_step(x, r, rows)``
-    (the full updates, J(x) step = -r row by row) and ``accept(x, rows)``
-    (one flag per row, gating trial iterates).  newton_step may instead
-    return ``(step, solve)``, where ``solve(r, rows)`` applies the same
-    factored Jacobians to the residuals r of any of those rows; the driver
-    keeps one such solve at a time, for chord steps.  A row whose every
-    damping level accept rejects fails with PositivityLoss; a row out of
-    halvings or iterations fails with NoConvergence, carrying its
-    residual_sup and iterations.  The other rows still finish; then the
-    error of the lowest failing row is raised, with its batch index in
-    ``row``.
+    batch indices ``rows``: ``evaluate(x, rows)`` returns ``(r, ok)``, the
+    residuals and one admissibility flag per row; ``newton_step(x, r, rows)``
+    returns ``(step, solve)``, the full updates (J(x) step = -r row by row)
+    and None or a ``solve(r, rows)`` applying the same factored Jacobians to
+    the residuals r of any of those rows, which the driver keeps for chord
+    steps.  An inadmissible row of x0, or one whose every damping level is
+    inadmissible, fails with PositivityLoss; a row out of halvings or
+    iterations fails with NoConvergence, carrying its residual_sup and
+    iterations.  The other rows still finish; then the error of the lowest
+    failing row is raised, with its batch index in ``row``.
     """
     x = np.array(x0, dtype=float)
     active = np.arange(len(x))
-    if accept is not None:
-        bad = np.flatnonzero(~accept(x, active))
-        if bad.size:
-            raise PositivityLoss("initial iterate violates the acceptance predicate").at_row(bad[0])
-    r = residual(x, active)
+    r, ok = evaluate(x, active)
+    if not ok.all():
+        raise PositivityLoss("initial iterate violates the acceptance predicate").at_row(np.argmin(ok))
     r_sup = np.max(np.abs(r), axis=1)
     rec = NewtonRecord(np.zeros(len(x), dtype=int), [[float(s)] for s in r_sup])
     failed = {}
@@ -100,26 +92,26 @@ def damped_newton(
     def unconverged(b, message):
         return NoConvergence(message, residual_sup=float(r_sup[b]), iterations=int(rec.row_iterations[b]))
 
-    def took_step(rows):
-        rec.row_iterations[rows] += 1
-        for b in rows:
+    def attempt(rows, step, factor):
+        """Try x[rows] + step; commit the rows admissible with residual below factor times the old.
+
+        Returns the flags ok (admissible) and kept (committed), one per row."""
+        trial = x[rows] + step
+        trial_r, ok = evaluate(trial, rows)
+        trial_sup = np.max(np.abs(trial_r), axis=1)
+        kept = ok & (trial_sup < factor * r_sup[rows])
+        won = rows[kept]
+        x[won], r[won], r_sup[won] = trial[kept], trial_r[kept], trial_sup[kept]
+        rec.row_iterations[won] += 1
+        for b in won:
             rec.residual_sups[b].append(float(r_sup[b]))
+        return ok, kept
 
     def chord(rows, factor):
-        """One full chord step on rows; kept where admissible with residual below factor times the old."""
+        """One full chord step on rows; returns the rows that kept it."""
         if not rows.size:
             return rows
-        trial = x[rows] + solve(r[rows], rows)
-        ok = np.ones(len(rows), dtype=bool) if accept is None else accept(trial, rows)
-        trial, won = trial[ok], rows[ok]
-        if won.size:
-            trial_r = residual(trial, won)
-            trial_sup = np.max(np.abs(trial_r), axis=1)
-            better = trial_sup < factor * r_sup[won]
-            won = won[better]
-            x[won], r[won], r_sup[won] = trial[better], trial_r[better], trial_sup[better]
-            took_step(won)
-        return won
+        return rows[attempt(rows, solve(r[rows], rows), factor)[1]]
 
     active = active[r_sup > tol]
     while active.size:
@@ -135,26 +127,17 @@ def damped_newton(
         if fresh.size:
             solve, solve_rows, step = None, fresh[:0], None  # release the last LU and step before the next
             every = slice(None) if len(fresh) == len(x) else fresh  # a view, not a copy, when it can
-            step = newton_step(x[every], r[every], fresh)
-            if isinstance(step, tuple):
-                (step, solve), solve_rows = step, fresh
+            step, solve = newton_step(x[every], r[every], fresh)
+            if solve is not None:
+                solve_rows = fresh
             rec.factorizations += 1
             t = np.ones(len(fresh))
             pending = np.arange(len(fresh))  # positions in fresh still without a step
             cone_ok = np.zeros(len(fresh), dtype=bool)
             for _ in range(MAX_HALVINGS + 1):
-                rows = fresh[pending]
-                trial = x[rows] + t[pending, None] * step[pending]
-                ok = np.ones(len(rows), dtype=bool) if accept is None else accept(trial, rows)
+                ok, kept = attempt(fresh[pending], t[pending, None] * step[pending], 1.0)
                 cone_ok[pending[ok]] = True
-                trial, rows = trial[ok], rows[ok]
-                if rows.size:
-                    trial_r = residual(trial, rows)
-                    trial_sup = np.max(np.abs(trial_r), axis=1)
-                    better = trial_sup < r_sup[rows]
-                    won = rows[better]
-                    x[won], r[won], r_sup[won] = trial[better], trial_r[better], trial_sup[better]
-                    pending = np.delete(pending, np.flatnonzero(ok)[better])
+                pending = pending[~kept]
                 if not pending.size:
                     break
                 t[pending] *= 0.5
@@ -166,7 +149,6 @@ def damped_newton(
                     else PositivityLoss(f"no damping level kept the iterate admissible ({at})")
                 )
             stepped = np.delete(fresh, pending)
-            took_step(stepped)
         moved = np.union1d(chorded, stepped)
         polishing = moved[(r_sup[moved] <= tol) & np.isin(moved, solve_rows)]
         for _ in range(POLISH_STEPS):

@@ -335,6 +335,12 @@ def run_verify(config: ExperimentConfig, data: SuiteData, out_dir: Path, suite: 
     return 0 if passed else 3
 
 
+def _pipelines() -> dict:
+    """{subcommand: run_*}, read per call so that a wrapper on a module-level run_* name sees its stage."""
+    return {"geodesic": run_geodesic, "fiberwise": run_fiberwise, "mabuchi": run_mabuchi, "verify": run_verify,
+            "study": run_study}
+
+
 def run_study(config: ExperimentConfig, data: SuiteData, out_dir: Path) -> int:
     """Full pipeline: verify's eps-ladder chain, then the STUDY_STAGES in order.
 
@@ -342,8 +348,7 @@ def run_study(config: ExperimentConfig, data: SuiteData, out_dir: Path) -> int:
     main's diagnostic.json: study:fiberwise, study:mabuchi_k and so on; a
     failure in the chain reads study:verify.
     """
-    # looked up per call, so a wrapper installed on a module-level run_* name sees its stage
-    pipelines = {"geodesic": run_geodesic, "fiberwise": run_fiberwise, "mabuchi": run_mabuchi, "verify": run_verify}
+    pipelines = _pipelines()
     stages = {}
     name = "verify"
     try:
@@ -432,11 +437,9 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         print("kgeolab: a subcommand is required", file=sys.stderr)
         return 1
-    stage = args.command
-    if args.command == "mabuchi":
-        stage = f"mabuchi:{args.variant}"
-    elif args.command == "verify":
-        stage = f"verify:{args.suite}"
+    given = vars(args)
+    option = given.get("variant", given.get("suite"))  # None for the subcommands without one
+    stage = args.command if option is None else f"{args.command}:{option}"
     out_dir = None
     try:
         config = load_config(args.config)
@@ -445,15 +448,7 @@ def main(argv=None) -> int:
         out_dir = _resolve_out_dir(config, args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         data = _suite_data(config)
-        if args.command == "geodesic":
-            return run_geodesic(config, data, out_dir)
-        if args.command == "fiberwise":
-            return run_fiberwise(config, data, out_dir)
-        if args.command == "mabuchi":
-            return run_mabuchi(config, data, out_dir, args.variant)
-        if args.command == "verify":
-            return run_verify(config, data, out_dir, args.suite)
-        return run_study(config, data, out_dir)
+        return _pipelines()[args.command](config, data, out_dir, *filter(None, [option]))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -535,24 +535,16 @@ def solve_eps_geodesic(
     def full_path(x):
         return np.vstack([e0[None, :], x.reshape(n_int, n), e1[None, :]])
 
-    last = [None, None]  # accept, residual and the next newton_step read one iterate
     fallbacks = [0]  # steps factored again in float64
 
-    def parts_of(x):  # x is a batch of one row, shape (1, n_int * n)
-        if not np.array_equal(last[0], x):
-            last[:] = [x.copy(), _stencil_parts(bg, full_path(x))]
-        return last[1]
-
-    def residual(x, rows):
-        m_xx, phi_ss, phi_xs = parts_of(x)
-        return (m_xx * phi_ss - phi_xs * phi_xs - problem.epsilon * w[None, :]).reshape(1, -1)
-
-    def accept(x, rows):
-        return np.array([_in_cone(parts_of(x))])
+    def evaluate(x, rows):  # x is a batch of one row, shape (1, n_int * n)
+        parts = _stencil_parts(bg, full_path(x))
+        m_xx, phi_ss, phi_xs = parts
+        r = m_xx * phi_ss - phi_xs * phi_xs - problem.epsilon * w[None, :]
+        return r.reshape(1, -1), np.array([_in_cone(parts)])
 
     def newton_step(x, r, rows):
-        m_xx, phi_ss, phi_xs = parts_of(x)
-        last[:] = [None, None]  # the next iterate is a new one: drop the memo before the LU
+        m_xx, phi_ss, phi_xs = _stencil_parts(bg, full_path(x))
         q = phi_xs / (2.0 * h * ds)
         coefs = np.stack([
             -2.0 * inv_h2 * phi_ss - 2.0 * inv_ds2 * m_xx,  # centre
@@ -577,7 +569,7 @@ def solve_eps_geodesic(
     try:
         start = initial_guess(problem) if path0 is None else np.asarray(path0, dtype=float)
         x0 = start[1:-1, :].reshape(1, -1)
-        x, rec = damped_newton(x0, residual, newton_step, accept=accept, tol=tol, max_iter=60)
+        x, rec = damped_newton(x0, evaluate, newton_step, tol=tol, max_iter=60)
         rec.fallbacks = fallbacks[0]
         path = PathField(grid, full_path(x))
         cert = eval_geodesic_residual(bg, path, problem.epsilon)

@@ -183,8 +183,8 @@ def solve_aubin_fiber(problem: FiberProblem, phi0=None, tol: float = 1e-11) -> F
     coef = (1.0 / eps)[:, None] * bg.w
     inv_h2 = 1.0 / (bg.grid.spacing * bg.grid.spacing)
 
-    def residual(phi, rows):
-        return bg.d2(phi) - coef[rows] * np.exp(phi) + source[rows]
+    def evaluate(phi, rows):  # every iterate is admissible
+        return bg.d2(phi) - coef[rows] * np.exp(phi) + source[rows], np.ones(len(rows), dtype=bool)
 
     def newton_step(phi, r, rows):
         # (-J) step = r: the leading (n-1)-blocks of -J give y1 (residual) and y2 (corner
@@ -203,10 +203,10 @@ def solve_aubin_fiber(problem: FiberProblem, phi0=None, tol: float = 1e-11) -> F
             b = np.argmin(low > 0.0)
             raise SingularSystem(f"fiber Jacobian is not positive definite (pivot {low[b]:.3g})").at_row(rows[b])
         last = (r[:, -1:] + inv_h2 * (y1[:, :1] + y1[:, -1:])) / schur[:, None]
-        return np.hstack([y1 - last * y2, last])
+        return np.hstack([y1 - last * y2, last]), None
 
     phi, rec = damped_newton(
-        np.array(phi0, dtype=float, ndmin=2), residual, newton_step, tol=tol, max_iter=200
+        np.array(phi0, dtype=float, ndmin=2), evaluate, newton_step, tol=tol, max_iter=200
     )
     top = np.argmax(phi, axis=1)
     for b in np.flatnonzero(source[np.arange(len(phi)), top] > 0.0):  # guaranteed at an exact solution

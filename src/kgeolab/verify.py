@@ -382,7 +382,12 @@ def _identity_residual(fields: dict, kappa: float) -> float:
 def curvature_levels(bg: Background, eg: EpsGeodesic) -> list:
     """Re-solve the same boundary problem at quarter and half resolution.
 
-    Grid nodes nest under halving, so endpoint restriction is exact slicing.
+    Grid nodes nest under halving, so restriction is exact slicing, and each
+    level starts from the fine path restricted to its nodes.  That start is in
+    the cone: its coarse second differences in x and in s are positive-weight
+    averages of the fine ones, as the coarse w is of the fine w (both have
+    mass 1), so w + Phi_xx and Phi_ss stay positive; round-off that breaks
+    this fails the solver's initial check with PositivityLoss.
     """
     n = bg.grid.n_points
     nt = eg.path.n_time
@@ -397,7 +402,7 @@ def curvature_levels(bg: Background, eg: EpsGeodesic) -> list:
         coarse_grid = SpatialGrid(n // f)
         coarse_bg = make_background(coarse_grid, psi=bg.psi[::f])
         problem = EpsGeodesicProblem(coarse_bg, e0[::f], e1[::f], eg.epsilon, nt // f)
-        levels.append((coarse_bg, solve_eps_geodesic(problem)))
+        levels.append((coarse_bg, solve_eps_geodesic(problem, path0=eg.path.values[::f, ::f])))
     levels.append((bg, eg))
     return levels
 

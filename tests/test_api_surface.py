@@ -75,7 +75,7 @@ ALLOWED_DEFAULTS = {
 }
 # defaulted public parameters before checks stopped taking their thresholds and fixed inputs as
 # arguments, and the most there may be now
-DEFAULTS_BEFORE, DEFAULTS_CAP = 46, 22
+DEFAULTS_BEFORE, DEFAULTS_CAP = 46, 21
 
 
 def _defaulted_parameters(node):

@@ -126,14 +126,14 @@ def _captured_newton_step(bg, eps, monkeypatch):
     """The newton_step callback of solve_aubin_fiber on rows with these epsilons, before any step."""
     steps = []
 
-    def spy(x0, residual, newton_step, **kwargs):
+    def spy(x0, evaluate, newton_step, **kwargs):
         steps.append(newton_step)
         raise InterruptedError
 
     monkeypatch.setattr(ma_fiber, "damped_newton", spy)
     with pytest.raises(InterruptedError):
         solve_aubin_fiber(FiberProblem(bg, np.ones((len(eps), bg.grid.n_points)), eps))
-    return steps[0]
+    return lambda x, r, rows: steps[0](x, r, rows)[0]  # the step; the fiber has no solve to reuse
 
 
 @pytest.mark.parametrize("n", [8, 256])

@@ -492,6 +492,24 @@ def test_chain_converges_where_the_cold_curvature_solve_loses_the_cone(small_bg)
     assert eg.residual_sup <= 1e-10 and eg.positivity_margin > 0.0
 
 
+def test_curvature_levels_start_from_the_restricted_fine_path(bg):
+    """At density amplitude 0.9 on the canonical grid the cold (1e-2, 32) solve of the half level
+    raises PositivityLoss; started from the fine path restricted to their nodes, both coarse
+    levels converge to the round-off floor on one factorization each."""
+    grid = bg.grid
+    endpoint_0 = np.zeros(grid.n_points)
+    endpoint_1 = fourier_field(grid, [(1, 0.9 / (2.0 * np.pi) ** 2, 0.0)])
+    data = SuiteData(bg=bg, endpoint_0=endpoint_0, endpoint_1=endpoint_1)
+    levels = data.levels
+    assert [(b.grid.n_points, eg.path.n_time) for b, eg in levels] == [(64, 16), (128, 32), (256, 64)]
+    for _, eg in levels[:2]:
+        assert eg.residual_sup <= 1e-13 and eg.positivity_margin > 0.0
+        assert eg.record.factorizations == 1
+    cold = EpsGeodesicProblem(levels[1][0], endpoint_0[::2], endpoint_1[::2], CURVATURE_EPSILON, CURVATURE_N_TIME // 2)
+    with pytest.raises(PositivityLoss):
+        solve_eps_geodesic(cold)
+
+
 def test_weak_path_reuses_the_ladder_rungs_it_shares(small_bg, monkeypatch):
     """Rungs of a common ladder prefix at the same tolerance are solved once."""
     grid = small_bg.grid
