@@ -87,7 +87,7 @@ def damped_newton(x0, evaluate, newton_step, tol: float = 1e-11, max_iter: int =
     r_sup = np.max(np.abs(r), axis=1)
     rec = NewtonRecord(np.zeros(len(x), dtype=int), [[float(s)] for s in r_sup])
     failed = {}
-    solve, solve_rows = None, active[:0]  # the one factorization kept, and the rows it was built for
+    solve, solve_rows = None, np.zeros(len(x), dtype=bool)  # the one factorization kept; the rows it was built for
 
     def unconverged(b, message):
         return NoConvergence(message, residual_sup=float(r_sup[b]), iterations=int(rec.row_iterations[b]))
@@ -121,15 +121,15 @@ def damped_newton(x0, evaluate, newton_step, tol: float = 1e-11, max_iter: int =
         active = active[~spent]
         if not active.size:
             break
-        chorded = chord(active[np.isin(active, solve_rows)], CHORD_CONTRACTION)
-        fresh = active[~np.isin(active, chorded)]
-        stepped = fresh[:0]
+        moved = np.zeros(len(x), dtype=bool)  # the rows that take a step this round
+        moved[chord(active[solve_rows[active]], CHORD_CONTRACTION)] = True
+        fresh = active[~moved[active]]
         if fresh.size:
-            solve, solve_rows, step = None, fresh[:0], None  # release the last LU and step before the next
+            solve, step = None, None  # release the last LU and step before the next
+            solve_rows[:] = False
             every = slice(None) if len(fresh) == len(x) else fresh  # a view, not a copy, when it can
             step, solve = newton_step(x[every], r[every], fresh)
-            if solve is not None:
-                solve_rows = fresh
+            solve_rows[fresh] = solve is not None
             rec.factorizations += 1
             t = np.ones(len(fresh))
             pending = np.arange(len(fresh))  # positions in fresh still without a step
@@ -148,9 +148,9 @@ def damped_newton(x0, evaluate, newton_step, tol: float = 1e-11, max_iter: int =
                     unconverged(b, f"damping stalled at {at}") if admissible
                     else PositivityLoss(f"no damping level kept the iterate admissible ({at})")
                 )
-            stepped = np.delete(fresh, pending)
-        moved = np.union1d(chorded, stepped)
-        polishing = moved[(r_sup[moved] <= tol) & np.isin(moved, solve_rows)]
+            moved[np.delete(fresh, pending)] = True
+        moved = np.flatnonzero(moved)
+        polishing = moved[(r_sup[moved] <= tol) & solve_rows[moved]]
         for _ in range(POLISH_STEPS):
             polishing = chord(polishing, 0.5)  # kept while it at least halves the residual
         active = moved[r_sup[moved] > tol]

@@ -20,24 +20,24 @@ nested-dissection order of the periodic (n_time - 1) x n_points strip
 ring, every box is split at its middle across its longer side, and boxes of
 at most LEAF_NODES nodes are pivoted whole.  The tree, the map from the five
 coefficient arrays into each front and the solve's batches are built once
-per (n_points, n_time) (_dissection); fronts of one level and one local
-shape are factored as one batch of dense blocks (splu), and a solve is one
-sweep up and one down the tree.  Against SuperLU on the same order, the
-factor stores about 0.9 of the entries; another ordering changes only the
-last bits of the solution.
+per (n_points, n_time) and kept while that grid is factored (_dissection);
+fronts of one level and one local shape are factored as one batch of dense
+blocks (splu), and a solve is one sweep up and one down the tree.  Against
+SuperLU on the same order, the factor stores about 0.9 of the entries;
+another ordering changes only the last bits of the solution.
 
-A Newton step factors in float32 and refines its solve in float64
-(_factor_and_solve): sweeps s += solve(b - J s), with the residual of the
-float64 stencil, kept while each at least halves it, take the step from
-the float32 solve's 1e-7..1e-4 relative error to the float64 floor in two
-sweeps.  The factor stores its blocks in half the bytes (3.8 instead of
-7.5 MB on 256 x 63) and takes about a third less time than in float64
-(256 x 63: 36 -> 24 ms; 512 x 31: 22 -> 15 ms).  A float32 pivot block
-that np.linalg.inv rejects, a float32 overflow or a first sweep that does
-not halve the residual makes the step factor again in float64, and the
-solve's NewtonRecord counts these fallbacks.  Chord steps use the factor
-as it is, since the driver keeps a chord step only if it cuts the float64
-Newton residual tenfold.
+A Newton step factors in float32 and takes that factor's solve as its step
+(_factor_and_solve).  The factor stores its blocks in half the bytes (3.8
+instead of 7.5 MB on 256 x 63) and takes about a third less time than in
+float64 (256 x 63: 36 -> 24 ms; 512 x 31: 22 -> 15 ms).  The step is off by
+the float32 solve's 1e-7..1e-4 relative error, which the driver's chord
+steps on the same factor remove: each is kept only if it cuts the float64
+Newton residual tenfold, so the chord steps refine in two precisions
+(Carson & Higham, SIAM J. Sci. Comput. 2018) and the polish ends at the
+float64 floor.  A float32 pivot block that np.linalg.inv rejects, a float32
+overflow or a step whose float64 linear residual exceeds half the
+right-hand side makes the step factor again in float64, and the solve's
+NewtonRecord counts these fallbacks.
 
 weak_geodesic extracts the small-eps limit of eps_continuation, the one
 warm-started eps-ladder of the package.  From its third rung on, a rung
@@ -224,9 +224,12 @@ class _Sweep(NamedTuple):
     pr: tuple = ()
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=1)  # ladders factor one grid at a time: no grid's index arrays outlive its ladder
 def _dissection(n_int: int, n: int) -> tuple:
     """Symbolic phase of splu: George's nested dissection of the periodic n_int x n strip.
+
+    Only the last grid's phase is cached: a ladder factors one grid at every
+    rung, and the next ladder's first factor computes its own again.
 
     The root front pivots the columns x = 0 and x = n/2, which open the ring
     into two boxes; every box follows _front.  Fronts of one tree level and
@@ -312,7 +315,7 @@ def _dissection(n_int: int, n: int) -> tuple:
         else:
             solve.append(_Sweep(piv, np.concatenate([g.ring for g in members])))
     out = tuple(groups), tuple(solve)
-    _read_only(out)  # cached, so shared by every factorization of this grid
+    _read_only(out)  # cached, so shared by every factorization of this grid while it is the last one
     return out
 
 
@@ -439,57 +442,22 @@ def _jacobian_times(coefs: np.ndarray, s: np.ndarray) -> np.ndarray:
     ).reshape(-1)
 
 
-#: at most this many refinement sweeps per Newton step on its float32 factor.  The float32 solve
-#: is 1e-7..1e-4 off in relative terms on the lab's Jacobians, one sweep brings that to
-#: 1e-13..1e-9 and a second to the float64 floor; the third covers a worse-conditioned Jacobian.
-REFINE_SWEEPS = 3
-
-
-def _refined(lu: _FrontalLU, coefs: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-    """s with J s = b to float64 accuracy from a lower-precision factor lu of the stack coefs.
-
-    Sweeps s += lu.solve(b - J s), with the residual in float64 from coefs
-    itself (mixed-precision iterative refinement: Langou et al., SC 2006;
-    Carson & Higham, SIAM J. Sci. Comput. 2018).  A sweep is kept only if
-    it at least halves the residual's sup norm, and the sweeps stop at the
-    first one that does not, after REFINE_SWEEPS, or once the next
-    correction, extrapolated from the contraction of the last two, would be
-    below an ulp of s.  None if the first sweep is not kept: then lu is too
-    far from J to refine on.
-    """
-    s = lu.solve(b)
-    res = b - _jacobian_times(coefs, s)
-    size, last, sweeps = np.max(np.abs(res)), np.max(np.abs(s)), 0
-    while sweeps < REFINE_SWEEPS:
-        correction = lu.solve(res)
-        trial = s + correction
-        trial_res = b - _jacobian_times(coefs, trial)
-        trial_size = np.max(np.abs(trial_res))
-        if not trial_size <= 0.5 * size:
-            break
-        s, res, size, sweeps = trial, trial_res, trial_size, sweeps + 1
-        step = np.max(np.abs(correction))
-        if step * step <= np.finfo(float).eps * np.max(np.abs(s)) * last:
-            break
-        last = step
-    return s if sweeps else None
-
-
 def _factor_and_solve(coefs: np.ndarray, b: np.ndarray) -> tuple:
-    """Factor the Jacobian of the float64 stack coefs in float32 and solve J s = b, refined to float64.
+    """Factor the Jacobian of the float64 stack coefs in float32 and solve J s = b on that factor.
 
-    A float32 pivot block that np.linalg.inv rejects, a float32 overflow or a
-    first refinement sweep that does not halve the residual makes the system
-    factor again in float64, whose solve is taken as it is; the float64
-    factor's errors propagate.  Returns (factor, s, whether it fell back).
+    The step is the float32 factor's own solve.  A float32 pivot block that
+    np.linalg.inv rejects, a float32 overflow or a step whose float64 linear
+    residual b - J s exceeds half of b in sup norm makes the system factor
+    again in float64, whose solve is taken as it is; the float64 factor's
+    errors propagate.  Returns (factor, s, whether it fell back).
     """
     try:
         with np.errstate(over="raise"):  # an overflow fails the float32 factor as a singular block does
             lu = splu(coefs.astype(np.float32))
-            s = _refined(lu, coefs, b)
+            s = lu.solve(b)
     except (FloatingPointError, np.linalg.LinAlgError):
         s = None
-    if s is not None:
+    if s is not None and np.max(np.abs(b - _jacobian_times(coefs, s))) <= 0.5 * np.max(np.abs(b)):
         return lu, s, False
     lu = splu(coefs)
     return lu, lu.solve(b), True
@@ -561,7 +529,7 @@ def solve_eps_geodesic(
             raise SingularSystem(f"space-time Jacobian factorization failed: {exc}") from exc
         fallbacks[0] += fell_back
 
-        def solve(r, rows):  # the driver's chord steps reuse this LU at later iterates, unrefined
+        def solve(r, rows):  # the driver's chord steps reuse this LU at later iterates
             return lu.solve(-r[0])[None, :]
 
         return step[None, :], solve
@@ -719,7 +687,8 @@ def legendre_oracle(bg: Background, endpoint_0, endpoint_1, n_time: int) -> Path
     grid = bg.grid
     xs = (np.arange(3 * grid.n_points) - grid.n_points) * grid.spacing
     convex = [0.5 * xs * xs + np.tile(bg.psi + phi, 3) for phi in _admissible_endpoints(bg, endpoint_0, endpoint_1)]
-    ys = np.unique(np.concatenate([np.diff(p) / np.diff(xs) for p in convex]))
+    ys = np.sort(np.concatenate([np.diff(p) / np.diff(xs) for p in convex]))
+    ys = ys[np.concatenate(([True], ys[1:] != ys[:-1]))]  # np.unique's values, without its numpy.ma import
     duals = [_conjugate(xs, p, ys) for p in convex]
     s = (np.arange(n_time + 1) / n_time)[:, None]
     rows = [_conjugate(ys, pstar, grid.nodes) for pstar in (1.0 - s) * duals[0] + s * duals[1]]

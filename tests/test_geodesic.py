@@ -235,17 +235,32 @@ def test_child_ring_lies_in_parent_front(n, n_int):
     assert all(sorted(rows) == list(range(len(groups[child].piv))) for child, rows in covered.items())
 
 
+def test_one_symbolic_phase_is_cached():
+    """Factoring on a second grid replaces the first grid's symbolic phase: a ladder factors one
+    grid at a time, so no grid's index arrays outlive it, and a repeat on one grid reuses it."""
+    geodesic._dissection.cache_clear()
+    for n, n_int in ((64, 15), (32, 7), (32, 7)):
+        geodesic.splu(_random_coefs(n, n_int, seed=n))
+    info = geodesic._dissection.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (1, 2, 1)
+    assert geodesic._dissection(7, 32) is geodesic._dissection(7, 32)
+
+
 @pytest.mark.parametrize("n, n_int", [(8, 7), (30, 9), (64, 15), (256, 63), (512, 31)])
 def test_nested_dissection_solve_matches_superlu(n, n_int):
-    """The refined solve on the float32 multifrontal LU solves random nine-point Jacobians as
-    SuperLU does, to 1e-12 relative."""
+    """The multifrontal LU of the float64 stack solves random nine-point Jacobians as SuperLU
+    does, to 1e-12 relative, and the float32 factor's step passes the fallback rule: its
+    float64 linear residual is at most half the right-hand side."""
     linalg = pytest.importorskip("scipy.sparse.linalg")
     coefs = _random_coefs(n, n_int, seed=n * n_int)
     rhs = np.random.default_rng(n).standard_normal(n * n_int)
-    lu, x, fell_back = geodesic._factor_and_solve(coefs, rhs)
-    assert lu.dtype == np.float32 and not fell_back
     reference = linalg.splu(_nine_point_csc(coefs)).solve(rhs)
+    x = geodesic.splu(coefs).solve(rhs)
     assert np.max(np.abs(x - reference)) <= 1e-12 * np.max(np.abs(reference))
+    lu, step, fell_back = geodesic._factor_and_solve(coefs, rhs)
+    assert lu.dtype == np.float32 and not fell_back
+    assert np.array_equal(step, lu.solve(rhs))
+    assert np.max(np.abs(rhs - geodesic._jacobian_times(coefs, step))) <= 0.5 * np.max(np.abs(rhs))
 
 
 def _first_newton_system(monkeypatch, n, n_time):
@@ -279,12 +294,28 @@ def test_dissection_fill_is_close_to_minimum_degree(monkeypatch):
 
 
 def test_newton_step_equals_minimum_degree_solve(monkeypatch):
-    """The Newton step, refined on its float32 factor, solves the natural-order float64 system as
-    SuperLU with minimum degree does."""
+    """The float64 factor of a Newton system solves it as SuperLU with minimum degree does, and
+    the solve whose steps come from float32 factors ends where one on float64 factors ends,
+    to round-off: the chord steps and the polish make up the float32 step's error."""
     linalg = pytest.importorskip("scipy.sparse.linalg")
     coefs, rhs, step = _first_newton_system(monkeypatch, 256, 16)
     reference = linalg.splu(_nine_point_csc(coefs), permc_spec="MMD_AT_PLUS_A").solve(rhs)
-    assert np.max(np.abs(step - reference)) <= 1e-12 * np.max(np.abs(reference))
+    assert np.max(np.abs(geodesic.splu(coefs).solve(rhs) - reference)) <= 1e-12 * np.max(np.abs(reference))
+    assert np.max(np.abs(step - reference)) <= 1e-3 * np.max(np.abs(reference))  # the float32 solve
+    grid = SpatialGrid(256)
+    bg = make_background(grid, psi=fourier_field(grid, [(1, 0.002, 0.001)]))
+    problem = EpsGeodesicProblem(bg, *_endpoints(grid), 1e-2, 16)
+    mixed = solve_eps_geodesic(problem)
+
+    def float64_only(coefs, b):
+        lu = geodesic.splu(coefs)
+        return lu, lu.solve(b), True
+
+    monkeypatch.setattr(geodesic, "_factor_and_solve", float64_only)
+    double = solve_eps_geodesic(problem)
+    assert mixed.record.fallbacks == 0 and double.record.fallbacks == double.record.factorizations
+    assert max(mixed.residual_sup, double.residual_sup) <= 1e-13
+    assert np.max(np.abs(mixed.path.values - double.path.values)) <= 1e-15
 
 
 def test_non_finite_jacobian_raises_singular_system(small_bg):
@@ -349,10 +380,10 @@ def test_stack_beyond_float32_range_falls_back_to_float64():
 
 
 def test_refinement_that_does_not_contract_falls_back_to_float64(small_bg, monkeypatch):
-    """A float32 factor whose first refinement sweep does not halve the residual is replaced by
-    a float64 one.  Here the float32 factor is that of 3 J, so every sweep cuts the residual by
-    only 2/3.  The solve counts one fallback per Newton step and ends where the float32 solve
-    does, to round-off."""
+    """A float32 factor whose step leaves more than half of the right-hand side as float64 linear
+    residual is replaced by a float64 one.  Here the float32 factor is that of 3 J, so its step
+    leaves 2/3 of it.  The solve counts one fallback per Newton step and ends where the float32
+    solve does, to round-off."""
     e0, e1 = _endpoints(small_bg.grid)
     problem = EpsGeodesicProblem(small_bg, e0, e1, 1e-2, 8)
     reference = solve_eps_geodesic(problem)
@@ -542,9 +573,9 @@ def test_cold_and_warm_solves_agree_to_round_off(bg, endpoint_0, endpoint_1, eps
         assert abs(rec.residual_sups[0][-1] - sol.residual_sup) <= 1e-12
         assert sol.residual_sup <= 1e-14 and rec.halvings == 0
         assert 1 <= rec.factorizations <= rec.iterations == sol.newton_iters
-    # cold and warm polish on their last LU; the prolonged start needs one Newton step alone
+    # cold and warm polish on their last LU; the prolonged start needs one factorization alone
     assert cold.record.factorizations < cold.newton_iters and warm.record.factorizations < warm.newton_iters
-    assert eps_geo.newton_iters == 1
+    assert eps_geo.record.factorizations == 1
 
 
 def _logged_starts(monkeypatch):
@@ -669,6 +700,28 @@ def test_oracle_equals_the_exhaustive_conjugates_at_low_density():
         assert min(np.min(metric_density(bg, a)), np.min(metric_density(bg, b))) > 0.0
         oracle = legendre_oracle(bg, a, b, 8)
         assert np.max(np.abs(oracle.values - _exhaustive_oracle(bg, a, b, 8))) <= 1e-14
+
+
+def test_oracle_slopes_are_those_of_np_unique(small_bg, monkeypatch):
+    """The sorted, deduplicated chord slopes the conjugates are taken at are np.unique's, on two
+    distinct endpoints and on two equal ones, whose slopes all come twice."""
+    taken = []
+    real = geodesic._conjugate
+
+    def spy(xs, fs, ys):
+        taken.append(ys)
+        return real(xs, fs, ys)
+
+    monkeypatch.setattr(geodesic, "_conjugate", spy)
+    grid = small_bg.grid
+    xs = (np.arange(3 * grid.n_points) - grid.n_points) * grid.spacing
+    e0, e1 = _endpoints(grid)
+    for a, b in ((e0, e1), (e1, e1)):
+        taken.clear()
+        legendre_oracle(small_bg, a, b, 8)
+        slopes = np.concatenate([np.diff(0.5 * xs * xs + np.tile(small_bg.psi + e, 3)) / np.diff(xs) for e in (a, b)])
+        assert np.array_equal(taken[0], np.unique(slopes))
+    assert 2 * len(taken[0]) == len(slopes)
 
 
 def test_continuation_approaches_oracle(small_bg):
