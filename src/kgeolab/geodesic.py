@@ -20,8 +20,10 @@ nested-dissection order of the periodic (n_time - 1) x n_points strip
 ring, every box is split at its middle across its longer side, and boxes of
 at most LEAF_NODES nodes are pivoted whole.  The tree, the map from the five
 coefficient arrays into each front and the solve's batches are built once
-per (n_points, n_time) and kept while that grid is factored (_dissection);
-fronts of one level and one local shape are factored as one batch of dense
+per (n_points, n_time) and kept while that grid is factored (_dissection).
+That symbolic phase stores each index once, in int32: a front group's
+pivots and ring are rows of its solve batch's arrays (1.4 MB on 256 x 63).
+Fronts of one level and one local shape are factored as one batch of dense
 blocks (splu), and a solve is one sweep up and one down the tree.  Against
 SuperLU on the same order, the factor stores about 0.9 of the entries;
 another ordering changes only the last bits of the solution.
@@ -201,8 +203,8 @@ def _front(rows: int, cols: int, top: bool, bottom: bool) -> tuple:
 class _Fronts(NamedTuple):
     """Fronts of one tree level with one local structure, factored as one batch; a row per front."""
 
-    piv: np.ndarray  # (batch, p) unknowns pivoted here, in front order
-    ring: np.ndarray  # (batch, r) the ring, in front order after the pivots
+    piv: np.ndarray  # (batch, p) unknowns pivoted here, in front order: rows of its sweep's piv
+    ring: np.ndarray  # (batch, r) the ring, in front order after the pivots: of a separator, rows of its sweep's
     pos: np.ndarray  # (E,) position of each stencil entry of the front in the raveled f x f front
     gather: np.ndarray  # (E, batch) index of that entry in the raveled (5, n_int, n) coefficient stack
     kids: tuple  # per child slot: (its group, its slice of that batch, front positions of its ring)
@@ -275,45 +277,51 @@ def _dissection(n_int: int, n: int) -> tuple:
                         entries.append((a, b, k, a))
                         if b >= p:
                             entries.append((b, a, k, b))
-            origin = np.array(origins)[:, None, :]
-            local = np.array(nodes)[None, :, :] + origin
+            origin = np.array(origins, dtype=np.int32)[:, None, :]
+            local = np.array(nodes, dtype=np.int32)[None, :, :] + origin
             glob = local[..., 0] * n + local[..., 1] % n
-            rows, cols, stencil, eq = np.array(entries).T
+            rows, cols, stencil, eq = np.array(entries, dtype=np.int32).T
             kids = []
             for k in range(len(children)):
                 if (sig, k) in links:
                     child, batch, (dr, dc) = links[sig, k]
-                    slot = np.array([where[r + dr, c + dc] for r, c in templates[child][1]])
+                    slot = np.array([where[r + dr, c + dc] for r, c in templates[child][1]], dtype=np.int32)
                     kids.append((index[depth + 1, child], batch, slot))
                     last_use[index[depth + 1, child]] = len(groups)
             key = ("leaf", p) if not children else ("level", depth, p, f - p)
             members, rp_entries, pr_entries = sweeps.setdefault(key, ([], [], []))
             fronts = _Fronts(
-                np.ascontiguousarray(glob[:, :p]), np.ascontiguousarray(glob[:, p:]), rows * f + cols,
-                (stencil[:, None] * size + glob[:, eq].T).astype(np.int32), tuple(kids), [], list(sweeps).index(key),
+                glob[:, :p], glob[:, p:], rows * f + cols, stencil[:, None] * size + glob[:, eq].T,
+                tuple(kids), [], list(sweeps).index(key),
             )
             if not children:
-                rp, pr = np.flatnonzero(rows >= p), np.flatnonzero(cols >= p)
-                at = (sum(len(g.piv) for g in members) + np.arange(len(origins))) * p  # its pivot values
+                rp, pr = np.flatnonzero(rows >= p).astype(np.int32), np.flatnonzero(cols >= p).astype(np.int32)
+                at = (sum(len(groups[g].piv) for g in members) + np.arange(len(origins), dtype=np.int32)) * p
                 rp_entries.append(((at + cols[rp][:, None]).ravel(), glob[:, rows[rp]].T.ravel()))
                 pr_entries.append(((at + rows[pr][:, None]).ravel(), glob[:, cols[pr]].T.ravel()))
-                fronts = fronts._replace(rp=rp, pr=pr)
-            members.append(fronts)
+                fronts = fronts._replace(ring=fronts.ring.copy(), rp=rp, pr=pr)
+            members.append(len(groups))
             index[depth, sig] = len(groups)
             groups.append(fronts)
     for child, user in last_use.items():
         groups[user].release.append(child)
-    groups = [g._replace(release=tuple(g.release)) for g in groups]
     # a sweep comes after every sweep that holds a descendant of its fronts, since the deepest
-    # level comes first and a level's sweeps open before the next level up is reached
+    # level comes first and a level's sweeps open before the next level up is reached; each
+    # index is stored once: a group's piv, and a separator group's ring, are rows of its sweep's
     solve = []
     for (kind, *_), (members, rp_entries, pr_entries) in sweeps.items():
-        piv = np.concatenate([g.piv for g in members])
+        piv = np.concatenate([groups[g].piv for g in members])
         if kind == "leaf":
             couplings = [tuple(map(np.concatenate, zip(*entries))) for entries in (rp_entries, pr_entries)]
             solve.append(_Sweep(piv, piv[:, :0], *couplings))
         else:
-            solve.append(_Sweep(piv, np.concatenate([g.ring for g in members])))
+            solve.append(_Sweep(piv, np.concatenate([groups[g].ring for g in members])))
+        at = 0
+        for g in members:
+            rows = slice(at, at + len(groups[g].piv))
+            at = rows.stop
+            views = {"piv": piv[rows]} if kind == "leaf" else {"piv": piv[rows], "ring": solve[-1].ring[rows]}
+            groups[g] = groups[g]._replace(release=tuple(groups[g].release), **views)
     out = tuple(groups), tuple(solve)
     _read_only(out)  # cached, so shared by every factorization of this grid while it is the last one
     return out
