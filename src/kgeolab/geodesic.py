@@ -529,6 +529,7 @@ def solve_eps_geodesic(
             -q,  # (+1, +1) and (-1, -1)
             q,  # (+1, -1) and (-1, +1)
         ])
+        del m_xx, phi_ss, phi_xs, q  # the factorization needs only the stack
         if not np.isfinite(coefs).all():  # np.linalg.inv passes NaN and inf through
             raise SingularSystem("space-time Jacobian is not finite")
         try:
