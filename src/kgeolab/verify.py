@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -178,8 +179,8 @@ def oscillation_sequence(
 
 
 def random_density_sequence(bg: Background, seed: int) -> DensitySequence:
-    """Oscillation sequence around a random smooth positive limit density."""
-    rng = np.random.default_rng(seed)
+    """Oscillation sequence around a random smooth positive limit density, drawn by random.Random(seed)."""
+    rng = random.Random(seed)
     terms = [(k, rng.uniform(-0.2, 0.2), rng.uniform(-0.2, 0.2)) for k in (1, 2, 3)]
     base = 1.0 + fourier_field(bg.grid, terms)
     return oscillation_sequence(bg, base)
@@ -810,9 +811,19 @@ def control_curvature(bg: Background, eg: EpsGeodesic, levels=None) -> PropertyR
     return _as_control("control:eps_curvature_identity", raw)
 
 
+def _uniform_noise(seed: int, shape: tuple) -> np.ndarray:
+    """Unit-variance uniform noise on [-sqrt 3, sqrt 3), from the bytes of random.Random(seed).
+
+    The stdlib generator keeps numpy.random (and the secrets and hashlib it
+    imports) out of every kgeolab command.
+    """
+    count = math.prod(shape)
+    bits = np.frombuffer(random.Random(seed).randbytes(8 * count), dtype="<u8") >> np.uint64(11)
+    return (math.sqrt(3.0) * (bits * 2.0**-52 - 1.0)).reshape(shape)  # 53 random bits per value
+
+
 def control_residual_c(bg: Background, eg: EpsGeodesic) -> PropertyResult:
-    rng = np.random.default_rng(0)
-    noisy = eg.path.values + 1e-3 * rng.standard_normal(eg.path.values.shape)
+    noisy = eg.path.values + 1e-3 * _uniform_noise(0, eg.path.values.shape)
     fake = replace(eg, path=PathField(bg.grid, noisy))
     return _as_control("control:eps_geodesic_residual_c", eps_geodesic_residual_c(bg, fake))
 
@@ -864,8 +875,7 @@ def control_mabuchi_convexity(bg: Background, path: PathField, family: FiberFami
 
 def control_ddc(bg: Background) -> PropertyResult:
     n_time = 64
-    rng = np.random.default_rng(1)
-    rough = 0.01 * rng.standard_normal((n_time + 1, bg.grid.n_points))
+    rough = 0.01 * _uniform_noise(1, (n_time + 1, bg.grid.n_points))
     raw = ddc_property(bg, PathField(bg.grid, rough), ddc_test_function(n_time))
     return _as_control("control:ddc_energy_identity", raw)
 

@@ -74,7 +74,8 @@ def test_study_and_verify_leave_scipy_special_unloaded(tmp_path):
     """study and verify on the canonical config pass with scipy blocked and load no scipy module:
     the entropies compute x log y with numpy, the geodesic factors its Jacobian by nested
     dissection and the fiber step solves by cyclic reduction.  Nor do they load numpy.ma, which
-    np.unique and np.union1d import on first use."""
+    np.unique and np.union1d import on first use, or numpy.random, secrets and hashlib: verify
+    draws its test data from random.Random."""
     root = Path(__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])}
     cfg = str(root / "configs" / "canonical.json")
@@ -83,7 +84,8 @@ def test_study_and_verify_leave_scipy_special_unloaded(tmp_path):
         "sys.modules['scipy'] = None  # any import of it raises ImportError\n"
         "from kgeolab.cli import main\n"
         f"rcs = [main([cmd, '--config', {cfg!r}, '--out', {str(tmp_path / 'out')!r}]) for cmd in ('study', 'verify')]\n"
-        "print(rcs, sorted(m for m in sys.modules if m.startswith(('scipy.', 'numpy.ma.')) or m == 'numpy.ma'))\n"
+        "print(rcs, sorted(m for m in sys.modules if m.startswith(('scipy.', 'numpy.ma.', 'numpy.random.'))\n"
+        "                  or m in ('numpy.ma', 'numpy.random', 'secrets', 'hashlib')))\n"
     )
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert done.stdout.splitlines()[-1] == "[0, 0] []"

@@ -1,6 +1,8 @@
 """Property-check machinery: results, controls, sequences, suite composition."""
 
 import json
+import math
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -57,8 +59,11 @@ from kgeolab.verify import (
     WEAK_EPSILONS,
     SuiteData,
     _as_control,
+    _uniform_noise,
     _with_phi,
+    control_ddc,
     control_mabuchi_convexity,
+    control_residual_c,
 )
 
 EXPECTED_NAMES = (
@@ -193,6 +198,41 @@ def test_random_density_sequence_reproducible(small_bg):
     c = random_density_sequence(small_bg, seed=4)
     assert all(np.array_equal(x, y) for x, y in zip(a.members, b.members))
     assert not np.array_equal(a.f_limit, c.f_limit)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 40])
+def test_random_density_sequence_draws_from_the_stdlib_generator(small_bg, seed):
+    """The limit density's Fourier coefficients are random.Random(seed).uniform(-0.2, 0.2) draws."""
+    rng = random.Random(seed)
+    terms = [(k, rng.uniform(-0.2, 0.2), rng.uniform(-0.2, 0.2)) for k in (1, 2, 3)]
+    expected = oscillation_sequence(small_bg, 1.0 + fourier_field(small_bg.grid, terms))
+    seq = random_density_sequence(small_bg, seed)
+    assert np.array_equal(seq.f_limit, expected.f_limit) and np.array_equal(seq.members, expected.members)
+    assert seq.bound == expected.bound
+
+
+@pytest.mark.parametrize("base", [0, 1, 2, 7, 40])
+def test_entropy_suite_passes_at_other_seed_bases(bg, endpoint_0, endpoint_1, base):
+    """The entropy rows pass for the 20 seeds from any of these bases; the suite solves nothing."""
+    data = SuiteData(bg=bg, endpoint_0=endpoint_0, endpoint_1=endpoint_1, seeds=tuple(range(base, base + 20)))
+    results = run_suite(data, "entropy")
+    assert [r.name for r in results[:20]] == [f"entropy_semicontinuity[seed={s}]" for s in data.seeds]
+    assert all(r.passed for r in results)
+    assert data._rungs == {}
+
+
+def test_uniform_noise_has_unit_variance():
+    noise = _uniform_noise(0, (65, 256))
+    assert noise.shape == (65, 256) and np.array_equal(noise, _uniform_noise(0, (65, 256)))
+    assert np.all(np.abs(noise) <= math.sqrt(3.0))
+    assert abs(float(np.mean(noise))) <= 0.03 and abs(float(np.var(noise)) - 1.0) <= 0.03
+    assert not np.array_equal(noise, _uniform_noise(1, (65, 256)))
+
+
+def test_noise_controls_fire(bg, suite_data):
+    """The residual and the energy-pairing checks reject the paths made rough by the uniform noise."""
+    assert control_residual_c(bg, suite_data.eps_geodesic).passed
+    assert control_ddc(bg).passed
 
 
 def test_mollified_sequence_breaks_semicontinuity(small_bg):
