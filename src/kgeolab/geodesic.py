@@ -296,7 +296,8 @@ def _dissection(n_int: int, n: int) -> tuple:
             )
             if not children:
                 rp, pr = np.flatnonzero(rows >= p).astype(np.int32), np.flatnonzero(cols >= p).astype(np.int32)
-                at = (sum(len(groups[g].piv) for g in members) + np.arange(len(origins), dtype=np.int32)) * p
+                first = sum(len(groups[g].piv) for g in members)
+                at = (first + np.arange(len(origins), dtype=np.int32)) * p  # its pivot values
                 rp_entries.append(((at + cols[rp][:, None]).ravel(), glob[:, rows[rp]].T.ravel()))
                 pr_entries.append(((at + rows[pr][:, None]).ravel(), glob[:, cols[pr]].T.ravel()))
                 fronts = fronts._replace(ring=fronts.ring.copy(), rp=rp, pr=pr)
@@ -316,12 +317,12 @@ def _dissection(n_int: int, n: int) -> tuple:
             solve.append(_Sweep(piv, piv[:, :0], *couplings))
         else:
             solve.append(_Sweep(piv, np.concatenate([groups[g].ring for g in members])))
-        at = 0
+        sweep, at = solve[-1], 0
         for g in members:
-            rows = slice(at, at + len(groups[g].piv))
-            at = rows.stop
-            views = {"piv": piv[rows]} if kind == "leaf" else {"piv": piv[rows], "ring": solve[-1].ring[rows]}
-            groups[g] = groups[g]._replace(release=tuple(groups[g].release), **views)
+            own = slice(at, at + len(groups[g].piv))
+            at = own.stop
+            ring = groups[g].ring if kind == "leaf" else sweep.ring[own]
+            groups[g] = groups[g]._replace(piv=sweep.piv[own], ring=ring, release=tuple(groups[g].release))
     out = tuple(groups), tuple(solve)
     _read_only(out)  # cached, so shared by every factorization of this grid while it is the last one
     return out

@@ -818,7 +818,7 @@ def _uniform_noise(seed: int, shape: tuple) -> np.ndarray:
     imports) out of every kgeolab command.
     """
     count = math.prod(shape)
-    bits = np.frombuffer(random.Random(seed).randbytes(8 * count), dtype="<u8") >> np.uint64(11)
+    bits = np.frombuffer(random.Random(seed).randbytes(8 * count), dtype="<u8") >> 11
     return (math.sqrt(3.0) * (bits * 2.0**-52 - 1.0)).reshape(shape)  # 53 random bits per value
 
 
