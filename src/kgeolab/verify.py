@@ -812,11 +812,7 @@ def control_curvature(bg: Background, eg: EpsGeodesic, levels=None) -> PropertyR
 
 
 def _uniform_noise(seed: int, shape: tuple) -> np.ndarray:
-    """Unit-variance uniform noise on [-sqrt 3, sqrt 3), from the bytes of random.Random(seed).
-
-    The stdlib generator keeps numpy.random (and the secrets and hashlib it
-    imports) out of every kgeolab command.
-    """
+    """Unit-variance uniform noise on [-sqrt 3, sqrt 3) from random.Random(seed), not numpy.random."""
     count = math.prod(shape)
     bits = np.frombuffer(random.Random(seed).randbytes(8 * count), dtype="<u8") >> 11
     return (math.sqrt(3.0) * (bits * 2.0**-52 - 1.0)).reshape(shape)  # 53 random bits per value
