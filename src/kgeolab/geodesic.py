@@ -360,22 +360,24 @@ class _FrontalLU:
         b = np.array(rhs, dtype=self.dtype)
         x = np.empty_like(b)
         for sweep, (inv, lower, _) in zip(self.sweeps, self.blocks):
-            z = x[sweep.piv] = _matvec(inv, b[sweep.piv])
+            piv = sweep.piv.astype(np.intp)  # numpy scatters through int32 indices at half speed
+            z = x[piv] = _matvec(inv, b.take(piv))
             # b_R -= F_RP z, summed over fronts that share ring unknowns
             if sweep.rp:
                 cols, ring = sweep.rp
-                np.subtract.at(b, ring, lower * z.ravel()[cols])
+                np.subtract.at(b, ring, lower * z.take(cols))
             elif sweep.ring.size:
                 np.subtract.at(b, sweep.ring.ravel(), _matvec(lower, z).ravel())
         for sweep, (inv, _, upper) in zip(reversed(self.sweeps), reversed(self.blocks)):
             # x_P = z - F_PP^-1 F_PR x_R
+            piv = sweep.piv.astype(np.intp)
             if sweep.pr:
                 rows, ring = sweep.pr
-                coupled = np.zeros(sweep.piv.shape, dtype=self.dtype)
-                np.add.at(coupled.reshape(-1), rows, upper * x[ring])
-                x[sweep.piv] -= _matvec(inv, coupled)
+                coupled = np.zeros(piv.shape, dtype=self.dtype)
+                np.add.at(coupled.reshape(-1), rows, upper * x.take(ring))
+                x[piv] -= _matvec(inv, coupled)
             elif sweep.ring.size:
-                x[sweep.piv] -= _matvec(upper, x[sweep.ring])
+                x[piv] -= _matvec(upper, x.take(sweep.ring))
         return x.astype(float, copy=False)
 
 
@@ -413,18 +415,18 @@ def splu(coefs: np.ndarray) -> _FrontalLU:
                 front[(slot[:, None] * f + slot).ravel()] += updates[child][:, rows]
             for child in fronts.release:
                 del updates[child]
-            front[fronts.pos] += coefs[fronts.gather]
+            front[fronts.pos] += coefs.take(fronts.gather)  # take reads int32 indices as fast as intp
             front = np.ascontiguousarray(front.T).reshape(batch, f, f)
         else:  # a leaf holds stencil entries only, each in its own place
             front = np.zeros((batch, f * f), dtype=dtype)
-            front[:, fronts.pos] = coefs[fronts.gather].T
+            front[:, fronts.pos] = coefs.take(fronts.gather).T
             front = front.reshape(batch, f, f)
         inv = np.linalg.inv(front[:, :p, :p])
         v = inv @ front[:, :p, p:]
         if f > p:
             updates[g] = (front[:, p:, p:] - front[:, p:, :p] @ v).reshape(batch, -1).T.copy()
         if fronts.rp is not None:  # the leaves' coupling entries, raveled entry by entry
-            rp, pr = coefs[fronts.gather[fronts.rp]], coefs[fronts.gather[fronts.pr]]
+            rp, pr = coefs.take(fronts.gather[fronts.rp]), coefs.take(fronts.gather[fronts.pr])
             parts[fronts.sweep].append((inv, rp.ravel(), pr.ravel()))
         else:
             parts[fronts.sweep].append((inv, front[:, p:, :p].copy(), v))  # a copy, so that the front is freed
