@@ -16,17 +16,13 @@ residual tenfold, and polishes the solution on it to the round-off floor,
 so a solve factors about once or twice and its result does not depend on
 the start beyond round-off.  The LU is numpy's, multifrontal in George's
 nested-dissection order of the periodic (n_time - 1) x n_points strip
-(George, SIAM J. Numer. Anal. 1973): the columns x = 0 and x = n/2 open the
-ring, every box is split at its middle across its longer side, and boxes of
-at most LEAF_NODES nodes are pivoted whole.  The tree, the map from the five
-coefficient arrays into each front and the solve's batches are built once
-per (n_points, n_time) and kept while that grid is factored (_dissection).
-That symbolic phase stores each index once, in int32: a front group's
-pivots and ring are rows of its solve batch's arrays (1.4 MB on 256 x 63).
-Fronts of one level and one local shape are factored as one batch of dense
-blocks (splu), and a solve is one sweep up and one down the tree.  Against
-SuperLU on the same order, the factor stores about 0.9 of the entries;
-another ordering changes only the last bits of the solution.
+(George, SIAM J. Numer. Anal. 1973), each batch of like fronts factored as
+a stack of dense blocks (splu).  Its symbolic phase is built once per grid,
+in int32, and kept while that grid is factored (_dissection; 1.3 MB on
+256 x 63).  A solve permutes the right-hand side into elimination order,
+where each batch pivots one slice, and sweeps once up and once down the
+tree.  Against SuperLU on the same order, the factor stores about 0.9 of
+the entries; another ordering changes only the last bits of the solution.
 
 A Newton step factors in float32 and takes that factor's solve as its step
 (_factor_and_solve).  The factor stores its blocks in half the bytes (3.8
@@ -203,8 +199,7 @@ def _front(rows: int, cols: int, top: bool, bottom: bool) -> tuple:
 class _Fronts(NamedTuple):
     """Fronts of one tree level with one local structure, factored as one batch; a row per front."""
 
-    piv: np.ndarray  # (batch, p) unknowns pivoted here, in front order: rows of its sweep's piv
-    ring: np.ndarray  # (batch, r) the ring, in front order after the pivots: of a separator, rows of its sweep's
+    shape: tuple  # (batch, p, f): fronts, pivots per front and front size, pivots first
     pos: np.ndarray  # (E,) position of each stencil entry of the front in the raveled f x f front
     gather: np.ndarray  # (E, batch) index of that entry in the raveled (5, n_int, n) coefficient stack
     kids: tuple  # per child slot: (its group, its slice of that batch, front positions of its ring)
@@ -218,12 +213,11 @@ class _Sweep(NamedTuple):
     """Fronts that a solve handles together: all leaves of one pivot count, or the groups of
     one tree level with one front size.  Their factor blocks are stacked in group order."""
 
-    piv: np.ndarray  # (batch, p)
-    ring: np.ndarray  # (batch, r); empty for leaves, whose couplings are entry lists:
-    # each F_RP entry as (its column in the raveled (batch, p) pivot values, its ring unknown)
-    # and each F_PR entry as (its row there, its ring unknown)
-    rp: tuple = ()
-    pr: tuple = ()
+    own: slice  # the batch x p elimination positions pivoted here, front by front in group order
+    ring: np.ndarray | None  # (batch, r) positions; None for leaves, whose couplings are one entry list:
+    # each F_RP entry as (its column in the raveled (batch, p) pivot values, its ring unknown's
+    # position), which are also the row and column of the F_PR entry of the same index
+    entries: tuple = ()
 
 
 @lru_cache(maxsize=1)  # ladders factor one grid at a time: no grid's index arrays outlive its ladder
@@ -239,7 +233,10 @@ def _dissection(n_int: int, n: int) -> tuple:
     structure, so they form one _Fronts group, children before parents.
     A solve takes all leaves of one size together, since leaves depend on
     nothing, and the separators of one level and one front size together:
-    one _Sweep each.  Returns (groups, sweeps).
+    one _Sweep each.  The sweeps in sequence, each its groups in member
+    order, are the elimination order, and the sweeps store positions in it;
+    the fronts' gather stays in grid numbering.  Returns (groups, sweeps,
+    order), where the permutation order maps a position to its grid unknown.
     """
     half = n // 2
     size = n_int * n
@@ -260,7 +257,7 @@ def _dissection(n_int: int, n: int) -> tuple:
                     taken += [(r + dr, c + dc) for r, c in origins]
         levels.append((level, links))
         level = below
-    groups, index, last_use, sweeps = [], {}, {}, {}
+    groups, globs, index, last_use, sweeps = [], [], {}, {}, {}
     for depth, (level, links) in reversed(list(enumerate(levels))):
         for sig, origins in level.items():
             pivots, ring, children = templates[sig]
@@ -275,11 +272,11 @@ def _dissection(n_int: int, n: int) -> tuple:
                     b = where.get((r + dr, c + dc))
                     if b is not None:  # a node inside the box but not pivoted here is a descendant's
                         entries.append((a, b, k, a))
-                        if b >= p:
+                        if b >= p:  # F_PR's entry, then F_RP's: a leaf's two lists pair up
                             entries.append((b, a, k, b))
             origin = np.array(origins, dtype=np.int32)[:, None, :]
             local = np.array(nodes, dtype=np.int32)[None, :, :] + origin
-            glob = local[..., 0] * n + local[..., 1] % n
+            glob = local[..., 0] * n + local[..., 1] % n  # (batch, f) grid unknowns, pivots first
             rows, cols, stencil, eq = np.array(entries, dtype=np.int32).T
             kids = []
             for k in range(len(children)):
@@ -289,41 +286,42 @@ def _dissection(n_int: int, n: int) -> tuple:
                     kids.append((index[depth + 1, child], batch, slot))
                     last_use[index[depth + 1, child]] = len(groups)
             key = ("leaf", p) if not children else ("level", depth, p, f - p)
-            members, rp_entries, pr_entries = sweeps.setdefault(key, ([], [], []))
+            members = sweeps.setdefault(key, [])
             fronts = _Fronts(
-                glob[:, :p], glob[:, p:], rows * f + cols, stencil[:, None] * size + glob[:, eq].T,
+                (len(origins), p, f), rows * f + cols, stencil[:, None] * size + glob[:, eq].T,
                 tuple(kids), [], list(sweeps).index(key),
             )
             if not children:
                 rp, pr = np.flatnonzero(rows >= p).astype(np.int32), np.flatnonzero(cols >= p).astype(np.int32)
-                first = sum(len(groups[g].piv) for g in members)
-                at = (first + np.arange(len(origins), dtype=np.int32)) * p  # its pivot values
-                rp_entries.append(((at + cols[rp][:, None]).ravel(), glob[:, rows[rp]].T.ravel()))
-                pr_entries.append(((at + rows[pr][:, None]).ravel(), glob[:, cols[pr]].T.ravel()))
-                fronts = fronts._replace(ring=fronts.ring.copy(), rp=rp, pr=pr)
+                fronts = fronts._replace(rp=rp, pr=pr)
             members.append(len(groups))
             index[depth, sig] = len(groups)
             groups.append(fronts)
+            globs.append(glob)
     for child, user in last_use.items():
         groups[user].release.append(child)
     # a sweep comes after every sweep that holds a descendant of its fronts, since the deepest
-    # level comes first and a level's sweeps open before the next level up is reached; each
-    # index is stored once: a group's piv, and a separator group's ring, are rows of its sweep's
-    solve = []
-    for (kind, *_), (members, rp_entries, pr_entries) in sweeps.items():
-        piv = np.concatenate([groups[g].piv for g in members])
-        if kind == "leaf":
-            couplings = [tuple(map(np.concatenate, zip(*entries))) for entries in (rp_entries, pr_entries)]
-            solve.append(_Sweep(piv, piv[:, :0], *couplings))
-        else:
-            solve.append(_Sweep(piv, np.concatenate([groups[g].ring for g in members])))
-        sweep, at = solve[-1], 0
-        for g in members:
-            own = slice(at, at + len(groups[g].piv))
-            at = own.stop
-            ring = groups[g].ring if kind == "leaf" else sweep.ring[own]
-            groups[g] = groups[g]._replace(piv=sweep.piv[own], ring=ring, release=tuple(groups[g].release))
-    out = tuple(groups), tuple(solve)
+    # level comes first and a level's sweeps open before the next level up is reached: so each
+    # ring lies past the positions its own sweep pivots
+    order = np.concatenate([globs[g][:, : groups[g].shape[1]].ravel() for members in sweeps.values() for g in members])
+    rank = np.empty_like(order)
+    rank[order] = np.arange(size, dtype=np.int32)
+    solve, start = [], 0
+    for (kind, *_), members in sweeps.items():
+        p = groups[members[0]].shape[1]
+        own = slice(start, start + p * sum(groups[g].shape[0] for g in members))
+        rings, entries = [], []
+        for g in members:  # each group's unknowns are dropped once mapped: no copy of them all is made
+            at, globs[g] = rank.take(globs[g]).T, None  # (f, batch) elimination positions
+            if kind == "level":
+                rings.append(at[p:].T)
+            else:
+                row, col = np.divmod(groups[g].pos[groups[g].rp], groups[g].shape[2])  # a ring row, a pivot col
+                entries.append(((at[col] - start).ravel(), at[row].ravel()))
+        couplings = tuple(map(np.concatenate, zip(*entries))) if entries else ()
+        solve.append(_Sweep(own, np.concatenate(rings) if rings else None, couplings))
+        start = own.stop
+    out = tuple(fronts._replace(release=tuple(fronts.release)) for fronts in groups), tuple(solve), order
     _read_only(out)  # cached, so shared by every factorization of this grid while it is the last one
     return out
 
@@ -343,11 +341,11 @@ class _FrontalLU:
     A separator keeps F_RP and F_PP^-1 F_PR dense, since its children's
     updates fill them; a leaf keeps only the stencil entries of F_RP and
     F_PR.  L holds the inverted pivot blocks and F_RP, U the rest; their nnz
-    count the entries stored.
+    count the entries stored.  All act in _dissection's elimination order.
     """
 
-    def __init__(self, sweeps: tuple, blocks: list):
-        self.sweeps, self.blocks = sweeps, blocks
+    def __init__(self, sweeps: tuple, order: np.ndarray, blocks: list):
+        self.sweeps, self.order, self.blocks = sweeps, order, blocks
         self.dtype = blocks[0][0].dtype
         self.L = SimpleNamespace(nnz=sum(inv.size + lower.size for inv, lower, _ in blocks))
         self.U = SimpleNamespace(nnz=sum(upper.size for _, _, upper in blocks))
@@ -355,30 +353,32 @@ class _FrontalLU:
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """x with J x = rhs: one sweep up the tree (forward), one down (backward).
 
-        The sweeps run in the factor's precision; x comes back in float64.
+        The sweeps run in the factor's precision, on rhs permuted into
+        elimination order; x comes back in float64, in grid order.
         """
-        b = np.array(rhs, dtype=self.dtype)
-        x = np.empty_like(b)
+        y = np.asarray(rhs, dtype=self.dtype).take(self.order)
         for sweep, (inv, lower, _) in zip(self.sweeps, self.blocks):
-            piv = sweep.piv.astype(np.intp)  # numpy scatters through int32 indices at half speed
-            z = x[piv] = _matvec(inv, b.take(piv))
+            own = y[sweep.own].reshape(inv.shape[:2])
+            z = own[...] = _matvec(inv, own)
             # b_R -= F_RP z, summed over fronts that share ring unknowns
-            if sweep.rp:
-                cols, ring = sweep.rp
-                np.subtract.at(b, ring, lower * z.take(cols))
+            if sweep.entries:
+                cols, ring = sweep.entries
+                np.subtract.at(y, ring, lower * z.take(cols))
             elif sweep.ring.size:
-                np.subtract.at(b, sweep.ring.ravel(), _matvec(lower, z).ravel())
+                np.subtract.at(y, sweep.ring.ravel(), _matvec(lower, z).ravel())
         for sweep, (inv, _, upper) in zip(reversed(self.sweeps), reversed(self.blocks)):
             # x_P = z - F_PP^-1 F_PR x_R
-            piv = sweep.piv.astype(np.intp)
-            if sweep.pr:
-                rows, ring = sweep.pr
-                coupled = np.zeros(piv.shape, dtype=self.dtype)
-                np.add.at(coupled.reshape(-1), rows, upper * x.take(ring))
-                x[piv] -= _matvec(inv, coupled)
+            own = y[sweep.own].reshape(inv.shape[:2])
+            if sweep.entries:
+                rows, ring = sweep.entries
+                coupled = np.zeros_like(own)
+                np.add.at(coupled.reshape(-1), rows, upper * y.take(ring))
+                own -= _matvec(inv, coupled)
             elif sweep.ring.size:
-                x[piv] -= _matvec(upper, x.take(sweep.ring))
-        return x.astype(float, copy=False)
+                own -= _matvec(upper, y.take(sweep.ring))
+        x = np.empty(y.size)
+        x[self.order] = y
+        return x
 
 
 def _matvec(blocks: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -401,14 +401,13 @@ def splu(coefs: np.ndarray) -> _FrontalLU:
     sees every one.  Raises np.linalg.LinAlgError on an exactly singular
     pivot block.
     """
-    groups, sweeps = _dissection(*coefs.shape[1:])
+    groups, sweeps, order = _dissection(*coefs.shape[1:])
     coefs = np.ascontiguousarray(coefs).reshape(-1)
     dtype = coefs.dtype
     updates, parts, blocks = {}, [[] for _ in sweeps], [None] * len(sweeps)
     pending = [sum(fronts.sweep == k for fronts in groups) for k in range(len(sweeps))]
     for g, fronts in enumerate(groups):
-        batch, p = fronts.piv.shape
-        f = p + fronts.ring.shape[1]
+        batch, p, f = fronts.shape
         if fronts.kids:  # assembled batch last, where each scattered entry moves a whole row
             front = np.zeros((f * f, batch), dtype=dtype)
             for child, rows, slot in fronts.kids:
@@ -434,7 +433,7 @@ def splu(coefs: np.ndarray) -> _FrontalLU:
         if not pending[fronts.sweep]:  # stack a sweep's blocks once its last group is factored
             blocks[fronts.sweep] = tuple(np.concatenate(arrays) for arrays in zip(*parts[fronts.sweep]))
             parts[fronts.sweep] = None
-    return _FrontalLU(sweeps, blocks)
+    return _FrontalLU(sweeps, order, blocks)
 
 
 def _jacobian_times(coefs: np.ndarray, s: np.ndarray) -> np.ndarray:

@@ -905,14 +905,14 @@ class SuiteData:
     Each object is solved at most once.  The check suites read the objects
     on their calibrated ladders (the module constants above); the artifact
     stages read the ``ladder_*`` objects, solved on the run's own epsilon
-    and delta ladders.  Every eps-geodesic rung goes into one cache keyed by
-    (eps prefix, n_time, tol, start), so a ladder that shares leading rungs
-    with an earlier one at the same n_time and tol, started the same way,
-    reuses them.  The verify ladder WEAK_EPSILONS is solved as one chain
-    over CHAIN_N_TIMES (_chain), which holds weak_path's ladder (when the
-    run's n_time is in CHAIN_N_TIMES), boundary_paths and eps_geodesic.
-    Defaults reproduce the canonical run: flat background, endpoints 0 and
-    the admissible cosine.
+    and delta ladders.  The rungs of _continuation go into one cache keyed
+    by (eps prefix, n_time, tol, start), so a ladder that shares leading
+    rungs with an earlier one, started the same way, reuses them; only
+    curved_geodesics and the coarse solves of levels bypass it.  The verify
+    ladder WEAK_EPSILONS is solved as one chain over CHAIN_N_TIMES (_chain),
+    which holds weak_path's ladder (when the run's n_time is in
+    CHAIN_N_TIMES), boundary_paths and eps_geodesic.  Defaults reproduce the
+    canonical run: flat background, endpoints 0 and the admissible cosine.
     """
 
     bg: Background

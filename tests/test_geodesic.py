@@ -156,15 +156,55 @@ def test_newton_jacobian_matches_finite_differences(monkeypatch):
 @pytest.mark.parametrize("n", [8, 64, 256, 512])
 @pytest.mark.parametrize("n_time", [8, 16, 32, 64])
 def test_dissection_order_is_a_permutation(n, n_time):
-    """The symbolic phase pivots every unknown exactly once, and so does each solve, and the
-    columns x = 0 and x = n/2 that open the ring are the last front."""
-    groups, sweeps = geodesic._dissection(n_time - 1, n)
-    for batches in (groups, sweeps):
-        order = np.concatenate([batch.piv.ravel() for batch in batches])
-        assert np.array_equal(np.sort(order), np.arange((n_time - 1) * n))
-    root = groups[-1]
-    assert root.ring.size == 0 and np.array_equal(root.piv, sweeps[-1].piv)
-    assert np.array_equal(root.piv.reshape(2, n_time - 1) % n, [[0] * (n_time - 1), [n // 2] * (n_time - 1)])
+    """order numbers every unknown once, the columns x = 0 and x = n/2 that open the ring come
+    last, and the sweeps pivot consecutive slices of it.  Every ring and coupling position of a
+    sweep lies past its own slice, which the forward sweep relies on when it writes in place."""
+    groups, sweeps, order = geodesic._dissection(n_time - 1, n)
+    assert order.dtype == np.int32 and np.array_equal(np.sort(order), np.arange((n_time - 1) * n))
+    root = order[-2 * (n_time - 1):].reshape(2, n_time - 1)
+    assert np.array_equal(root, [np.arange(n_time - 1) * n, np.arange(n_time - 1) * n + n // 2])
+    assert groups[-1].shape == (1, root.size, root.size) and sweeps[-1].own == slice(order.size - root.size, order.size)
+    assert [sweep.own.start for sweep in sweeps] == [0] + [sweep.own.stop for sweep in sweeps[:-1]]
+    for sweep in sweeps:
+        if sweep.ring is None:  # a leaf sweep: its pivots are entries of its own slice, its ring unknowns past it
+            cols, ring = sweep.entries
+            assert 0 <= cols.min() and cols.max() < sweep.own.stop - sweep.own.start
+        else:
+            ring = sweep.ring
+        assert ring.size == 0 or ring.min() >= sweep.own.stop
+
+
+def _grid_fronts(n_int, n):
+    """Each group's pivots and ring as grid unknowns, one row per front, read back from the
+    elimination positions the symbolic phase stores: a group pivots its rows of its sweep's
+    slice, a separator's ring is its rows of its sweep's ring, and a leaf's ring is read off its
+    F_RP entries, which pair up with its F_PR entries.  Each sweep's slice and entry lists hold
+    exactly its groups."""
+    groups, sweeps, order = geodesic._dissection(n_int, n)
+    fronts_seen, pivots_seen, entries_seen, out = [0] * len(sweeps), [0] * len(sweeps), [0] * len(sweeps), []
+    for fronts in groups:
+        batch, p, f = fronts.shape
+        k, first = fronts.sweep, fronts_seen[fronts.sweep]
+        fronts_seen[k] += batch
+        pivots_seen[k] += batch * p
+        at = (first + np.arange(batch))[:, None] * p
+        pivots = sweeps[k].own.start + at + np.arange(p)
+        if sweeps[k].ring is not None:
+            ring = sweeps[k].ring[first:first + batch]
+        else:
+            row, col = np.divmod(fronts.pos[fronts.rp], f)
+            assert np.array_equal(np.divmod(fronts.pos[fronts.pr], f), (col, row))
+            mine = slice(entries_seen[k], entries_seen[k] + row.size * batch)
+            entries_seen[k] = mine.stop
+            cols, positions = (part[mine].reshape(row.size, batch).T for part in sweeps[k].entries)
+            assert np.array_equal(cols, at + col)
+            ring = np.full((batch, f - p), -1)
+            ring[:, row - p] = positions
+            assert ring.min() >= 0
+        out.append((order[pivots], order[ring]))
+    assert pivots_seen == [sweep.own.stop - sweep.own.start for sweep in sweeps]
+    assert entries_seen == [sweep.entries[0].size if sweep.entries else 0 for sweep in sweeps]
+    return out
 
 
 def _recursive_fronts(n_int, n):
@@ -205,11 +245,12 @@ def _recursive_fronts(n_int, n):
 
 @pytest.mark.parametrize("n, n_time", [(256, 64), (256, 32), (256, 16), (64, 16), (128, 32), (512, 32), (8, 8)])
 def test_dissection_order_equals_the_recursive_reference(n, n_time):
-    """Fronts batched by box signature are the fronts of recursing box by box."""
+    """Fronts batched by box signature, mapped through order back to the grid, are the fronts of
+    recursing box by box."""
     batched = [
         (frozenset(p), frozenset(r))
-        for fronts in geodesic._dissection(n_time - 1, n)[0]
-        for p, r in zip(fronts.piv.tolist(), fronts.ring.tolist())
+        for pivots, ring in _grid_fronts(n_time - 1, n)
+        for p, r in zip(pivots.tolist(), ring.tolist())
     ]
     reference = _recursive_fronts(n_time - 1, n)
     assert len(batched) == len(reference) and set(batched) == set(reference)
@@ -220,19 +261,20 @@ def test_child_ring_lies_in_parent_front(n, n_int):
     """Every child's Schur update lands inside its parent's front: the front positions a child
     slot names hold exactly the child's ring, the child is factored first, and each update
     is released once, after its last parent."""
-    groups, _ = geodesic._dissection(n_int, n)
+    groups = geodesic._dissection(n_int, n)[0]
+    fronts_in_grid = _grid_fronts(n_int, n)
     covered, last_user, released = {}, {}, {}
     for g, fronts in enumerate(groups):
-        nodes = np.concatenate([fronts.piv, fronts.ring], axis=1)
+        nodes = np.concatenate(fronts_in_grid[g], axis=1)
         for child, batch, slot in fronts.kids:
             assert child < g
-            assert np.array_equal(nodes[:, slot], groups[child].ring[batch])
-            covered.setdefault(child, []).extend(range(len(groups[child].piv))[batch])
+            assert np.array_equal(nodes[:, slot], fronts_in_grid[child][1][batch])
+            covered.setdefault(child, []).extend(range(groups[child].shape[0])[batch])
             last_user[child] = g
         released.update({child: g for child in fronts.release})
     assert released == last_user
-    assert sorted(covered) == [g for g, fronts in enumerate(groups) if fronts.ring.size]
-    assert all(sorted(rows) == list(range(len(groups[child].piv))) for child, rows in covered.items())
+    assert sorted(covered) == [g for g, fronts in enumerate(groups) if fronts.shape[2] > fronts.shape[1]]
+    assert all(sorted(rows) == list(range(groups[child].shape[0])) for child, rows in covered.items())
 
 
 def _index_arrays(item):
@@ -244,23 +286,18 @@ def _index_arrays(item):
             yield from _index_arrays(sub)
 
 
-#: bytes the symbolic phase of the 256 x 63 Jacobian of study owns: 1,361,064 measured
-#: (2,548,000 when pivots and rings were int64 and stored twice)
-PHASE_BYTES_256_63 = 1_400_000
+#: bytes the symbolic phase of the 256 x 63 Jacobian of study owns: 1,045,160 measured
+#: (1,361,064 with pivot arrays and a leaf's F_RP and F_PR positions stored apart, 2,548,000
+#: when pivots and rings were int64 and stored twice)
+PHASE_BYTES_256_63 = 1_060_000
 
 
 @pytest.mark.parametrize("n, n_int", [(8, 7), (30, 9), (256, 63), (512, 31)])
 def test_symbolic_phase_stores_each_index_once_in_int32(n, n_int):
-    """Every index array of the symbolic phase is int32, a separator group's pivots and ring are
-    rows of its sweep's arrays, and on 256 x 63 the arrays that own their data stay in bound."""
-    groups, sweeps = geodesic._dissection(n_int, n)
-    arrays = list(_index_arrays((groups, sweeps)))
+    """Every index array of the symbolic phase is int32, none is a view of a buffer the phase
+    does not hold, and on 256 x 63 the arrays that own their data stay in bound."""
+    arrays = list(_index_arrays(geodesic._dissection(n_int, n)))
     assert all(a.dtype == np.int32 for a in arrays)
-    for fronts in groups:
-        sweep = sweeps[fronts.sweep]
-        assert np.shares_memory(fronts.piv, sweep.piv)
-        if fronts.rp is None and fronts.ring.size:  # a separator below the root
-            assert np.shares_memory(fronts.ring, sweep.ring)
     owners = [a for a in arrays if a.base is None]
     assert all(a.base is None or any(a.base is o for o in owners) for a in arrays)  # no hidden buffer
     if (n, n_int) == (256, 63):
@@ -409,6 +446,26 @@ def test_stack_beyond_float32_range_falls_back_to_float64():
         lu, step, fell_back = geodesic._factor_and_solve(coefs, b)
     assert fell_back and lu.dtype == np.float64
     assert np.array_equal(step, geodesic.splu(coefs).solve(b))
+
+
+def test_right_hand_side_beyond_float32_range_falls_back_to_float64():
+    """A right-hand side that overflows float32 fails the float32 solve quietly, as a singular
+    block does, and the step comes from the float64 factor.  A solve in either precision leaves
+    a read-only argument as it was."""
+    coefs = _random_coefs(64, 7, seed=3)
+    b = np.full(coefs[0].size, 1e39)
+    b.setflags(write=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lu, step, fell_back = geodesic._factor_and_solve(coefs, b)
+    assert fell_back and lu.dtype == np.float64
+    assert np.array_equal(step, geodesic.splu(coefs).solve(b))
+    for lu in (geodesic.splu(coefs), geodesic.splu(coefs.astype(np.float32))):
+        rhs = np.linspace(-1.0, 1.0, b.size).astype(lu.dtype)
+        rhs.setflags(write=False)
+        lu.solve(rhs)
+        assert np.array_equal(rhs, np.linspace(-1.0, 1.0, b.size).astype(lu.dtype))
+    assert np.all(b == 1e39)
 
 
 def test_refinement_that_does_not_contract_falls_back_to_float64(small_bg, monkeypatch):
