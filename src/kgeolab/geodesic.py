@@ -37,11 +37,12 @@ overflow or a step whose float64 linear residual exceeds half the
 right-hand side makes the step factor again in float64, and the solve's
 NewtonRecord counts these fallbacks.
 
-weak_geodesic extracts the small-eps limit of eps_continuation, the one
-warm-started eps-ladder of the package.  From its third rung on, a rung
-starts from the secant extrapolation in eps of the two rungs before it.
-A ladder solved at n_time / 2 can start the same ladder at n_time instead:
-prolong_in_s carries each coarse rung to the fine time grid.
+eps_continuation is the one eps-ladder solver of the package.  It solves
+the ladder at each of its n_time levels, coarse to fine.  On the first
+level, from the third rung on, a rung starts from the secant extrapolation
+in eps of the two rungs before it.  Every later level doubles n_time, and
+each of its rungs starts from prolong_in_s of the same rung one level
+coarser.  weak_limit certifies the small-eps limit of one level.
 legendre_oracle is the independent surrogate for the exact degenerate
 solution: with P = x^2/2 + psi + phi the admissible cone becomes discrete
 convexity of P, and the degenerate flow is affine interpolation of the convex
@@ -597,34 +598,37 @@ def prolong_in_s(coarse: np.ndarray) -> np.ndarray:
 
 
 def eps_continuation(
-    bg: Background, endpoint_0, endpoint_1, epsilons, n_time: int, tol: float = 1e-10, solved=(), coarse=()
+    bg: Background, endpoint_0, endpoint_1, epsilons, n_times, tol: float = 1e-10, solved=()
 ) -> list:
-    """Solve the eps-geodesic at every eps of the ladder, in order.
+    """Solve the eps-geodesic at every eps of the ladder, at each n_time of n_times in turn.
 
-    The first rung starts Newton from the affine guess, the second from the
-    first rung, and every later one from the secant extrapolation in eps of
-    the two rungs before it (the predictor of Allgower & Georg, Numerical
-    Continuation Methods, 1990: the rungs are close to linear in eps), or
-    from the rung before it where that start leaves the cone.  The leading
-    rungs already in solved (same endpoints, n_time and tol) are kept.  With
-    coarse, the rungs of the same ladder solved at n_time / 2, rung k
-    instead starts from prolong_in_s of coarse[k]: a transferred solution of
-    the neighbouring grid needs about one Newton step (mesh independence).
-    Returns one EpsGeodesic per rung.
+    On the first level the first rung starts Newton from the affine guess,
+    the second from the first rung, and every later one from the secant
+    extrapolation in eps of the two rungs before it (the predictor of
+    Allgower & Georg, Numerical Continuation Methods, 1990: the rungs are
+    close to linear in eps), or from the rung before it where that start
+    leaves the cone.  Each later n_time must double the one before; its
+    rung k starts from prolong_in_s of rung k one level coarser, and needs
+    about one Newton step (mesh independence).  The leading rungs of level
+    j already in solved[j] (same endpoints, levels and tol) are kept.
+    Returns one list of EpsGeodesic per level.
     """
-    if coarse and [(r.epsilon, 2 * r.path.n_time) for r in coarse] != [(float(e), n_time) for e in epsilons]:
-        raise ValueError(f"coarse rungs must solve the same ladder at n_time {n_time // 2}")
-    rungs = list(solved)
-    for k in range(len(rungs), len(epsilons)):
-        problem = EpsGeodesicProblem(bg, endpoint_0, endpoint_1, float(epsilons[k]), n_time)
-        if coarse:
-            path0 = prolong_in_s(coarse[k].path.values)
-        elif len(rungs) >= 2:
-            path0 = _secant_start(bg, rungs[-2], rungs[-1], problem.epsilon)
-        else:
-            path0 = rungs[-1].path.values if rungs else None
-        rungs.append(solve_eps_geodesic(problem, tol=tol, path0=path0))
-    return rungs
+    if any(fine != 2 * coarse for coarse, fine in zip(n_times, n_times[1:])):
+        raise ValueError(f"each n_time must double the one before, got {n_times}")
+    levels = []
+    for j, n_time in enumerate(n_times):
+        rungs = list(solved[j]) if j < len(solved) else []
+        for k in range(len(rungs), len(epsilons)):
+            problem = EpsGeodesicProblem(bg, endpoint_0, endpoint_1, float(epsilons[k]), n_time)
+            if levels:
+                path0 = prolong_in_s(levels[-1][k].path.values)
+            elif len(rungs) >= 2:
+                path0 = _secant_start(bg, rungs[-2], rungs[-1], problem.epsilon)
+            else:
+                path0 = rungs[-1].path.values if rungs else None
+            rungs.append(solve_eps_geodesic(problem, tol=tol, path0=path0))
+        levels.append(rungs)
+    return levels
 
 
 def _secant_start(bg: Background, a: EpsGeodesic, b: EpsGeodesic, epsilon: float) -> np.ndarray:
@@ -660,20 +664,16 @@ def weak_limit(bg: Background, rungs) -> PathField:
     return path
 
 
-def weak_geodesic(
-    bg: Background, endpoint_0, endpoint_1, eps_sequence, n_time: int = 64, solved=()
-) -> PathField:
+def weak_geodesic(bg: Background, endpoint_0, endpoint_1, eps_sequence, n_time: int) -> PathField:
     """Warm-started continuation to the smallest eps of the sequence.
 
     The sequence needs at least 3 entries; the returned path is the
-    eps-geodesic at eps_sequence[-1], checked by weak_limit.  solved is
-    passed on to eps_continuation.
+    eps-geodesic at eps_sequence[-1], checked by weak_limit.
     """
     eps_sequence = _decreasing_ladder(eps_sequence, "eps_sequence")
     if len(eps_sequence) < 3:
         raise ValueError("eps_sequence needs at least 3 entries")
-    rungs = eps_continuation(bg, endpoint_0, endpoint_1, eps_sequence, n_time, solved=solved)
-    return weak_limit(bg, rungs)
+    return weak_limit(bg, eps_continuation(bg, endpoint_0, endpoint_1, eps_sequence, (n_time,))[0])
 
 
 # ---------------------------------------------------------------------------

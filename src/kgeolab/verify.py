@@ -56,7 +56,6 @@ from .geodesic import (
     EpsGeodesicProblem,
     eps_continuation,
     solve_eps_geodesic,
-    weak_geodesic,
     weak_limit,
 )
 from .ma_fiber import (
@@ -103,7 +102,7 @@ CURVED_PSI_AMPLITUDE = 0.002
 EPS_A_EPSILONS = (1e-1, 1e-2, 1e-3)
 EPS_A_VALUES = (5.0, 10.0)
 BOUNDARY_N_TIMES = (32, 64)
-# the n_times of the WEAK_EPSILONS chain, coarse to fine; see SuiteData._chain
+# the n_times of the WEAK_EPSILONS chain, coarse to fine; see SuiteData
 CHAIN_N_TIMES = (16, *BOUNDARY_N_TIMES)
 
 
@@ -411,22 +410,21 @@ def curvature_levels(bg: Background, eg: EpsGeodesic) -> list:
 def eps_curvature_identity(
     bg: Background,
     eg: EpsGeodesic,
+    levels: list,
     kappa: float = CURVATURE_KAPPA,
-    levels=None,
 ) -> PropertyResult:
     """Inequality margin plus refinement-ratio certificate of the identity.
 
     (a) (Hess f - Ric)(v, v) - eps D2(e^-f)/m >= -tol * scale nodewise, with
         tol = 1e-6; the continuum value is (D1 a)^2 >= 0.
     (b) the identity residual with the frozen kappa must shrink by a factor
-        in [3, 5] per refinement level, i.e. at second order.
+        in [3, 5] per refinement level, i.e. at second order, over levels:
+        the (background, geodesic) pairs of curvature_levels(bg, eg).
     """
     if eg.residual_sup > 1e-10:
         raise NotASolution(
             f"curvature identity needs a converged geodesic; residual {eg.residual_sup:.3e}"
         )
-    if levels is None:
-        levels = curvature_levels(bg, eg)
     tol = 1e-6
 
     fields = _curvature_fields(bg, eg)
@@ -805,9 +803,9 @@ def control_convexity_k(bg: Background, path: PathField, family: FiberFamily) ->
     return _as_control("control:convexity_inequality_k", raw)
 
 
-def control_curvature(bg: Background, eg: EpsGeodesic, levels=None) -> PropertyResult:
+def control_curvature(bg: Background, eg: EpsGeodesic, levels: list) -> PropertyResult:
     # a wrong constant leaves a non-vanishing residual: ratios collapse to 1
-    raw = eps_curvature_identity(bg, eg, kappa=4.0, levels=levels)
+    raw = eps_curvature_identity(bg, eg, levels, kappa=4.0)
     return _as_control("control:eps_curvature_identity", raw)
 
 
@@ -905,14 +903,14 @@ class SuiteData:
     Each object is solved at most once.  The check suites read the objects
     on their calibrated ladders (the module constants above); the artifact
     stages read the ``ladder_*`` objects, solved on the run's own epsilon
-    and delta ladders.  The rungs of _continuation go into one cache keyed
-    by (eps prefix, n_time, tol, start), so a ladder that shares leading
-    rungs with an earlier one, started the same way, reuses them; only
+    and delta ladders.  _ladder puts every rung in one cache keyed by (eps
+    prefix, the n_time levels the rung went through, tol), so a ladder that
+    shares leading rungs with an earlier one reuses them; only
     curved_geodesics and the coarse solves of levels bypass it.  The verify
-    ladder WEAK_EPSILONS is solved as one chain over CHAIN_N_TIMES (_chain),
-    which holds weak_path's ladder (when the run's n_time is in
-    CHAIN_N_TIMES), boundary_paths and eps_geodesic.  Defaults reproduce the
-    canonical run: flat background, endpoints 0 and the admissible cosine.
+    ladder WEAK_EPSILONS is one chain through CHAIN_N_TIMES, which holds
+    weak_path's ladder (when the run's n_time is in CHAIN_N_TIMES),
+    boundary_paths and eps_geodesic.  Defaults reproduce the canonical run:
+    flat background, endpoints 0 and the admissible cosine.
     """
 
     bg: Background
@@ -925,57 +923,40 @@ class SuiteData:
     ladder_deltas: tuple = ()
     ladder_geodesic_tol: float = 1e-10
     ladder_fiber_tol: float = 1e-11
-    _rungs: dict = field(default_factory=dict, init=False, repr=False)  # (eps prefix, n_time, tol, start) -> rung
+    _rungs: dict = field(default_factory=dict, init=False, repr=False)  # (eps prefix, n_times, tol) -> rung
 
     def __post_init__(self):
         self.endpoint_0 = np.asarray(self.endpoint_0, dtype=float)
         self.endpoint_1 = np.asarray(self.endpoint_1, dtype=float)
 
-    def _continuation(self, epsilons, tol: float, n_time: int | None = None, coarse=()) -> list:
-        """eps_continuation of the run's endpoints at n_time (the run's by default),
-        reusing the leading rungs an earlier ladder solved at the same n_time and tol.
+    def _ladder(self, epsilons, tol: float, n_times) -> list:
+        """eps_continuation of the run's endpoints through n_times, one list of rungs per level,
+        reusing the leading rungs an earlier ladder solved through the same levels at tol.
 
-        A rung is reused only from a ladder started the same way, along eps or
-        from the coarse level at n_time / 2: the start shows in the last bits."""
-        n_time = self.n_time if n_time is None else n_time
-        start = n_time // 2 if coarse else None
-        keys = [(tuple(float(e) for e in epsilons[: k + 1]), n_time, tol, start) for k in range(len(epsilons))]
-        shared = [self._rungs[key] for key in itertools.takewhile(self._rungs.__contains__, keys)]
-        rungs = eps_continuation(
-            self.bg, self.endpoint_0, self.endpoint_1, epsilons, n_time, tol=tol, solved=shared, coarse=coarse
-        )
-        self._rungs.update(zip(keys, rungs))
-        return rungs
-
-    def _chain(self, epsilons, top: int = CHAIN_N_TIMES[-1]) -> dict:
-        """The ladder epsilons at each n_time of CHAIN_N_TIMES up to top, coarse to fine.
-
-        Along eps at n_time 16, then each rung at n_time 32 and 64 from
-        prolong_in_s of the same rung one level coarser, which takes about
-        one Newton step (mesh independence).  A rung at a coarse-started
-        level depends on its coarser rung alone, so a prefix of WEAK_EPSILONS
-        solves the same rungs as the whole ladder.  Returns n_time -> rungs."""
-        levels, coarse = {}, ()
-        for n_time in CHAIN_N_TIMES[: CHAIN_N_TIMES.index(top) + 1]:
-            coarse = levels[n_time] = self._continuation(epsilons, WEAK_TOL, n_time, coarse=coarse)
+        A rung depends only on the rungs before it and its coarser rung, so a
+        ladder prefix solves the same rungs as the whole ladder; the levels
+        show in the last bits, so a rung is never taken from other levels."""
+        prefixes = [tuple(float(e) for e in epsilons[: k + 1]) for k in range(len(epsilons))]
+        keys = [[(prefix, n_times[: j + 1], tol) for prefix in prefixes] for j in range(len(n_times))]
+        solved = [[self._rungs[key] for key in itertools.takewhile(self._rungs.__contains__, level)] for level in keys]
+        levels = eps_continuation(self.bg, self.endpoint_0, self.endpoint_1, epsilons, n_times, tol, solved)
+        for level_keys, rungs in zip(keys, levels):
+            self._rungs.update(zip(level_keys, rungs))
         return levels
 
     @cached_property
     def weak_path(self) -> PathField:
         """Weak-geodesic limit of the suites' WEAK_EPSILONS ladder at the run's n_time,
         the chain's level there when CHAIN_N_TIMES holds it."""
-        if self.n_time in CHAIN_N_TIMES:
-            return weak_limit(self.bg, self._chain(WEAK_EPSILONS, self.n_time)[self.n_time])
-        return weak_limit(self.bg, self._continuation(WEAK_EPSILONS, WEAK_TOL))
+        chained = self.n_time in CHAIN_N_TIMES
+        n_times = CHAIN_N_TIMES[: CHAIN_N_TIMES.index(self.n_time) + 1] if chained else (self.n_time,)
+        return weak_limit(self.bg, self._ladder(WEAK_EPSILONS, WEAK_TOL, n_times)[-1])
 
     @cached_property
     def boundary_paths(self) -> list:
-        """Weak geodesics of the chain's WEAK_EPSILONS ladders at BOUNDARY_N_TIMES (32 and 64).
-
-        weak_geodesic certifies each limit from the chain's solved rungs."""
-        levels = self._chain(WEAK_EPSILONS)
-        args = (self.bg, self.endpoint_0, self.endpoint_1, WEAK_EPSILONS)
-        return [weak_geodesic(*args, n_time=n_time, solved=levels[n_time]) for n_time in BOUNDARY_N_TIMES]
+        """Weak limits of the chain's WEAK_EPSILONS ladders at BOUNDARY_N_TIMES (32 and 64),
+        taken once every level of the chain is solved."""
+        return [weak_limit(self.bg, rungs) for rungs in self._ladder(WEAK_EPSILONS, WEAK_TOL, CHAIN_N_TIMES)[1:]]
 
     def solve_chain_first(self, suite: str) -> None:
         """Solve the part of the WEAK_EPSILONS chain that suite reads, before any stage.
@@ -1001,7 +982,8 @@ class SuiteData:
     def eps_geodesic(self) -> EpsGeodesic:
         """The (CURVATURE_EPSILON, CURVATURE_N_TIME) rung of the chain, solved up to that eps only."""
         prefix = WEAK_EPSILONS[: WEAK_EPSILONS.index(CURVATURE_EPSILON) + 1]
-        return self._chain(prefix)[CURVATURE_N_TIME][-1]
+        n_times = CHAIN_N_TIMES[: CHAIN_N_TIMES.index(CURVATURE_N_TIME) + 1]
+        return self._ladder(prefix, WEAK_TOL, n_times)[-1][-1]
 
     @cached_property
     def levels(self) -> list:
@@ -1014,9 +996,7 @@ class SuiteData:
 
     @cached_property
     def curved_geodesics(self) -> list:
-        return eps_continuation(
-            self.curved_bg, self.endpoint_0, self.endpoint_1, EPS_A_EPSILONS, self.n_time
-        )
+        return eps_continuation(self.curved_bg, self.endpoint_0, self.endpoint_1, EPS_A_EPSILONS, (self.n_time,))[0]
 
     def eps_a_traces(self, a_value: float) -> list:
         spec = TruncationSpec(float(a_value))
@@ -1025,7 +1005,7 @@ class SuiteData:
     @cached_property
     def ladder_rungs(self) -> list:
         """One EpsGeodesic per entry of ladder_epsilons, warm-started in order."""
-        return self._continuation(self.ladder_epsilons, self.ladder_geodesic_tol)
+        return self._ladder(self.ladder_epsilons, self.ladder_geodesic_tol, (self.n_time,))[0]
 
     @cached_property
     def ladder_path(self) -> PathField:
@@ -1081,9 +1061,9 @@ def suite_convexity(data: SuiteData) -> list:
 
 def suite_curvature(data: SuiteData) -> list:
     return [
-        eps_curvature_identity(data.bg, data.eps_geodesic, levels=data.levels),
+        eps_curvature_identity(data.bg, data.eps_geodesic, data.levels),
         eps_geodesic_residual_c(data.bg, data.eps_geodesic),
-        control_curvature(data.bg, data.eps_geodesic, levels=data.levels),
+        control_curvature(data.bg, data.eps_geodesic, data.levels),
         control_residual_c(data.bg, data.eps_geodesic),
     ]
 

@@ -298,7 +298,7 @@ def test_study_exits_2_before_its_stages_when_a_verify_object_fails(tmp_path, mo
     def losing_the_cone(*args, **kwargs):
         raise PositivityLoss("cone condition lost")
 
-    monkeypatch.setattr(verify, "weak_geodesic", losing_the_cone)
+    monkeypatch.setattr(verify, "weak_limit", losing_the_cone)
     out = tmp_path / "out"
     cfg = _study_config(tmp_path, [0.1, 0.01, 0.001])
     assert main(["study", "--config", cfg, "--out", str(out)]) == 2

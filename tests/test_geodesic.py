@@ -601,7 +601,7 @@ def test_errors_name_the_failing_solve(small_bg):
 def test_weak_geodesic_record_and_bound(small_bg):
     """The continuation's rungs carry the increments and residuals of the ladder."""
     e0, e1 = _endpoints(small_bg.grid)
-    rungs = eps_continuation(small_bg, e0, e1, (1e-1, 1e-2, 1e-3), 8)
+    rungs = eps_continuation(small_bg, e0, e1, (1e-1, 1e-2, 1e-3), (8,))[0]
     assert [r.epsilon for r in rungs] == [1e-1, 1e-2, 1e-3]
     incs = rung_increments(rungs)
     assert len(incs) == 2 and incs[1] < incs[0]
@@ -640,12 +640,11 @@ def test_prolonged_fine_ladder_agrees_with_the_eps_warm_one(a):
     bg = make_background(SpatialGrid(256))
     e0, e1 = np.zeros(256), fourier_field(bg.grid, [(1, a / (2.0 * np.pi) ** 2, 0.0)])
     ladder = (1e-1, 1e-2, 1e-3, 1e-4)
-    coarse = eps_continuation(bg, e0, e1, ladder, 32)
-    prolonged = weak_limit(bg, eps_continuation(bg, e0, e1, ladder, 64, coarse=coarse))
+    prolonged = weak_limit(bg, eps_continuation(bg, e0, e1, ladder, (32, 64))[1])
     warm = weak_geodesic(bg, e0, e1, ladder, n_time=64)
     assert np.max(np.abs(prolonged.values - warm.values)) <= 1e-12
-    with pytest.raises(ValueError, match="same ladder at n_time 32"):
-        eps_continuation(bg, e0, e1, ladder[:3], 64, coarse=coarse)
+    with pytest.raises(ValueError, match="must double the one before"):
+        eps_continuation(bg, e0, e1, ladder[:3], (32, 128))
 
 
 def test_cold_and_warm_solves_agree_to_round_off(bg, endpoint_0, endpoint_1, eps_geo):
@@ -654,7 +653,7 @@ def test_cold_and_warm_solves_agree_to_round_off(bg, endpoint_0, endpoint_1, eps
     polished to the round-off floor, so the start no longer shows (7.9e-13 between cold and
     warm when Newton stopped at the first iterate under tol)."""
     cold = solve_eps_geodesic(EpsGeodesicProblem(bg, endpoint_0, endpoint_1, 1e-2, 64))
-    warm = eps_continuation(bg, endpoint_0, endpoint_1, (1e-1, 1e-2), 64)[-1]
+    warm = eps_continuation(bg, endpoint_0, endpoint_1, (1e-1, 1e-2), (64,))[0][-1]
     for other in (warm, eps_geo):
         assert np.max(np.abs(other.path.values - cold.path.values)) <= 1e-15
     for sol in (cold, warm, eps_geo):
@@ -687,7 +686,7 @@ def test_secant_start_or_the_last_rung(small_bg, monkeypatch, ladder, secant):
     and the rung starts from rung 2 instead."""
     e0, e1 = _endpoints(small_bg.grid)
     starts = _logged_starts(monkeypatch)
-    rungs = geodesic.eps_continuation(small_bg, e0, e1, ladder, 8)
+    rungs = geodesic.eps_continuation(small_bg, e0, e1, ladder, (8,))[0]
     a, b = (r.path.values for r in rungs[:2])
     assert starts[0] is None and starts[1] is a
     extrapolated = b + (ladder[2] - ladder[1]) / (ladder[1] - ladder[0]) * (b - a)
@@ -705,9 +704,27 @@ def test_ladder_rungs_agree_with_cold_solves(small_bg):
     its cold solve to 1e-14 (up to 2.4e-12 when Newton stopped at the first iterate under tol)."""
     e0, e1 = _endpoints(small_bg.grid)
     ladder = (1e-1, 10.0**-1.5, 1e-2, 10.0**-2.5, 1e-3, 1e-4)
-    for rung in eps_continuation(small_bg, e0, e1, ladder, 8):
+    for rung in eps_continuation(small_bg, e0, e1, ladder, (8,))[0]:
         cold = solve_eps_geodesic(EpsGeodesicProblem(small_bg, e0, e1, rung.epsilon, 8))
         assert np.max(np.abs(rung.path.values - cold.path.values)) <= 1e-14
+
+
+def test_a_multi_level_ladder_resumes_from_its_solved_rungs(small_bg):
+    """Given the solved levels of a ladder prefix, eps_continuation keeps those rung objects and
+    solves the rest bit for bit as a fresh call does; a level that does not double the one
+    before it is refused."""
+    e0, e1 = _endpoints(small_bg.grid)
+    ladder = (1e-1, 1e-2, 1e-3)
+    part = eps_continuation(small_bg, e0, e1, ladder[:2], (8, 16))
+    resumed = eps_continuation(small_bg, e0, e1, ladder, (8, 16), solved=part)
+    fresh = eps_continuation(small_bg, e0, e1, ladder, (8, 16))
+    assert [[r.path.n_time for r in level] for level in resumed] == [[8] * 3, [16] * 3]
+    for kept, level, other in zip(part, resumed, fresh):
+        assert all(a is b for a, b in zip(kept, level))
+        assert [r.epsilon for r in level] == list(ladder)
+        assert all(np.array_equal(a.path.values, b.path.values) for a, b in zip(level, other))
+    with pytest.raises(ValueError, match="must double the one before"):
+        eps_continuation(small_bg, e0, e1, ladder, (8, 24))
 
 
 def test_weak_geodesic_input_validation(small_bg):

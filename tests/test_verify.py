@@ -270,7 +270,7 @@ def test_curvature_identity_requires_converged_input(small_bg):
     geo = _constant_geodesic(small_bg, 32)
     fake = replace(geo, residual_sup=1.0)
     with pytest.raises(NotASolution, match="residual"):
-        eps_curvature_identity(small_bg, fake)
+        eps_curvature_identity(small_bg, fake, [])  # the residual is checked before the levels are read
 
 
 # ---------------------------------------------------------------------------
@@ -327,11 +327,8 @@ def test_boundary_refinement_on_cached_paths_equals_direct_solves(small_bg):
     assert data.boundary_paths is data.boundary_paths  # cached
 
     assert CHAIN_N_TIMES == (16, *BOUNDARY_N_TIMES)
-    rungs = geodesic.eps_continuation(small_bg, endpoint_0, endpoint_1, WEAK_EPSILONS, 16)
-    direct = []
-    for n_time in BOUNDARY_N_TIMES:
-        rungs = geodesic.eps_continuation(small_bg, endpoint_0, endpoint_1, WEAK_EPSILONS, n_time, coarse=rungs)
-        direct.append(geodesic.weak_limit(small_bg, rungs))
+    levels = geodesic.eps_continuation(small_bg, endpoint_0, endpoint_1, WEAK_EPSILONS, CHAIN_N_TIMES)
+    direct = [geodesic.weak_limit(small_bg, rungs) for rungs in levels[1:]]
     rows = []
     for nt, path in zip(BOUNDARY_N_TIMES, direct):
         m = mabuchi(small_bg, path).values
