@@ -12,9 +12,10 @@ one batched linear system per step; a batch of one row does the
 arithmetic of the plain loop.
 
 A Newton step may come with a reusable solve, the factored Jacobian of its
-iterate.  The next iterate then first tries a chord step with it (Kelley,
-Solving Nonlinear Equations with Newton's Method, SIAM 2003): one full
-step, kept only if it stays admissible and cuts the residual by
+iterate or another fixed linear approximation of its inverse, such as a
+two-grid cycle.  The next iterate then first tries a chord step with it
+(Kelley, Solving Nonlinear Equations with Newton's Method, SIAM 2003): one
+full step, kept only if it stays admissible and cuts the residual by
 CHORD_CONTRACTION; otherwise the factorization is dropped and a fresh
 Newton step with line search is taken at the same iterate, so every failure
 comes from a fresh step.  A row that reaches tol goes on with chord steps
@@ -48,9 +49,11 @@ class NewtonRecord:
     """Per-row steps and sup-norm histories (start included); halvings and factorizations of all rows.
 
     A row's steps count Newton and chord steps alike; factorizations counts
-    the newton_step calls, each over the rows it was given.  fallbacks is the
-    caller's: the steps whose reduced-precision factor failed and were
-    factored again in float64, each one factorization more.
+    the newton_step calls, each over the rows it was given.  The rest are
+    the caller's.  fallbacks: the steps whose reduced-precision factor failed
+    and were factored again in float64, each one factorization more.
+    two_grid: the steps taken from a two-grid cycle, and two_grid_fallbacks
+    the cycles that failed and gave way to a factorization of the whole system.
     """
 
     row_iterations: np.ndarray
@@ -58,6 +61,8 @@ class NewtonRecord:
     halvings: int = 0
     factorizations: int = 0
     fallbacks: int = 0
+    two_grid: int = 0
+    two_grid_fallbacks: int = 0
 
     @property
     def iterations(self) -> int:  # summed over the rows

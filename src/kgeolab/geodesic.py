@@ -18,31 +18,50 @@ the start beyond round-off.  The LU is numpy's, multifrontal in George's
 nested-dissection order of the periodic (n_time - 1) x n_points strip
 (George, SIAM J. Numer. Anal. 1973), each batch of like fronts factored as
 a stack of dense blocks (splu).  Its symbolic phase is built once per grid,
-in int32, and kept while that grid is factored (_dissection; 1.3 MB on
-256 x 63).  A solve permutes the right-hand side into elimination order,
-where each batch pivots one slice, and sweeps once up and once down the
-tree.  Against SuperLU on the same order, the factor stores about 0.9 of
-the entries; another ordering changes only the last bits of the solution.
+in int32, and kept while that grid is factored (_dissection; 1.0 MB on
+512 x 31, 0.5 MB on 256 x 31).  A solve permutes the right-hand side into
+elimination order, where each batch pivots one slice, and sweeps once up
+and once down the tree.  Against SuperLU on the same order, the factor
+stores about 0.9 of the entries; another ordering changes only the last
+bits of the solution.
 
 A Newton step factors in float32 and takes that factor's solve as its step
-(_factor_and_solve).  The factor stores its blocks in half the bytes (3.8
-instead of 7.5 MB on 256 x 63) and takes about a third less time than in
-float64 (256 x 63: 36 -> 24 ms; 512 x 31: 22 -> 15 ms).  The step is off by
-the float32 solve's 1e-7..1e-4 relative error, which the driver's chord
-steps on the same factor remove: each is kept only if it cuts the float64
-Newton residual tenfold, so the chord steps refine in two precisions
-(Carson & Higham, SIAM J. Sci. Comput. 2018) and the polish ends at the
-float64 floor.  A float32 pivot block that np.linalg.inv rejects, a float32
-overflow or a step whose float64 linear residual exceeds half the
-right-hand side makes the step factor again in float64, and the solve's
-NewtonRecord counts these fallbacks.
+(_factor_and_solve).  The factor stores its blocks in half the bytes (2.9
+instead of 5.8 MB on 512 x 31) and takes about a third less time than in
+float64 (512 x 31: 22 -> 15 ms).  The step is off by the float32 solve's
+1e-7..1e-4 relative error, which the driver's chord steps on the same
+factor remove: each is kept only if it cuts the float64 Newton residual
+tenfold, so the chord steps refine in two precisions (Carson & Higham,
+SIAM J. Sci. Comput. 2018) and the polish ends at the float64 floor.  A
+float32 pivot block that np.linalg.inv rejects, a float32 overflow or a
+step whose float64 linear residual exceeds half the right-hand side makes
+the step factor again in float64, and the solve's NewtonRecord counts
+these fallbacks.
+
+A solve given the rung of the same problem at half the n_time refines it
+without a fine LU: it starts from prolong_in_s of that rung (nested
+iteration, Brandt, Math. Comp. 1977), and each Newton step takes its step
+from one two-grid cycle (_two_grid), which also serves the driver's chord
+steps and polish.  The cycle coarsens in s only, onto the even time rows,
+where the coarse operator is the float32 factor of the Jacobian at the
+iterate's even rows, and it relaxes whole x-lines.  As eps falls, the s
+coupling (w + Phi_xx)/ds^2 outgrows the x coupling Phi_ss/h^2; line
+relaxation keeps the cycle robust where that anisotropy flips, on the
+thin slices of a nearly degenerate endpoint (Schaffer, SIAM J. Sci.
+Comput. 1998).  A cycle whose step does not cut the linear residual by
+CHORD_CONTRACTION gives way to _factor_and_solve, and NewtonRecord counts
+the steps of both kinds.  By power iteration, a cycle contracts at
+0.01-0.05 on the canonical endpoints, 0.05-0.24 at density amplitude 0.3
+and 0.09-0.54 at 0.9; a step from a prolonged start does better, and only
+at 0.9 do some steps fall back.
 
 eps_continuation is the one eps-ladder solver of the package.  It solves
 the ladder at each of its n_time levels, coarse to fine.  On the first
 level, from the third rung on, a rung starts from the secant extrapolation
 in eps of the two rungs before it.  Every later level doubles n_time, and
-each of its rungs starts from prolong_in_s of the same rung one level
-coarser.  weak_limit certifies the small-eps limit of one level.
+each of its rungs is refined by two-grid steps from the same rung one
+level coarser, so a level factors only Jacobians of the level below.
+weak_limit certifies the small-eps limit of one level.
 legendre_oracle is the independent surrogate for the exact degenerate
 solution: with P = x^2/2 + psi + phi the admissible cone becomes discrete
 convexity of P, and the degenerate flow is affine interpolation of the convex
@@ -61,7 +80,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._newton import NewtonRecord, damped_newton
+from ._newton import CHORD_CONTRACTION, NewtonRecord, damped_newton
 from .errors import (
     FamilyMismatch,
     KGeoError,
@@ -474,6 +493,88 @@ def _factor_and_solve(coefs: np.ndarray, b: np.ndarray) -> tuple:
     return lu, lu.solve(b), True
 
 
+def _two_grid(coefs: np.ndarray, coarse: _FrontalLU):
+    """One two-grid cycle for J s = b from s = 0, as a function of b; s and b are raveled like coefs.
+
+    coarse is the factor of the Jacobian on every second time row.  A
+    cycle is a zebra x-line Gauss-Seidel sweep (the lines of the odd time
+    rows, then those of the even ones), full weighting in s of the
+    residual onto the even rows, the coarse factor's solve there, linear
+    prolongation in s of that correction, and a second zebra sweep.  A line
+    row divided by -Phi_ss/h^2, its coupling to both x-neighbours, is
+    symmetric periodic tridiagonal with off-diagonal -1 and diagonal
+    2 + 2 h^2 (w + Phi_xx) / (ds^2 Phi_ss), which is above 2 in the cone.
+    """
+    from .ma_fiber import _periodic_tridiagonal  # not at the top: ma_fiber imports this module
+
+    n_int, n = coefs.shape[1:]
+    centre, x_nbr, s_nbr, diag, anti = coefs
+    lines = -centre / x_nbr
+    odd, even = slice(0, None, 2), slice(1, None, 2)  # interior rows at s = ds, 3 ds, ... and 2 ds, 4 ds, ...
+
+    def product(s, rows, whole):
+        """J s on the lines rows; without their own line terms unless whole."""
+        g = _periodic_pad(np.pad(s, ((1, 1), (0, 0))))
+        up, down = g[2:][rows], g[:-2][rows]
+        out = s_nbr[rows] * (up[:, 1:-1] + down[:, 1:-1])
+        out += diag[rows] * (up[:, 2:] + down[:, :-2]) + anti[rows] * (up[:, :-2] + down[:, 2:])
+        if whole:
+            mid = g[1:-1][rows]
+            out += centre[rows] * mid[:, 1:-1] + x_nbr[rows] * (mid[:, 2:] + mid[:, :-2])
+        return out
+
+    def relax(s, b, rows):  # the lines rows solved exactly, the rows next to them held
+        s[rows] = _periodic_tridiagonal(lines[rows], -1.0, (product(s, rows, False) - b[rows]) / x_nbr[rows])[0]
+
+    def cycle(b: np.ndarray) -> np.ndarray:
+        b = b.reshape(n_int, n)
+        s = np.zeros((n_int, n))
+        relax(s, b, odd)
+        relax(s, b, even)
+        r = b[odd] - product(s, odd, True)  # on the even lines, just relaxed, the residual is round-off
+        e = np.zeros((n_int // 2 + 2, n))  # the correction on the even rows, s = 0 and s = 1 included
+        e[1:-1] = coarse.solve(0.25 * (r[:-1] + r[1:])).reshape(-1, n)
+        s[even] += e[1:-1]
+        s[odd] += 0.5 * (e[:-1] + e[1:])
+        relax(s, b, odd)
+        relax(s, b, even)
+        return s.reshape(-1)
+
+    return cycle
+
+
+def _two_grid_step(bg: Background, p: np.ndarray, coefs: np.ndarray, b: np.ndarray):
+    """(cycle, s): the two-grid cycle of the Jacobian coefs at the path values p and its step for
+    J s = b, or None where the float32 coarse factor fails or the step does not cut the linear
+    residual by CHORD_CONTRACTION.  The coarse Jacobian is taken at the even rows of p."""
+    try:
+        with np.errstate(over="raise"):  # an overflow fails the cycle as a singular block does
+            cycle = _two_grid(coefs, splu(_jacobian(bg, p[::2]).astype(np.float32)))
+            s = cycle(b)
+    except (FloatingPointError, np.linalg.LinAlgError):
+        return None
+    if np.max(np.abs(b - _jacobian_times(coefs, s))) <= CHORD_CONTRACTION * np.max(np.abs(b)):
+        return cycle, s
+    return None
+
+
+def _jacobian(bg: Background, p: np.ndarray) -> np.ndarray:
+    """The (5, n_time - 1, n_points) stencil coefficients of the Newton Jacobian at the path values p."""
+    h = bg.grid.spacing
+    ds = 1.0 / (p.shape[0] - 1)
+    inv_h2 = 1.0 / (h * h)
+    inv_ds2 = 1.0 / (ds * ds)
+    m_xx, phi_ss, phi_xs = _stencil_parts(bg, p)
+    q = phi_xs / (2.0 * h * ds)
+    return np.stack([
+        -2.0 * inv_h2 * phi_ss - 2.0 * inv_ds2 * m_xx,  # centre
+        inv_h2 * phi_ss,  # x neighbours
+        inv_ds2 * m_xx,  # s neighbours
+        -q,  # (+1, +1) and (-1, -1)
+        q,  # (+1, -1) and (-1, +1)
+    ])
+
+
 def _stencil_parts(bg: Background, p: np.ndarray) -> tuple:
     """w + Phi_xx, Phi_ss and Phi_xs on the interior rows of the path values p, as Newton assembles them."""
     h = bg.grid.spacing
@@ -498,23 +599,27 @@ def solve_eps_geodesic(
     tol: float = 1e-10,
     path0: np.ndarray | None = None,
 ) -> EpsGeodesic:
-    """Damped Newton over all interior rows jointly."""
+    """Damped Newton over all interior rows jointly, from the affine guess or path0.
+
+    path0 holds the n_time + 1 rows of a start, or the n_time / 2 + 1 rows
+    of a coarser rung: that one is prolonged in s (prolong_in_s) and every
+    Newton step takes the two-grid cycle (_two_grid) as its step and as the
+    solve of its chord steps.  A cycle that fails its tenfold test gives
+    way to the fine factor; the record counts both kinds of step.
+    """
     bg = problem.bg
     grid = bg.grid
     n = grid.n_points
     nt = problem.n_time
     n_int = nt - 1
-    h = grid.spacing
-    ds = 1.0 / nt
     w = bg.w
     e0, e1 = problem.endpoint_0, problem.endpoint_1
-    inv_h2 = 1.0 / (h * h)
-    inv_ds2 = 1.0 / (ds * ds)
+    refined = path0 is not None and 2 * (len(path0) - 1) == nt
 
     def full_path(x):
         return np.vstack([e0[None, :], x.reshape(n_int, n), e1[None, :]])
 
-    fallbacks = [0]  # steps factored again in float64
+    counts = {"fallbacks": 0, "two_grid": 0, "two_grid_fallbacks": 0}
 
     def evaluate(x, rows):  # x is a batch of one row, shape (1, n_int * n)
         parts = _stencil_parts(bg, full_path(x))
@@ -523,23 +628,21 @@ def solve_eps_geodesic(
         return r.reshape(1, -1), np.array([_in_cone(parts)])
 
     def newton_step(x, r, rows):
-        m_xx, phi_ss, phi_xs = _stencil_parts(bg, full_path(x))
-        q = phi_xs / (2.0 * h * ds)
-        coefs = np.stack([
-            -2.0 * inv_h2 * phi_ss - 2.0 * inv_ds2 * m_xx,  # centre
-            inv_h2 * phi_ss,  # x neighbours
-            inv_ds2 * m_xx,  # s neighbours
-            -q,  # (+1, +1) and (-1, -1)
-            q,  # (+1, -1) and (-1, +1)
-        ])
-        del m_xx, phi_ss, phi_xs, q  # the factorization needs only the stack
+        p = full_path(x)
+        coefs = _jacobian(bg, p)
         if not np.isfinite(coefs).all():  # np.linalg.inv passes NaN and inf through
             raise SingularSystem("space-time Jacobian is not finite")
+        if refined:
+            cycled = _two_grid_step(bg, p, coefs, -r[0])
+            counts["two_grid" if cycled else "two_grid_fallbacks"] += 1
+            if cycled:
+                cycle, step = cycled
+                return step[None, :], lambda r, rows: cycle(-r[0])[None, :]
         try:
             lu, step, fell_back = _factor_and_solve(coefs, -r[0])
         except (RuntimeError, np.linalg.LinAlgError) as exc:
             raise SingularSystem(f"space-time Jacobian factorization failed: {exc}") from exc
-        fallbacks[0] += fell_back
+        counts["fallbacks"] += fell_back
 
         def solve(r, rows):  # the driver's chord steps reuse this LU at later iterates
             return lu.solve(-r[0])[None, :]
@@ -548,9 +651,12 @@ def solve_eps_geodesic(
 
     try:
         start = initial_guess(problem) if path0 is None else np.asarray(path0, dtype=float)
+        if refined:
+            start = prolong_in_s(start)
         x0 = start[1:-1, :].reshape(1, -1)
         x, rec = damped_newton(x0, evaluate, newton_step, tol=tol, max_iter=60)
-        rec.fallbacks = fallbacks[0]
+        for name, count in counts.items():
+            setattr(rec, name, count)
         path = PathField(grid, full_path(x))
         cert = eval_geodesic_residual(bg, path, problem.epsilon)
         cert_sup = float(np.max(np.abs(cert)))
@@ -608,8 +714,9 @@ def eps_continuation(
     Allgower & Georg, Numerical Continuation Methods, 1990: the rungs are
     close to linear in eps), or from the rung before it where that start
     leaves the cone.  Each later n_time must double the one before; its
-    rung k starts from prolong_in_s of rung k one level coarser, and needs
-    about one Newton step (mesh independence).  The leading rungs of level
+    rung k is solve_eps_geodesic's refinement of rung k one level coarser,
+    passed as path0: prolonged in s, it needs about one Newton step (mesh
+    independence), taken from a two-grid cycle.  The leading rungs of level
     j already in solved[j] (same endpoints, levels and tol) are kept.
     Returns one list of EpsGeodesic per level.
     """
@@ -621,7 +728,7 @@ def eps_continuation(
         for k in range(len(rungs), len(epsilons)):
             problem = EpsGeodesicProblem(bg, endpoint_0, endpoint_1, float(epsilons[k]), n_time)
             if levels:
-                path0 = prolong_in_s(levels[-1][k].path.values)
+                path0 = levels[-1][k].path.values  # prolonged and refined by two-grid steps
             elif len(rungs) >= 2:
                 path0 = _secant_start(bg, rungs[-2], rungs[-1], problem.epsilon)
             else:

@@ -26,10 +26,12 @@ what the fiberwise report shows, passed flag included.
 
 solve_aubin_fiber solves a stack of fibers as one batch of the shared Newton
 driver.  Per row, -J = -D2 + (1/eps) w e^phi is symmetric positive definite
-and periodic tridiagonal, and a step solves it bordered: one batched cyclic
-reduction (_cyclic_reduction) solves the leading (n-1)-blocks of every row
-still iterating for the residual and the corner column, and the last node
-follows from the scalar Schur complement.
+and periodic tridiagonal, and a step solves it bordered (_periodic_tridiagonal):
+one batched cyclic reduction (_cyclic_reduction) solves the leading
+(n-1)-blocks of every row still iterating for the residual and the corner
+column, and the last node follows from the scalar Schur complement.  The
+x-line smoother of the eps-geodesic's two-grid cycle solves its lines with
+the same routine.
 """
 
 from __future__ import annotations
@@ -162,6 +164,30 @@ def _cyclic_reduction(d: np.ndarray, e: float, b: np.ndarray) -> tuple:
     return x[:m], low
 
 
+def _periodic_tridiagonal(diag: np.ndarray, e: float, r: np.ndarray) -> tuple:
+    """Solve periodic symmetric tridiagonal systems T_k x = r[k], batched, by bordering.
+
+    Row k of diag (batch, n) is the diagonal of T_k, and e its constant
+    off-diagonal, which the corners T_k[0, n-1] = T_k[n-1, 0] repeat.  One
+    _cyclic_reduction solves the leading (n-1)-blocks of every system for
+    its right-hand side and for the corner column, and the last unknown
+    follows from the scalar Schur complement.  T_k is positive definite iff
+    all pivots of that reduction and the Schur complement are positive.
+    Returns (x, the smallest of them for each system).
+    """
+    n = diag.shape[1]
+    # the leading (n-1)-blocks give y1 (for r) and y2 (for the corner column b);
+    # last = (r_last - b.y1) / (d_last - b.y2)
+    rhs = np.zeros((n - 1, 2, len(diag)))
+    rhs[:, 0], rhs[[0, -1], 1] = r[:, :-1].T, e
+    y, low = _cyclic_reduction(diag[:, :-1].T, e, rhs)
+    y1, y2 = y[:, 0].T, y[:, 1].T
+    schur = diag[:, -1] - e * (y2[:, 0] + y2[:, -1])
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero Schur complement shows in low
+        last = (r[:, -1:] - e * (y1[:, :1] + y1[:, -1:])) / schur[:, None]
+    return np.hstack([y1 - last * y2, last]), np.minimum(low, schur)
+
+
 def solve_aubin_fiber(problem: FiberProblem, phi0=None, tol: float = 1e-11) -> FiberSolution:
     """Damped Newton for every row of (*), from phi0 or the constant mass-matching guess.
 
@@ -186,24 +212,16 @@ def solve_aubin_fiber(problem: FiberProblem, phi0=None, tol: float = 1e-11) -> F
     def evaluate(phi, rows):  # every iterate is admissible
         return bg.d2(phi) - coef[rows] * np.exp(phi) + source[rows], np.ones(len(rows), dtype=bool)
 
-    def newton_step(phi, r, rows):
-        # (-J) step = r: the leading (n-1)-blocks of -J give y1 (residual) and y2 (corner
-        # column b); last = (r_last - b.y1) / (d_last - b.y2)
+    def newton_step(phi, r, rows):  # (-J) step = r
         diag = 2.0 * inv_h2 + coef[rows] * np.exp(phi)
         finite = np.isfinite(diag).all(axis=1)  # else a NaN would read as an indefinite Jacobian
         if not finite.all():
             raise SingularSystem("fiber Jacobian is not finite").at_row(rows[np.argmin(finite)])
-        rhs = np.zeros((n - 1, 2, len(rows)))
-        rhs[:, 0], rhs[[0, -1], 1] = r[:, :-1].T, -inv_h2
-        y, low = _cyclic_reduction(diag[:, :-1].T, -inv_h2, rhs)
-        y1, y2 = y[:, 0].T, y[:, 1].T
-        schur = diag[:, -1] + inv_h2 * (y2[:, 0] + y2[:, -1])
-        low = np.minimum(low, schur)
+        step, low = _periodic_tridiagonal(diag, -inv_h2, r)
         if not np.all(low > 0.0):
             b = np.argmin(low > 0.0)
             raise SingularSystem(f"fiber Jacobian is not positive definite (pivot {low[b]:.3g})").at_row(rows[b])
-        last = (r[:, -1:] + inv_h2 * (y1[:, :1] + y1[:, -1:])) / schur[:, None]
-        return np.hstack([y1 - last * y2, last]), None
+        return step, None
 
     phi, rec = damped_newton(
         np.array(phi0, dtype=float, ndmin=2), evaluate, newton_step, tol=tol, max_iter=200

@@ -441,8 +441,9 @@ def eps_curvature_identity(
 
     residuals = []
     shapes = []
-    for level_bg, level_eg in levels:
-        residuals.append(_identity_residual(_curvature_fields(level_bg, level_eg), kappa))
+    for level_bg, level_eg in levels:  # the finest level is (bg, eg) itself, whose fields are at hand
+        level_fields = fields if level_eg is eg else _curvature_fields(level_bg, level_eg)
+        residuals.append(_identity_residual(level_fields, kappa))
         shapes.append([level_bg.grid.n_points, level_eg.path.n_time])
     ratios = [residuals[i] / residuals[i + 1] for i in range(len(residuals) - 1)]
     margin_ratio = min(min(r - 3.0 for r in ratios), min(5.0 - r for r in ratios))

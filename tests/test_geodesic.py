@@ -647,6 +647,75 @@ def test_prolonged_fine_ladder_agrees_with_the_eps_warm_one(a):
         eps_continuation(bg, e0, e1, ladder[:3], (32, 128))
 
 
+def _fine_lu_solve(bg, e0, e1, coarse: "geodesic.EpsGeodesic", n_time: int):
+    """The problem of a refined rung solved through the fine LU, from the prolonged coarser rung."""
+    problem = EpsGeodesicProblem(bg, e0, e1, coarse.epsilon, n_time)
+    return solve_eps_geodesic(problem, path0=geodesic.prolong_in_s(coarse.path.values))
+
+
+def test_refined_rungs_equal_fine_lu_solves_from_the_same_start(bg, endpoint_0, endpoint_1):
+    """The chain's n_time-32 and n_time-64 rungs take every step from a two-grid cycle, none
+    falling back on the canonical endpoints, and equal the same problems solved through the fine
+    LU from the same prolonged start to 1e-12, the bound of tools/compare_artifacts.py on solved
+    fields."""
+    levels = eps_continuation(bg, endpoint_0, endpoint_1, (1e-1, 1e-2, 1e-3, 1e-4), (16, 32, 64))
+    for coarse, fine in zip(levels, levels[1:]):
+        for below, rung in zip(coarse, fine):
+            rec = rung.record
+            assert rec.two_grid == rec.factorizations >= 1 and rec.two_grid_fallbacks == rec.fallbacks == 0
+            assert rung.residual_sup <= 1e-13
+            lu = _fine_lu_solve(bg, endpoint_0, endpoint_1, below, rung.path.n_time)
+            assert lu.record.two_grid == lu.record.two_grid_fallbacks == 0
+            assert np.max(np.abs(rung.path.values - lu.path.values)) <= 1e-12
+
+
+def test_refined_rungs_converge_near_a_degenerate_endpoint_and_count_their_fallbacks(
+    bg, endpoint_0, monkeypatch
+):
+    """At density amplitude 0.9 (node density down to 0.1) the cycle contracts at up to about
+    0.5, so some refined Newton steps fail the tenfold test and factor the fine Jacobian: each
+    such step makes one splu call more than its coarse factor.  Every rung still converges."""
+    e1 = fourier_field(bg.grid, [(1, 0.9 / (2.0 * np.pi) ** 2, 0.0)])
+    real_splu = geodesic.splu
+    stacks = []
+
+    def logging(coefs):
+        stacks.append(coefs.shape[1])
+        return real_splu(coefs)
+
+    monkeypatch.setattr(geodesic, "splu", logging)
+    levels = eps_continuation(bg, endpoint_0, e1, (1e-1, 1e-2, 1e-3, 1e-4), (16, 32, 64))
+    records = [rung.record for level in levels for rung in level]
+    assert all(rung.residual_sup <= 1e-10 for level in levels for rung in level)
+    assert len(stacks) == sum(rec.factorizations + rec.fallbacks + rec.two_grid_fallbacks for rec in records)
+    refined = records[4:]
+    assert all(rec.two_grid + rec.two_grid_fallbacks == rec.factorizations for rec in refined)
+    assert sum(rec.two_grid_fallbacks for rec in refined) >= 1
+    assert stacks.count(63) == sum(rec.two_grid_fallbacks + rec.fallbacks for rec in records[8:])
+
+
+def test_wrong_coarse_factor_makes_every_refined_step_fall_back(small_bg, monkeypatch):
+    """A coarse factor of J / 3, whose correction is three times too large, leaves a cycle that does
+    not cut the linear residual tenfold, so every refined Newton step falls back to the fine
+    factor, and the rung is the fine LU's.  (With 3 J, whose correction is a third of the right
+    one, a step from a residual rough in s still passes: the smoother alone cuts that tenfold.)"""
+    e0, e1 = _endpoints(small_bg.grid)
+    coarse = eps_continuation(small_bg, e0, e1, (1e-1, 1e-2, 1e-3), (8,))[0]
+    references = [_fine_lu_solve(small_bg, e0, e1, below, 16) for below in coarse]
+    real_splu = geodesic.splu
+
+    def off_by_three(coefs):  # the coarse stack has 7 rows, the fine one 15
+        return real_splu(coefs / 3.0 if coefs.shape[1] == 7 else coefs)
+
+    monkeypatch.setattr(geodesic, "splu", off_by_three)
+    for below, reference in zip(coarse, references):
+        sol = solve_eps_geodesic(EpsGeodesicProblem(small_bg, e0, e1, below.epsilon, 16), path0=below.path.values)
+        rec = sol.record
+        assert rec.two_grid == 0 and rec.two_grid_fallbacks == rec.factorizations >= 1
+        assert sol.residual_sup <= 1e-13
+        assert np.max(np.abs(sol.path.values - reference.path.values)) <= 1e-15
+
+
 def test_cold_and_warm_solves_agree_to_round_off(bg, endpoint_0, endpoint_1, eps_geo):
     """The curvature problem (eps = 1e-2, n_time 64, canonical endpoints), cold, warm from
     eps = 0.1 and as the rung of verify's chain (from the prolonged n_time-32 rung): all are

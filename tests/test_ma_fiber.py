@@ -199,6 +199,25 @@ def test_cyclic_reduction_matches_dptsv(m, rows):
         assert np.max(np.abs(x[:, :, k] - reference)) <= 1e-13 * np.max(np.abs(reference))
 
 
+@pytest.mark.parametrize("n, lines", [(8, 1), (64, 7), (256, 32)])
+def test_periodic_tridiagonal_solves_row_scaled_x_lines(n, lines):
+    """The bordered periodic solve that the fiber step and the eps-geodesic's line smoother share,
+    on x-lines of the space-time Jacobian divided by -Phi_ss/h^2: diagonal
+    2 + 2 h^2 (w + Phi_xx) / (ds^2 Phi_ss) with random positive Phi_ss and w + Phi_xx, off-diagonal
+    -1, matches a dense solve to 1e-12 relative and reports positive pivots."""
+    rng = np.random.default_rng(n + lines)
+    h, ds = 1.0 / n, 1.0 / 64
+    m_xx, phi_ss = np.exp(rng.uniform(np.log(1e-3), np.log(10.0), (2, lines, n)))
+    diag = 2.0 + 2.0 * h * h * m_xx / (ds * ds * phi_ss)
+    r = rng.standard_normal((lines, n))
+    x, low = ma_fiber._periodic_tridiagonal(diag, -1.0, r)
+    assert np.all(low > 0.0)
+    ring = np.roll(np.eye(n), 1, axis=1) + np.roll(np.eye(n), -1, axis=1)  # both x-neighbours, periodic
+    for k in range(lines):
+        dense = np.linalg.solve(np.diag(diag[k]) - ring, r[k])
+        assert np.max(np.abs(x[k] - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+
 @given(seed=st.integers(0, 10_000))
 @settings(max_examples=20, deadline=None)
 def test_comparison_defect_nonpositive(seed):
