@@ -19,7 +19,7 @@ nested-dissection order of the periodic (n_time - 1) x n_points strip
 (George, SIAM J. Numer. Anal. 1973), each batch of like fronts factored as
 a stack of dense blocks (splu).  Its symbolic phase is built once per grid,
 in int32, and kept while that grid is factored (_dissection; 1.0 MB on
-512 x 31, 0.5 MB on 256 x 31).  A solve permutes the right-hand side into
+512 x 31, 0.23 MB on 256 x 15).  A solve permutes the right-hand side into
 elimination order, where each batch pivots one slice, and sweeps once up
 and once down the tree.  Against SuperLU on the same order, the factor
 stores about 0.9 of the entries; another ordering changes only the last
@@ -43,24 +43,34 @@ without a fine LU: it starts from prolong_in_s of that rung (nested
 iteration, Brandt, Math. Comp. 1977), and each Newton step takes its step
 from one two-grid cycle (_two_grid), which also serves the driver's chord
 steps and polish.  The cycle coarsens in s only, onto the even time rows,
-where the coarse operator is the float32 factor of the Jacobian at the
-iterate's even rows, and it relaxes whole x-lines.  As eps falls, the s
-coupling (w + Phi_xx)/ds^2 outgrows the x coupling Phi_ss/h^2; line
-relaxation keeps the cycle robust where that anisotropy flips, on the
-thin slices of a nearly degenerate endpoint (Schaffer, SIAM J. Sci.
-Comput. 1998).  A cycle whose step does not cut the linear residual by
-CHORD_CONTRACTION gives way to _factor_and_solve, and NewtonRecord counts
-the steps of both kinds.  By power iteration, a cycle contracts at
-0.01-0.05 on the canonical endpoints, 0.05-0.24 at density amplitude 0.3
-and 0.09-0.54 at 0.9; a step from a prolonged start does better, and only
-at 0.9 do some steps fall back.
+and it relaxes whole x-lines, whose two sets (odd and even rows) it
+factors once per Newton step (ma_fiber._PeriodicFactor) and only
+substitutes in its sweeps.  As eps falls, the s coupling (w + Phi_xx)/ds^2
+outgrows the x coupling Phi_ss/h^2; line relaxation keeps the cycle robust
+where that anisotropy flips, on the thin slices of a nearly degenerate
+endpoint (Schaffer, SIAM J. Sci. Comput. 1998; Trottenberg, Oosterlee &
+Schueller, Multigrid, 2001, 5.1).  The coarse solve (_coarse_solve) is the
+float32 factor of the Jacobian at the iterate's even rows when those are
+at most 16 intervals; above that it is COARSE_CYCLES two-grid cycles of
+that Jacobian, whose own coarse solve recurses.  So a refined level factors
+only Jacobians of at most 16 intervals in s: a step of the chain's
+n_time-64 level cycles over the levels 64, 32 and 16 (a W-cycle, with two
+cycles per coarse solve), and the chain factors a 256 x 31 Jacobian, and
+builds its symbolic phase, only for a fallback step.  A cycle whose step
+does not cut the linear residual by CHORD_CONTRACTION gives way to
+_factor_and_solve, and NewtonRecord counts the steps of both kinds.  By
+power iteration, a two-grid cycle contracts at 0.01-0.05 on the canonical
+endpoints, 0.05-0.24 at density amplitude 0.3 and 0.09-0.54 at 0.9; a step
+from a prolonged start does better, and only at 0.9 do some steps fall
+back.
 
 eps_continuation is the one eps-ladder solver of the package.  It solves
 the ladder at each of its n_time levels, coarse to fine.  On the first
 level, from the third rung on, a rung starts from the secant extrapolation
 in eps of the two rungs before it.  Every later level doubles n_time, and
 each of its rungs is refined by two-grid steps from the same rung one
-level coarser, so a level factors only Jacobians of the level below.
+level coarser, so a chain from n_time 16 factors only Jacobians of its
+first level's grid.
 weak_limit certifies the small-eps limit of one level.
 legendre_oracle is the independent surrogate for the exact degenerate
 solution: with P = x^2/2 + psi + phi the admissible cone becomes discrete
@@ -456,13 +466,21 @@ def splu(coefs: np.ndarray) -> _FrontalLU:
     return _FrontalLU(sweeps, order, blocks)
 
 
+def _ghosted(s: np.ndarray) -> np.ndarray:
+    """The interior rows s with the zero Dirichlet rows around them and a periodic ghost column on each side."""
+    g = np.zeros((s.shape[0] + 2, s.shape[1] + 2))
+    g[1:-1, 1:-1] = s
+    g[1:-1, 0], g[1:-1, -1] = s[:, -1], s[:, 0]
+    return g
+
+
 def _jacobian_times(coefs: np.ndarray, s: np.ndarray) -> np.ndarray:
     """J s in float64 for the nine-point Jacobian of the coefficient stack coefs, s raveled like it.
 
     The Dirichlet rows beyond the first and last interior row are zero, x is periodic.
     """
     centre, x_nbr, s_nbr, diag, anti = coefs
-    g = _periodic_pad(np.pad(s.reshape(coefs.shape[1:]), ((1, 1), (0, 0))))
+    g = _ghosted(s.reshape(coefs.shape[1:]))
     return (
         centre * g[1:-1, 1:-1]
         + x_nbr * (g[1:-1, 2:] + g[1:-1, :-2])
@@ -493,28 +511,31 @@ def _factor_and_solve(coefs: np.ndarray, b: np.ndarray) -> tuple:
     return lu, lu.solve(b), True
 
 
-def _two_grid(coefs: np.ndarray, coarse: _FrontalLU):
+def _two_grid(coefs: np.ndarray, coarse):
     """One two-grid cycle for J s = b from s = 0, as a function of b; s and b are raveled like coefs.
 
-    coarse is the factor of the Jacobian on every second time row.  A
-    cycle is a zebra x-line Gauss-Seidel sweep (the lines of the odd time
+    coarse solves the Jacobian on every second time row (_coarse_solve).
+    A cycle is a zebra x-line Gauss-Seidel sweep (the lines of the odd time
     rows, then those of the even ones), full weighting in s of the
-    residual onto the even rows, the coarse factor's solve there, linear
+    residual onto the even rows, the coarse solve there, linear
     prolongation in s of that correction, and a second zebra sweep.  A line
     row divided by -Phi_ss/h^2, its coupling to both x-neighbours, is
     symmetric periodic tridiagonal with off-diagonal -1 and diagonal
     2 + 2 h^2 (w + Phi_xx) / (ds^2 Phi_ss), which is above 2 in the cone.
+    Both line sets are factored here, once, and every sweep of every cycle
+    only substitutes.
     """
-    from .ma_fiber import _periodic_tridiagonal  # not at the top: ma_fiber imports this module
+    from .ma_fiber import _PeriodicFactor  # not at the top: ma_fiber imports this module
 
     n_int, n = coefs.shape[1:]
     centre, x_nbr, s_nbr, diag, anti = coefs
     lines = -centre / x_nbr
     odd, even = slice(0, None, 2), slice(1, None, 2)  # interior rows at s = ds, 3 ds, ... and 2 ds, 4 ds, ...
+    zebra = [(rows, _PeriodicFactor(lines[rows], -1.0)) for rows in (odd, even)]
 
     def product(s, rows, whole):
         """J s on the lines rows; without their own line terms unless whole."""
-        g = _periodic_pad(np.pad(s, ((1, 1), (0, 0))))
+        g = _ghosted(s)
         up, down = g[2:][rows], g[:-2][rows]
         out = s_nbr[rows] * (up[:, 1:-1] + down[:, 1:-1])
         out += diag[rows] * (up[:, 2:] + down[:, :-2]) + anti[rows] * (up[:, :-2] + down[:, 2:])
@@ -523,33 +544,60 @@ def _two_grid(coefs: np.ndarray, coarse: _FrontalLU):
             out += centre[rows] * mid[:, 1:-1] + x_nbr[rows] * (mid[:, 2:] + mid[:, :-2])
         return out
 
-    def relax(s, b, rows):  # the lines rows solved exactly, the rows next to them held
-        s[rows] = _periodic_tridiagonal(lines[rows], -1.0, (product(s, rows, False) - b[rows]) / x_nbr[rows])[0]
+    def sweep(s, b):  # each line set solved exactly, the rows next to it held
+        for rows, factor in zebra:
+            s[rows] = factor.solve((product(s, rows, False) - b[rows]) / x_nbr[rows])
 
     def cycle(b: np.ndarray) -> np.ndarray:
         b = b.reshape(n_int, n)
         s = np.zeros((n_int, n))
-        relax(s, b, odd)
-        relax(s, b, even)
+        sweep(s, b)
         r = b[odd] - product(s, odd, True)  # on the even lines, just relaxed, the residual is round-off
         e = np.zeros((n_int // 2 + 2, n))  # the correction on the even rows, s = 0 and s = 1 included
-        e[1:-1] = coarse.solve(0.25 * (r[:-1] + r[1:])).reshape(-1, n)
+        e[1:-1] = coarse(0.25 * (r[:-1] + r[1:])).reshape(-1, n)
         s[even] += e[1:-1]
         s[odd] += 0.5 * (e[:-1] + e[1:])
-        relax(s, b, odd)
-        relax(s, b, even)
+        sweep(s, b)
         return s.reshape(-1)
 
     return cycle
 
 
+#: two-grid cycles per coarse solve on a level above the factored one, so that two make a W-cycle.
+#: A level's cycle contracts at up to about 0.5 near a degenerate endpoint, and the level above
+#: sees that as the error of its coarse solve.  At density amplitude 0.9, with one cycle all 4
+#: n_time-64 rungs fell back to their fine factor; with two, 3 of 4 do, and three match the 2 of
+#: 4 of a factored coarse level at half as many cycles again on every step.
+COARSE_CYCLES = 2
+
+
+def _coarse_solve(bg: Background, p: np.ndarray):
+    """The coarse solve of the two-grid cycle one level finer: J e = r for the Jacobian at the path
+    values p, as a function of r.  Up to n_time 16 it is the float32 factor's solve; above, it is
+    COARSE_CYCLES two-grid cycles of that Jacobian, each on the coarse solve at every second row of
+    p, so only the first level at or below n_time 16 is factored."""
+    if len(p) - 1 <= 16:
+        return splu(_jacobian(bg, p).astype(np.float32)).solve
+    coefs = _jacobian(bg, p)
+    cycle = _two_grid(coefs, _coarse_solve(bg, p[::2]))
+
+    def solve(r: np.ndarray) -> np.ndarray:
+        r = r.reshape(-1)
+        s = cycle(r)
+        for _ in range(COARSE_CYCLES - 1):
+            s += cycle(r - _jacobian_times(coefs, s))
+        return s
+
+    return solve
+
+
 def _two_grid_step(bg: Background, p: np.ndarray, coefs: np.ndarray, b: np.ndarray):
     """(cycle, s): the two-grid cycle of the Jacobian coefs at the path values p and its step for
-    J s = b, or None where the float32 coarse factor fails or the step does not cut the linear
-    residual by CHORD_CONTRACTION.  The coarse Jacobian is taken at the even rows of p."""
+    J s = b, or None where a float32 coarse factor fails or the step does not cut the linear
+    residual by CHORD_CONTRACTION.  The coarse level is taken at the even rows of p."""
     try:
         with np.errstate(over="raise"):  # an overflow fails the cycle as a singular block does
-            cycle = _two_grid(coefs, splu(_jacobian(bg, p[::2]).astype(np.float32)))
+            cycle = _two_grid(coefs, _coarse_solve(bg, p[::2]))
             s = cycle(b)
     except (FloatingPointError, np.linalg.LinAlgError):
         return None

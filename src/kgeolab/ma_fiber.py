@@ -26,12 +26,14 @@ what the fiberwise report shows, passed flag included.
 
 solve_aubin_fiber solves a stack of fibers as one batch of the shared Newton
 driver.  Per row, -J = -D2 + (1/eps) w e^phi is symmetric positive definite
-and periodic tridiagonal, and a step solves it bordered (_periodic_tridiagonal):
-one batched cyclic reduction (_cyclic_reduction) solves the leading
-(n-1)-blocks of every row still iterating for the residual and the corner
-column, and the last node follows from the scalar Schur complement.  The
-x-line smoother of the eps-geodesic's two-grid cycle solves its lines with
-the same routine.
+and periodic tridiagonal with a constant off-diagonal, and a step factors
+the rows still iterating once (_PeriodicFactor): one batched cyclic
+reduction of the leading (n-1)-blocks, their solve for the corner column and
+the scalar Schur complement of the last node.  The factor's solve then only
+substitutes, and its smallest pivot per row tells whether that row's
+Jacobian is positive definite.  The x-line smoother of the eps-geodesic's
+two-grid cycle factors its two line sets the same way, once per Newton step,
+and substitutes in every sweep.
 """
 
 from __future__ import annotations
@@ -118,81 +120,86 @@ class FiberSolution:
 # fiber solver
 
 
-def _cyclic_reduction(d: np.ndarray, e: float, b: np.ndarray) -> tuple:
-    """Solve symmetric tridiagonal systems T x = b by cyclic reduction, batched.
+class _PeriodicFactor:
+    """Factor of periodic symmetric tridiagonal systems T_k x = r_k, batched.
 
-    Column k of d (m, batch) is the diagonal of T_k and e its constant
-    off-diagonal; b[:, :, k] (m, n_rhs, batch) holds its right-hand sides.
-    Each level eliminates the unknowns 0, 2, 4, ... of the system the level
-    before left, which leaves a tridiagonal system of half the size on the
-    odd ones (Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 1970); m is
-    padded with decoupled unit rows to 2^l - 1.  The pivots are the
-    diagonals of the eliminated unknowns, level by level, so T_k is
-    positive definite iff all of them are positive.  Returns (x, the
-    smallest pivot of each system).
+    Row k of diag (batch, n) is the diagonal of T_k and e its constant
+    off-diagonal, which the corners T_k[0, n-1] = T_k[n-1, 0] repeat.  The
+    leading (n-1)-blocks are reduced once by cyclic reduction: each level
+    eliminates the unknowns 0, 2, 4, ... of the system the level before
+    left, which leaves a tridiagonal system of half the size on the odd ones
+    (Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 1970), with n - 1 padded
+    by decoupled unit rows to 2^l - 1.  The blocks are then solved for the
+    corner column, and the last unknown's scalar Schur complement is formed,
+    so solve(r) only substitutes.  low is, per system, the smallest of the
+    reduction's pivots (the diagonals of the eliminated unknowns, level by
+    level) and the Schur complement: T_k is positive definite iff it is
+    positive.  Each level keeps its inverted pivots and its couplings only;
+    a solve forms the eliminators (coupling times inverted pivot) again, in
+    the operations the reduction used, since storing them as well takes
+    5/3 of the memory.  Every element of a solve takes the operations of a
+    one-pass elimination with the right-hand side in the same order, so the
+    solution does not depend on what else the factor solved.
     """
-    m, batch = d.shape
-    size = 1
-    while size < m:
-        size = 2 * size + 1
-    dd, ee, bb = d, np.full((m - 1, batch), e), b
-    if size > m:
-        dd = np.concatenate([d, np.ones((size - m, batch))])
-        ee = np.concatenate([ee, np.zeros((size - m, batch))])
-        bb = np.concatenate([b, np.zeros((size - m, *b.shape[1:]))])
-    levels, low = [], np.full(batch, np.inf)
-    while len(dd) > 1:
-        piv = dd[::2]
-        low = np.minimum(low, piv.min(axis=0))
-        inv = 1.0 / piv
-        lo, hi = ee[::2], ee[1::2]  # the couplings of each kept unknown to its two neighbours
-        alpha, beta = lo * inv[:-1], hi * inv[1:]
-        levels.append((inv, ee, bb))
-        dd = dd[1::2] - alpha * lo - beta * hi
-        ee = -beta[:-1] * ee[2::2]
-        bb = bb[1::2] - alpha[:, None] * bb[:-1:2] - beta[:, None] * bb[2::2]
-    low = np.minimum(low, dd[0])
-    x = bb / dd[:, None]
-    for inv, ee, bb in reversed(levels):  # back substitution, coarse to fine
-        full = np.empty((2 * len(x) + 1, *bb.shape[1:]))
-        full[1::2] = x
-        elim = bb[::2].copy()
-        elim[1:] -= ee[1::2, None] * x
-        elim[:-1] -= ee[::2, None] * x
-        full[::2] = elim * inv[:, None]
-        x = full
-    return x[:m], low
 
+    def __init__(self, diag: np.ndarray, e: float):
+        batch, n = diag.shape
+        self.m, self.size, self.e = n - 1, 1, e
+        while self.size < self.m:
+            self.size = 2 * self.size + 1
+        dd = np.ones((self.size, batch))
+        dd[: self.m] = diag[:, :-1].T
+        ee = np.zeros((self.size - 1, batch))
+        ee[: self.m - 1] = e
+        self.levels, low = [], np.full(batch, np.inf)
+        while len(dd) > 1:
+            piv = dd[::2]
+            low = np.minimum(low, piv.min(axis=0))
+            inv = 1.0 / piv
+            self.levels.append((inv, ee))
+            lo, hi = ee[::2], ee[1::2]  # the couplings of each kept unknown to its two neighbours
+            alpha, beta = lo * inv[:-1], hi * inv[1:]
+            dd = dd[1::2] - alpha * lo - beta * hi
+            ee = -beta[:-1] * ee[2::2]
+        self.top = dd
+        corner = np.zeros((n, batch))
+        corner[[0, -2]] = e
+        self.corner = self._block_solve(corner)  # y2: T's (n-1)-block times y2 is the corner column
+        self.schur = diag[:, -1] - e * (self.corner[:, 0] + self.corner[:, -1])
+        self.low = np.minimum(np.minimum(low, dd[0]), self.schur)
 
-def _periodic_tridiagonal(diag: np.ndarray, e: float, r: np.ndarray) -> tuple:
-    """Solve periodic symmetric tridiagonal systems T_k x = r[k], batched, by bordering.
+    def _block_solve(self, r: np.ndarray) -> np.ndarray:
+        """The (n-1)-blocks solved for the first n - 1 rows of r (n, batch); returns (batch, n - 1)."""
+        b = np.zeros((self.size, r.shape[1]))
+        b[: self.m] = r[:-1]
+        kept = []
+        for inv, ee in self.levels:
+            kept.append(b)
+            b = b[1::2] - (ee[::2] * inv[:-1]) * b[:-1:2] - (ee[1::2] * inv[1:]) * b[2::2]
+        x = b / self.top
+        for (inv, ee), b in zip(reversed(self.levels), reversed(kept)):  # back substitution, coarse to fine
+            full = np.empty((2 * len(x) + 1, x.shape[1]))
+            full[1::2] = x
+            elim = b[::2].copy()
+            elim[1:] -= ee[1::2] * x
+            elim[:-1] -= ee[::2] * x
+            full[::2] = elim * inv
+            x = full
+        return x[: self.m].T
 
-    Row k of diag (batch, n) is the diagonal of T_k, and e its constant
-    off-diagonal, which the corners T_k[0, n-1] = T_k[n-1, 0] repeat.  One
-    _cyclic_reduction solves the leading (n-1)-blocks of every system for
-    its right-hand side and for the corner column, and the last unknown
-    follows from the scalar Schur complement.  T_k is positive definite iff
-    all pivots of that reduction and the Schur complement are positive.
-    Returns (x, the smallest of them for each system).
-    """
-    n = diag.shape[1]
-    # the leading (n-1)-blocks give y1 (for r) and y2 (for the corner column b);
-    # last = (r_last - b.y1) / (d_last - b.y2)
-    rhs = np.zeros((n - 1, 2, len(diag)))
-    rhs[:, 0], rhs[[0, -1], 1] = r[:, :-1].T, e
-    y, low = _cyclic_reduction(diag[:, :-1].T, e, rhs)
-    y1, y2 = y[:, 0].T, y[:, 1].T
-    schur = diag[:, -1] - e * (y2[:, 0] + y2[:, -1])
-    with np.errstate(divide="ignore", invalid="ignore"):  # a zero Schur complement shows in low
-        last = (r[:, -1:] - e * (y1[:, :1] + y1[:, -1:])) / schur[:, None]
-    return np.hstack([y1 - last * y2, last]), np.minimum(low, schur)
+    def solve(self, r: np.ndarray) -> np.ndarray:
+        """x with T_k x[k] = r[k] for every k; r and x are (batch, n)."""
+        y = self._block_solve(r.T)
+        with np.errstate(divide="ignore", invalid="ignore"):  # a zero Schur complement shows in low
+            last = (r[:, -1:] - self.e * (y[:, :1] + y[:, -1:])) / self.schur[:, None]
+        return np.hstack([y - last * self.corner, last])
 
 
 def solve_aubin_fiber(problem: FiberProblem, phi0=None, tol: float = 1e-11) -> FiberSolution:
     """Damped Newton for every row of (*), from phi0 or the constant mass-matching guess.
 
-    Each step is one bordered cyclic reduction over the rows still iterating; a
-    failure names its row in the exception's ``row``.
+    Each step factors the rows still iterating (_PeriodicFactor) and solves
+    once; a failure names its row in the exception's ``row``.
     """
     bg = problem.bg
     n = bg.grid.n_points
@@ -217,11 +224,12 @@ def solve_aubin_fiber(problem: FiberProblem, phi0=None, tol: float = 1e-11) -> F
         finite = np.isfinite(diag).all(axis=1)  # else a NaN would read as an indefinite Jacobian
         if not finite.all():
             raise SingularSystem("fiber Jacobian is not finite").at_row(rows[np.argmin(finite)])
-        step, low = _periodic_tridiagonal(diag, -inv_h2, r)
+        factor = _PeriodicFactor(diag, -inv_h2)
+        low = factor.low
         if not np.all(low > 0.0):
             b = np.argmin(low > 0.0)
             raise SingularSystem(f"fiber Jacobian is not positive definite (pivot {low[b]:.3g})").at_row(rows[b])
-        return step, None
+        return factor.solve(r), None
 
     phi, rec = damped_newton(
         np.array(phi0, dtype=float, ndmin=2), evaluate, newton_step, tol=tol, max_iter=200

@@ -546,34 +546,36 @@ def test_verify_chain_is_solved_first_coarse_to_fine(tmp_path, monkeypatch, argv
 
 def test_fine_boundary_ladder_factors_once_per_rung(tmp_path, monkeypatch):
     """verify's n_time-32 and n_time-64 ladders, started from the rungs of the level below, make
-    one LU per rung, of the Jacobian on every second time row: the two-grid cycle's coarse factor.
+    one LU per rung, of the Jacobian on the n_time-16 rows that the W-cycle's coarsest level reads.
 
     Along eps alone the 4 rungs took 5 LUs at n_time 32 (3, 3, 3 and 2 at
-    n_time 64 before the chord steps).  The factorizations come in size
-    blocks, coarse to fine: the chain's n_time-16 ladder along eps (5) and
-    its n_time-32 level (4) on the n_time-16 grid, its n_time-64 level (4)
-    on the n_time-32 grid, then only smaller systems.  Before the two-grid
-    cycle each level factored its own grid: blocks of 5, 4 and 4 LUs at
-    n_time 16, 32 and 64.
+    n_time 64 before the chord steps).  The factorizations come in one size
+    block for the whole chain: its n_time-16 ladder along eps (5), its
+    n_time-32 level (4) and its n_time-64 level (4), all on the n_time-16
+    grid, then only smaller systems.  Before the W-cycle the n_time-64
+    level factored the n_time-32 grid (blocks of 9 and 4); before the
+    two-grid cycle each level factored its own grid (blocks of 5, 4 and 4).
     """
     lus = _log_calls(monkeypatch, geodesic, "splu")
     cfg = _write_config(tmp_path)
     assert main(["verify", "--suite", "convexity", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
-    sizes = [15 * 64, 31 * 64]
+    size = 15 * 64
     blocks = [(size, len(list(run))) for size, run in itertools.groupby(coefs[0].size for (coefs,) in lus)]
-    assert blocks[:2] == [(sizes[0], 9), (sizes[1], 4)]
-    assert all(size < sizes[0] for size, _ in blocks[2:])
+    assert blocks[0] == (size, 13)
+    assert all(other < size for other, _ in blocks[1:])
 
 
 def test_verify_factors_no_stack_of_63_time_rows(tmp_path, monkeypatch):
-    """verify --suite all refines the chain's n_time-64 rungs by two-grid steps on the n_time-32
-    grid and factors no 63-row stack.  The 64-point grid's 31-row stacks are those four coarse
-    factors, so no refined step of n_time 32 or 64 fell back to its fine factor."""
+    """verify --suite all refines the chain's n_time-32 and n_time-64 rungs by cycles whose
+    coarsest level is the n_time-16 grid, so the chain factors no 63-row stack and no 31-row stack
+    of the 64-point grid either: no refined step fell back to its fine factor.  (The 31-row stack
+    of the 32-point grid is a coarse level of the curvature check.)"""
     lus = _log_calls(monkeypatch, geodesic, "splu")
     cfg = _write_config(tmp_path)
     assert main(["verify", "--suite", "all", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
     stacks = [coefs.shape[1:] for (coefs,) in lus]
-    assert all(rows != 63 for rows, _ in stacks) and stacks.count((31, 64)) == 4
+    assert all(rows != 63 for rows, _ in stacks) and (31, 64) not in stacks
+    assert stacks.count((15, 64)) == 13
 
 
 @pytest.mark.parametrize("argv, extra, lus", [
@@ -590,9 +592,9 @@ def test_geodesic_lu_counts(tmp_path, monkeypatch, argv, extra, lus):
     curvature geodesic (one LU of 4,032 unknowns); its geodesic now comes
     from the chain, whose n_time-16 ladder (5 LUs of 960 unknowns) this
     config's n_time of 8 does not share with weak_path.  The chain's 8
-    refined rungs take one two-grid step each, whose LU is of the coarser
-    level: still 22 LUs, but 4 of 960 unknowns in place of 4 of 1,984 and 4
-    of 1,984 in place of 4 of 4,032 (test_fine_boundary_ladder_factors_once_per_rung).
+    refined rungs take one two-grid step each, whose LU is of the n_time-16
+    grid: still 22 LUs, but 8 of 960 unknowns in place of 4 of 1,984 and 4
+    of 4,032 (test_fine_boundary_ladder_factors_once_per_rung).
     """
     factored = []
     real = geodesic.solve_eps_geodesic

@@ -653,12 +653,31 @@ def _fine_lu_solve(bg, e0, e1, coarse: "geodesic.EpsGeodesic", n_time: int):
     return solve_eps_geodesic(problem, path0=geodesic.prolong_in_s(coarse.path.values))
 
 
-def test_refined_rungs_equal_fine_lu_solves_from_the_same_start(bg, endpoint_0, endpoint_1):
+def _logged_stacks(monkeypatch) -> list:
+    """The time rows of every stack geodesic.splu factors from now on, in call order."""
+    real_splu = geodesic.splu
+    stacks = []
+
+    def logging(coefs):
+        stacks.append(coefs.shape[1])
+        return real_splu(coefs)
+
+    monkeypatch.setattr(geodesic, "splu", logging)
+    return stacks
+
+
+def test_refined_rungs_equal_fine_lu_solves_from_the_same_start(bg, endpoint_0, endpoint_1, monkeypatch):
     """The chain's n_time-32 and n_time-64 rungs take every step from a two-grid cycle, none
     falling back on the canonical endpoints, and equal the same problems solved through the fine
     LU from the same prolonged start to 1e-12, the bound of tools/compare_artifacts.py on solved
-    fields."""
+    fields.  The n_time-64 rungs take theirs through the W-cycle, whose coarse solve is two cycles
+    on the n_time-32 rows over the factor of the n_time-16 rows: the chain factors only 15-row
+    stacks."""
+    stacks = _logged_stacks(monkeypatch)
     levels = eps_continuation(bg, endpoint_0, endpoint_1, (1e-1, 1e-2, 1e-3, 1e-4), (16, 32, 64))
+    monkeypatch.undo()
+    records = [rung.record for level in levels for rung in level]
+    assert stacks == [15] * sum(rec.factorizations for rec in records)
     for coarse, fine in zip(levels, levels[1:]):
         for below, rung in zip(coarse, fine):
             rec = rung.record
@@ -674,24 +693,21 @@ def test_refined_rungs_converge_near_a_degenerate_endpoint_and_count_their_fallb
 ):
     """At density amplitude 0.9 (node density down to 0.1) the cycle contracts at up to about
     0.5, so some refined Newton steps fail the tenfold test and factor the fine Jacobian: each
-    such step makes one splu call more than its coarse factor.  Every rung still converges."""
+    such step makes one splu call more than its coarse factor.  3 of the 4 rungs of each refined
+    level fall back once (at n_time 64, 2 of 4 while its coarse solve was the n_time-32 factor).
+    Every rung still converges."""
     e1 = fourier_field(bg.grid, [(1, 0.9 / (2.0 * np.pi) ** 2, 0.0)])
-    real_splu = geodesic.splu
-    stacks = []
-
-    def logging(coefs):
-        stacks.append(coefs.shape[1])
-        return real_splu(coefs)
-
-    monkeypatch.setattr(geodesic, "splu", logging)
+    stacks = _logged_stacks(monkeypatch)
     levels = eps_continuation(bg, endpoint_0, e1, (1e-1, 1e-2, 1e-3, 1e-4), (16, 32, 64))
     records = [rung.record for level in levels for rung in level]
     assert all(rung.residual_sup <= 1e-10 for level in levels for rung in level)
     assert len(stacks) == sum(rec.factorizations + rec.fallbacks + rec.two_grid_fallbacks for rec in records)
     refined = records[4:]
     assert all(rec.two_grid + rec.two_grid_fallbacks == rec.factorizations for rec in refined)
-    assert sum(rec.two_grid_fallbacks for rec in refined) >= 1
+    assert [[rec.two_grid_fallbacks for rec in records[k : k + 4]] for k in (4, 8)] == [[0, 1, 1, 1]] * 2
+    assert stacks.count(31) == sum(rec.two_grid_fallbacks + rec.fallbacks for rec in records[4:8])
     assert stacks.count(63) == sum(rec.two_grid_fallbacks + rec.fallbacks for rec in records[8:])
+    assert len(stacks) == stacks.count(15) + stacks.count(31) + stacks.count(63)
 
 
 def test_wrong_coarse_factor_makes_every_refined_step_fall_back(small_bg, monkeypatch):

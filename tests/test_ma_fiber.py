@@ -184,38 +184,110 @@ def test_indefinite_jacobian_raises_not_positive_definite_naming_its_row(small_b
 @pytest.mark.parametrize("rows", [1, 17])
 @pytest.mark.parametrize("m", [7, 8, 63, 255, 511])
 def test_cyclic_reduction_matches_dptsv(m, rows):
-    """Cyclic reduction solves the fiber step's (n-1)-block systems as LAPACK's LDL^T does, to
-    1e-13 relative, on diagonals 2/h^2 + (1/eps) w e^phi with (1/eps) w e^phi from 10 to 1e3."""
+    """The factor's cyclic reduction solves the fiber step's (n-1)-block systems as LAPACK's LDL^T
+    does, to 1e-13 relative, on diagonals 2/h^2 + (1/eps) w e^phi with (1/eps) w e^phi from 10 to
+    1e3; the last row's diagonal is the only one the blocks do not read."""
     lapack = pytest.importorskip("scipy.linalg.lapack")
     rng = np.random.default_rng(m * rows)
     inv_h2 = float((m + 1) ** 2)
-    diag = 2.0 * inv_h2 + np.exp(rng.uniform(np.log(10.0), np.log(1e3), (m, rows)))
-    rhs = rng.standard_normal((m, 2, rows))
-    x, low = ma_fiber._cyclic_reduction(diag, -inv_h2, rhs)
-    assert np.all(low > 0.0) and np.all(low <= diag.min(axis=0))
-    for k in range(rows):
-        _, _, reference, info = lapack.dptsv(diag[:, k], np.full(m - 1, -inv_h2), rhs[:, :, k])
-        assert info == 0
-        assert np.max(np.abs(x[:, :, k] - reference)) <= 1e-13 * np.max(np.abs(reference))
+    diag = 2.0 * inv_h2 + np.exp(rng.uniform(np.log(10.0), np.log(1e3), (rows, m + 1)))
+    rhs = rng.standard_normal((2, m + 1, rows))
+    factor = ma_fiber._PeriodicFactor(diag, -inv_h2)
+    assert np.all(factor.low > 0.0) and np.all(factor.low <= diag[:, :-1].min(axis=1))
+    for b in rhs:
+        x = factor._block_solve(b)
+        for k in range(rows):
+            _, _, reference, info = lapack.dptsv(diag[k, :-1], np.full(m - 1, -inv_h2), b[:-1, k])
+            assert info == 0
+            assert np.max(np.abs(x[k] - reference)) <= 1e-13 * np.max(np.abs(reference))
+
+
+def _x_lines(n: int, lines: int, seed: int) -> np.ndarray:
+    """Diagonals of x-lines of the space-time Jacobian divided by -Phi_ss/h^2:
+    2 + 2 h^2 (w + Phi_xx) / (ds^2 Phi_ss), with random positive Phi_ss and w + Phi_xx."""
+    rng = np.random.default_rng(seed)
+    h, ds = 1.0 / n, 1.0 / 64
+    m_xx, phi_ss = np.exp(rng.uniform(np.log(1e-3), np.log(10.0), (2, lines, n)))
+    return 2.0 + 2.0 * h * h * m_xx / (ds * ds * phi_ss)
 
 
 @pytest.mark.parametrize("n, lines", [(8, 1), (64, 7), (256, 32)])
 def test_periodic_tridiagonal_solves_row_scaled_x_lines(n, lines):
-    """The bordered periodic solve that the fiber step and the eps-geodesic's line smoother share,
-    on x-lines of the space-time Jacobian divided by -Phi_ss/h^2: diagonal
-    2 + 2 h^2 (w + Phi_xx) / (ds^2 Phi_ss) with random positive Phi_ss and w + Phi_xx, off-diagonal
-    -1, matches a dense solve to 1e-12 relative and reports positive pivots."""
-    rng = np.random.default_rng(n + lines)
-    h, ds = 1.0 / n, 1.0 / 64
-    m_xx, phi_ss = np.exp(rng.uniform(np.log(1e-3), np.log(10.0), (2, lines, n)))
-    diag = 2.0 + 2.0 * h * h * m_xx / (ds * ds * phi_ss)
-    r = rng.standard_normal((lines, n))
-    x, low = ma_fiber._periodic_tridiagonal(diag, -1.0, r)
-    assert np.all(low > 0.0)
+    """The periodic factor that the fiber step and the eps-geodesic's line smoother share, on
+    x-lines of the space-time Jacobian with off-diagonal -1, matches a dense solve to 1e-12
+    relative and reports positive pivots."""
+    diag = _x_lines(n, lines, n + lines)
+    r = np.random.default_rng(n).standard_normal((lines, n))
+    factor = ma_fiber._PeriodicFactor(diag, -1.0)
+    x = factor.solve(r)
+    assert np.all(factor.low > 0.0)
     ring = np.roll(np.eye(n), 1, axis=1) + np.roll(np.eye(n), -1, axis=1)  # both x-neighbours, periodic
     for k in range(lines):
         dense = np.linalg.solve(np.diag(diag[k]) - ring, r[k])
         assert np.max(np.abs(x[k] - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+
+@pytest.mark.parametrize("n, lines", [(8, 3), (256, 32)])
+def test_one_factor_solves_like_a_fresh_factor_per_right_hand_side(n, lines):
+    """A factor kept across solves, as the line smoother keeps it for a Newton step, gives the same
+    bits for each right-hand side as a factor built for that one alone: solve only substitutes."""
+    diag = _x_lines(n, lines, 7 * n)
+    kept = ma_fiber._PeriodicFactor(diag, -1.0)
+    for r in np.random.default_rng(n).standard_normal((4, lines, n)):
+        assert np.array_equal(kept.solve(r), ma_fiber._PeriodicFactor(diag, -1.0).solve(r))
+
+
+def _bordered_reference(diag: np.ndarray, e: float, r: np.ndarray) -> tuple:
+    """The fiber step's former solve, eliminating and substituting in one pass: cyclic reduction of
+    the (n-1)-blocks with the right-hand side and the corner column side by side, then the last
+    unknown from the Schur complement.  Returns (x, the smallest pivot of each system)."""
+    n, batch = diag.shape[1], len(diag)
+    m, size = n - 1, 1
+    while size < m:
+        size = 2 * size + 1
+    dd = np.concatenate([diag[:, :-1].T, np.ones((size - m, batch))])
+    ee = np.concatenate([np.full((m - 1, batch), e), np.zeros((size - m, batch))])
+    bb = np.zeros((size, 2, batch))
+    bb[:m, 0], bb[[0, m - 1], 1] = r[:, :-1].T, e
+    levels, low = [], np.full(batch, np.inf)
+    while len(dd) > 1:
+        piv = dd[::2]
+        low = np.minimum(low, piv.min(axis=0))
+        inv = 1.0 / piv
+        lo, hi = ee[::2], ee[1::2]
+        alpha, beta = lo * inv[:-1], hi * inv[1:]
+        levels.append((inv, ee, bb))
+        dd = dd[1::2] - alpha * lo - beta * hi
+        ee = -beta[:-1] * ee[2::2]
+        bb = bb[1::2] - alpha[:, None] * bb[:-1:2] - beta[:, None] * bb[2::2]
+    low = np.minimum(low, dd[0])
+    y = bb / dd[:, None]
+    for inv, ee, bb in reversed(levels):
+        full = np.empty((2 * len(y) + 1, *bb.shape[1:]))
+        full[1::2] = y
+        elim = bb[::2].copy()
+        elim[1:] -= ee[1::2, None] * y
+        elim[:-1] -= ee[::2, None] * y
+        full[::2] = elim * inv[:, None]
+        y = full
+    y1, y2 = y[:m, 0].T, y[:m, 1].T
+    schur = diag[:, -1] - e * (y2[:, 0] + y2[:, -1])
+    last = (r[:, -1:] - e * (y1[:, :1] + y1[:, -1:])) / schur[:, None]
+    return np.hstack([y1 - last * y2, last]), np.minimum(low, schur)
+
+
+@pytest.mark.parametrize("n, rows", [(8, 1), (64, 5), (256, 17)])
+def test_factor_gives_the_bits_of_the_one_pass_solve(n, rows):
+    """Split into a factor and a substitution, the fiber step's solve does the same operations on
+    every element in the same order as the one-pass reference, so its step and pivots are equal to
+    the last bit, on diagonals 2/h^2 + (1/eps) w e^phi."""
+    rng = np.random.default_rng(n + rows)
+    inv_h2 = float(n * n)
+    diag = 2.0 * inv_h2 + np.exp(rng.uniform(np.log(10.0), np.log(1e3), (rows, n)))
+    r = rng.standard_normal((rows, n))
+    x, low = _bordered_reference(diag, -inv_h2, r)
+    factor = ma_fiber._PeriodicFactor(diag, -inv_h2)
+    assert np.array_equal(factor.solve(r), x) and np.array_equal(factor.low, low)
 
 
 @given(seed=st.integers(0, 10_000))
