@@ -26,6 +26,13 @@ once each, with the config's ``tolerances``; the verify suites keep their
 calibrated ladders and honour only the fiber override.  ``verify`` and
 ``study`` solve verify's eps-ladder chain first, everything else lazily.
 
+Importing this module loads only ``config``, ``model`` and ``errors``
+besides it.  The solver modules (``geodesic``, ``ma_fiber``,
+``functionals``, ``verify``) are imported inside the pipelines that run
+them, after the config has validated, so ``--help``, a config load and the
+exit-1 config errors import none of them; the one exception is a named
+``--suite``, whose check reads verify's suite names.
+
 Environment overrides, the only two honored: KGEOLAB_OUT_DIR supplies
 the output directory when --out is absent, KGEOLAB_THREADS stands in for
 --threads when the flag is absent.  The thread count is validated (an
@@ -41,22 +48,16 @@ import sys
 import traceback
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .config import ExperimentConfig, load_config, validate_against_schema
 from .errors import ConfigError
-from .functionals import TruncationSpec, mabuchi, mabuchi_eps_A, mabuchi_k
-from .geodesic import legendre_oracle, rung_increments
-from .ma_fiber import density_convergence, eps_phi_vanishing, family_report
 from .model import PathField, _format_float, _jsonable
-from .verify import (
-    SUITES,
-    SuiteData,
-    density_limit_report,
-    omega_mask_report,
-    run_suite,
-)
+
+if TYPE_CHECKING:
+    from .verify import SuiteData
 
 SUBCOMMANDS = ("geodesic", "fiberwise", "mabuchi", "verify", "study")
 VARIANTS = ("exact", "k", "epsA")
@@ -92,8 +93,11 @@ def _check_requirements(config: ExperimentConfig, args: argparse.Namespace) -> N
         if command == "mabuchi" and option not in VARIANTS:
             raise ConfigError(f"unknown variant {option!r}; expected one of {list(VARIANTS)}")
         if command == "verify":
-            if option != "all" and option not in SUITES:
-                raise ConfigError(f"unknown suite {option!r}; expected one of {sorted(SUITES)} or 'all'")
+            if option != "all":
+                from .verify import SUITES
+
+                if option not in SUITES:
+                    raise ConfigError(f"unknown suite {option!r}; expected one of {sorted(SUITES)} or 'all'")
             if option in ("all", "convexity", "bounds") and config.n_time < 8:
                 raise ConfigError(f"verify --suite {option} needs time.n_time >= 8")
             n = config.grid.n_points
@@ -159,6 +163,8 @@ def _write_csv_rows(out_dir: Path, name: str, header: str, rows: list[str]) -> N
 
 def run_geodesic(config: ExperimentConfig, data: SuiteData, out_dir: Path) -> int:
     """Epsilon sweep with warm starts; one path CSV per epsilon."""
+    from .geodesic import legendre_oracle, rung_increments
+
     oracle = legendre_oracle(config.bg, config.endpoint_0, config.endpoint_1, config.n_time)
     rungs = data.ladder_rungs
     files = []
@@ -184,6 +190,9 @@ def run_geodesic(config: ExperimentConfig, data: SuiteData, out_dir: Path) -> in
 
 def run_fiberwise(config: ExperimentConfig, data: SuiteData, out_dir: Path) -> int:
     """Family solve along the weak geodesic plus the three family checks."""
+    from .ma_fiber import density_convergence, eps_phi_vanishing, family_report
+    from .verify import density_limit_report
+
     path = data.ladder_path
     family = data.ladder_family
     fam_report = family_report(family)
@@ -228,6 +237,9 @@ def run_fiberwise(config: ExperimentConfig, data: SuiteData, out_dir: Path) -> i
 
 def run_mabuchi(config: ExperimentConfig, data: SuiteData, out_dir: Path, variant: str) -> int:
     """Functional traces along solved paths; no pass/fail judgement here."""
+    from .functionals import TruncationSpec, mabuchi, mabuchi_eps_A, mabuchi_k
+    from .ma_fiber import family_report
+
     bg = config.bg
     traces = []
     extra: dict = {}
@@ -275,6 +287,8 @@ def _suite_data(config: ExperimentConfig) -> SuiteData:
     config's own ladders and tolerances feed the ``ladder_*`` objects that
     the artifact stages read.
     """
+    from .verify import SuiteData
+
     data = SuiteData(
         bg=config.bg,
         endpoint_0=config.endpoint_0,
@@ -299,6 +313,9 @@ def run_verify(config: ExperimentConfig, data: SuiteData, out_dir: Path, suite: 
     exactly when the underlying check rejects the tampered input), so the
     uniform all-rows rule covers them too.
     """
+    from .functionals import TruncationSpec
+    from .verify import density_limit_report, omega_mask_report, run_suite
+
     data.solve_chain_first(suite)
     results = run_suite(data, suite)
 

@@ -129,17 +129,20 @@ class _PeriodicFactor:
     eliminates the unknowns 0, 2, 4, ... of the system the level before
     left, which leaves a tridiagonal system of half the size on the odd ones
     (Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 1970), with n - 1 padded
-    by decoupled unit rows to 2^l - 1.  The blocks are then solved for the
-    corner column, and the last unknown's scalar Schur complement is formed,
-    so solve(r) only substitutes.  low is, per system, the smallest of the
-    reduction's pivots (the diagonals of the eliminated unknowns, level by
-    level) and the Schur complement: T_k is positive definite iff it is
-    positive.  Each level keeps its inverted pivots and its couplings only;
-    a solve forms the eliminators (coupling times inverted pivot) again, in
-    the operations the reduction used, since storing them as well takes
-    5/3 of the memory.  Every element of a solve takes the operations of a
-    one-pass elimination with the right-hand side in the same order, so the
-    solution does not depend on what else the factor solved.
+    by decoupled unit rows to 2^l - 1.  The corner column is reduced in the
+    same loop, with the eliminators each level forms, and substituted back;
+    the last unknown's scalar Schur complement is then formed, so solve(r)
+    only substitutes.  low is, per system, the smallest of the reduction's
+    pivots (the diagonals of the eliminated unknowns, level by level) and
+    the Schur complement: T_k is positive definite iff it is positive.  Each
+    level keeps its inverted pivots and its couplings only (the first
+    level's couplings, the same in every system, as one column); a solve
+    forms the eliminators (coupling times inverted pivot) again, in the
+    operations the reduction used, since storing them as well would add two
+    batch-wide arrays per level.  Every element of a solve takes the
+    operations of a one-pass elimination with the right-hand side in the
+    same order, so the solution does not depend on what else the factor
+    solved.
     """
 
     def __init__(self, diag: np.ndarray, e: float):
@@ -149,22 +152,24 @@ class _PeriodicFactor:
             self.size = 2 * self.size + 1
         dd = np.ones((self.size, batch))
         dd[: self.m] = diag[:, :-1].T
-        ee = np.zeros((self.size - 1, batch))
+        ee = np.zeros((self.size - 1, 1))  # the first level's couplings are the same in every system
         ee[: self.m - 1] = e
-        self.levels, low = [], np.full(batch, np.inf)
+        b = np.zeros((self.size, batch))  # the corner column's first n - 1 rows, reduced alongside
+        b[[0, self.m - 1]] = e
+        self.levels, kept, low = [], [], np.full(batch, np.inf)
         while len(dd) > 1:
             piv = dd[::2]
             low = np.minimum(low, piv.min(axis=0))
             inv = 1.0 / piv
             self.levels.append((inv, ee))
+            kept.append(b)
             lo, hi = ee[::2], ee[1::2]  # the couplings of each kept unknown to its two neighbours
             alpha, beta = lo * inv[:-1], hi * inv[1:]
             dd = dd[1::2] - alpha * lo - beta * hi
+            b = b[1::2] - alpha * b[:-1:2] - beta * b[2::2]
             ee = -beta[:-1] * ee[2::2]
         self.top = dd
-        corner = np.zeros((n, batch))
-        corner[[0, -2]] = e
-        self.corner = self._block_solve(corner)  # y2: T's (n-1)-block times y2 is the corner column
+        self.corner = self._substitute(b, kept)  # y2: T's (n-1)-block times y2 is the corner column
         self.schur = diag[:, -1] - e * (self.corner[:, 0] + self.corner[:, -1])
         self.low = np.minimum(np.minimum(low, dd[0]), self.schur)
 
@@ -176,6 +181,11 @@ class _PeriodicFactor:
         for inv, ee in self.levels:
             kept.append(b)
             b = b[1::2] - (ee[::2] * inv[:-1]) * b[:-1:2] - (ee[1::2] * inv[1:]) * b[2::2]
+        return self._substitute(b, kept)
+
+    def _substitute(self, b: np.ndarray, kept: list) -> np.ndarray:
+        """Rows (batch, n - 1) of the block solution, from the fully reduced right-hand side b and
+        the right-hand side each level started from (kept)."""
         x = b / self.top
         for (inv, ee), b in zip(reversed(self.levels), reversed(kept)):  # back substitution, coarse to fine
             full = np.empty((2 * len(x) + 1, x.shape[1]))

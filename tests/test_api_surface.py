@@ -11,11 +11,16 @@ overrides is a knob, and a check's threshold is the bar, not a knob.
 """
 
 import ast
+import importlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+import kgeolab
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "kgeolab"
 
@@ -166,3 +171,63 @@ def test_benchmark_layer_hooks_install_on_the_package():
     assert traced["geodesic.solve_calls"] == traced["geodesic.solve_distinct"] == 1
     assert traced["geodesic.lu_calls"] >= 1
     assert traced["ma_fiber.fiber_calls"] == 1
+
+
+# the package's re-exported names by the submodule that defines them, pinned so that none drops out
+# of the lazy namespace
+PINNED_EXPORTS = {
+    "config": "ExperimentConfig load_config load_schema parse_config validate_against_schema",
+    "errors": "ConfigError FamilyMismatch IncompatibleMass InteriorTooThin KGeoError NegativeDensity NoConvergence "
+    "NonAdmissiblePsi NotASolution PositivityLoss SchemaViolation SingularSystem SkippedHypothesis",
+    "functionals": "DdcReport FunctionalTrace TruncationSpec ddc_energy_check delta_A energy energy_alpha entropy "
+    "mabuchi mabuchi_eps_A mabuchi_k second_differences truncated_entropy",
+    "geodesic": "EpsGeodesic EpsGeodesicProblem eps_continuation eval_geodesic_residual initial_guess "
+    "legendre_oracle solve_eps_geodesic weak_geodesic",
+    "ma_fiber": "FiberFamily FiberProblem FiberSolution check_bounds default_test_set density_convergence "
+    "eps_phi_vanishing family_report solve_aubin_fiber solve_family",
+    "model": "Background PathField PropertyResult ReducedHessian SpatialGrid fourier_field integrate is_admissible "
+    "make_background metric_density path_d1s path_d1x path_d2s path_d2x path_dxds reduced_hessian",
+    "regularize": "MollifierSpec gaussian_kernel mollify_fiberwise mollify_spacetime semipositivity_constant",
+    "verify": "CURVATURE_KAPPA SUITES DensitySequence SuiteData boundary_continuity_refinement "
+    "convexity_inequality_k curvature_levels ddc_property ddc_test_function delta_a_closed_form density_entropy "
+    "density_limit_report density_truncated_entropy entropy_semicontinuity eps_curvature_identity "
+    "eps_geodesic_residual_c mabuchi_convexity_and_continuity mabuchi_eps_A_almost_convex mass_pairing_property "
+    "max_subharmonic_lemma mollified_sequence omega_mask_report oscillation_sequence random_density_sequence "
+    "run_suite subharmonic_test_fields truncated_semicontinuity truncated_semicontinuity_sweep",
+}
+
+
+def test_lazy_namespace_serves_every_exported_name():
+    """The package resolves its re-exports on access: each is the submodule's own object, and dir()
+    lists it and its submodule."""
+    listed = set(dir(kgeolab))
+    for module, names in PINNED_EXPORTS.items():
+        assert module in listed
+        source = importlib.import_module(f"kgeolab.{module}")
+        for name in names.split():
+            assert name in listed
+            assert getattr(kgeolab, name) is getattr(source, name), f"kgeolab.{name}"
+    assert kgeolab.__version__ == "0.1.0"
+
+
+def test_lazy_namespace_rejects_unknown_names():
+    """A name that is neither re-exported nor a submodule raises AttributeError, also when a
+    submodule defines it."""
+    for name in ("no_such_name", "rung_increments", "_PeriodicFactor"):
+        with pytest.raises(AttributeError, match=name):
+            getattr(kgeolab, name)
+
+
+def test_from_import_of_a_submodule_still_gives_the_submodule():
+    """In a fresh interpreter, importing the package imports no submodule; from-importing one
+    gives the module itself, and a re-exported name through it."""
+    code = (
+        "import sys\n"
+        "import kgeolab\n"
+        "print(sorted(m for m in sys.modules if m.startswith('kgeolab')))\n"
+        "from kgeolab import geodesic, solve_eps_geodesic\n"
+        "print(geodesic is sys.modules['kgeolab.geodesic'], solve_eps_geodesic is geodesic.solve_eps_geodesic)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines() == ["['kgeolab']", "True True"]

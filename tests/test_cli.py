@@ -70,6 +70,30 @@ def test_config_loading_and_config_errors_leave_scipy_unloaded(tmp_path):
     assert "does not match schema" in done.stderr
 
 
+def test_set_up_and_config_errors_leave_the_solver_modules_unloaded(tmp_path):
+    """Importing the CLI, loading a config, --help and an exit-1 config error import no solver
+    module: the pipelines import what they run once the config has validated."""
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])}
+    bad = _write_config(tmp_path, grid={"n_points": 9})
+    code = (
+        "import contextlib, io, sys\n"
+        "import kgeolab.cli as cli\n"
+        "def solvers():\n"
+        "    names = ('geodesic', 'ma_fiber', 'functionals', 'regularize', 'verify', '_newton')\n"
+        "    return [m for m in names if f'kgeolab.{m}' in sys.modules]\n"
+        f"cli.load_config({str(root / 'configs' / 'canonical.json')!r})\n"
+        "print(solvers())\n"
+        f"print(cli.main(['geodesic', '--config', {bad!r}]), solvers())\n"
+        "with contextlib.suppress(SystemExit), contextlib.redirect_stdout(io.StringIO()):\n"
+        "    cli.main(['study', '--help'])\n"
+        "print(solvers())\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines() == ["[]", "1 []", "[]"]
+    assert "does not match schema" in done.stderr
+
+
 def test_study_and_verify_leave_scipy_special_unloaded(tmp_path):
     """study and verify on the canonical config pass with scipy blocked and load no scipy module:
     the entropies compute x log y with numpy, the geodesic factors its Jacobian by nested
@@ -279,7 +303,7 @@ def test_malformed_report_raises_schema_violation_and_writes_nothing(tmp_path, m
     assert exc.value.message == "'geodesic' is a required property"
     assert list(tmp_path.iterdir()) == []
 
-    monkeypatch.setattr(cli, "rung_increments", lambda rungs: ["not a number"] * len(rungs))
+    monkeypatch.setattr(geodesic, "rung_increments", lambda rungs: ["not a number"] * len(rungs))
     out = tmp_path / "out"
     assert main(["geodesic", "--config", _write_config(tmp_path, epsilons=[0.1]), "--out", str(out)]) == 2
     assert "error in geodesic: SchemaViolation" in capsys.readouterr().err
