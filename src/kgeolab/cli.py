@@ -21,10 +21,11 @@ non-reproducible field is the top-level "timestamp" key.  All files are
 written atomically (temp file in the target directory, then rename).
 
 Every stage reads its solved objects from one SuiteData per invocation,
-so a ``study`` solves the config's epsilon ladder and its fiber family
-once each, with the config's ``tolerances``; the verify suites keep their
-calibrated ladders and honour only the fiber override.  ``verify`` and
-``study`` solve verify's eps-ladder chain first, everything else lazily.
+built from the config alone, so a ``study`` solves the config's epsilon
+ladder and its fiber family once each, with the config's ``tolerances``;
+the verify suites keep their calibrated ladders and honour only the fiber
+override.  ``verify`` and ``study`` solve verify's eps-ladder chain first,
+everything else lazily.
 
 Importing this module loads only ``config``, ``model`` and ``errors``
 besides it.  The solver modules (``geodesic``, ``ma_fiber``,
@@ -100,7 +101,7 @@ def _check_requirements(config: ExperimentConfig, args: argparse.Namespace) -> N
                     raise ConfigError(f"unknown suite {option!r}; expected one of {sorted(SUITES)} or 'all'")
             if option in ("all", "convexity", "bounds") and config.n_time < 8:
                 raise ConfigError(f"verify --suite {option} needs time.n_time >= 8")
-            n = config.grid.n_points
+            n = config.bg.grid.n_points
             if option in ("all", "entropy") and n < 26:
                 raise ConfigError(
                     f"verify --suite {option} needs grid.n_points >= 26 for the oscillating "
@@ -279,33 +280,6 @@ def run_mabuchi(config: ExperimentConfig, data: SuiteData, out_dir: Path, varian
     return 0
 
 
-def _suite_data(config: ExperimentConfig) -> SuiteData:
-    """The run's solve cache: geometry, time grid, seed and ladders.
-
-    The check suites' sweep ladders (epsilon, delta, A, k) are the fixed
-    constants of ``verify`` and honour only the fiber tolerance override; the
-    config's own ladders and tolerances feed the ``ladder_*`` objects that
-    the artifact stages read.
-    """
-    from .verify import SuiteData
-
-    data = SuiteData(
-        bg=config.bg,
-        endpoint_0=config.endpoint_0,
-        endpoint_1=config.endpoint_1,
-        n_time=config.n_time,
-        seeds=tuple(range(config.seed, config.seed + 20)),
-        ladder_epsilons=config.epsilons or (),
-        ladder_deltas=config.deltas or (),
-        ladder_geodesic_tol=config.tolerances["geodesic"],
-        ladder_fiber_tol=config.tolerances["fiber"],
-    )
-    fiber_override = config.raw.get("tolerances", {}).get("fiber")
-    if fiber_override is not None:
-        data.family_tol = float(fiber_override)
-    return data
-
-
 def run_verify(config: ExperimentConfig, data: SuiteData, out_dir: Path, suite: str) -> int:
     """Theorem-check suites; exit 0 iff every result row passes.
 
@@ -464,8 +438,9 @@ def main(argv=None) -> int:
         _check_threads(args.threads)
         out_dir = _resolve_out_dir(config, args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        data = _suite_data(config)
-        return _pipelines()[args.command](config, data, out_dir, *filter(None, [option]))
+        from .verify import SuiteData
+
+        return _pipelines()[args.command](config, SuiteData(config), out_dir, *filter(None, [option]))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -242,7 +242,6 @@ class ExperimentConfig:
     """
 
     raw: dict
-    grid: SpatialGrid
     bg: Background
     endpoint_0: np.ndarray
     endpoint_1: np.ndarray
@@ -334,7 +333,6 @@ def parse_config(doc: dict) -> ExperimentConfig:
 
     return ExperimentConfig(
         raw=doc,
-        grid=grid,
         bg=bg,
         endpoint_0=endpoint_0,
         endpoint_1=endpoint_1,

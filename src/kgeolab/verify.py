@@ -36,6 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .config import ExperimentConfig
 from .errors import FamilyMismatch, NegativeDensity, NotASolution, SkippedHypothesis
 from .functionals import (
     FunctionalTrace,
@@ -89,6 +90,10 @@ KAPPA_FIT_SET = (0.25, 0.5, 1.0, 2.0, 4.0)
 # the suites' calibrated ladders, fixed whatever the run's config says
 WEAK_EPSILONS = (1e-1, 1e-2, 1e-3, 1e-4)
 WEAK_TOL = 1e-10  # the default geodesic tolerance
+# the family's Newton tolerance unless the config sets tolerances.fiber: about 4 ulps
+# (2^-42 ~ 2.3e-13) above the round-off floor of its residuals, so last bits decide whether a
+# row takes a 4th step; raising it moves outputs, which belongs to ROADMAP's round-off floor item
+FAMILY_TOL = 1e-12
 # half-decade ladder 1e-1 .. 1e-3: the uniform bounds need the sweep to
 # reach the saturated regime in its first half
 FAMILY_EPSILONS = (1e-1, 10.0**-1.5, 1e-2, 10.0**-2.5, 1e-3)
@@ -104,6 +109,11 @@ EPS_A_VALUES = (5.0, 10.0)
 BOUNDARY_N_TIMES = (32, 64)
 # the n_times of the WEAK_EPSILONS chain, coarse to fine; see SuiteData
 CHAIN_N_TIMES = (16, *BOUNDARY_N_TIMES)
+# the entropy suite's test data: one oscillation sequence for each of ENTROPY_SEEDS seeds from
+# the config's seed on, at frequencies 1..OSCILLATION_COUNT (below Nyquist from 26 points on)
+ENTROPY_SEEDS = 20
+OSCILLATION_COUNT = 12
+OSCILLATION_AMPLITUDE = 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -156,22 +166,20 @@ class DensitySequence:
             raise ValueError(f"{label} has mu-mass {float(mass[i])!r}, expected 1")
 
 
-def oscillation_sequence(
-    bg: Background, f_limit=None, count: int = 12, amplitude: float = 0.5
-) -> DensitySequence:
+def oscillation_sequence(bg: Background, f_limit) -> DensitySequence:
     """f_i = f (1 + a sin(2 pi i x)) / Z_i: oscillations kill weak limits.
 
-    Frequencies run 1..count and must stay below Nyquist; |a| < 1 keeps the
-    members nonnegative whenever f is.
+    Frequencies i run 1..OSCILLATION_COUNT and must stay below Nyquist;
+    a = OSCILLATION_AMPLITUDE < 1 keeps the members nonnegative whenever f is.
     """
-    if not abs(amplitude) < 1.0:
-        raise ValueError(f"|amplitude| must be < 1, got {amplitude}")
-    if count < 1 or count >= bg.grid.n_points // 2:
-        raise ValueError(f"count must be in [1, {bg.grid.n_points // 2 - 1}], got {count}")
-    f = np.ones(bg.grid.n_points) if f_limit is None else np.asarray(f_limit, dtype=float)
+    if OSCILLATION_COUNT >= bg.grid.n_points // 2:
+        raise ValueError(
+            f"{OSCILLATION_COUNT} frequencies do not stay below Nyquist on {bg.grid.n_points} points"
+        )
+    f = np.asarray(f_limit, dtype=float)
     f = f / bg.integrate_mu(f)
-    i = np.arange(1, count + 1)[:, None]
-    g = f * (1.0 + amplitude * np.sin(2.0 * np.pi * i * bg.grid.nodes))
+    i = np.arange(1, OSCILLATION_COUNT + 1)[:, None]
+    g = f * (1.0 + OSCILLATION_AMPLITUDE * np.sin(2.0 * np.pi * i * bg.grid.nodes))
     members = g / bg.integrate_mu(g)[:, None]
     bound = max(float(np.max(f)), float(np.max(members)))
     return DensitySequence(bg=bg, f_limit=f, members=members, bound=bound)
@@ -899,36 +907,28 @@ def control_subharmonic(bg: Background) -> PropertyResult:
 
 @dataclass(eq=False)
 class SuiteData:
-    """Every solved object of a run, built lazily and cached.
+    """Every solved object of a run, built lazily from its config and cached.
 
-    Each object is solved at most once.  The check suites read the objects
-    on their calibrated ladders (the module constants above); the artifact
-    stages read the ``ladder_*`` objects, solved on the run's own epsilon
-    and delta ladders.  _ladder puts every rung in one cache keyed by (eps
-    prefix, the n_time levels the rung went through, tol), so a ladder that
-    shares leading rungs with an earlier one reuses them; only
-    curved_geodesics and the coarse solves of levels bypass it.  The verify
-    ladder WEAK_EPSILONS is one chain through CHAIN_N_TIMES, which holds
-    weak_path's ladder (when the run's n_time is in CHAIN_N_TIMES),
-    boundary_paths and eps_geodesic.  Defaults reproduce the canonical run:
-    flat background, endpoints 0 and the admissible cosine.
+    Each object is solved at most once, at the config's background,
+    endpoints and n_time.  The check suites read the objects on their
+    calibrated ladders and tolerances (the module constants above); of the
+    config's tolerances only an explicit ``tolerances.fiber`` reaches them,
+    as the family's.  The artifact stages read the ``ladder_*`` objects,
+    solved on the config's own epsilon and delta ladders at its tolerances.
+    _ladder puts every rung in one cache keyed by (eps prefix, the n_time
+    levels the rung went through, tol), so a ladder that shares leading
+    rungs with an earlier one reuses them; only curved_geodesics and the
+    coarse solves of levels bypass it.  The verify ladder WEAK_EPSILONS is
+    one chain through CHAIN_N_TIMES, which holds weak_path's ladder (when
+    the run's n_time is in CHAIN_N_TIMES), boundary_paths and eps_geodesic.
     """
 
-    bg: Background
-    endpoint_0: np.ndarray
-    endpoint_1: np.ndarray
-    n_time: int = 16
-    family_tol: float = 1e-12
-    seeds: tuple = tuple(range(20))
-    ladder_epsilons: tuple = ()
-    ladder_deltas: tuple = ()
-    ladder_geodesic_tol: float = 1e-10
-    ladder_fiber_tol: float = 1e-11
+    config: ExperimentConfig
     _rungs: dict = field(default_factory=dict, init=False, repr=False)  # (eps prefix, n_times, tol) -> rung
 
-    def __post_init__(self):
-        self.endpoint_0 = np.asarray(self.endpoint_0, dtype=float)
-        self.endpoint_1 = np.asarray(self.endpoint_1, dtype=float)
+    @property
+    def bg(self) -> Background:
+        return self.config.bg
 
     def _ladder(self, epsilons, tol: float, n_times) -> list:
         """eps_continuation of the run's endpoints through n_times, one list of rungs per level,
@@ -940,7 +940,8 @@ class SuiteData:
         prefixes = [tuple(float(e) for e in epsilons[: k + 1]) for k in range(len(epsilons))]
         keys = [[(prefix, n_times[: j + 1], tol) for prefix in prefixes] for j in range(len(n_times))]
         solved = [[self._rungs[key] for key in itertools.takewhile(self._rungs.__contains__, level)] for level in keys]
-        levels = eps_continuation(self.bg, self.endpoint_0, self.endpoint_1, epsilons, n_times, tol, solved)
+        config = self.config
+        levels = eps_continuation(self.bg, config.endpoint_0, config.endpoint_1, epsilons, n_times, tol, solved)
         for level_keys, rungs in zip(keys, levels):
             self._rungs.update(zip(level_keys, rungs))
         return levels
@@ -949,8 +950,8 @@ class SuiteData:
     def weak_path(self) -> PathField:
         """Weak-geodesic limit of the suites' WEAK_EPSILONS ladder at the run's n_time,
         the chain's level there when CHAIN_N_TIMES holds it."""
-        chained = self.n_time in CHAIN_N_TIMES
-        n_times = CHAIN_N_TIMES[: CHAIN_N_TIMES.index(self.n_time) + 1] if chained else (self.n_time,)
+        n_time = self.config.n_time
+        n_times = CHAIN_N_TIMES[: CHAIN_N_TIMES.index(n_time) + 1] if n_time in CHAIN_N_TIMES else (n_time,)
         return weak_limit(self.bg, self._ladder(WEAK_EPSILONS, WEAK_TOL, n_times)[-1])
 
     @cached_property
@@ -975,9 +976,8 @@ class SuiteData:
 
     @cached_property
     def family(self) -> FiberFamily:
-        return solve_family(
-            self.bg, self.weak_path, FAMILY_EPSILONS, FAMILY_DELTAS, tol=self.family_tol
-        )
+        tol = float(self.config.raw.get("tolerances", {}).get("fiber", FAMILY_TOL))
+        return solve_family(self.bg, self.weak_path, FAMILY_EPSILONS, FAMILY_DELTAS, tol=tol)
 
     @cached_property
     def eps_geodesic(self) -> EpsGeodesic:
@@ -997,7 +997,10 @@ class SuiteData:
 
     @cached_property
     def curved_geodesics(self) -> list:
-        return eps_continuation(self.curved_bg, self.endpoint_0, self.endpoint_1, EPS_A_EPSILONS, (self.n_time,))[0]
+        config = self.config
+        return eps_continuation(
+            self.curved_bg, config.endpoint_0, config.endpoint_1, EPS_A_EPSILONS, (config.n_time,)
+        )[0]
 
     def eps_a_traces(self, a_value: float) -> list:
         spec = TruncationSpec(float(a_value))
@@ -1005,8 +1008,8 @@ class SuiteData:
 
     @cached_property
     def ladder_rungs(self) -> list:
-        """One EpsGeodesic per entry of ladder_epsilons, warm-started in order."""
-        return self._ladder(self.ladder_epsilons, self.ladder_geodesic_tol, (self.n_time,))[0]
+        """One EpsGeodesic per entry of the config's epsilons, warm-started in order."""
+        return self._ladder(self.config.epsilons, self.config.tolerances["geodesic"], (self.config.n_time,))[0]
 
     @cached_property
     def ladder_path(self) -> PathField:
@@ -1015,16 +1018,15 @@ class SuiteData:
 
     @cached_property
     def ladder_family(self) -> FiberFamily:
-        """Fiber family along ladder_path on ladder_epsilons x ladder_deltas."""
-        return solve_family(
-            self.bg, self.ladder_path, self.ladder_epsilons, self.ladder_deltas, tol=self.ladder_fiber_tol
-        )
+        """Fiber family along ladder_path on the config's epsilons x deltas."""
+        config = self.config
+        return solve_family(self.bg, self.ladder_path, config.epsilons, config.deltas, tol=config.tolerances["fiber"])
 
 
 def suite_entropy(data: SuiteData) -> list:
     results = []
     seq0 = None
-    for seed in data.seeds:
+    for seed in range(data.config.seed, data.config.seed + ENTROPY_SEEDS):
         seq = random_density_sequence(data.bg, seed)
         if seq0 is None:
             seq0 = seq

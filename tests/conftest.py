@@ -1,11 +1,13 @@
 """Shared fixtures: the canonical run is solved once per session and reused.
 
 The heavy objects (weak geodesic, fiber family, the fine-grid geodesic for
-the curvature checks) all hang off one SuiteData instance, whose lazy
-cached properties guarantee each solve happens at most once no matter how
-many test modules touch it.  Cheap unit tests use the small 64-point grid
-instead.
+the curvature checks) all hang off one SuiteData instance, built from
+configs/canonical.json, whose lazy cached properties guarantee each solve
+happens at most once no matter how many test modules touch it.  Cheap unit
+tests use the small 64-point grid instead.
 """
+
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,10 +17,14 @@ from kgeolab import (
     SpatialGrid,
     SuiteData,
     fourier_field,
+    load_config,
     make_background,
+    parse_config,
     run_suite,
     solve_family,
 )
+
+CANONICAL_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "canonical.json"
 
 # amplitude of the canonical cosine endpoint, in potential units: the
 # induced density perturbation has amplitude 0.05
@@ -46,8 +52,27 @@ def endpoint_1(grid):
 
 
 @pytest.fixture(scope="session")
-def suite_data(bg, endpoint_0, endpoint_1):
-    return SuiteData(bg=bg, endpoint_0=endpoint_0, endpoint_1=endpoint_1)
+def suite_data():
+    return SuiteData(load_config(CANONICAL_CONFIG))
+
+
+@pytest.fixture(scope="session")
+def run_suite_data():
+    """Build a fresh SuiteData from a small config document: the run from 0 to the cosine
+    endpoint of the given density amplitude, at the given grid and n_time, plus any other
+    top-level sections (seed, epsilons, tolerances)."""
+
+    def build(n_points=256, density_amplitude=0.05, n_time=16, **sections):
+        endpoint_1 = [[1, density_amplitude / (2.0 * np.pi) ** 2, 0.0]]
+        doc = {
+            "grid": {"n_points": n_points},
+            "time": {"n_time": n_time},
+            "endpoints": {"endpoint_0": [], "endpoint_1": endpoint_1},
+            **sections,
+        }
+        return SuiteData(parse_config(doc))
+
+    return build
 
 
 @pytest.fixture(scope="session")

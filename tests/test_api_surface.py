@@ -76,8 +76,6 @@ def test_allowlist_entries_are_still_defined_and_unused():
 # "function.parameter" -> why the default stays with no package caller that passes it
 ALLOWED_DEFAULTS = {
     "main.argv": "the console entry point calls main() with no argument; tests pass argv",
-    "oscillation_sequence.count": "its range check against the Nyquist limit is exercised by the tests",
-    "oscillation_sequence.amplitude": "its |amplitude| < 1 check is exercised by the tests",
 }
 # defaulted public parameters before checks stopped taking their thresholds and fixed inputs as
 # arguments, and the most there may be now

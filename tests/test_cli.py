@@ -546,6 +546,41 @@ def test_study_solves_each_config_object_once(tmp_path, monkeypatch):
     assert len(bound_checks) == 4
 
 
+@pytest.mark.parametrize(
+    "tolerances, verify_fiber, ladder_fiber, ladder_geodesic",
+    [(None, 1e-12, 1e-11, 1e-10), ({"fiber": 1e-10, "geodesic": 1e-11}, 1e-10, 1e-10, 1e-11)],
+)
+def test_study_solves_each_object_at_its_tolerance(
+    tmp_path, monkeypatch, tolerances, verify_fiber, ladder_fiber, ladder_geodesic
+):
+    """The config's ladder and family solve at its tolerances (defaults 1e-10 and 1e-11); verify's
+    family solves at 1e-12 unless tolerances.fiber is given, and verify's eps-ladder chain at
+    WEAK_TOL whatever the config says.
+
+    The tolerance of each geodesic solve is counted on the run's own 64-point flat grid, so the
+    curved background's solves and the curvature check's coarser levels do not count.
+    """
+    solves = _log_calls(monkeypatch, geodesic, "solve_eps_geodesic", with_kwargs=True)
+    families = _log_calls(monkeypatch, ma_fiber, "solve_family", with_kwargs=True)
+    epsilons = [0.1, 0.01, 0.001]
+    overrides = {} if tolerances is None else {"tolerances": tolerances}
+    cfg = _study_config(tmp_path, epsilons, **overrides)
+    assert main(["study", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+
+    family_tols = [(tuple(args[2]), kwargs["tol"]) for args, kwargs in families]
+    assert sorted(family_tols) == sorted([(verify.FAMILY_EPSILONS, verify_fiber), (tuple(epsilons), ladder_fiber)])
+    solved = {}
+    for (problem,), kwargs in solves:
+        if problem.bg.grid.n_points == 64 and not problem.bg.psi.any():
+            solved.setdefault(kwargs["tol"], set()).add((problem.n_time, problem.epsilon))
+    ladder = {(8, eps) for eps in epsilons}
+    chain = {(nt, eps) for nt in (8, *verify.CHAIN_N_TIMES) for eps in verify.WEAK_EPSILONS}
+    if ladder_geodesic == verify.WEAK_TOL:
+        assert solved == {verify.WEAK_TOL: chain | ladder}
+    else:
+        assert solved == {verify.WEAK_TOL: chain, ladder_geodesic: ladder}
+
+
 @pytest.mark.parametrize("argv", [["study"], ["verify", "--suite", "all"]])
 def test_verify_chain_is_solved_first_coarse_to_fine(tmp_path, monkeypatch, argv):
     """verify's WEAK_EPSILONS chain comes before every other solve, coarse to fine.

@@ -30,7 +30,7 @@ def test_minimal_doc_defaults():
     cfg = parse_config(doc)
     assert isinstance(cfg, ExperimentConfig)
     assert cfg.raw is doc
-    assert cfg.grid.n_points == 64
+    assert cfg.bg.grid.n_points == 64
     assert cfg.n_time == 8
     assert cfg.bg.scheme == "central2"
     for name in ("epsilons", "deltas", "a_values", "chi", "k_list"):
@@ -39,7 +39,7 @@ def test_minimal_doc_defaults():
     assert cfg.seed == 0
     assert cfg.out_dir == "out"
     assert np.all(cfg.endpoint_0 == 0.0)
-    x = cfg.grid.nodes
+    x = cfg.bg.grid.nodes
     assert np.allclose(cfg.endpoint_1, AMP * np.cos(2.0 * np.pi * x), atol=1e-15)
 
 
@@ -174,5 +174,5 @@ def test_load_schema_is_cached():
 @pytest.mark.parametrize("name", ["canonical.json", "equal.json"])
 def test_shipped_configs_parse(name):
     cfg = load_config(CONFIGS_DIR / name)
-    assert cfg.grid.n_points == 256
+    assert cfg.bg.grid.n_points == 256
     assert cfg.epsilons is not None

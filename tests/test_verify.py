@@ -18,6 +18,7 @@ from kgeolab import (
     PathField,
     PropertyResult,
     SkippedHypothesis,
+    SpatialGrid,
     TruncationSpec,
     curvature_levels,
     density_convergence,
@@ -28,6 +29,7 @@ from kgeolab import (
     fourier_field,
     legendre_oracle,
     mabuchi,
+    make_background,
     mabuchi_convexity_and_continuity,
     mabuchi_eps_A_almost_convex,
     boundary_continuity_refinement,
@@ -56,8 +58,8 @@ from kgeolab.verify import (
     CURVATURE_N_TIME,
     FAMILY_DELTAS,
     FAMILY_EPSILONS,
+    OSCILLATION_COUNT,
     WEAK_EPSILONS,
-    SuiteData,
     _as_control,
     _uniform_noise,
     _with_phi,
@@ -178,14 +180,11 @@ def test_density_sequence_validation(small_bg):
 
 
 def test_oscillation_sequence(small_bg):
-    with pytest.raises(ValueError, match="amplitude"):
-        oscillation_sequence(small_bg, amplitude=1.0)
-    with pytest.raises(ValueError, match="count"):
-        oscillation_sequence(small_bg, count=0)
-    with pytest.raises(ValueError, match="count"):
-        oscillation_sequence(small_bg, count=small_bg.grid.n_points // 2)
-    seq = oscillation_sequence(small_bg, count=5)
-    assert len(seq.members) == 5
+    """The sequence's 12 frequencies must stay below Nyquist: a 24-point grid is refused."""
+    with pytest.raises(ValueError, match="Nyquist"):
+        oscillation_sequence(make_background(SpatialGrid(24)), np.ones(24))
+    seq = oscillation_sequence(small_bg, np.ones(small_bg.grid.n_points))
+    assert len(seq.members) == OSCILLATION_COUNT
     for f in seq.members:
         assert abs(small_bg.integrate_mu(f) - 1.0) <= 1e-10
     res = entropy_semicontinuity(small_bg, seq)
@@ -212,11 +211,11 @@ def test_random_density_sequence_draws_from_the_stdlib_generator(small_bg, seed)
 
 
 @pytest.mark.parametrize("base", [0, 1, 2, 7, 40])
-def test_entropy_suite_passes_at_other_seed_bases(bg, endpoint_0, endpoint_1, base):
+def test_entropy_suite_passes_at_other_seed_bases(run_suite_data, base):
     """The entropy rows pass for the 20 seeds from any of these bases; the suite solves nothing."""
-    data = SuiteData(bg=bg, endpoint_0=endpoint_0, endpoint_1=endpoint_1, seeds=tuple(range(base, base + 20)))
+    data = run_suite_data(seed=base)
     results = run_suite(data, "entropy")
-    assert [r.name for r in results[:20]] == [f"entropy_semicontinuity[seed={s}]" for s in data.seeds]
+    assert [r.name for r in results[:20]] == [f"entropy_semicontinuity[seed={s}]" for s in range(base, base + 20)]
     assert all(r.passed for r in results)
     assert data._rungs == {}
 
@@ -243,7 +242,7 @@ def test_mollified_sequence_breaks_semicontinuity(small_bg):
 
 
 def test_truncated_sweep_monotone_slacks(small_bg):
-    seq = oscillation_sequence(small_bg, count=6)
+    seq = oscillation_sequence(small_bg, np.ones(small_bg.grid.n_points))
     res = truncated_semicontinuity_sweep(small_bg, seq)
     assert res.passed
     assert res.details["a_values"] == list(A_VALUES)
@@ -312,17 +311,15 @@ def test_boundary_refinement_validation(small_bg):
         boundary_continuity_refinement(small_bg, [flat(32)])
 
 
-def test_boundary_refinement_on_cached_paths_equals_direct_solves(small_bg):
+def test_boundary_refinement_on_cached_paths_equals_direct_solves(small_bg, run_suite_data):
     """SuiteData's boundary paths give the check the margin and rows of a direct replay of its solve.
 
     The replay is the same three-level chain: the n_time-16 ladder along
     eps, then the n_time-32 and n_time-64 ladders, each started from the
     prolonged rungs of the level below.
     """
-    grid = small_bg.grid
-    endpoint_0 = np.zeros(grid.n_points)
-    endpoint_1 = fourier_field(grid, [(1, 0.05 / (2.0 * np.pi) ** 2, 0.0)])
-    data = SuiteData(bg=small_bg, endpoint_0=endpoint_0, endpoint_1=endpoint_1, n_time=8)
+    data = run_suite_data(n_points=64, n_time=8)
+    endpoint_0, endpoint_1 = data.config.endpoint_0, data.config.endpoint_1
     cached = boundary_continuity_refinement(small_bg, data.boundary_paths)
     assert data.boundary_paths is data.boundary_paths  # cached
 
@@ -514,29 +511,25 @@ def test_curvature_geodesic_is_a_rung_of_the_chain():
     assert CURVATURE_N_TIME in BOUNDARY_N_TIMES and CURVATURE_N_TIME in CHAIN_N_TIMES
 
 
-def test_chain_converges_where_the_cold_curvature_solve_loses_the_cone(small_bg):
+def test_chain_converges_where_the_cold_curvature_solve_loses_the_cone(small_bg, run_suite_data):
     """At density amplitude 0.95 the cold (1e-2, 64) solve raises PositivityLoss; the chain's
     rung, started from the prolonged n_time-32 rung, converges."""
-    grid = small_bg.grid
-    endpoint_0 = np.zeros(grid.n_points)
-    endpoint_1 = fourier_field(grid, [(1, 0.95 / (2.0 * np.pi) ** 2, 0.0)])
-    problem = EpsGeodesicProblem(small_bg, endpoint_0, endpoint_1, CURVATURE_EPSILON, CURVATURE_N_TIME)
+    data = run_suite_data(n_points=64, density_amplitude=0.95, n_time=8)
+    ends = data.config.endpoint_0, data.config.endpoint_1
+    problem = EpsGeodesicProblem(small_bg, *ends, CURVATURE_EPSILON, CURVATURE_N_TIME)
     with pytest.raises(PositivityLoss):
         solve_eps_geodesic(problem)
-    data = SuiteData(bg=small_bg, endpoint_0=endpoint_0, endpoint_1=endpoint_1, n_time=8)
     eg = data.eps_geodesic
     assert (eg.epsilon, eg.path.n_time) == (CURVATURE_EPSILON, CURVATURE_N_TIME)
     assert eg.residual_sup <= 1e-10 and eg.positivity_margin > 0.0
 
 
-def test_curvature_levels_start_from_the_restricted_fine_path(bg):
+def test_curvature_levels_start_from_the_restricted_fine_path(run_suite_data):
     """At density amplitude 0.9 on the canonical grid the cold (1e-2, 32) solve of the half level
     raises PositivityLoss; started from the fine path restricted to their nodes, both coarse
     levels converge to the round-off floor on one factorization each."""
-    grid = bg.grid
-    endpoint_0 = np.zeros(grid.n_points)
-    endpoint_1 = fourier_field(grid, [(1, 0.9 / (2.0 * np.pi) ** 2, 0.0)])
-    data = SuiteData(bg=bg, endpoint_0=endpoint_0, endpoint_1=endpoint_1)
+    data = run_suite_data(density_amplitude=0.9)
+    endpoint_0, endpoint_1 = data.config.endpoint_0, data.config.endpoint_1
     levels = data.levels
     assert [(b.grid.n_points, eg.path.n_time) for b, eg in levels] == [(64, 16), (128, 32), (256, 64)]
     for _, eg in levels[:2]:
@@ -547,10 +540,8 @@ def test_curvature_levels_start_from_the_restricted_fine_path(bg):
         solve_eps_geodesic(cold)
 
 
-def test_weak_path_reuses_the_ladder_rungs_it_shares(small_bg, monkeypatch):
+def test_weak_path_reuses_the_ladder_rungs_it_shares(small_bg, run_suite_data, monkeypatch):
     """Rungs of a common ladder prefix at the same tolerance are solved once."""
-    grid = small_bg.grid
-    endpoint_1 = fourier_field(grid, [(1, 0.05 / (2.0 * np.pi) ** 2, 0.0)])
     solved = []
     real = geodesic.solve_eps_geodesic
 
@@ -559,15 +550,15 @@ def test_weak_path_reuses_the_ladder_rungs_it_shares(small_bg, monkeypatch):
         return real(problem, **kwargs)
 
     monkeypatch.setattr(geodesic, "solve_eps_geodesic", counting)
-    make = lambda tol: SuiteData(
-        bg=small_bg, endpoint_0=np.zeros(grid.n_points), endpoint_1=endpoint_1, n_time=8,
-        ladder_epsilons=(0.1, 0.01, 0.003), ladder_geodesic_tol=tol,
+    make = lambda tol: run_suite_data(
+        n_points=64, n_time=8, epsilons=[0.1, 0.01, 0.003], tolerances={"geodesic": tol}
     )
     data = make(1e-10)
     data.ladder_rungs
     path = data.weak_path
     assert solved == [0.1, 0.01, 0.003, 0.001, 1e-4]
-    fresh = geodesic.weak_geodesic(small_bg, np.zeros(grid.n_points), endpoint_1, WEAK_EPSILONS, n_time=8)
+    ends = data.config.endpoint_0, data.config.endpoint_1
+    fresh = geodesic.weak_geodesic(small_bg, *ends, WEAK_EPSILONS, n_time=8)
     assert np.array_equal(path.values, fresh.values)
 
     solved.clear()
