@@ -53,7 +53,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .config import ExperimentConfig, load_config, validate_against_schema
+from .config import ExperimentConfig, load_config, validate_against_schema, verify_grid_needs
 from .errors import ConfigError
 from .model import PathField, _format_float, _jsonable
 
@@ -80,10 +80,7 @@ def _check_requirements(config: ExperimentConfig, args: argparse.Namespace) -> N
     A stage is a subcommand with its mabuchi variant or verify suite; study
     runs the STUDY_STAGES.  The solves at the run's n_time need n_time >= 8:
     every pipeline's, and verify's in the suites all, convexity and bounds.
-    The entropy checks (suites all and entropy) oscillate at 12 frequencies
-    below Nyquist, so n_points must be >= 26.  The curvature refinement
-    study (suites all and curvature) restricts the grid to a half and a
-    quarter, which must be grids too: n_points a multiple of 8 and >= 32.
+    The grid must meet the suite's config.verify_grid_needs.
     """
     if args.command == "study":
         stages = STUDY_STAGES
@@ -101,17 +98,8 @@ def _check_requirements(config: ExperimentConfig, args: argparse.Namespace) -> N
                     raise ConfigError(f"unknown suite {option!r}; expected one of {sorted(SUITES)} or 'all'")
             if option in ("all", "convexity", "bounds") and config.n_time < 8:
                 raise ConfigError(f"verify --suite {option} needs time.n_time >= 8")
-            n = config.bg.grid.n_points
-            if option in ("all", "entropy") and n < 26:
-                raise ConfigError(
-                    f"verify --suite {option} needs grid.n_points >= 26 for the oscillating "
-                    f"density sequences of the entropy checks, got {n}"
-                )
-            if option in ("all", "curvature") and (n % 8 != 0 or n < 32):
-                raise ConfigError(
-                    f"verify --suite {option} needs grid.n_points a multiple of 8 and >= 32 for the "
-                    f"quarter grid of the curvature refinement study, got {n}"
-                )
+            if need := verify_grid_needs(config.bg.grid.n_points, option):
+                raise ConfigError(f"verify --suite {option} needs {need}, got {config.bg.grid.n_points}")
             continue
         config.require("epsilons", *STAGE_SECTIONS.get(option or command, ()))
         if config.n_time < 8:

@@ -32,6 +32,19 @@ from .model import _decreasing_ladder
 #: of the corresponding solver entry points.
 DEFAULT_TOLERANCES = {"geodesic": 1e-10, "fiber": 1e-11}
 
+#: verify's entropy checks oscillate at the frequencies 1..OSCILLATION_COUNT
+OSCILLATION_COUNT = 12
+
+
+def verify_grid_needs(n_points: int, suite: str) -> str | None:
+    """What verify's suite (or all) needs of grid.n_points that n_points lacks, or None: one rule for
+    cli, which checks it before it imports verify, and for verify's own checks."""
+    if suite in ("all", "entropy") and OSCILLATION_COUNT >= n_points // 2:
+        return f"grid.n_points >= {2 * OSCILLATION_COUNT + 2} for the entropy checks' frequencies to stay below Nyquist"
+    if suite in ("all", "curvature") and (n_points % 8 != 0 or n_points < 32):  # grids of every 2nd and 4th node
+        return "grid.n_points a multiple of 8 and >= 32 for the quarter grid of the curvature refinement study"
+    return None
+
 
 @lru_cache(maxsize=None)
 def load_schema(name: str) -> dict:

@@ -36,7 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import ExperimentConfig
+from .config import OSCILLATION_COUNT, ExperimentConfig, verify_grid_needs
 from .errors import FamilyMismatch, NegativeDensity, NotASolution, SkippedHypothesis
 from .functionals import (
     FunctionalTrace,
@@ -110,9 +110,8 @@ BOUNDARY_N_TIMES = (32, 64)
 # the n_times of the WEAK_EPSILONS chain, coarse to fine; see SuiteData
 CHAIN_N_TIMES = (16, *BOUNDARY_N_TIMES)
 # the entropy suite's test data: one oscillation sequence for each of ENTROPY_SEEDS seeds from
-# the config's seed on, at frequencies 1..OSCILLATION_COUNT (below Nyquist from 26 points on)
+# the config's seed on, at frequencies 1..OSCILLATION_COUNT (config.verify_grid_needs)
 ENTROPY_SEEDS = 20
-OSCILLATION_COUNT = 12
 OSCILLATION_AMPLITUDE = 0.5
 
 
@@ -172,10 +171,8 @@ def oscillation_sequence(bg: Background, f_limit) -> DensitySequence:
     Frequencies i run 1..OSCILLATION_COUNT and must stay below Nyquist;
     a = OSCILLATION_AMPLITUDE < 1 keeps the members nonnegative whenever f is.
     """
-    if OSCILLATION_COUNT >= bg.grid.n_points // 2:
-        raise ValueError(
-            f"{OSCILLATION_COUNT} frequencies do not stay below Nyquist on {bg.grid.n_points} points"
-        )
+    if need := verify_grid_needs(bg.grid.n_points, "entropy"):
+        raise ValueError(f"oscillation_sequence needs {need}, got {bg.grid.n_points}")
     f = np.asarray(f_limit, dtype=float)
     f = f / bg.integrate_mu(f)
     i = np.arange(1, OSCILLATION_COUNT + 1)[:, None]
@@ -361,22 +358,19 @@ def convexity_inequality_k(bg: Background, path: PathField, family: FiberFamily,
 
 
 def _curvature_fields(bg: Background, eg: EpsGeodesic) -> dict:
-    grid = bg.grid
-    vals = eg.path.values
-    ds = eg.path.ds
-    rh = reduced_hessian(bg, eg.path)
-    m_int = rh.m_xx
-    a = rh.m_xs / m_int
-    m_rows = metric_density(bg, vals)
-    f_rows = np.log(m_rows / bg.w[None, :])
-    g_rows = np.log(m_rows)
-    expf = bg.w[None, :] / m_rows  # e^-f
+    """The identity's fields on the interior rows, each intermediate row set dropped after its last use."""
+    grid, ds = bg.grid, eg.path.ds
+    m_rows = metric_density(bg, eg.path.values)
+    m_int = m_rows[1:-1]  # reduced_hessian's m_xx
+    a = path_dxds(grid, eg.path.values, ds) / m_int
     out = {"a": a, "a_x": path_d1x(grid, a), "m_int": m_int}
-    for tag, rows in (("f", f_rows), ("g", g_rows)):
+    for tag in ("f", "g"):
+        rows = np.log(m_rows / bg.w[None, :]) if tag == "f" else np.log(m_rows)
         out[tag + "_xx"] = path_d2x(grid, rows)[1:-1]
         out[tag + "_ss"] = path_d2s(rows, ds)
         out[tag + "_xs"] = path_dxds(grid, rows, ds)
-    out["eps_term"] = eg.epsilon * path_d2x(grid, expf)[1:-1] / m_int
+        del rows
+    out["eps_term"] = eg.epsilon * path_d2x(grid, bg.w[None, :] / m_rows)[1:-1] / m_int  # e^-f = w / m
     return out
 
 
@@ -399,8 +393,10 @@ def curvature_levels(bg: Background, eg: EpsGeodesic) -> list:
     """
     n = bg.grid.n_points
     nt = eg.path.n_time
-    if n % 4 != 0 or nt % 4 != 0:
-        raise ValueError(f"refinement study needs n_points and n_time divisible by 4, got ({n}, {nt})")
+    if need := verify_grid_needs(n, "curvature"):
+        raise ValueError(f"curvature_levels needs {need}, got {n}")
+    if nt % 4 != 0:
+        raise ValueError(f"refinement study needs n_time divisible by 4, got {nt}")
     if nt // 4 < 8:
         raise ValueError(f"n_time // 4 must be >= 8, got {nt // 4}")
     e0 = eg.path.values[0]
@@ -915,12 +911,13 @@ class SuiteData:
     config's tolerances only an explicit ``tolerances.fiber`` reaches them,
     as the family's.  The artifact stages read the ``ladder_*`` objects,
     solved on the config's own epsilon and delta ladders at its tolerances.
-    _ladder puts every rung in one cache keyed by (eps prefix, the n_time
-    levels the rung went through, tol), so a ladder that shares leading
-    rungs with an earlier one reuses them; only curved_geodesics and the
-    coarse solves of levels bypass it.  The verify ladder WEAK_EPSILONS is
-    one chain through CHAIN_N_TIMES, which holds weak_path's ladder (when
-    the run's n_time is in CHAIN_N_TIMES), boundary_paths and eps_geodesic.
+    _ladder caches every rung by (eps prefix, the n_time levels it went
+    through, tol), so a ladder sharing leading rungs with an earlier one
+    reuses them; curved_geodesics and levels bypass it.  WEAK_EPSILONS is
+    one chain through CHAIN_N_TIMES, which holds weak_path's ladder (at a
+    run n_time in CHAIN_N_TIMES), boundary_paths and eps_geodesic; once
+    those are derived, the rungs of its levels finer than the run's n_time
+    leave the cache, and of them only those objects stay.
     """
 
     config: ExperimentConfig
@@ -935,8 +932,8 @@ class SuiteData:
         reusing the leading rungs an earlier ladder solved through the same levels at tol.
 
         A rung depends only on the rungs before it and its coarser rung, so a
-        ladder prefix solves the same rungs as the whole ladder; the levels
-        show in the last bits, so a rung is never taken from other levels."""
+        ladder prefix solves the same rungs as the whole ladder; the levels show
+        in the last bits, so no rung is taken from others.  Released rungs read None."""
         prefixes = [tuple(float(e) for e in epsilons[: k + 1]) for k in range(len(epsilons))]
         keys = [[(prefix, n_times[: j + 1], tol) for prefix in prefixes] for j in range(len(n_times))]
         solved = [[self._rungs[key] for key in itertools.takewhile(self._rungs.__contains__, level)] for level in keys]
@@ -954,11 +951,23 @@ class SuiteData:
         n_times = CHAIN_N_TIMES[: CHAIN_N_TIMES.index(n_time) + 1] if n_time in CHAIN_N_TIMES else (n_time,)
         return weak_limit(self.bg, self._ladder(WEAK_EPSILONS, WEAK_TOL, n_times)[-1])
 
+    def _spent(self, n_times) -> bool:
+        """Whether no object reads the rungs of this chain level once its paths are derived."""
+        return len(n_times) > 1 and n_times[-1] > self.config.n_time
+
     @cached_property
     def boundary_paths(self) -> list:
-        """Weak limits of the chain's WEAK_EPSILONS ladders at BOUNDARY_N_TIMES (32 and 64),
-        taken once every level of the chain is solved."""
-        return [weak_limit(self.bg, rungs) for rungs in self._ladder(WEAK_EPSILONS, WEAK_TOL, CHAIN_N_TIMES)[1:]]
+        """Weak limits of the chain's WEAK_EPSILONS ladders at BOUNDARY_N_TIMES (32 and 64), each taken once its
+        level is solved, rung by rung; a _spent level's rung k is released (None) once the next level refines it."""
+        paths = []
+        for j in range(len(CHAIN_N_TIMES)):
+            for k in range(len(WEAK_EPSILONS)):
+                rungs = self._ladder(WEAK_EPSILONS[: k + 1], WEAK_TOL, CHAIN_N_TIMES[: j + 1])[-1]
+                if self._spent(CHAIN_N_TIMES[:j]):
+                    self._rungs[WEAK_EPSILONS[: k + 1], CHAIN_N_TIMES[:j], WEAK_TOL] = None
+            if j:
+                paths.append(weak_limit(self.bg, rungs))
+        return paths
 
     def solve_chain_first(self, suite: str) -> None:
         """Solve the part of the WEAK_EPSILONS chain that suite reads, before any stage.
@@ -968,11 +977,15 @@ class SuiteData:
         CURVATURE_EPSILON (eps_geodesic; for bounds, run_verify's measured
         block reads it); entropy none of it.  Either way the levels come
         coarse to fine, so a failing solve stops the run before its first
-        stage.  Every other object stays lazy."""
+        stage.  Then the _spent levels, finer than the run's n_time, leave
+        the cache: their paths are derived, and the first level and the
+        run's own stay for ladder_rungs and weak_path.  Every other object
+        stays lazy."""
         if suite in ("all", "convexity"):
             self.boundary_paths
         if suite != "entropy":
             self.eps_geodesic
+        self._rungs = {key: rung for key, rung in self._rungs.items() if not self._spent(key[1])}
 
     @cached_property
     def family(self) -> FiberFamily:

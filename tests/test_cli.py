@@ -1,18 +1,20 @@
 """End-to-end CLI runs: exit codes, artifacts, determinism, env overrides."""
 
+import argparse
 import itertools
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from kgeolab import cli, geodesic, ma_fiber, verify
+from kgeolab import PathField, cli, geodesic, ma_fiber, parse_config, verify
 from kgeolab.cli import main
-from kgeolab.errors import NoConvergence, PositivityLoss, SchemaViolation, SingularSystem
+from kgeolab.errors import ConfigError, NoConvergence, PositivityLoss, SchemaViolation, SingularSystem
 
 AMP = 0.05 / (2.0 * np.pi) ** 2
 
@@ -209,6 +211,36 @@ def test_config_requirements_exit_1_before_any_solve(tmp_path, monkeypatch, caps
     assert message in capsys.readouterr().err
     assert solves == []
     assert not (out / "diagnostic.json").exists()
+
+
+@pytest.mark.parametrize("suite", ["entropy", "curvature"])
+def test_verify_grid_rule_of_the_exit_1_check_is_verifys_own(monkeypatch, suite):
+    """cli refuses a grid for a verify suite (exit 1, before any solve) exactly where verify's own
+    check, reached after the chain's solves, would refuse it (exit 2): oscillation_sequence for the
+    entropy checks, curvature_levels with its quarter and half grids for the curvature study."""
+    monkeypatch.setattr(verify, "solve_eps_geodesic", lambda problem, path0: None)
+
+    def refuses(check, error):
+        try:
+            check()
+        except error:
+            return True
+        return False
+
+    cli_refuses, own_refuses = [], []
+    for n in range(8, 132, 2):
+        doc = {"grid": {"n_points": n}, "time": {"n_time": 16}, "endpoints": {"endpoint_0": [], "endpoint_1": []}}
+        config = parse_config(doc)
+        args = argparse.Namespace(command="verify", suite=suite)
+        cli_refuses.append(refuses(lambda: cli._check_requirements(config, args), ConfigError))
+        if suite == "entropy":
+            own = lambda: verify.oscillation_sequence(config.bg, np.ones(n))
+        else:
+            geo = SimpleNamespace(path=PathField(config.bg.grid, np.zeros((33, n))), epsilon=verify.CURVATURE_EPSILON)
+            own = lambda: verify.curvature_levels(config.bg, geo)
+        own_refuses.append(refuses(own, ValueError))
+    assert cli_refuses == own_refuses
+    assert 8 + 2 * cli_refuses.index(False) == (26 if suite == "entropy" else 32)  # the first grid accepted
 
 
 # ---------------------------------------------------------------------------
@@ -601,6 +633,27 @@ def test_verify_chain_is_solved_first_coarse_to_fine(tmp_path, monkeypatch, argv
     assert chain == [(nt, eps, (nt, eps) != (16, 0.1)) for nt in (16, 32, 64) for eps in verify.WEAK_EPSILONS]
     rest = [(problem.bg.grid.n_points, problem.bg.psi.any(), problem.n_time) for (problem,), _ in solves[12:]]
     assert rest == [(64, True, 16)] * 3 + [(16, False, 16), (32, False, 32)]
+
+
+@pytest.mark.parametrize("n_time, suite, count", [
+    (16, "all", 17), (16, "convexity", 15), (16, "curvature", 8), (16, "bounds", 8),
+    (32, "all", 17), (32, "convexity", 15), (32, "curvature", 8), (32, "bounds", 10),
+])
+def test_verify_solves_each_problem_once(tmp_path, monkeypatch, n_time, suite, count):
+    """No verify run solves a problem twice, also after solve_chain_first releases the chain's
+    levels finer than the run's n_time: each suite makes as many solves as before the release.
+
+    A problem is its grid, background, n_time, epsilon and whether it started from a coarser
+    rung.  At n_time 32 weak_path is the chain's n_time-32 level, which the release keeps, so
+    the bounds suite also solves that level's last two rungs (10 solves against 8)."""
+    solves = _log_calls(monkeypatch, geodesic, "solve_eps_geodesic", with_kwargs=True)
+    cfg = _study_config(tmp_path, [0.1, 0.01, 0.001], time={"n_time": n_time})
+    assert main(["verify", "--suite", suite, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    problems = [
+        (p.bg.grid.n_points, p.bg.psi.tobytes(), p.n_time, p.epsilon, kwargs.get("path0") is not None)
+        for (p,), kwargs in solves
+    ]
+    assert len(problems) == len(set(problems)) == count
 
 
 def test_fine_boundary_ladder_factors_once_per_rung(tmp_path, monkeypatch):

@@ -456,8 +456,11 @@ def test_density_convergence_report(small_family):
     assert len(max_per_eps) == 3 and max_per_eps[-1] <= max_per_eps[0]
     # the pairing with xi = 1 is the mass identity, not a convergence statement
     bg = family.bg
-    mass_gaps = bg.integrate(np.exp(family.phi) * bg.w - metric_density(bg, path.values))  # (eps, t)
-    assert np.max(np.abs(mass_gaps)) <= 1e-10
+    gap = np.exp(family.phi) * bg.w - metric_density(bg, path.values)  # (eps, t, x)
+    assert np.max(np.abs(bg.integrate(gap))) <= 1e-10
+    # paired one test function at a time, the errors keep the bits of the whole (eps, t, xi, x) product
+    errors = np.abs(bg.integrate(gap[..., None, :] * ma_fiber.default_test_set(bg.grid)))
+    assert np.array_equal(np.asarray(max_per_eps), errors.reshape(3, -1).max(axis=1))
 
 
 def test_eps_phi_vanishing_trend(small_family):

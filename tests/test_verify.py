@@ -1,8 +1,10 @@
 """Property-check machinery: results, controls, sequences, suite composition."""
 
+import gc
 import json
 import math
 import random
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -49,7 +51,7 @@ from kgeolab import (
 )
 from kgeolab import geodesic
 from kgeolab.errors import PositivityLoss
-from kgeolab.model import _jsonable
+from kgeolab.model import _jsonable, path_d1x, path_d2s, path_d2x, path_dxds, reduced_hessian
 from kgeolab.verify import (
     A_VALUES,
     BOUNDARY_N_TIMES,
@@ -61,6 +63,7 @@ from kgeolab.verify import (
     OSCILLATION_COUNT,
     WEAK_EPSILONS,
     _as_control,
+    _curvature_fields,
     _uniform_noise,
     _with_phi,
     control_ddc,
@@ -263,6 +266,23 @@ def test_curvature_levels_validation(small_bg):
     levels = curvature_levels(small_bg, geo)
     assert [(b.grid.n_points, eg.path.n_time) for b, eg in levels] == [(16, 8), (32, 16), (64, 32)]
     assert levels[-1][1] is geo
+
+
+def test_curvature_fields_keep_the_bits_of_the_whole_row_sets(bg, eps_geo):
+    """_curvature_fields builds its rows one tag at a time, each dropped after its last use, with the
+    ufunc calls of the version that held the reduced Hessian and every row set at once."""
+    rh = reduced_hessian(bg, eps_geo.path)
+    m_rows = metric_density(bg, eps_geo.path.values)
+    a = rh.m_xs / rh.m_xx
+    expected = {"a": a, "a_x": path_d1x(bg.grid, a), "m_int": rh.m_xx}
+    for tag, rows in (("f", np.log(m_rows / bg.w[None, :])), ("g", np.log(m_rows))):
+        expected[tag + "_xx"] = path_d2x(bg.grid, rows)[1:-1]
+        expected[tag + "_ss"] = path_d2s(rows, eps_geo.path.ds)
+        expected[tag + "_xs"] = path_dxds(bg.grid, rows, eps_geo.path.ds)
+    expected["eps_term"] = eps_geo.epsilon * path_d2x(bg.grid, bg.w[None, :] / m_rows)[1:-1] / rh.m_xx
+    fields = _curvature_fields(bg, eps_geo)
+    assert fields.keys() == expected.keys()
+    assert all(np.array_equal(fields[key], expected[key]) for key in expected)
 
 
 def test_curvature_identity_requires_converged_input(small_bg):
@@ -538,6 +558,34 @@ def test_curvature_levels_start_from_the_restricted_fine_path(run_suite_data):
     cold = EpsGeodesicProblem(levels[1][0], endpoint_0[::2], endpoint_1[::2], CURVATURE_EPSILON, CURVATURE_N_TIME // 2)
     with pytest.raises(PositivityLoss):
         solve_eps_geodesic(cold)
+
+
+@pytest.mark.parametrize("n_time", [16, 32])
+def test_solve_chain_first_frees_the_rungs_finer_than_the_run(run_suite_data, monkeypatch, n_time):
+    """After solve_chain_first("all") the chain's rungs finer than the run's n_time are freed, all but
+    eps_geodesic; the boundary paths stay, as paths.  The first level and the run's own stay cached,
+    so weak_path and the config's ladder solve nothing more."""
+    rungs = []
+    real = geodesic.solve_eps_geodesic
+
+    def keeping(problem, **kwargs):
+        rung = real(problem, **kwargs)
+        rungs.append(weakref.ref(rung))
+        return rung
+
+    monkeypatch.setattr(geodesic, "solve_eps_geodesic", keeping)
+    data = run_suite_data(n_points=64, n_time=n_time, epsilons=[0.1, 0.01])
+    data.solve_chain_first("all")
+    gc.collect()
+    alive = [ref() for ref in rungs if ref() is not None]
+    kept = {(nt, eps) for nt in CHAIN_N_TIMES if nt <= n_time for eps in WEAK_EPSILONS}
+    assert {(rung.path.n_time, rung.epsilon) for rung in alive} == kept | {(CURVATURE_N_TIME, CURVATURE_EPSILON)}
+    assert any(rung is data.eps_geodesic for rung in alive)
+    assert [path.n_time for path in data.boundary_paths] == list(BOUNDARY_N_TIMES)
+    assert all(rung.path is not data.boundary_paths[-1] for rung in alive)
+    solved = len(rungs)
+    data.weak_path, data.ladder_rungs
+    assert len(rungs) == solved + (n_time != 16) * 2  # the config's ladder shares the chain's level only at 16
 
 
 def test_weak_path_reuses_the_ladder_rungs_it_shares(small_bg, run_suite_data, monkeypatch):
