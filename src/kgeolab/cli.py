@@ -17,7 +17,9 @@ study what any of its stages reads, exits 1 before the first solve.
 Reports are deterministic for a fixed config: keys are sorted, floats
 use shortest round-trip formatting, and embedded file references are
 bare names so the bytes do not depend on the output location.  The one
-non-reproducible field is the top-level "timestamp" key.  All files are
+non-reproducible field is the top-level "timestamp" key.  Every float CSV
+(path, fiber and trace files) comes from one writer, _write_csv_via: a
+header, then one row per index of its float columns.  All files are
 written atomically (temp file in the target directory, then rename).
 
 Every stage reads its solved objects from one SuiteData per invocation,
@@ -34,10 +36,9 @@ them, after the config has validated, so ``--help``, a config load and the
 exit-1 config errors import none of them; the one exception is a named
 ``--suite``, whose check reads verify's suite names.
 
-Environment overrides, the only two honored: KGEOLAB_OUT_DIR supplies
-the output directory when --out is absent, KGEOLAB_THREADS stands in for
---threads when the flag is absent.  The thread count is validated (an
-integer >= 1) but every run is sequential.
+The one environment override honored: KGEOLAB_OUT_DIR supplies the
+output directory when --out is absent.  --threads is validated (an integer
+>= 1) but every run is sequential.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ import numpy as np
 
 from .config import ExperimentConfig, load_config, validate_against_schema, verify_grid_needs
 from .errors import ConfigError
-from .model import PathField, _format_float, _jsonable
+from .model import _jsonable
 
 if TYPE_CHECKING:
     from .verify import SuiteData
@@ -120,6 +121,11 @@ def _timestamp() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
+def _format_float(v: float) -> str:
+    # repr is the shortest decimal that round-trips the double exactly
+    return repr(float(v))
+
+
 def _atomic_write_text(path: Path, text: str) -> None:
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
@@ -134,16 +140,22 @@ def _write_json(out_dir: Path, name: str, doc: dict, schema: str) -> None:
     _atomic_write_text(out_dir / name, text + "\n")
 
 
-def _write_csv_via(out_dir: Path, name: str, to_csv) -> None:
-    """Atomic wrapper around the to_csv(path) writers of the field types."""
+def _write_csv_via(out_dir: Path, name: str, header: str, columns) -> None:
+    """out_dir/name: the header, then one line per row i of the float columns (1-D, or 2-D for several).
+
+    Each cell is _format_float of its float, so the file round-trips every double.
+    """
+    # repr of a Python float is _format_float, without a call per cell
+    rows = (",".join(map(repr, row)) for row in np.column_stack(columns).tolist())
     target = out_dir / name
     tmp = target.with_name(f".{name}.{os.getpid()}.tmp")
-    to_csv(tmp)
+    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join([header, *rows]) + "\n")
     os.replace(tmp, target)
 
 
-def _write_csv_rows(out_dir: Path, name: str, header: str, rows: list[str]) -> None:
-    _atomic_write_text(out_dir / name, "\n".join([header] + rows) + "\n")
+def _path_header(n_points: int) -> str:
+    return "s," + ",".join(f"x{j}" for j in range(n_points))
 
 
 # ---------------------------------------------------------------------------
@@ -156,10 +168,11 @@ def run_geodesic(config: ExperimentConfig, data: SuiteData, out_dir: Path) -> in
 
     oracle = legendre_oracle(config.bg, config.endpoint_0, config.endpoint_1, config.n_time)
     rungs = data.ladder_rungs
+    header = _path_header(config.bg.grid.n_points)
     files = []
     for i, sol in enumerate(rungs):
         name = f"geodesic_path_eps{i:02d}.csv"
-        _write_csv_via(out_dir, name, sol.path.to_csv)
+        _write_csv_via(out_dir, name, header, [sol.path.times, sol.path.values])
         files.append({"epsilon": sol.epsilon, "path_csv": name})
     report = {
         "timestamp": _timestamp(),
@@ -189,21 +202,19 @@ def run_fiberwise(config: ExperimentConfig, data: SuiteData, out_dir: Path) -> i
     convergence = density_convergence(family, path)
     vanishing = eps_phi_vanishing(family)
 
-    rows = []
-    for i, eps in enumerate(family.epsilons):
-        for k, delta in enumerate(family.deltas):
-            stats = family.bound_samples[i, k]
-            rows.append(",".join(_format_float(v) for v in (eps, delta, *stats)))
-    _write_csv_rows(
+    # one row per (eps, delta), epsilon-major: the pair, then its three stats
+    pairs = [np.repeat(family.epsilons, len(family.deltas)), np.tile(family.deltas, len(family.epsilons))]
+    _write_csv_via(
         out_dir,
         "fiber_bound_samples.csv",
         "epsilon,delta,sup_phi,neg_eps_inf_phi,eps_d2_phi",
-        rows,
+        [*pairs, family.bound_samples.reshape(-1, 3)],
     )
+    header = _path_header(config.bg.grid.n_points)
     phi_files = []
     for i, eps in enumerate(family.epsilons):
         name = f"fiber_phi_eps{i:02d}.csv"
-        _write_csv_via(out_dir, name, PathField(config.bg.grid, family.phi[i]).to_csv)
+        _write_csv_via(out_dir, name, header, [path.times, family.phi[i]])
         phi_files.append({"epsilon": eps, "path_csv": name})
 
     passed = bool(bounds_passed and convergence.passed and vanishing.passed)
@@ -247,7 +258,8 @@ def run_mabuchi(config: ExperimentConfig, data: SuiteData, out_dir: Path, varian
 
     trace_docs = []
     for name, trace in traces:
-        _write_csv_via(out_dir, name, trace.to_csv)
+        _write_csv_via(out_dir, name, "t,value,second_difference",
+                       [trace.times, trace.values, trace.second_differences])
         trace_docs.append(
             {
                 "trace_csv": name,
@@ -283,12 +295,8 @@ def run_verify(config: ExperimentConfig, data: SuiteData, out_dir: Path, suite: 
 
     for res in results:
         print(f"[{'PASS' if res.passed else 'FAIL'}] {res.name} (margin={res.margin:.3e})")
-    _write_csv_rows(
-        out_dir,
-        "verify_results.csv",
-        "name,pass,margin",
-        [f"{r.name},{'true' if r.passed else 'false'},{_format_float(r.margin)}" for r in results],
-    )
+    rows = [f"{r.name},{'true' if r.passed else 'false'},{_format_float(r.margin)}" for r in results]
+    _atomic_write_text(out_dir / "verify_results.csv", "\n".join(["name,pass,margin", *rows]) + "\n")
     n_controls = sum(1 for r in results if r.details.get("control"))
     passed = all(r.passed for r in results)
     report = {
@@ -367,19 +375,9 @@ def _resolve_out_dir(config: ExperimentConfig, cli_out: str | None) -> Path:
 
 
 def _check_threads(cli_threads: int | None) -> None:
-    """Validate --threads / KGEOLAB_THREADS; runs are sequential at any value."""
-    if cli_threads is not None:
-        if cli_threads < 1:
-            raise ConfigError(f"--threads must be >= 1, got {cli_threads}")
-        return
-    env = os.environ.get("KGEOLAB_THREADS")
-    if env:
-        try:
-            value = int(env)
-        except ValueError as exc:
-            raise ConfigError(f"KGEOLAB_THREADS must be an integer, got {env!r}") from exc
-        if value < 1:
-            raise ConfigError(f"KGEOLAB_THREADS must be >= 1, got {value}")
+    """Validate --threads; runs are sequential at any value."""
+    if cli_threads is not None and cli_threads < 1:
+        raise ConfigError(f"--threads must be >= 1, got {cli_threads}")
 
 
 def build_parser() -> argparse.ArgumentParser:

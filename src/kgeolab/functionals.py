@@ -26,7 +26,6 @@ from .model import (
     PathField,
     _as_field_values,
     _as_nodal_values,
-    _write_csv,
     metric_density,
     reduced_hessian,
 )
@@ -57,9 +56,6 @@ class FunctionalTrace:
             raise ValueError("trace arrays must have equal lengths")
         if np.any(np.diff(self.times) <= 0.0):
             raise ValueError("times must be strictly increasing")
-
-    def to_csv(self, path) -> None:
-        _write_csv(path, "t,value,second_difference", [self.times, self.values, self.second_differences])
 
 
 @dataclass(frozen=True)

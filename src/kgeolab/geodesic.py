@@ -44,7 +44,7 @@ iteration, Brandt, Math. Comp. 1977), and each Newton step takes its step
 from one two-grid cycle (_two_grid), which also serves the driver's chord
 steps and polish.  The cycle coarsens in s only, onto the even time rows,
 and it relaxes whole x-lines, whose two sets (odd and even rows) it
-factors once per Newton step (ma_fiber._PeriodicFactor) and only
+factors once per Newton step (_PeriodicFactor) and only
 substitutes in its sweeps.  As eps falls, the s coupling (w + Phi_xx)/ds^2
 outgrows the x coupling Phi_ss/h^2; line relaxation keeps the cycle robust
 where that anisotropy flips, on the thin slices of a nearly degenerate
@@ -511,6 +511,91 @@ def _factor_and_solve(coefs: np.ndarray, b: np.ndarray) -> tuple:
     return lu, lu.solve(b), True
 
 
+class _PeriodicFactor:
+    """Factor of periodic symmetric tridiagonal systems T_k x = r_k, batched.
+
+    Row k of diag (batch, n) is the diagonal of T_k and e its constant
+    off-diagonal, which the corners T_k[0, n-1] = T_k[n-1, 0] repeat.  The
+    leading (n-1)-blocks are reduced once by cyclic reduction: each level
+    eliminates the unknowns 0, 2, 4, ... of the system the level before
+    left, which leaves a tridiagonal system of half the size on the odd ones
+    (Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 1970), with n - 1 padded
+    by decoupled unit rows to 2^l - 1.  The corner column is reduced in the
+    same loop, with the eliminators each level forms, and substituted back;
+    the last unknown's scalar Schur complement is then formed, so solve(r)
+    only substitutes.  low is, per system, the smallest of the reduction's
+    pivots (the diagonals of the eliminated unknowns, level by level) and
+    the Schur complement: T_k is positive definite iff it is positive.  Each
+    level keeps its inverted pivots and its couplings only (the first
+    level's couplings, the same in every system, as one column); a solve
+    forms the eliminators (coupling times inverted pivot) again, in the
+    operations the reduction used, since storing them as well would add two
+    batch-wide arrays per level.  Every element of a solve takes the
+    operations of a one-pass elimination with the right-hand side in the
+    same order, so the solution does not depend on what else the factor
+    solved.
+    """
+
+    def __init__(self, diag: np.ndarray, e: float):
+        batch, n = diag.shape
+        self.m, self.size, self.e = n - 1, 1, e
+        while self.size < self.m:
+            self.size = 2 * self.size + 1
+        dd = np.ones((self.size, batch))
+        dd[: self.m] = diag[:, :-1].T
+        ee = np.zeros((self.size - 1, 1))  # the first level's couplings are the same in every system
+        ee[: self.m - 1] = e
+        b = np.zeros((self.size, batch))  # the corner column's first n - 1 rows, reduced alongside
+        b[[0, self.m - 1]] = e
+        self.levels, kept, low = [], [], np.full(batch, np.inf)
+        while len(dd) > 1:
+            piv = dd[::2]
+            low = np.minimum(low, piv.min(axis=0))
+            inv = 1.0 / piv
+            self.levels.append((inv, ee))
+            kept.append(b)
+            lo, hi = ee[::2], ee[1::2]  # the couplings of each kept unknown to its two neighbours
+            alpha, beta = lo * inv[:-1], hi * inv[1:]
+            dd = dd[1::2] - alpha * lo - beta * hi
+            b = b[1::2] - alpha * b[:-1:2] - beta * b[2::2]
+            ee = -beta[:-1] * ee[2::2]
+        self.top = dd
+        self.corner = self._substitute(b, kept)  # y2: T's (n-1)-block times y2 is the corner column
+        self.schur = diag[:, -1] - e * (self.corner[:, 0] + self.corner[:, -1])
+        self.low = np.minimum(np.minimum(low, dd[0]), self.schur)
+
+    def _block_solve(self, r: np.ndarray) -> np.ndarray:
+        """The (n-1)-blocks solved for the first n - 1 rows of r (n, batch); returns (batch, n - 1)."""
+        b = np.zeros((self.size, r.shape[1]))
+        b[: self.m] = r[:-1]
+        kept = []
+        for inv, ee in self.levels:
+            kept.append(b)
+            b = b[1::2] - (ee[::2] * inv[:-1]) * b[:-1:2] - (ee[1::2] * inv[1:]) * b[2::2]
+        return self._substitute(b, kept)
+
+    def _substitute(self, b: np.ndarray, kept: list) -> np.ndarray:
+        """Rows (batch, n - 1) of the block solution, from the fully reduced right-hand side b and
+        the right-hand side each level started from (kept)."""
+        x = b / self.top
+        for (inv, ee), b in zip(reversed(self.levels), reversed(kept)):  # back substitution, coarse to fine
+            full = np.empty((2 * len(x) + 1, x.shape[1]))
+            full[1::2] = x
+            elim = b[::2].copy()
+            elim[1:] -= ee[1::2] * x
+            elim[:-1] -= ee[::2] * x
+            full[::2] = elim * inv
+            x = full
+        return x[: self.m].T
+
+    def solve(self, r: np.ndarray) -> np.ndarray:
+        """x with T_k x[k] = r[k] for every k; r and x are (batch, n)."""
+        y = self._block_solve(r.T)
+        with np.errstate(divide="ignore", invalid="ignore"):  # a zero Schur complement shows in low
+            last = (r[:, -1:] - self.e * (y[:, :1] + y[:, -1:])) / self.schur[:, None]
+        return np.hstack([y - last * self.corner, last])
+
+
 def _two_grid(coefs: np.ndarray, coarse):
     """One two-grid cycle for J s = b from s = 0, as a function of b; s and b are raveled like coefs.
 
@@ -525,8 +610,6 @@ def _two_grid(coefs: np.ndarray, coarse):
     Both line sets are factored here, once, and every sweep of every cycle
     only substitutes.
     """
-    from .ma_fiber import _PeriodicFactor  # not at the top: ma_fiber imports this module
-
     n_int, n = coefs.shape[1:]
     centre, x_nbr, s_nbr, diag, anti = coefs
     lines = -centre / x_nbr

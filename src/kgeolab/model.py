@@ -226,19 +226,7 @@ def path_dxds(grid: SpatialGrid, path, ds: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# field containers and check verdicts, with serialization
-
-
-def _format_float(v: float) -> str:
-    # repr is the shortest decimal that round-trips the double exactly
-    return repr(float(v))
-
-
-def _write_csv(path, header: str, columns) -> None:
-    # repr of a Python float is _format_float, without a call per cell
-    rows = (",".join(map(repr, row)) for row in np.column_stack(columns).tolist())
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join([header, *rows]) + "\n")
+# field containers and check verdicts
 
 
 def _jsonable(obj):
@@ -313,10 +301,6 @@ class PathField:
     @property
     def times(self) -> np.ndarray:
         return np.arange(self.n_time + 1) * self.ds
-
-    def to_csv(self, path) -> None:
-        header = "s," + ",".join(f"x{j}" for j in range(self.grid.n_points))
-        _write_csv(path, header, [self.times, self.values])
 
 
 @dataclass(frozen=True, eq=False)

@@ -12,7 +12,17 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from kgeolab import PathField, cli, geodesic, ma_fiber, parse_config, verify
+from kgeolab import (
+    FunctionalTrace,
+    PathField,
+    SpatialGrid,
+    cli,
+    geodesic,
+    ma_fiber,
+    parse_config,
+    second_differences,
+    verify,
+)
 from kgeolab.cli import main
 from kgeolab.errors import ConfigError, NoConvergence, PositivityLoss, SchemaViolation, SingularSystem
 
@@ -22,7 +32,6 @@ AMP = 0.05 / (2.0 * np.pi) ** 2
 @pytest.fixture(autouse=True)
 def _clean_env(monkeypatch):
     monkeypatch.delenv("KGEOLAB_OUT_DIR", raising=False)
-    monkeypatch.delenv("KGEOLAB_THREADS", raising=False)
 
 
 def _write_config(tmp_path, name="config.json", **overrides):
@@ -164,16 +173,10 @@ def test_unknown_suite(tmp_path, capsys):
     assert "unknown suite" in capsys.readouterr().err
 
 
-def test_bad_thread_counts(tmp_path, capsys, monkeypatch):
+def test_bad_thread_counts(tmp_path, capsys):
     cfg = _write_config(tmp_path)
     assert main(["verify", "--config", cfg, "--threads", "0"]) == 1
     assert "--threads must be >= 1" in capsys.readouterr().err
-    monkeypatch.setenv("KGEOLAB_THREADS", "two")
-    assert main(["verify", "--config", cfg]) == 1
-    assert "must be an integer" in capsys.readouterr().err
-    monkeypatch.setenv("KGEOLAB_THREADS", "0")
-    assert main(["verify", "--config", cfg]) == 1
-    assert "KGEOLAB_THREADS must be >= 1" in capsys.readouterr().err
 
 
 def test_geodesic_needs_wide_time_grid(tmp_path, capsys):
@@ -374,6 +377,74 @@ def test_study_diagnostic_names_the_failing_stage(tmp_path, monkeypatch):
     assert (out / "geodesic_report.json").is_file()
     diag = json.loads((out / "diagnostic.json").read_text())
     assert (diag["stage"], diag["error_type"]) == ("study:fiberwise", "NoConvergence")
+
+
+# ---------------------------------------------------------------------------
+# CSV bytes: every float cell is _format_float, the shortest round-trip repr
+
+
+def test_path_field_csv_roundtrip(tmp_path, small_grid):
+    rng = np.random.default_rng(5)
+    path = PathField(small_grid, rng.standard_normal((9, 64)))
+    cli._write_csv_via(tmp_path, "path.csv", cli._path_header(64), [path.times, path.values])
+    p = tmp_path / "path.csv"
+    back = np.loadtxt(p, delimiter=",", skiprows=1)
+    assert np.array_equal(back[:, 0], path.times)
+    assert np.array_equal(back[:, 1:], path.values)  # bit-exact round trip
+    header = p.read_text().splitlines()[0]
+    assert header.startswith("s,x0,x1,") and header.endswith(f",x{64 - 1}")
+    assert _no_tmp_leftovers(tmp_path)
+
+
+def test_path_field_csv_bytes_match_format_float(tmp_path):
+    cells = [-0.0, 5e-324, 1e16, 0.1 + 0.2]
+    path = PathField(SpatialGrid(8), [cells * 2, cells[::-1] * 2])
+    cli._write_csv_via(tmp_path, "path.csv", cli._path_header(8), [path.times, path.values])
+    rows = [[0.0, *cells * 2], [1.0, *cells[::-1] * 2]]
+    body = "".join(",".join(cli._format_float(v) for v in row) + "\n" for row in rows)
+    expected = "s," + ",".join(f"x{j}" for j in range(8)) + "\n" + body
+    assert (tmp_path / "path.csv").read_bytes() == expected.encode()
+
+
+def test_trace_csv_roundtrip(tmp_path):
+    times = np.linspace(0.0, 1.0, 9)
+    values = times**2 - 0.3 * times
+    trace = FunctionalTrace(times, values, second_differences(values, 0.125), meta={"name": "q"})
+    columns = [trace.times, trace.values, trace.second_differences]
+    cli._write_csv_via(tmp_path, "trace.csv", "t,value,second_difference", columns)
+    out = tmp_path / "trace.csv"
+    assert out.read_text().splitlines()[0] == "t,value,second_difference"
+    back = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert np.array_equal(back[:, 0], trace.times)
+    assert np.array_equal(back[:, 1], trace.values)
+    assert np.array_equal(back[:, 2], trace.second_differences, equal_nan=True)
+
+
+def test_trace_csv_bytes_match_format_float(tmp_path):
+    cells = [-0.0, 5e-324, 1e16, 0.1 + 0.2, float("nan")]
+    times = [0.0, 0.25, 0.5, 0.75, 1.0]
+    trace = FunctionalTrace(times, cells, cells[::-1], meta={})
+    columns = [trace.times, trace.values, trace.second_differences]
+    cli._write_csv_via(tmp_path, "trace.csv", "t,value,second_difference", columns)
+    rows = zip(times, cells, cells[::-1])
+    body = "".join(",".join(cli._format_float(v) for v in row) + "\n" for row in rows)
+    assert (tmp_path / "trace.csv").read_bytes() == ("t,value,second_difference\n" + body).encode()
+
+
+def test_bound_samples_csv_bytes_match_format_float(tmp_path):
+    """One row per (eps, delta) pair, epsilon-major: the pair, then its three bound stats."""
+    config = cli.load_config(_write_config(tmp_path, epsilons=[0.1, 0.01, 0.001], deltas=[0.1, 0.05, 0.025]))
+    data = verify.SuiteData(config)
+    assert cli.run_fiberwise(config, data, tmp_path) == 0
+    family = data.ladder_family
+    rows = [
+        (eps, delta, *family.bound_samples[i, k])
+        for i, eps in enumerate(family.epsilons)
+        for k, delta in enumerate(family.deltas)
+    ]
+    body = "".join(",".join(cli._format_float(v) for v in row) + "\n" for row in rows)
+    expected = "epsilon,delta,sup_phi,neg_eps_inf_phi,eps_d2_phi\n" + body
+    assert (tmp_path / "fiber_bound_samples.csv").read_bytes() == expected.encode()
 
 
 # ---------------------------------------------------------------------------

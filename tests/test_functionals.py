@@ -31,7 +31,7 @@ from kgeolab import (
     truncated_entropy,
 )
 from kgeolab.functionals import _xlogy
-from kgeolab.model import _format_float, central2_symbol
+from kgeolab.model import central2_symbol
 
 AMP = 0.05 / (2.0 * np.pi) ** 2
 
@@ -63,30 +63,6 @@ def test_trace_validation():
         FunctionalTrace(times, np.zeros(4), np.zeros(5), meta={})
     with pytest.raises(ValueError, match="strictly increasing"):
         FunctionalTrace(times[::-1], np.zeros(5), np.zeros(5), meta={})
-
-
-def test_trace_csv_roundtrip(tmp_path):
-    times = np.linspace(0.0, 1.0, 9)
-    values = times**2 - 0.3 * times
-    trace = FunctionalTrace(times, values, second_differences(values, 0.125), meta={"name": "q"})
-    out = tmp_path / "trace.csv"
-    trace.to_csv(out)
-    assert out.read_text().splitlines()[0] == "t,value,second_difference"
-    back = np.loadtxt(out, delimiter=",", skiprows=1)
-    assert np.array_equal(back[:, 0], trace.times)
-    assert np.array_equal(back[:, 1], trace.values)
-    assert np.array_equal(back[:, 2], trace.second_differences, equal_nan=True)
-
-
-def test_trace_csv_bytes_match_format_float(tmp_path):
-    cells = [-0.0, 5e-324, 1e16, 0.1 + 0.2, float("nan")]
-    times = [0.0, 0.25, 0.5, 0.75, 1.0]
-    trace = FunctionalTrace(times, cells, cells[::-1], meta={})
-    out = tmp_path / "trace.csv"
-    trace.to_csv(out)
-    rows = zip(times, cells, cells[::-1])
-    body = "".join(",".join(_format_float(v) for v in row) + "\n" for row in rows)
-    assert out.read_bytes() == ("t,value,second_difference\n" + body).encode()
 
 
 def test_truncation_spec_validation():

@@ -255,28 +255,6 @@ def test_path_field_checks(small_grid):
         PathField(small_grid, np.full((9, 64), np.inf))
 
 
-def test_path_field_csv_roundtrip(tmp_path, small_grid):
-    rng = np.random.default_rng(5)
-    path = PathField(small_grid, rng.standard_normal((9, 64)))
-    p = tmp_path / "path.csv"
-    path.to_csv(p)
-    back = np.loadtxt(p, delimiter=",", skiprows=1)
-    assert np.array_equal(back[:, 0], path.times)
-    assert np.array_equal(back[:, 1:], path.values)  # bit-exact round trip
-    header = p.read_text().splitlines()[0]
-    assert header.startswith("s,x0,x1,") and header.endswith(f",x{64 - 1}")
-
-
-def test_path_field_csv_bytes_match_format_float(tmp_path):
-    cells = [-0.0, 5e-324, 1e16, 0.1 + 0.2]
-    path = PathField(SpatialGrid(8), [cells * 2, cells[::-1] * 2])
-    p = tmp_path / "path.csv"
-    path.to_csv(p)
-    rows = [[0.0, *cells * 2], [1.0, *cells[::-1] * 2]]
-    body = "".join(",".join(model._format_float(v) for v in row) + "\n" for row in rows)
-    assert p.read_bytes() == ("s," + ",".join(f"x{j}" for j in range(8)) + "\n" + body).encode()
-
-
 def test_reduced_hessian_det_and_mixed(small_bg):
     rng = np.random.default_rng(6)
     path = PathField(small_bg.grid, 0.001 * rng.standard_normal((9, 64)))
