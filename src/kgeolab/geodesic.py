@@ -25,18 +25,18 @@ and once down the tree.  Against SuperLU on the same order, the factor
 stores about 0.9 of the entries; another ordering changes only the last
 bits of the solution.
 
-A Newton step factors in float32 and takes that factor's solve as its step
-(_factor_and_solve).  The factor stores its blocks in half the bytes (2.9
-instead of 5.8 MB on 512 x 31) and takes about a third less time than in
-float64 (512 x 31: 22 -> 15 ms).  The step is off by the float32 solve's
-1e-7..1e-4 relative error, which the driver's chord steps on the same
-factor remove: each is kept only if it cuts the float64 Newton residual
-tenfold, so the chord steps refine in two precisions (Carson & Higham,
-SIAM J. Sci. Comput. 2018) and the polish ends at the float64 floor.  A
-float32 pivot block that np.linalg.inv rejects, a float32 overflow or a
-step whose float64 linear residual exceeds half the right-hand side makes
-the step factor again in float64, and the solve's NewtonRecord counts
-these fallbacks.
+A Newton step factors in float32 and takes that factor's solve as its step.
+The factor stores its blocks in half the bytes (2.9 instead of 5.8 MB on
+512 x 31) and takes about a third less time than in float64 (512 x 31:
+22 -> 15 ms).  The step leaves 3.7e-6..1.94e-3 of the right-hand side as
+float64 linear residual, which the driver's chord steps on the same factor
+remove: each is kept only if it cuts the float64 Newton residual tenfold,
+so the chord steps refine in two precisions (Carson & Higham, SIAM J.
+Sci. Comput. 2018) and the polish ends at the float64 floor.  One test
+(_checked) judges every step on the chord steps' terms: a step that leaves
+more than CHORD_CONTRACTION of the right-hand side, overflows or meets a
+singular pivot block gives way to the float64 factor, whose step is taken
+as it is, and the solve's NewtonRecord counts these fallbacks.
 
 A solve given the rung of the same problem at half the n_time refines it
 without a fine LU: it starts from prolong_in_s of that rung (nested
@@ -56,13 +56,12 @@ that Jacobian, whose own coarse solve recurses.  So a refined level factors
 only Jacobians of at most 16 intervals in s: a step of the chain's
 n_time-64 level cycles over the levels 64, 32 and 16 (a W-cycle, with two
 cycles per coarse solve), and the chain factors a 256 x 31 Jacobian, and
-builds its symbolic phase, only for a fallback step.  A cycle whose step
-does not cut the linear residual by CHORD_CONTRACTION gives way to
-_factor_and_solve, and NewtonRecord counts the steps of both kinds.  By
-power iteration, a two-grid cycle contracts at 0.01-0.05 on the canonical
-endpoints, 0.05-0.24 at density amplitude 0.3 and 0.09-0.54 at 0.9; a step
-from a prolonged start does better, and only at 0.9 do some steps fall
-back.
+builds its symbolic phase, only for a fallback step.  A cycle that
+_checked rejects gives way to the fine factors, and NewtonRecord counts
+the steps of both kinds.  By power iteration, a two-grid cycle contracts
+at 0.01-0.05 on the canonical endpoints, 0.05-0.24 at density amplitude
+0.3 and 0.09-0.54 at 0.9; a step from a prolonged start does better, and
+only at 0.9 do some steps fall back.
 
 eps_continuation is the one eps-ladder solver of the package.  It solves
 the ladder at each of its n_time levels, coarse to fine.  On the first
@@ -421,7 +420,7 @@ def splu(coefs: np.ndarray) -> _FrontalLU:
 
     coefs is newton_step's (5, n_time - 1, n_points) stack of the stencil
     coefficients, and the factor is computed and stored in its precision:
-    float32 for a Newton step, float64 for its fallback (_factor_and_solve).
+    float32 for a Newton step, float64 for its last fallback (newton_step).
     This is the numeric phase, one batch of fronts at a time, children
     first: each front is assembled from its children's Schur updates and the
     stencil coefficients of its pivot rows and columns, its pivot block is
@@ -490,25 +489,20 @@ def _jacobian_times(coefs: np.ndarray, s: np.ndarray) -> np.ndarray:
     ).reshape(-1)
 
 
-def _factor_and_solve(coefs: np.ndarray, b: np.ndarray) -> tuple:
-    """Factor the Jacobian of the float64 stack coefs in float32 and solve J s = b on that factor.
-
-    The step is the float32 factor's own solve.  A float32 pivot block that
-    np.linalg.inv rejects, a float32 overflow or a step whose float64 linear
-    residual b - J s exceeds half of b in sup norm makes the system factor
-    again in float64, whose solve is taken as it is; the float64 factor's
-    errors propagate.  Returns (factor, s, whether it fell back).
-    """
+def _checked(coefs: np.ndarray, b: np.ndarray, build):
+    """(solve, s): the solve build() returns for J s = b, J the Jacobian of the float64 stack coefs,
+    and its step s = solve(b).  None where building or solving overflows or meets a singular pivot
+    block, or where s leaves more than CHORD_CONTRACTION of b as float64 linear residual (sup
+    norms), the terms on which the driver keeps a chord step; a rejected solve is dropped here."""
     try:
-        with np.errstate(over="raise"):  # an overflow fails the float32 factor as a singular block does
-            lu = splu(coefs.astype(np.float32))
-            s = lu.solve(b)
+        with np.errstate(over="raise"):  # an overflow fails the solve as a singular block does
+            solve = build()
+            s = solve(b)
     except (FloatingPointError, np.linalg.LinAlgError):
-        s = None
-    if s is not None and np.max(np.abs(b - _jacobian_times(coefs, s))) <= 0.5 * np.max(np.abs(b)):
-        return lu, s, False
-    lu = splu(coefs)
-    return lu, lu.solve(b), True
+        return None
+    if np.max(np.abs(b - _jacobian_times(coefs, s))) <= CHORD_CONTRACTION * np.max(np.abs(b)):
+        return solve, s
+    return None
 
 
 class _PeriodicFactor:
@@ -674,21 +668,6 @@ def _coarse_solve(bg: Background, p: np.ndarray):
     return solve
 
 
-def _two_grid_step(bg: Background, p: np.ndarray, coefs: np.ndarray, b: np.ndarray):
-    """(cycle, s): the two-grid cycle of the Jacobian coefs at the path values p and its step for
-    J s = b, or None where a float32 coarse factor fails or the step does not cut the linear
-    residual by CHORD_CONTRACTION.  The coarse level is taken at the even rows of p."""
-    try:
-        with np.errstate(over="raise"):  # an overflow fails the cycle as a singular block does
-            cycle = _two_grid(coefs, _coarse_solve(bg, p[::2]))
-            s = cycle(b)
-    except (FloatingPointError, np.linalg.LinAlgError):
-        return None
-    if np.max(np.abs(b - _jacobian_times(coefs, s))) <= CHORD_CONTRACTION * np.max(np.abs(b)):
-        return cycle, s
-    return None
-
-
 def _jacobian(bg: Background, p: np.ndarray) -> np.ndarray:
     """The (5, n_time - 1, n_points) stencil coefficients of the Newton Jacobian at the path values p."""
     h = bg.grid.spacing
@@ -763,22 +742,21 @@ def solve_eps_geodesic(
         coefs = _jacobian(bg, p)
         if not np.isfinite(coefs).all():  # np.linalg.inv passes NaN and inf through
             raise SingularSystem("space-time Jacobian is not finite")
+        b = -r[0]
+        step = None
         if refined:
-            cycled = _two_grid_step(bg, p, coefs, -r[0])
-            counts["two_grid" if cycled else "two_grid_fallbacks"] += 1
-            if cycled:
-                cycle, step = cycled
-                return step[None, :], lambda r, rows: cycle(-r[0])[None, :]
+            step = _checked(coefs, b, lambda: _two_grid(coefs, _coarse_solve(bg, p[::2])))
+            counts["two_grid" if step else "two_grid_fallbacks"] += 1
         try:
-            lu, step, fell_back = _factor_and_solve(coefs, -r[0])
+            step = step or _checked(coefs, b, lambda: splu(coefs.astype(np.float32)).solve)
+            if step is None:
+                counts["fallbacks"] += 1
+                solve = splu(coefs).solve
+                step = solve, solve(b)
         except (RuntimeError, np.linalg.LinAlgError) as exc:
             raise SingularSystem(f"space-time Jacobian factorization failed: {exc}") from exc
-        counts["fallbacks"] += fell_back
-
-        def solve(r, rows):  # the driver's chord steps reuse this LU at later iterates
-            return lu.solve(-r[0])[None, :]
-
-        return step[None, :], solve
+        solve, s = step  # the driver's chord steps reuse this solve at later iterates
+        return s[None, :], lambda r, rows: solve(-r[0])[None, :]
 
     try:
         start = initial_guess(problem) if path0 is None else np.asarray(path0, dtype=float)

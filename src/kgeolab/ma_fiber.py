@@ -39,7 +39,7 @@ and substitutes in every sweep.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -57,7 +57,6 @@ from .model import (
     Background,
     PathField,
     PropertyResult,
-    _as_field_values,
     _decreasing_ladder,
     _result,
     fourier_field,
@@ -74,22 +73,21 @@ from .regularize import MollifierSpec, mollify_fiberwise, semipositivity_constan
 class FiberProblem:
     """A stack of fiber equations (*), one per row of beta (n_points or (rows, n_points)).
 
-    epsilon is one value or one per row; theta, shared by the rows, defaults
-    to the curvature density -r of the background; beta is required to be
+    epsilon is one value or one per row; theta, shared by the rows, is the
+    curvature density -r of the background; beta is required to be
     semipositive up to round-off.
     """
 
     bg: Background
     beta: np.ndarray
     epsilon: float | np.ndarray
-    theta: np.ndarray | None = None
+    theta: np.ndarray = field(init=False)
 
     def __post_init__(self):
         n = self.bg.grid.n_points
         beta = np.array(self.beta, dtype=float, ndmin=2)
         if beta.ndim != 2 or beta.shape[1] != n or not np.all(np.isfinite(beta)):
             raise ValueError(f"beta must be finite rows of {n} nodal values, got shape {beta.shape}")
-        theta = -self.bg.r if self.theta is None else _as_field_values(self.bg.grid, self.theta)
         epsilon = np.full(len(beta), self.epsilon, dtype=float)
         if not np.all(epsilon > 0.0):
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
@@ -99,7 +97,7 @@ class FiberProblem:
             raise NegativeDensity(
                 f"beta must be semipositive up to round-off; min = {low[b]:.3g}"
             ).at_row(b)
-        for name, arr in (("beta", beta), ("epsilon", epsilon), ("theta", np.array(theta, dtype=float))):
+        for name, arr in (("beta", beta), ("epsilon", epsilon), ("theta", -self.bg.r)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 

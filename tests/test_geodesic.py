@@ -1,6 +1,7 @@
 """Space-time solver, continuation limit, and the duality oracle."""
 
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -122,13 +123,13 @@ def test_newton_jacobian_matches_finite_differences(monkeypatch):
     start[1:-1] += 1e-6 * np.random.default_rng(3).standard_normal((n_time - 1, 8))
 
     factored = []
-    real = geodesic._factor_and_solve
+    real = geodesic._checked
 
-    def spy(coefs, b):
+    def spy(coefs, b, build):
         factored.append(coefs.copy())
-        return real(coefs, b)
+        return real(coefs, b, build)
 
-    monkeypatch.setattr(geodesic, "_factor_and_solve", spy)
+    monkeypatch.setattr(geodesic, "_checked", spy)
     solve_eps_geodesic(problem, path0=start)
     # the first Newton step linearizes at the start
     rows, cols, vals = _nine_point_entries(factored[0])
@@ -315,21 +316,28 @@ def test_one_symbolic_phase_is_cached():
     assert geodesic._dissection(7, 32) is geodesic._dissection(7, 32)
 
 
+def _float32_step(coefs, b):
+    """The float32 factor's step for J s = b as newton_step judges it: (solve, s), or None where
+    it is not kept."""
+    return geodesic._checked(coefs, b, lambda: geodesic.splu(coefs.astype(np.float32)).solve)
+
+
 @pytest.mark.parametrize("n, n_int", [(8, 7), (30, 9), (64, 15), (256, 63), (512, 31)])
 def test_nested_dissection_solve_matches_superlu(n, n_int):
     """The multifrontal LU of the float64 stack solves random nine-point Jacobians as SuperLU
-    does, to 1e-12 relative, and the float32 factor's step passes the fallback rule: its
-    float64 linear residual is at most half the right-hand side."""
+    does, to 1e-12 relative, and the float32 factor's step is kept: its float64 linear residual
+    is at most CHORD_CONTRACTION of the right-hand side."""
     linalg = pytest.importorskip("scipy.sparse.linalg")
     coefs = _random_coefs(n, n_int, seed=n * n_int)
     rhs = np.random.default_rng(n).standard_normal(n * n_int)
     reference = linalg.splu(_nine_point_csc(coefs)).solve(rhs)
     x = geodesic.splu(coefs).solve(rhs)
     assert np.max(np.abs(x - reference)) <= 1e-12 * np.max(np.abs(reference))
-    lu, step, fell_back = geodesic._factor_and_solve(coefs, rhs)
-    assert lu.dtype == np.float32 and not fell_back
-    assert np.array_equal(step, lu.solve(rhs))
-    assert np.max(np.abs(rhs - geodesic._jacobian_times(coefs, step))) <= 0.5 * np.max(np.abs(rhs))
+    solve, step = _float32_step(coefs, rhs)
+    assert solve.__self__.dtype == np.float32
+    assert np.array_equal(step, solve(rhs))
+    bound = geodesic.CHORD_CONTRACTION * np.max(np.abs(rhs))
+    assert np.max(np.abs(rhs - geodesic._jacobian_times(coefs, step))) <= bound
 
 
 def _first_newton_system(monkeypatch, n, n_time):
@@ -338,17 +346,17 @@ def _first_newton_system(monkeypatch, n, n_time):
     grid = SpatialGrid(n)
     bg = make_background(grid, psi=fourier_field(grid, [(1, 0.002, 0.001)]))
     e0, e1 = _endpoints(grid)
-    real = geodesic._factor_and_solve
+    real = geodesic._checked
     seen = []
 
-    def spy(coefs, b):
-        seen.append((coefs.copy(), b.copy(), real(coefs, b)))
+    def spy(coefs, b, build):
+        seen.append((coefs.copy(), b.copy(), real(coefs, b, build)))
         return seen[-1][2]
 
-    monkeypatch.setattr(geodesic, "_factor_and_solve", spy)
+    monkeypatch.setattr(geodesic, "_checked", spy)
     solve_eps_geodesic(EpsGeodesicProblem(bg, e0, e1, 1e-2, n_time))
     monkeypatch.undo()
-    coefs, rhs, (_, step, _) = seen[0]
+    coefs, rhs, (_, step) = seen[0]
     return coefs, rhs, step
 
 
@@ -376,11 +384,7 @@ def test_newton_step_equals_minimum_degree_solve(monkeypatch):
     problem = EpsGeodesicProblem(bg, *_endpoints(grid), 1e-2, 16)
     mixed = solve_eps_geodesic(problem)
 
-    def float64_only(coefs, b):
-        lu = geodesic.splu(coefs)
-        return lu, lu.solve(b), True
-
-    monkeypatch.setattr(geodesic, "_factor_and_solve", float64_only)
+    monkeypatch.setattr(geodesic, "_checked", lambda coefs, b, build: None)  # every step falls back
     double = solve_eps_geodesic(problem)
     assert mixed.record.fallbacks == 0 and double.record.fallbacks == double.record.factorizations
     assert max(mixed.residual_sup, double.residual_sup) <= 1e-13
@@ -424,41 +428,59 @@ def _coupled_only_below_float32(n, n_int, node):
     return coefs
 
 
-def test_float32_singular_pivot_block_falls_back_to_float64():
-    """A stack that np.linalg.inv rejects in float32 but not in float64 is factored again in
-    float64, and the step is that factor's solve."""
+def _solve_on_float32_factors_of(small_bg, monkeypatch, stack):
+    """The (eps 1e-2, n_time 8) solve with every float32 factor taken of stack(coefs) instead, and
+    the same solve unpatched.  splu stays patched for the rest of the test."""
+    e0, e1 = _endpoints(small_bg.grid)
+    problem = EpsGeodesicProblem(small_bg, e0, e1, 1e-2, 8)
+    reference = solve_eps_geodesic(problem)
+    real_splu = geodesic.splu
+    monkeypatch.setattr(geodesic, "splu", lambda c: real_splu(stack(c) if c.dtype == np.float32 else c))
+    return solve_eps_geodesic(problem), reference
+
+
+def test_float32_singular_pivot_block_falls_back_to_float64(small_bg, monkeypatch):
+    """A stack that np.linalg.inv rejects in float32 but not in float64 gives no float32 step,
+    and its float64 factor solves it.  In a solve, a float32 factor that raises LinAlgError makes
+    each Newton step factor in float64, counted as a fallback, and the solve ends where the
+    float32 one does, to round-off."""
     coefs = _coupled_only_below_float32(8, 7, (3, 4))
     b = np.random.default_rng(0).standard_normal(coefs[0].size)
     with pytest.raises(np.linalg.LinAlgError):
         geodesic.splu(coefs.astype(np.float32))
-    lu, step, fell_back = geodesic._factor_and_solve(coefs, b)
-    assert fell_back and lu.dtype == np.float64
-    assert np.array_equal(step, geodesic.splu(coefs).solve(b))
+    assert _float32_step(coefs, b) is None
+    step = geodesic.splu(coefs).solve(b)
     assert np.max(np.abs(b - geodesic._jacobian_times(coefs, step))) <= 1e-14 * np.max(np.abs(b))
+    sol, reference = _solve_on_float32_factors_of(small_bg, monkeypatch, lambda c: 0.0 * c)
+    assert sol.record.fallbacks == sol.record.factorizations >= 1
+    assert np.max(np.abs(sol.path.values - reference.path.values)) <= 1e-15
 
 
 def test_stack_beyond_float32_range_falls_back_to_float64():
-    """Coefficients that overflow float32 fail the float32 factor quietly, as a singular block does."""
+    """Coefficients that overflow float32 fail the float32 factor quietly, as a singular block
+    does, and the float64 factor's step is kept."""
     coefs = 1e36 * _random_coefs(64, 7, seed=3)
     b = np.ones(coefs[0].size)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        lu, step, fell_back = geodesic._factor_and_solve(coefs, b)
-    assert fell_back and lu.dtype == np.float64
+        assert _float32_step(coefs, b) is None
+        solve, step = geodesic._checked(coefs, b, lambda: geodesic.splu(coefs).solve)
+    assert solve.__self__.dtype == np.float64
     assert np.array_equal(step, geodesic.splu(coefs).solve(b))
 
 
 def test_right_hand_side_beyond_float32_range_falls_back_to_float64():
     """A right-hand side that overflows float32 fails the float32 solve quietly, as a singular
-    block does, and the step comes from the float64 factor.  A solve in either precision leaves
-    a read-only argument as it was."""
+    block does, and the float64 factor's step is kept.  A solve in either precision, and the
+    check of its step, leave a read-only argument as it was."""
     coefs = _random_coefs(64, 7, seed=3)
     b = np.full(coefs[0].size, 1e39)
     b.setflags(write=False)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        lu, step, fell_back = geodesic._factor_and_solve(coefs, b)
-    assert fell_back and lu.dtype == np.float64
+        assert _float32_step(coefs, b) is None
+        solve, step = geodesic._checked(coefs, b, lambda: geodesic.splu(coefs).solve)
+    assert solve.__self__.dtype == np.float64
     assert np.array_equal(step, geodesic.splu(coefs).solve(b))
     for lu in (geodesic.splu(coefs), geodesic.splu(coefs.astype(np.float32))):
         rhs = np.linspace(-1.0, 1.0, b.size).astype(lu.dtype)
@@ -469,10 +491,10 @@ def test_right_hand_side_beyond_float32_range_falls_back_to_float64():
 
 
 def test_refinement_that_does_not_contract_falls_back_to_float64(small_bg, monkeypatch):
-    """A float32 factor whose step leaves more than half of the right-hand side as float64 linear
-    residual is replaced by a float64 one.  Here the float32 factor is that of 3 J, so its step
-    leaves 2/3 of it.  The solve counts one fallback per Newton step and ends where the float32
-    solve does, to round-off."""
+    """A float32 factor whose step leaves more than CHORD_CONTRACTION of the right-hand side as
+    float64 linear residual is replaced by a float64 one.  Here the float32 factor is that of
+    3 J, so its step leaves 2/3 of it.  The solve counts one fallback per Newton step and ends
+    where the float32 solve does, to round-off."""
     e0, e1 = _endpoints(small_bg.grid)
     problem = EpsGeodesicProblem(small_bg, e0, e1, 1e-2, 8)
     reference = solve_eps_geodesic(problem)
@@ -486,8 +508,7 @@ def test_refinement_that_does_not_contract_falls_back_to_float64(small_bg, monke
 
     monkeypatch.setattr(geodesic, "splu", off_by_three)
     coefs = _random_coefs(64, 7, seed=5)
-    lu, step, fell_back = geodesic._factor_and_solve(coefs, np.ones(coefs[0].size))
-    assert fell_back and lu.dtype == np.float64 and precisions == [np.float32, np.float64]
+    assert _float32_step(coefs, np.ones(coefs[0].size)) is None and precisions == [np.float32]
     precisions.clear()
     sol = solve_eps_geodesic(problem)
     rec = sol.record
@@ -495,6 +516,41 @@ def test_refinement_that_does_not_contract_falls_back_to_float64(small_bg, monke
     assert precisions == [np.float32, np.float64] * rec.factorizations
     assert sol.residual_sup <= 1e-13
     assert np.max(np.abs(sol.path.values - reference.path.values)) <= 1e-15
+
+
+def test_float32_step_leaving_a_third_of_the_residual_falls_back_to_float64(small_bg, monkeypatch):
+    """A float32 factor of 1.5 J steps to J^-1 b / 1.5, which leaves 1/3 of b as linear residual:
+    more than CHORD_CONTRACTION, so the step is not kept, as a chord step would not be, and the
+    Newton step factors in float64, counted as a fallback.  The solve ends where the float32 one
+    does, to round-off."""
+    sol, reference = _solve_on_float32_factors_of(small_bg, monkeypatch, lambda c: 1.5 * c)
+    assert sol.record.fallbacks == sol.record.factorizations >= 1
+    assert np.max(np.abs(sol.path.values - reference.path.values)) <= 1e-15
+    coefs = _random_coefs(64, 7, seed=5)
+    b = np.ones(coefs[0].size)
+    left = b - geodesic._jacobian_times(coefs, geodesic.splu(coefs.astype(np.float32)).solve(b))
+    assert abs(np.max(np.abs(left)) - 1.0 / 3.0) <= 1e-3
+    assert _float32_step(coefs, b) is None
+
+
+def test_rejected_float32_factor_is_released_before_the_float64_one_is_built(small_bg, monkeypatch):
+    """A float32 factor whose step is not kept is gone by the time its float64 replacement is
+    factored, so a fallback step holds one factor at its peak, not both."""
+    real_splu = geodesic.splu
+    rejected, alive = [], []
+
+    def track(coefs):
+        if coefs.dtype == np.float32:
+            lu = real_splu(3.0 * coefs)  # its step leaves 2/3 of the right-hand side
+            rejected.append(weakref.ref(lu))
+            return lu
+        alive.append(rejected[-1]() is not None)
+        return real_splu(coefs)
+
+    monkeypatch.setattr(geodesic, "splu", track)
+    e0, e1 = _endpoints(small_bg.grid)
+    sol = solve_eps_geodesic(EpsGeodesicProblem(small_bg, e0, e1, 1e-2, 8))
+    assert len(alive) == len(rejected) == sol.record.fallbacks >= 1 and not any(alive)
 
 
 def test_large_factor_stores_float32_blocks_with_unchanged_fill(monkeypatch):

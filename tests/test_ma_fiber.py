@@ -70,7 +70,8 @@ def test_aubin_identities_on_generic_source(small_bg):
 
 def test_aubin_zero_source_rejected(small_bg):
     n = small_bg.grid.n_points
-    prob = FiberProblem(small_bg, np.zeros(n), 0.1, theta=np.zeros(n))
+    prob = FiberProblem(small_bg, np.zeros(n), 0.1)
+    assert np.all(prob.theta == 0.0)  # -r on the flat background: the source theta + beta is 0
     with pytest.raises(IncompatibleMass):
         solve_aubin_fiber(prob)
 
