@@ -85,6 +85,7 @@ def damped_newton(x0, evaluate, newton_step, tol: float = 1e-11, max_iter: int =
     failing row is raised, with its batch index in ``row``.
     """
     x = np.array(x0, dtype=float)
+    del x0  # frees a start the caller did not keep (CPython 3.11 moves call arguments to the callee)
     active = np.arange(len(x))
     r, ok = evaluate(x, active)
     if not ok.all():
@@ -100,8 +101,9 @@ def damped_newton(x0, evaluate, newton_step, tol: float = 1e-11, max_iter: int =
     def attempt(rows, step, factor):
         """Try x[rows] + step; commit the rows admissible with residual below factor times the old.
 
-        Returns the flags ok (admissible) and kept (committed), one per row."""
-        trial = x[rows] + step
+        The trial is formed in step, which every caller passes as a fresh array.  Returns the flags
+        ok (admissible) and kept (committed), one per row."""
+        trial = np.add(step, x[rows], out=step)
         trial_r, ok = evaluate(trial, rows)
         trial_sup = np.max(np.abs(trial_r), axis=1)
         kept = ok & (trial_sup < factor * r_sup[rows])
@@ -116,7 +118,8 @@ def damped_newton(x0, evaluate, newton_step, tol: float = 1e-11, max_iter: int =
         """One full chord step on rows; returns the rows that kept it."""
         if not rows.size:
             return rows
-        return rows[attempt(rows, solve(r[rows], rows), factor)[1]]
+        every = r if len(rows) == len(x) else r[rows]  # r itself, not a copy, when it can
+        return rows[attempt(rows, solve(every, rows), factor)[1]]
 
     active = active[r_sup > tol]
     while active.size:

@@ -10,7 +10,11 @@ Newton with cone-preserving step halving converges from the affine guess
 (1-s) phi0 + s phi1 + (eps/2)(s^2 - s), whose s-Hessian equals eps exactly
 and whose slice densities are convex combinations of the endpoint densities.
 All interior rows are solved jointly; the Jacobian is the nine-point
-space-time stencil, factored sparse at a Newton step.  The Newton driver
+space-time stencil, factored sparse at a Newton step.  It is held as three
+fields (_jacobian): the x and s neighbours' coefficients and q, which
+weighs the anti-diagonal neighbours and whose negative weighs the diagonal
+ones; the centre, -2 times the sum of the first two, is formed where it is
+read, and splu's five-field stack only for a factorization.  The Newton loop
 reuses that LU for chord steps at later iterates while each cuts the
 residual tenfold, and polishes the solution on it to the round-off floor,
 so a solve factors about once or twice and its result does not depend on
@@ -172,7 +176,7 @@ def eval_geodesic_residual(bg: Background, path: PathField, epsilon: float) -> n
 
 
 # the nine-point stencil: (time offset, space offset, row of the coefficient
-# stack that newton_step builds)
+# stack that _stack builds)
 _STENCIL = (
     (0, 0, 0),
     (0, 1, 1),
@@ -418,17 +422,17 @@ def _matvec(blocks: np.ndarray, vectors: np.ndarray) -> np.ndarray:
 def splu(coefs: np.ndarray) -> _FrontalLU:
     """Multifrontal LU of the space-time Jacobian in nested-dissection order.
 
-    coefs is newton_step's (5, n_time - 1, n_points) stack of the stencil
-    coefficients, and the factor is computed and stored in its precision:
-    float32 for a Newton step, float64 for its last fallback (newton_step).
-    This is the numeric phase, one batch of fronts at a time, children
-    first: each front is assembled from its children's Schur updates and the
-    stencil coefficients of its pivot rows and columns, its pivot block is
-    inverted with np.linalg.inv (partial pivoting inside the block), and
-    F_RR - F_RP F_PP^-1 F_PR goes on to the parent.  newton_step calls this
-    name once per factorization, the fallback's included, so a wrapper of it
-    sees every one.  Raises np.linalg.LinAlgError on an exactly singular
-    pivot block.
+    coefs is the (5, n_time - 1, n_points) stack of the stencil coefficients
+    that _stack forms from newton_step's fields, and the factor is computed
+    and stored in its precision: float32 for a Newton step, float64 for its
+    last fallback (newton_step).  This is the numeric phase, one batch of
+    fronts at a time, children first: each front is assembled from its
+    children's Schur updates and the stencil coefficients of its pivot rows
+    and columns, its pivot block is inverted with np.linalg.inv (partial
+    pivoting inside the block), and F_RR - F_RP F_PP^-1 F_PR goes on to the
+    parent.  newton_step calls this name once per factorization, the
+    fallback's included, so a wrapper of it sees every one.  Raises
+    np.linalg.LinAlgError on an exactly singular pivot block.
     """
     groups, sweeps, order = _dissection(*coefs.shape[1:])
     coefs = np.ascontiguousarray(coefs).reshape(-1)
@@ -473,34 +477,56 @@ def _ghosted(s: np.ndarray) -> np.ndarray:
     return g
 
 
-def _jacobian_times(coefs: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """J s in float64 for the nine-point Jacobian of the coefficient stack coefs, s raveled like it.
+def _centre(fields: np.ndarray) -> np.ndarray:
+    """The centre coefficient of the Jacobian with the three fields (x_nbr, s_nbr, q): -2 x_nbr - 2 s_nbr."""
+    x_nbr, s_nbr, _ = fields
+    return -2.0 * x_nbr - 2.0 * s_nbr
+
+
+def _stack(fields: np.ndarray, dtype) -> np.ndarray:
+    """splu's (5, n_time - 1, n_points) coefficient stack in dtype: centre, x and s neighbours, then
+    -q on the diagonal (+1, +1) and (-1, -1) and q on the anti-diagonal (+1, -1) and (-1, +1)."""
+    x_nbr, s_nbr, q = fields
+    return np.stack([_centre(fields), x_nbr, s_nbr, -q, q], dtype=dtype)
+
+
+def _jacobian_times(fields: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """J s in float64 for the nine-point Jacobian of the fields (x_nbr, s_nbr, q), s raveled like them.
 
     The Dirichlet rows beyond the first and last interior row are zero, x is periodic.
     """
-    centre, x_nbr, s_nbr, diag, anti = coefs
-    g = _ghosted(s.reshape(coefs.shape[1:]))
+    x_nbr, s_nbr, q = fields
+    g = _ghosted(s.reshape(x_nbr.shape))
     return (
-        centre * g[1:-1, 1:-1]
+        _centre(fields) * g[1:-1, 1:-1]
         + x_nbr * (g[1:-1, 2:] + g[1:-1, :-2])
         + s_nbr * (g[2:, 1:-1] + g[:-2, 1:-1])
-        + diag * (g[2:, 2:] + g[:-2, :-2])
-        + anti * (g[2:, :-2] + g[:-2, 2:])
+        - q * (g[2:, 2:] + g[:-2, :-2])  # the diagonal's coefficient is -q
+        + q * (g[2:, :-2] + g[:-2, 2:])
     ).reshape(-1)
 
 
-def _checked(coefs: np.ndarray, b: np.ndarray, build):
-    """(solve, s): the solve build() returns for J s = b, J the Jacobian of the float64 stack coefs,
-    and its step s = solve(b).  None where building or solving overflows or meets a singular pivot
-    block, or where s leaves more than CHORD_CONTRACTION of b as float64 linear residual (sup
-    norms), the terms on which the driver keeps a chord step; a rejected solve is dropped here."""
+def _step(solve, r: np.ndarray) -> np.ndarray:
+    """The step s with J s = -r of a linear solve of J: -solve(r), negated in place.  Every solve
+    here, the LU's and the two-grid cycle, is odd in its right-hand side bit for bit, so -r is
+    never formed."""
+    s = solve(r)
+    return np.negative(s, out=s)
+
+
+def _checked(fields: np.ndarray, r: np.ndarray, build):
+    """(solve, s): the solve build() returns, J the Jacobian of the float64 fields, and its step
+    s = _step(solve, r), with J s = -r.  None where building or solving overflows or meets a
+    singular pivot block, or where s leaves more than CHORD_CONTRACTION of r as float64 linear
+    residual (sup norms), the terms on which damped_newton keeps a chord step; a rejected solve is
+    dropped here."""
     try:
         with np.errstate(over="raise"):  # an overflow fails the solve as a singular block does
             solve = build()
-            s = solve(b)
+            s = _step(solve, r)
     except (FloatingPointError, np.linalg.LinAlgError):
         return None
-    if np.max(np.abs(b - _jacobian_times(coefs, s))) <= CHORD_CONTRACTION * np.max(np.abs(b)):
+    if np.max(np.abs(r + _jacobian_times(fields, s))) <= CHORD_CONTRACTION * np.max(np.abs(r)):
         return solve, s
     return None
 
@@ -590,8 +616,8 @@ class _PeriodicFactor:
         return np.hstack([y - last * self.corner, last])
 
 
-def _two_grid(coefs: np.ndarray, coarse):
-    """One two-grid cycle for J s = b from s = 0, as a function of b; s and b are raveled like coefs.
+def _two_grid(fields: np.ndarray, coarse):
+    """One two-grid cycle for J s = b from s = 0, as a function of b; s and b are raveled like fields.
 
     coarse solves the Jacobian on every second time row (_coarse_solve).
     A cycle is a zebra x-line Gauss-Seidel sweep (the lines of the odd time
@@ -604,9 +630,9 @@ def _two_grid(coefs: np.ndarray, coarse):
     Both line sets are factored here, once, and every sweep of every cycle
     only substitutes.
     """
-    n_int, n = coefs.shape[1:]
-    centre, x_nbr, s_nbr, diag, anti = coefs
-    lines = -centre / x_nbr
+    n_int, n = fields.shape[1:]
+    x_nbr, s_nbr, q = fields
+    lines = -_centre(fields) / x_nbr
     odd, even = slice(0, None, 2), slice(1, None, 2)  # interior rows at s = ds, 3 ds, ... and 2 ds, 4 ds, ...
     zebra = [(rows, _PeriodicFactor(lines[rows], -1.0)) for rows in (odd, even)]
 
@@ -615,10 +641,11 @@ def _two_grid(coefs: np.ndarray, coarse):
         g = _ghosted(s)
         up, down = g[2:][rows], g[:-2][rows]
         out = s_nbr[rows] * (up[:, 1:-1] + down[:, 1:-1])
-        out += diag[rows] * (up[:, 2:] + down[:, :-2]) + anti[rows] * (up[:, :-2] + down[:, 2:])
+        q_rows = q[rows]
+        out += q_rows * (up[:, :-2] + down[:, 2:]) - q_rows * (up[:, 2:] + down[:, :-2])  # anti-diagonal - diagonal
         if whole:
             mid = g[1:-1][rows]
-            out += centre[rows] * mid[:, 1:-1] + x_nbr[rows] * (mid[:, 2:] + mid[:, :-2])
+            out += _centre(fields[:, rows]) * mid[:, 1:-1] + x_nbr[rows] * (mid[:, 2:] + mid[:, :-2])
         return out
 
     def sweep(s, b):  # each line set solved exactly, the rows next to it held
@@ -654,48 +681,60 @@ def _coarse_solve(bg: Background, p: np.ndarray):
     COARSE_CYCLES two-grid cycles of that Jacobian, each on the coarse solve at every second row of
     p, so only the first level at or below n_time 16 is factored."""
     if len(p) - 1 <= 16:
-        return splu(_jacobian(bg, p).astype(np.float32)).solve
-    coefs = _jacobian(bg, p)
-    cycle = _two_grid(coefs, _coarse_solve(bg, p[::2]))
+        return splu(_stack(_jacobian(bg, p), np.float32)).solve
+    fields = _jacobian(bg, p)
+    cycle = _two_grid(fields, _coarse_solve(bg, p[::2]))
 
     def solve(r: np.ndarray) -> np.ndarray:
         r = r.reshape(-1)
         s = cycle(r)
         for _ in range(COARSE_CYCLES - 1):
-            s += cycle(r - _jacobian_times(coefs, s))
+            s += cycle(r - _jacobian_times(fields, s))
         return s
 
     return solve
 
 
 def _jacobian(bg: Background, p: np.ndarray) -> np.ndarray:
-    """The (5, n_time - 1, n_points) stencil coefficients of the Newton Jacobian at the path values p."""
+    """The three fields (x_nbr, s_nbr, q) of the Newton Jacobian at the path values p, (3, n_time - 1,
+    n_points): the coefficients of the x and s neighbours, and q, whose negative weighs the diagonal
+    neighbours (+1, +1) and (-1, -1) and which weighs the anti-diagonal ones.  The centre coefficient
+    is -2 x_nbr - 2 s_nbr (_centre); splu takes all five (_stack)."""
     h = bg.grid.spacing
     ds = 1.0 / (p.shape[0] - 1)
-    inv_h2 = 1.0 / (h * h)
-    inv_ds2 = 1.0 / (ds * ds)
-    m_xx, phi_ss, phi_xs = _stencil_parts(bg, p)
-    q = phi_xs / (2.0 * h * ds)
-    return np.stack([
-        -2.0 * inv_h2 * phi_ss - 2.0 * inv_ds2 * m_xx,  # centre
-        inv_h2 * phi_ss,  # x neighbours
-        inv_ds2 * m_xx,  # s neighbours
-        -q,  # (+1, +1) and (-1, -1)
-        q,  # (+1, -1) and (-1, +1)
-    ])
+    fields = np.empty((3, p.shape[0] - 2, p.shape[1]))
+    x_nbr, s_nbr, q = fields
+    _stencil_parts(bg, _periodic_pad(p), out=(s_nbr, x_nbr, q))  # w + Phi_xx, Phi_ss and Phi_xs, scaled in place
+    x_nbr *= 1.0 / (h * h)
+    s_nbr *= 1.0 / (ds * ds)
+    q /= 2.0 * h * ds
+    return fields
 
 
-def _stencil_parts(bg: Background, p: np.ndarray) -> tuple:
-    """w + Phi_xx, Phi_ss and Phi_xs on the interior rows of the path values p, as Newton assembles them."""
+def _stencil_parts(bg: Background, g: np.ndarray, out=None):
+    """w + Phi_xx, Phi_ss and Phi_xs on the interior rows of a path, as Newton assembles them, from
+    its values g with a periodic ghost column on each side (_periodic_pad).
+
+    Formed in the (3, n_time - 1, n_points) array it returns, or in the three arrays of out; each
+    second difference takes its two first differences in place, one in a slot not yet filled.
+    """
+    p = g[:, 1:-1]
     h = bg.grid.spacing
     ds = 1.0 / (p.shape[0] - 1)
-    inv_h2 = 1.0 / (h * h)
-    inv_ds2 = 1.0 / (ds * ds)
-    g = _periodic_pad(p)
-    m_xx = bg.w[None, :] + np.diff(g[1:-1], n=2, axis=1) * inv_h2
-    phi_ss = ((p[2:, :] - p[1:-1, :]) - (p[1:-1, :] - p[:-2, :])) * inv_ds2
-    phi_xs = (g[2:, 2:] - g[2:, :-2] - g[:-2, 2:] + g[:-2, :-2]) / (4.0 * h * ds)
-    return m_xx, phi_ss, phi_xs
+    parts = np.empty((3, p.shape[0] - 2, p.shape[1])) if out is None else out
+    m_xx, phi_ss, phi_xs = parts
+    np.subtract(g[1:-1, 2:], g[1:-1, 1:-1], out=m_xx)
+    m_xx -= np.subtract(g[1:-1, 1:-1], g[1:-1, :-2], out=phi_ss)
+    m_xx *= 1.0 / (h * h)
+    m_xx += bg.w[None, :]
+    np.subtract(p[2:, :], p[1:-1, :], out=phi_ss)
+    phi_ss -= np.subtract(p[1:-1, :], p[:-2, :], out=phi_xs)
+    phi_ss *= 1.0 / (ds * ds)
+    np.subtract(g[2:, 2:], g[2:, :-2], out=phi_xs)
+    phi_xs -= g[:-2, 2:]
+    phi_xs += g[:-2, :-2]
+    phi_xs /= 4.0 * h * ds
+    return parts
 
 
 def _in_cone(parts) -> bool:
@@ -729,41 +768,50 @@ def solve_eps_geodesic(
     def full_path(x):
         return np.vstack([e0[None, :], x.reshape(n_int, n), e1[None, :]])
 
+    def padded_path(x):  # _periodic_pad(full_path(x)), built in one allocation
+        g = np.empty((nt + 1, n + 2))
+        g[0, 1:-1], g[1:-1, 1:-1], g[-1, 1:-1] = e0, x.reshape(n_int, n), e1
+        g[:, 0], g[:, -1] = g[:, -2], g[:, 1]
+        return g
+
     counts = {"fallbacks": 0, "two_grid": 0, "two_grid_fallbacks": 0}
 
     def evaluate(x, rows):  # x is a batch of one row, shape (1, n_int * n)
-        parts = _stencil_parts(bg, full_path(x))
+        parts = _stencil_parts(bg, padded_path(x))
         m_xx, phi_ss, phi_xs = parts
-        r = m_xx * phi_ss - phi_xs * phi_xs - problem.epsilon * w[None, :]
+        r = m_xx * phi_ss
+        r -= np.square(phi_xs, out=phi_xs)
+        r -= problem.epsilon * w[None, :]
         return r.reshape(1, -1), np.array([_in_cone(parts)])
 
     def newton_step(x, r, rows):
         p = full_path(x)
-        coefs = _jacobian(bg, p)
-        if not np.isfinite(coefs).all():  # np.linalg.inv passes NaN and inf through
+        fields = _jacobian(bg, p)
+        # np.linalg.inv passes NaN and inf through; the centre, formed from finite fields, may overflow
+        if not (np.isfinite(fields).all() and np.isfinite(_centre(fields)).all()):
             raise SingularSystem("space-time Jacobian is not finite")
-        b = -r[0]
+        r = r[0]
         step = None
         if refined:
-            step = _checked(coefs, b, lambda: _two_grid(coefs, _coarse_solve(bg, p[::2])))
+            step = _checked(fields, r, lambda: _two_grid(fields, _coarse_solve(bg, p[::2])))
             counts["two_grid" if step else "two_grid_fallbacks"] += 1
         try:
-            step = step or _checked(coefs, b, lambda: splu(coefs.astype(np.float32)).solve)
+            step = step or _checked(fields, r, lambda: splu(_stack(fields, np.float32)).solve)
             if step is None:
                 counts["fallbacks"] += 1
-                solve = splu(coefs).solve
-                step = solve, solve(b)
+                solve = splu(_stack(fields, float)).solve
+                step = solve, _step(solve, r)
         except (RuntimeError, np.linalg.LinAlgError) as exc:
             raise SingularSystem(f"space-time Jacobian factorization failed: {exc}") from exc
         solve, s = step  # the driver's chord steps reuse this solve at later iterates
-        return s[None, :], lambda r, rows: solve(-r[0])[None, :]
+        return s[None, :], lambda r, rows: _step(solve, r[0])[None, :]
+
+    def first_iterate():  # damped_newton copies it and drops it: no prolonged start is held through the solve
+        start = initial_guess(problem) if path0 is None else np.asarray(path0, dtype=float)
+        return (prolong_in_s(start) if refined else start)[1:-1, :].reshape(1, -1)
 
     try:
-        start = initial_guess(problem) if path0 is None else np.asarray(path0, dtype=float)
-        if refined:
-            start = prolong_in_s(start)
-        x0 = start[1:-1, :].reshape(1, -1)
-        x, rec = damped_newton(x0, evaluate, newton_step, tol=tol, max_iter=60)
+        x, rec = damped_newton(first_iterate(), evaluate, newton_step, tol=tol, max_iter=60)
         for name, count in counts.items():
             setattr(rec, name, count)
         path = PathField(grid, full_path(x))
@@ -851,7 +899,7 @@ def _secant_start(bg: Background, a: EpsGeodesic, b: EpsGeodesic, epsilon: float
     """The secant extrapolation in eps of rungs a and b to epsilon, or b's path where it leaves the cone."""
     theta = (epsilon - b.epsilon) / (b.epsilon - a.epsilon)
     guess = b.path.values + theta * (b.path.values - a.path.values)
-    return guess if _in_cone(_stencil_parts(bg, guess)) else b.path.values
+    return guess if _in_cone(_stencil_parts(bg, _periodic_pad(guess))) else b.path.values
 
 
 def rung_increments(rungs) -> list:
@@ -859,13 +907,15 @@ def rung_increments(rungs) -> list:
     return [float(np.max(np.abs(b.path.values - a.path.values))) for a, b in zip(rungs, rungs[1:])]
 
 
-def weak_limit(bg: Background, rungs) -> PathField:
+def weak_limit(bg: Background, rungs, increments=None) -> PathField:
     """The last rung's path, once the continuation has shown its limit.
 
     The Cauchy increments must decrease, and the last path must satisfy the
-    degenerate-determinant bound |det| <= eps_last max w.
+    degenerate-determinant bound |det| <= eps_last max w.  increments are
+    rung_increments(rungs) unless given: a caller that took them as its
+    rungs arrived passes them, and of the rungs only the last.
     """
-    increments = rung_increments(rungs)
+    increments = rung_increments(rungs) if increments is None else increments
     for a, b in zip(increments, increments[1:]):
         if b > a + 1e-12:
             raise FamilyMismatch(f"continuation increments increase: {increments}")

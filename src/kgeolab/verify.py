@@ -56,6 +56,7 @@ from .geodesic import (
     EpsGeodesic,
     EpsGeodesicProblem,
     eps_continuation,
+    rung_increments,
     solve_eps_geodesic,
     weak_limit,
 )
@@ -357,14 +358,16 @@ def convexity_inequality_k(bg: Background, path: PathField, family: FiberFamily,
 # curvature identity along an eps-geodesic
 
 
-def _curvature_fields(bg: Background, eg: EpsGeodesic) -> dict:
-    """The identity's fields on the interior rows, each intermediate row set dropped after its last use."""
+def _curvature_fields(bg: Background, eg: EpsGeodesic, tags) -> dict:
+    """The identity's fields on the interior rows: a, a_x, eps_term and the derivatives of f = log(m / w)
+    and of g = log m for those of the tags "f" and "g" given, each intermediate row set dropped after
+    its last use."""
     grid, ds = bg.grid, eg.path.ds
     m_rows = metric_density(bg, eg.path.values)
     m_int = m_rows[1:-1]  # reduced_hessian's m_xx
     a = path_dxds(grid, eg.path.values, ds) / m_int
-    out = {"a": a, "a_x": path_d1x(grid, a), "m_int": m_int}
-    for tag in ("f", "g"):
+    out = {"a": a, "a_x": path_d1x(grid, a)}
+    for tag in tags:
         rows = np.log(m_rows / bg.w[None, :]) if tag == "f" else np.log(m_rows)
         out[tag + "_xx"] = path_d2x(grid, rows)[1:-1]
         out[tag + "_ss"] = path_d2s(rows, ds)
@@ -431,22 +434,22 @@ def eps_curvature_identity(
         )
     tol = 1e-6
 
-    fields = _curvature_fields(bg, eg)
-    a = fields["a"]
-    hess_f = fields["f_ss"] - 2.0 * a * fields["f_xs"] + a * a * (fields["f_xx"] - bg.r[None, :])
-    q_ineq = hess_f - fields["eps_term"]
-    scale = _scale(
-        fields["f_ss"],
-        2.0 * a * fields["f_xs"],
-        a * a * (fields["f_xx"] - bg.r[None, :]),
-        fields["eps_term"],
-    )
-    margin_ineq = float(np.min(q_ineq)) + tol * scale
+    fields = _curvature_fields(bg, eg, "f")  # the inequality's, dropped before the residuals' are formed
+    a, eps_term = fields["a"], fields["eps_term"]
+    mixed = 2.0 * a * fields["f_xs"]
+    curved = a * a * (fields["f_xx"] - bg.r[None, :])
+    q_ineq = fields["f_ss"] - mixed + curved  # Hess f - Ric
+    q_ineq -= eps_term
+    scale = _scale(fields["f_ss"], mixed, curved, eps_term)
+    min_ineq = float(np.min(q_ineq))
+    margin_ineq = min_ineq + tol * scale
+    del fields, a, eps_term, mixed, curved, q_ineq
 
+    fields = _curvature_fields(bg, eg, "g")
     residuals = []
     shapes = []
     for level_bg, level_eg in levels:  # the finest level is (bg, eg) itself, whose fields are at hand
-        level_fields = fields if level_eg is eg else _curvature_fields(level_bg, level_eg)
+        level_fields = fields if level_eg is eg else _curvature_fields(level_bg, level_eg, "g")
         residuals.append(_identity_residual(level_fields, kappa))
         shapes.append([level_bg.grid.n_points, level_eg.path.n_time])
     ratios = [residuals[i] / residuals[i + 1] for i in range(len(residuals) - 1)]
@@ -466,7 +469,7 @@ def eps_curvature_identity(
             "levels": shapes,
             "identity_residuals": residuals,
             "ratios": ratios,
-            "min_inequality": float(np.min(q_ineq)),
+            "min_inequality": min_ineq,
             "scale": scale,
             "margin_inequality": margin_ineq,
             "margin_ratios": margin_ratio,
@@ -958,15 +961,25 @@ class SuiteData:
     @cached_property
     def boundary_paths(self) -> list:
         """Weak limits of the chain's WEAK_EPSILONS ladders at BOUNDARY_N_TIMES (32 and 64), each taken once its
-        level is solved, rung by rung; a _spent level's rung k is released (None) once the next level refines it."""
+        level is solved, rung by rung, with the Cauchy increments taken as the rungs arrive.  A _spent level's
+        rung k is released (None) once the next level refines it, and on the last level, once rung k + 1's
+        increment is taken, unless it is eps_geodesic's."""
         paths = []
-        for j in range(len(CHAIN_N_TIMES)):
+        for j, n_time in enumerate(CHAIN_N_TIMES):
+            n_times = CHAIN_N_TIMES[: j + 1]
+            last = n_times == CHAIN_N_TIMES and self._spent(n_times)
+            increments, rung = [], None
             for k in range(len(WEAK_EPSILONS)):
-                rungs = self._ladder(WEAK_EPSILONS[: k + 1], WEAK_TOL, CHAIN_N_TIMES[: j + 1])[-1]
+                before = rung  # no local holds rung k - 1 while rung k + 1 is solved
+                rung = self._ladder(WEAK_EPSILONS[: k + 1], WEAK_TOL, n_times)[-1][-1]
                 if self._spent(CHAIN_N_TIMES[:j]):
                     self._rungs[WEAK_EPSILONS[: k + 1], CHAIN_N_TIMES[:j], WEAK_TOL] = None
+                if k:
+                    increments += rung_increments((before, rung))
+                    if last and (WEAK_EPSILONS[k - 1], n_time) != (CURVATURE_EPSILON, CURVATURE_N_TIME):
+                        self._rungs[WEAK_EPSILONS[:k], n_times, WEAK_TOL] = None
             if j:
-                paths.append(weak_limit(self.bg, rungs))
+                paths.append(weak_limit(self.bg, [rung], increments))
         return paths
 
     def solve_chain_first(self, suite: str) -> None:

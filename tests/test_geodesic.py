@@ -27,7 +27,7 @@ from kgeolab import (
 )
 from kgeolab import geodesic
 from kgeolab.geodesic import rung_increments, weak_limit
-from kgeolab.model import fourier_field, metric_density
+from kgeolab.model import _periodic_pad, fourier_field, metric_density
 
 AMP = 0.05 / (2.0 * np.pi) ** 2
 
@@ -95,13 +95,26 @@ def _nine_point_csc(coefs):
     return sparse.csc_matrix((vals, (rows, cols)), shape=(size, size))
 
 
-def _random_coefs(n, n_int, seed):
-    """The coefficient stack newton_step builds, at random cone values of w + Phi_xx, Phi_ss and Phi_xs."""
+def _random_fields(n, n_int, seed):
+    """The Jacobian fields (x_nbr, s_nbr, q) newton_step builds, at random cone values of w + Phi_xx,
+    Phi_ss and Phi_xs."""
     rng = np.random.default_rng(seed)
     h, ds = 1.0 / n, 1.0 / (n_int + 1)
     m_xx, phi_ss = rng.uniform(0.5, 1.5, (2, n_int, n))
     q = rng.uniform(-0.3, 0.3, (n_int, n)) / (2.0 * h * ds)
-    return np.stack([-2.0 * phi_ss / h**2 - 2.0 * m_xx / ds**2, phi_ss / h**2, m_xx / ds**2, -q, q])
+    return np.stack([phi_ss / h**2, m_xx / ds**2, q])
+
+
+def _five_fields(fields):
+    """The (5, n_int, n) stack splu factors, written out from the fields (x_nbr, s_nbr, q): centre,
+    x and s neighbours, diagonal and anti-diagonal."""
+    x_nbr, s_nbr, q = fields
+    return np.stack([-2.0 * x_nbr - 2.0 * s_nbr, x_nbr, s_nbr, -q, q])
+
+
+def _random_coefs(n, n_int, seed):
+    """The coefficient stack of _random_fields."""
+    return _five_fields(_random_fields(n, n_int, seed))
 
 
 def test_newton_jacobian_matches_finite_differences(monkeypatch):
@@ -125,14 +138,14 @@ def test_newton_jacobian_matches_finite_differences(monkeypatch):
     factored = []
     real = geodesic._checked
 
-    def spy(coefs, b, build):
-        factored.append(coefs.copy())
-        return real(coefs, b, build)
+    def spy(fields, r, build):
+        factored.append(fields.copy())
+        return real(fields, r, build)
 
     monkeypatch.setattr(geodesic, "_checked", spy)
     solve_eps_geodesic(problem, path0=start)
     # the first Newton step linearizes at the start
-    rows, cols, vals = _nine_point_entries(factored[0])
+    rows, cols, vals = _nine_point_entries(_five_fields(factored[0]))
     jac = np.zeros((7 * 8, 7 * 8))
     jac[rows, cols] = vals
 
@@ -316,10 +329,22 @@ def test_one_symbolic_phase_is_cached():
     assert geodesic._dissection(7, 32) is geodesic._dissection(7, 32)
 
 
-def _float32_step(coefs, b):
-    """The float32 factor's step for J s = b as newton_step judges it: (solve, s), or None where
-    it is not kept."""
-    return geodesic._checked(coefs, b, lambda: geodesic.splu(coefs.astype(np.float32)).solve)
+def _float32_step(fields, b):
+    """The float32 factor's step for J s = b as newton_step judges it, at the residual -b, read-only
+    where b is: (solve, s), or None where it is not kept."""
+    return geodesic._checked(fields, _residual(b), lambda: geodesic.splu(geodesic._stack(fields, np.float32)).solve)
+
+
+def _float64_step(fields, b):
+    """The float64 factor's step for J s = b, judged as _float32_step judges its own."""
+    return geodesic._checked(fields, _residual(b), lambda: geodesic.splu(geodesic._stack(fields, float)).solve)
+
+
+def _residual(b):
+    """-b, the residual whose Newton step solves J s = b, read-only where b is."""
+    r = -b
+    r.setflags(write=b.flags.writeable)
+    return r
 
 
 @pytest.mark.parametrize("n, n_int", [(8, 7), (30, 9), (64, 15), (256, 63), (512, 31)])
@@ -328,16 +353,17 @@ def test_nested_dissection_solve_matches_superlu(n, n_int):
     does, to 1e-12 relative, and the float32 factor's step is kept: its float64 linear residual
     is at most CHORD_CONTRACTION of the right-hand side."""
     linalg = pytest.importorskip("scipy.sparse.linalg")
-    coefs = _random_coefs(n, n_int, seed=n * n_int)
+    fields = _random_fields(n, n_int, seed=n * n_int)
+    coefs = _five_fields(fields)
     rhs = np.random.default_rng(n).standard_normal(n * n_int)
     reference = linalg.splu(_nine_point_csc(coefs)).solve(rhs)
     x = geodesic.splu(coefs).solve(rhs)
     assert np.max(np.abs(x - reference)) <= 1e-12 * np.max(np.abs(reference))
-    solve, step = _float32_step(coefs, rhs)
+    solve, step = _float32_step(fields, rhs)
     assert solve.__self__.dtype == np.float32
     assert np.array_equal(step, solve(rhs))
     bound = geodesic.CHORD_CONTRACTION * np.max(np.abs(rhs))
-    assert np.max(np.abs(rhs - geodesic._jacobian_times(coefs, step))) <= bound
+    assert np.max(np.abs(rhs - geodesic._jacobian_times(fields, step))) <= bound
 
 
 def _first_newton_system(monkeypatch, n, n_time):
@@ -349,15 +375,15 @@ def _first_newton_system(monkeypatch, n, n_time):
     real = geodesic._checked
     seen = []
 
-    def spy(coefs, b, build):
-        seen.append((coefs.copy(), b.copy(), real(coefs, b, build)))
+    def spy(fields, r, build):
+        seen.append((fields.copy(), -r, real(fields, r, build)))
         return seen[-1][2]
 
     monkeypatch.setattr(geodesic, "_checked", spy)
     solve_eps_geodesic(EpsGeodesicProblem(bg, e0, e1, 1e-2, n_time))
     monkeypatch.undo()
-    coefs, rhs, (_, step) = seen[0]
-    return coefs, rhs, step
+    fields, rhs, (_, step) = seen[0]
+    return _five_fields(fields), rhs, step
 
 
 def test_dissection_fill_is_close_to_minimum_degree(monkeypatch):
@@ -384,11 +410,161 @@ def test_newton_step_equals_minimum_degree_solve(monkeypatch):
     problem = EpsGeodesicProblem(bg, *_endpoints(grid), 1e-2, 16)
     mixed = solve_eps_geodesic(problem)
 
-    monkeypatch.setattr(geodesic, "_checked", lambda coefs, b, build: None)  # every step falls back
+    monkeypatch.setattr(geodesic, "_checked", lambda fields, r, build: None)  # every step falls back
     double = solve_eps_geodesic(problem)
     assert mixed.record.fallbacks == 0 and double.record.fallbacks == double.record.factorizations
     assert max(mixed.residual_sup, double.residual_sup) <= 1e-13
     assert np.max(np.abs(mixed.path.values - double.path.values)) <= 1e-15
+
+
+# the five-field formulation the three Jacobian fields replaced, kept as the reference they must
+# equal bit for bit: the stack (centre, x_nbr, s_nbr, diag, anti) and every routine that read it
+
+
+def _stencil_parts_reference(bg, p):
+    """w + Phi_xx, Phi_ss and Phi_xs from np.diff and whole-array differences."""
+    h, ds = bg.grid.spacing, 1.0 / (p.shape[0] - 1)
+    g = _periodic_pad(p)
+    m_xx = bg.w[None, :] + np.diff(g[1:-1], n=2, axis=1) * (1.0 / (h * h))
+    phi_ss = ((p[2:, :] - p[1:-1, :]) - (p[1:-1, :] - p[:-2, :])) * (1.0 / (ds * ds))
+    phi_xs = (g[2:, 2:] - g[2:, :-2] - g[:-2, 2:] + g[:-2, :-2]) / (4.0 * h * ds)
+    return m_xx, phi_ss, phi_xs
+
+
+def _jacobian_reference(bg, p):
+    h, ds = bg.grid.spacing, 1.0 / (p.shape[0] - 1)
+    inv_h2, inv_ds2 = 1.0 / (h * h), 1.0 / (ds * ds)
+    m_xx, phi_ss, phi_xs = _stencil_parts_reference(bg, p)
+    q = phi_xs / (2.0 * h * ds)
+    return np.stack([-2.0 * inv_h2 * phi_ss - 2.0 * inv_ds2 * m_xx, inv_h2 * phi_ss, inv_ds2 * m_xx, -q, q])
+
+
+def _jacobian_times_reference(coefs, s):
+    centre, x_nbr, s_nbr, diag, anti = coefs
+    g = geodesic._ghosted(s.reshape(coefs.shape[1:]))
+    return (
+        centre * g[1:-1, 1:-1]
+        + x_nbr * (g[1:-1, 2:] + g[1:-1, :-2])
+        + s_nbr * (g[2:, 1:-1] + g[:-2, 1:-1])
+        + diag * (g[2:, 2:] + g[:-2, :-2])
+        + anti * (g[2:, :-2] + g[:-2, 2:])
+    ).reshape(-1)
+
+
+def _two_grid_reference(coefs, coarse):
+    n_int, n = coefs.shape[1:]
+    centre, x_nbr, s_nbr, diag, anti = coefs
+    lines = -centre / x_nbr
+    odd, even = slice(0, None, 2), slice(1, None, 2)
+    zebra = [(rows, geodesic._PeriodicFactor(lines[rows], -1.0)) for rows in (odd, even)]
+
+    def product(s, rows, whole):
+        g = geodesic._ghosted(s)
+        up, down = g[2:][rows], g[:-2][rows]
+        out = s_nbr[rows] * (up[:, 1:-1] + down[:, 1:-1])
+        out += diag[rows] * (up[:, 2:] + down[:, :-2]) + anti[rows] * (up[:, :-2] + down[:, 2:])
+        if whole:
+            mid = g[1:-1][rows]
+            out += centre[rows] * mid[:, 1:-1] + x_nbr[rows] * (mid[:, 2:] + mid[:, :-2])
+        return out
+
+    def sweep(s, b):
+        for rows, factor in zebra:
+            s[rows] = factor.solve((product(s, rows, False) - b[rows]) / x_nbr[rows])
+
+    def cycle(b):
+        b = b.reshape(n_int, n)
+        s = np.zeros((n_int, n))
+        sweep(s, b)
+        r = b[odd] - product(s, odd, True)
+        e = np.zeros((n_int // 2 + 2, n))
+        e[1:-1] = coarse(0.25 * (r[:-1] + r[1:])).reshape(-1, n)
+        s[even] += e[1:-1]
+        s[odd] += 0.5 * (e[:-1] + e[1:])
+        sweep(s, b)
+        return s.reshape(-1)
+
+    return cycle
+
+
+def _coarse_solve_reference(bg, p):
+    if len(p) - 1 <= 16:
+        return geodesic.splu(_jacobian_reference(bg, p).astype(np.float32)).solve
+    coefs = _jacobian_reference(bg, p)
+    cycle = _two_grid_reference(coefs, _coarse_solve_reference(bg, p[::2]))
+
+    def solve(r):
+        r = r.reshape(-1)
+        s = cycle(r)
+        for _ in range(geodesic.COARSE_CYCLES - 1):
+            s += cycle(r - _jacobian_times_reference(coefs, s))
+        return s
+
+    return solve
+
+
+def _random_cone_path(n_time, seed):
+    """A curved 64-point background and a path in the cone: the (eps 0.1) affine guess plus noise."""
+    grid = SpatialGrid(64)
+    bg = make_background(grid, psi=fourier_field(grid, [(1, 0.002, 0.001)]))
+    path = initial_guess(EpsGeodesicProblem(bg, *_endpoints(grid), 0.1, n_time))
+    path[1:-1] += 1e-7 * np.random.default_rng(seed).standard_normal(path[1:-1].shape)
+    assert geodesic._in_cone(geodesic._stencil_parts(bg, _periodic_pad(path)))
+    return bg, path
+
+
+@pytest.mark.parametrize("n_time", [16, 32, 64])
+def test_three_jacobian_fields_act_as_the_five_field_stack_bit_for_bit(n_time):
+    """On random cone paths, the fields (x_nbr, s_nbr, q) give splu the five-field stack in float64
+    and in float32, J s, the two-grid cycle and the coarse solve (at n_time 64 the W-cycle over 32
+    and 16) of the five-field formulation, to the last bit.  The cycle and the float32 LU solve are
+    odd functions of their right-hand side, bit for bit, which the chord steps rely on."""
+    bg, path = _random_cone_path(n_time, seed=n_time)
+    fields = geodesic._jacobian(bg, path)
+    coefs = _jacobian_reference(bg, path)
+    assert fields.shape == (3, n_time - 1, 64)
+    assert np.array_equal(geodesic._stack(fields, float), coefs)
+    assert np.array_equal(geodesic._stack(fields, np.float32), coefs.astype(np.float32))
+    coarse = geodesic._coarse_solve(bg, path[::2])
+    cycle, reference = geodesic._two_grid(fields, coarse), _two_grid_reference(coefs, coarse)
+    fine, fine_reference = geodesic._coarse_solve(bg, path), _coarse_solve_reference(bg, path)
+    lu = geodesic.splu(geodesic._stack(fields, np.float32))
+    for s, b in np.random.default_rng(n_time + 1).standard_normal((3, 2, fields[0].size)):
+        assert np.array_equal(geodesic._jacobian_times(fields, s), _jacobian_times_reference(coefs, s))
+        assert np.array_equal(cycle(b), reference(b))
+        assert np.array_equal(cycle(-b), -cycle(b))
+        assert np.array_equal(fine(b), fine_reference(b))
+        assert np.array_equal(lu.solve(-b), -lu.solve(b))
+
+
+@pytest.mark.parametrize("n_time", [16, 64])
+def test_stencil_parts_in_place_equal_the_np_diff_formulas_bit_for_bit(n_time):
+    """The second differences formed in place, in one (3, n_time - 1, n) array or in three given
+    arrays, are those of np.diff and the whole-array differences, bit for bit."""
+    bg, path = _random_cone_path(n_time, seed=3 * n_time)
+    reference = _stencil_parts_reference(bg, path)
+    parts = geodesic._stencil_parts(bg, _periodic_pad(path))
+    out = tuple(np.empty_like(part) for part in reference)
+    assert geodesic._stencil_parts(bg, _periodic_pad(path), out=out) is out
+    for got in (parts, out):
+        assert all(np.array_equal(a, b) for a, b in zip(got, reference))
+
+
+def test_overflowing_centre_raises_singular_system(small_bg):
+    """At Phi_ss = 2.4e304 every Jacobian field is finite (x_nbr = Phi_ss / h^2 is 9.8e307 on 64
+    points), but the centre -2 x_nbr - 2 s_nbr the factor needs overflows: the step's check
+    still raises SingularSystem."""
+    e0, e1 = _endpoints(small_bg.grid)
+    problem = EpsGeodesicProblem(small_bg, e0, e1, 1e-2, 8)
+    s = np.arange(9) / 8.0
+    steep = initial_guess(problem) + 1.2e304 * (s * s - s)[:, None]
+    fields = geodesic._jacobian(small_bg, steep)
+    with np.errstate(over="ignore"):
+        assert np.isfinite(fields).all() and not np.isfinite(geodesic._centre(fields)).all()
+    with pytest.raises(SingularSystem, match=(
+        r"^eps-geodesic solve failed at \(eps=0\.01, n_time=8, n_points=64\): space-time Jacobian is not finite$"
+    )), np.errstate(over="ignore"):
+        solve_eps_geodesic(problem, path0=steep)
 
 
 def test_non_finite_jacobian_raises_singular_system(small_bg):
@@ -417,15 +593,15 @@ def test_singular_pivot_block_raises_singular_system(small_bg, monkeypatch):
 
 
 def _coupled_only_below_float32(n, n_int, node):
-    """A constant nine-point stack in which every entry of node's column is 1e-60: zero in
+    """Constant Jacobian fields in which every entry of node's column is of order 1e-60: zero in
     float32, so any float32 front that pivots node is singular, while the float64 system is
     regular up to the scale of that unknown."""
-    coefs = np.stack([np.full((n_int, n), v) for v in (-4.0, 1.0, 1.0, 0.1, -0.1)])
+    fields = np.stack([np.full((n_int, n), v) for v in (1.0, 1.0, -0.1)])
     i, j = node
-    coefs[:, i, j] = 0.0
-    for di, dj, k in geodesic._STENCIL:
-        coefs[k, i - di, (j - dj) % n] = 1e-60  # row node - offset reaches node through entry k
-    return coefs
+    fields[:2, i, j] = 5e-61  # the centre, -2 x_nbr - 2 s_nbr
+    for di, dj, k in geodesic._STENCIL[1:]:
+        fields[min(k - 1, 2), i - di, (j - dj) % n] = 1e-60  # row node - offset reaches node through k
+    return fields
 
 
 def _solve_on_float32_factors_of(small_bg, monkeypatch, stack):
@@ -444,13 +620,13 @@ def test_float32_singular_pivot_block_falls_back_to_float64(small_bg, monkeypatc
     and its float64 factor solves it.  In a solve, a float32 factor that raises LinAlgError makes
     each Newton step factor in float64, counted as a fallback, and the solve ends where the
     float32 one does, to round-off."""
-    coefs = _coupled_only_below_float32(8, 7, (3, 4))
-    b = np.random.default_rng(0).standard_normal(coefs[0].size)
+    fields = _coupled_only_below_float32(8, 7, (3, 4))
+    b = np.random.default_rng(0).standard_normal(fields[0].size)
     with pytest.raises(np.linalg.LinAlgError):
-        geodesic.splu(coefs.astype(np.float32))
-    assert _float32_step(coefs, b) is None
-    step = geodesic.splu(coefs).solve(b)
-    assert np.max(np.abs(b - geodesic._jacobian_times(coefs, step))) <= 1e-14 * np.max(np.abs(b))
+        geodesic.splu(geodesic._stack(fields, np.float32))
+    assert _float32_step(fields, b) is None
+    step = geodesic.splu(geodesic._stack(fields, float)).solve(b)
+    assert np.max(np.abs(b - geodesic._jacobian_times(fields, step))) <= 1e-14 * np.max(np.abs(b))
     sol, reference = _solve_on_float32_factors_of(small_bg, monkeypatch, lambda c: 0.0 * c)
     assert sol.record.fallbacks == sol.record.factorizations >= 1
     assert np.max(np.abs(sol.path.values - reference.path.values)) <= 1e-15
@@ -459,27 +635,28 @@ def test_float32_singular_pivot_block_falls_back_to_float64(small_bg, monkeypatc
 def test_stack_beyond_float32_range_falls_back_to_float64():
     """Coefficients that overflow float32 fail the float32 factor quietly, as a singular block
     does, and the float64 factor's step is kept."""
-    coefs = 1e36 * _random_coefs(64, 7, seed=3)
-    b = np.ones(coefs[0].size)
+    fields = 1e36 * _random_fields(64, 7, seed=3)
+    b = np.ones(fields[0].size)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert _float32_step(coefs, b) is None
-        solve, step = geodesic._checked(coefs, b, lambda: geodesic.splu(coefs).solve)
+        assert _float32_step(fields, b) is None
+        solve, step = _float64_step(fields, b)
     assert solve.__self__.dtype == np.float64
-    assert np.array_equal(step, geodesic.splu(coefs).solve(b))
+    assert np.array_equal(step, geodesic.splu(_five_fields(fields)).solve(b))
 
 
 def test_right_hand_side_beyond_float32_range_falls_back_to_float64():
     """A right-hand side that overflows float32 fails the float32 solve quietly, as a singular
     block does, and the float64 factor's step is kept.  A solve in either precision, and the
     check of its step, leave a read-only argument as it was."""
-    coefs = _random_coefs(64, 7, seed=3)
+    fields = _random_fields(64, 7, seed=3)
+    coefs = _five_fields(fields)
     b = np.full(coefs[0].size, 1e39)
     b.setflags(write=False)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert _float32_step(coefs, b) is None
-        solve, step = geodesic._checked(coefs, b, lambda: geodesic.splu(coefs).solve)
+        assert _float32_step(fields, b) is None
+        solve, step = _float64_step(fields, b)
     assert solve.__self__.dtype == np.float64
     assert np.array_equal(step, geodesic.splu(coefs).solve(b))
     for lu in (geodesic.splu(coefs), geodesic.splu(coefs.astype(np.float32))):
@@ -507,8 +684,8 @@ def test_refinement_that_does_not_contract_falls_back_to_float64(small_bg, monke
         return real_splu(3.0 * coefs if coefs.dtype == np.float32 else coefs)
 
     monkeypatch.setattr(geodesic, "splu", off_by_three)
-    coefs = _random_coefs(64, 7, seed=5)
-    assert _float32_step(coefs, np.ones(coefs[0].size)) is None and precisions == [np.float32]
+    fields = _random_fields(64, 7, seed=5)
+    assert _float32_step(fields, np.ones(fields[0].size)) is None and precisions == [np.float32]
     precisions.clear()
     sol = solve_eps_geodesic(problem)
     rec = sol.record
@@ -526,11 +703,11 @@ def test_float32_step_leaving_a_third_of_the_residual_falls_back_to_float64(smal
     sol, reference = _solve_on_float32_factors_of(small_bg, monkeypatch, lambda c: 1.5 * c)
     assert sol.record.fallbacks == sol.record.factorizations >= 1
     assert np.max(np.abs(sol.path.values - reference.path.values)) <= 1e-15
-    coefs = _random_coefs(64, 7, seed=5)
-    b = np.ones(coefs[0].size)
-    left = b - geodesic._jacobian_times(coefs, geodesic.splu(coefs.astype(np.float32)).solve(b))
+    fields = _random_fields(64, 7, seed=5)
+    b = np.ones(fields[0].size)
+    left = b - geodesic._jacobian_times(fields, geodesic.splu(geodesic._stack(fields, np.float32)).solve(b))
     assert abs(np.max(np.abs(left)) - 1.0 / 3.0) <= 1e-3
-    assert _float32_step(coefs, b) is None
+    assert _float32_step(fields, b) is None
 
 
 def test_rejected_float32_factor_is_released_before_the_float64_one_is_built(small_bg, monkeypatch):

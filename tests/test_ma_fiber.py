@@ -26,7 +26,7 @@ from kgeolab import (
     solve_aubin_fiber,
     solve_family,
 )
-from kgeolab import ma_fiber, regularize
+from kgeolab import geodesic, ma_fiber, regularize
 from kgeolab.model import path_d2x
 
 
@@ -193,7 +193,7 @@ def test_cyclic_reduction_matches_dptsv(m, rows):
     inv_h2 = float((m + 1) ** 2)
     diag = 2.0 * inv_h2 + np.exp(rng.uniform(np.log(10.0), np.log(1e3), (rows, m + 1)))
     rhs = rng.standard_normal((2, m + 1, rows))
-    factor = ma_fiber._PeriodicFactor(diag, -inv_h2)
+    factor = geodesic._PeriodicFactor(diag, -inv_h2)
     assert np.all(factor.low > 0.0) and np.all(factor.low <= diag[:, :-1].min(axis=1))
     for b in rhs:
         x = factor._block_solve(b)
@@ -219,7 +219,7 @@ def test_periodic_tridiagonal_solves_row_scaled_x_lines(n, lines):
     relative and reports positive pivots."""
     diag = _x_lines(n, lines, n + lines)
     r = np.random.default_rng(n).standard_normal((lines, n))
-    factor = ma_fiber._PeriodicFactor(diag, -1.0)
+    factor = geodesic._PeriodicFactor(diag, -1.0)
     x = factor.solve(r)
     assert np.all(factor.low > 0.0)
     ring = np.roll(np.eye(n), 1, axis=1) + np.roll(np.eye(n), -1, axis=1)  # both x-neighbours, periodic
@@ -233,9 +233,9 @@ def test_one_factor_solves_like_a_fresh_factor_per_right_hand_side(n, lines):
     """A factor kept across solves, as the line smoother keeps it for a Newton step, gives the same
     bits for each right-hand side as a factor built for that one alone: solve only substitutes."""
     diag = _x_lines(n, lines, 7 * n)
-    kept = ma_fiber._PeriodicFactor(diag, -1.0)
+    kept = geodesic._PeriodicFactor(diag, -1.0)
     for r in np.random.default_rng(n).standard_normal((4, lines, n)):
-        assert np.array_equal(kept.solve(r), ma_fiber._PeriodicFactor(diag, -1.0).solve(r))
+        assert np.array_equal(kept.solve(r), geodesic._PeriodicFactor(diag, -1.0).solve(r))
 
 
 def _bordered_reference(diag: np.ndarray, e: float, r: np.ndarray) -> tuple:
@@ -287,7 +287,7 @@ def test_factor_gives_the_bits_of_the_one_pass_solve(n, rows):
     diag = 2.0 * inv_h2 + np.exp(rng.uniform(np.log(10.0), np.log(1e3), (rows, n)))
     r = rng.standard_normal((rows, n))
     x, low = _bordered_reference(diag, -inv_h2, r)
-    factor = ma_fiber._PeriodicFactor(diag, -inv_h2)
+    factor = geodesic._PeriodicFactor(diag, -inv_h2)
     assert np.array_equal(factor.solve(r), x) and np.array_equal(factor.low, low)
 
 

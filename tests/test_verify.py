@@ -4,8 +4,10 @@ import gc
 import json
 import math
 import random
+import tracemalloc
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from kgeolab import (
     PropertyResult,
     SkippedHypothesis,
     SpatialGrid,
+    SuiteData,
     TruncationSpec,
     curvature_levels,
     density_convergence,
@@ -30,6 +33,7 @@ from kgeolab import (
     eps_phi_vanishing,
     fourier_field,
     legendre_oracle,
+    load_config,
     mabuchi,
     make_background,
     mabuchi_convexity_and_continuity,
@@ -49,8 +53,8 @@ from kgeolab import (
     subharmonic_test_fields,
     truncated_semicontinuity_sweep,
 )
-from kgeolab import geodesic
-from kgeolab.errors import PositivityLoss
+from kgeolab import geodesic, verify
+from kgeolab.errors import FamilyMismatch, PositivityLoss
 from kgeolab.model import _jsonable, path_d1x, path_d2s, path_d2x, path_dxds, reduced_hessian
 from kgeolab.verify import (
     A_VALUES,
@@ -270,19 +274,24 @@ def test_curvature_levels_validation(small_bg):
 
 def test_curvature_fields_keep_the_bits_of_the_whole_row_sets(bg, eps_geo):
     """_curvature_fields builds its rows one tag at a time, each dropped after its last use, with the
-    ufunc calls of the version that held the reduced Hessian and every row set at once."""
+    ufunc calls of the version that held the reduced Hessian and every row set at once; given one
+    tag, it builds that tag's rows alone."""
     rh = reduced_hessian(bg, eps_geo.path)
     m_rows = metric_density(bg, eps_geo.path.values)
     a = rh.m_xs / rh.m_xx
-    expected = {"a": a, "a_x": path_d1x(bg.grid, a), "m_int": rh.m_xx}
+    expected = {"a": a, "a_x": path_d1x(bg.grid, a)}
     for tag, rows in (("f", np.log(m_rows / bg.w[None, :])), ("g", np.log(m_rows))):
         expected[tag + "_xx"] = path_d2x(bg.grid, rows)[1:-1]
         expected[tag + "_ss"] = path_d2s(rows, eps_geo.path.ds)
         expected[tag + "_xs"] = path_dxds(bg.grid, rows, eps_geo.path.ds)
     expected["eps_term"] = eps_geo.epsilon * path_d2x(bg.grid, bg.w[None, :] / m_rows)[1:-1] / rh.m_xx
-    fields = _curvature_fields(bg, eps_geo)
+    fields = _curvature_fields(bg, eps_geo, "fg")
     assert fields.keys() == expected.keys()
     assert all(np.array_equal(fields[key], expected[key]) for key in expected)
+    for tag, other in (("f", "g"), ("g", "f")):
+        alone = _curvature_fields(bg, eps_geo, tag)
+        assert alone.keys() == {key for key in expected if not key.startswith(other + "_")}
+        assert all(np.array_equal(alone[key], expected[key]) for key in alone)
 
 
 def test_curvature_identity_requires_converged_input(small_bg):
@@ -586,6 +595,75 @@ def test_solve_chain_first_frees_the_rungs_finer_than_the_run(run_suite_data, mo
     solved = len(rungs)
     data.weak_path, data.ladder_rungs
     assert len(rungs) == solved + (n_time != 16) * 2  # the config's ladder shares the chain's level only at 16
+
+
+@pytest.mark.parametrize("n_time", [16, 32, 64])
+def test_last_level_rungs_are_released_as_their_increments_are_taken(run_suite_data, monkeypatch, n_time):
+    """When the chain's last rung is solved, of the rungs of its last level before it only
+    eps_geodesic's and the one before the last are alive, where that level is finer than the run's
+    n_time; after solve_chain_first only eps_geodesic survives of the level.  At n_time 64 the
+    level is weak_path's and every rung of it stays."""
+    rungs, alive_at_last = [], []
+    real = geodesic.solve_eps_geodesic
+
+    def last_level(refs):
+        return [ref() for ref in refs if ref() is not None and ref().path.n_time == CHAIN_N_TIMES[-1]]
+
+    def keeping(problem, **kwargs):
+        if (problem.n_time, problem.epsilon) == (CHAIN_N_TIMES[-1], WEAK_EPSILONS[-1]):
+            gc.collect()
+            alive_at_last.extend(rung.epsilon for rung in last_level(rungs))
+        rung = real(problem, **kwargs)
+        rungs.append(weakref.ref(rung))
+        return rung
+
+    monkeypatch.setattr(geodesic, "solve_eps_geodesic", keeping)
+    data = run_suite_data(n_points=64, n_time=n_time)
+    data.solve_chain_first("all")
+    gc.collect()
+    if n_time < CHAIN_N_TIMES[-1]:
+        assert alive_at_last == [CURVATURE_EPSILON, WEAK_EPSILONS[-2]]
+        assert last_level(rungs) == [data.eps_geodesic]
+    else:
+        assert alive_at_last == list(WEAK_EPSILONS[:-1])
+        assert [rung.epsilon for rung in last_level(rungs)] == list(WEAK_EPSILONS)
+
+
+def test_boundary_paths_raise_the_weak_limit_error_on_rising_increments(run_suite_data, monkeypatch):
+    """boundary_paths takes each level's Cauchy increments as its rungs arrive; on a ladder whose
+    increments rise it raises the FamilyMismatch of weak_limit on the whole level, word for word."""
+    ladder = (0.4, 0.35, 0.3)
+    monkeypatch.setattr(verify, "WEAK_EPSILONS", ladder)
+    data = run_suite_data(n_points=64, n_time=16)
+    ends = data.config.endpoint_0, data.config.endpoint_1
+    with pytest.raises(FamilyMismatch, match="increments increase") as expected:
+        geodesic.weak_limit(data.bg, geodesic.eps_continuation(data.bg, *ends, ladder, CHAIN_N_TIMES[:2])[1])
+    with pytest.raises(FamilyMismatch) as raised:
+        data.boundary_paths
+    assert str(raised.value) == str(expected.value)
+
+
+#: tracemalloc peak, in bytes, of SuiteData(config).solve_chain_first("all") on the canonical
+#: config from a cold symbolic-phase cache: 3.64 MB measured here on Python 3.11 (3.67 MB in a fresh
+#: interpreter; 4.61 MB with the five-field Newton Jacobian and with the prolonged start and the
+#: eps = 0.1 n_time-64 rung held through the solves).  The margin, 0.26 MB, is two n_time-64 paths
+#: (65 x 256 doubles each): one for Python 3.10, whose calls keep their arguments on the caller's
+#: stack, so the prolonged start lives through the solve, and one for numpy's temporaries.
+CHAIN_PEAK_BYTES = 3_900_000
+
+
+def test_chain_heap_peak_stays_in_bound():
+    """The eps-ladder chain of a canonical verify or study run, whose last n_time-64 level sets the
+    peak of the run's Python heap, stays within CHAIN_PEAK_BYTES of traced heap."""
+    config = load_config(Path(__file__).resolve().parents[1] / "configs" / "canonical.json")
+    geodesic._dissection.cache_clear()
+    tracemalloc.start()
+    try:
+        SuiteData(config).solve_chain_first("all")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= CHAIN_PEAK_BYTES
 
 
 def test_weak_path_reuses_the_ladder_rungs_it_shares(small_bg, run_suite_data, monkeypatch):
