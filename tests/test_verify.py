@@ -298,7 +298,7 @@ def test_curvature_identity_requires_converged_input(small_bg):
     geo = _constant_geodesic(small_bg, 32)
     fake = replace(geo, residual_sup=1.0)
     with pytest.raises(NotASolution, match="residual"):
-        eps_curvature_identity(small_bg, fake, [])  # the residual is checked before the levels are read
+        eps_curvature_identity(small_bg, fake, [], (verify.CURVATURE_KAPPA,))  # checked before the levels are read
 
 
 # ---------------------------------------------------------------------------
@@ -485,6 +485,67 @@ def test_convexity_k1_direction_gap_is_exactly_zero(small_family, seed):
 def test_run_suite_unknown(suite_data):
     with pytest.raises(ValueError, match="unknown suite"):
         run_suite(suite_data, "nope")
+
+
+# the check entries of verify.ROWS that have no negative control yet, each with the reason
+UNCONTROLLED = {
+    "delta_a_closed_form": "a round-off identity of delta(A); no constructed input that breaks it yet (ROADMAP item 21)",
+    "boundary_continuity_refinement": "no constructed paths whose boundary gaps grow with n_time yet (ROADMAP item 21)",
+    "mass_pairing": "no tampered family fed to the mass identity yet (ROADMAP item 21)",
+}
+
+
+def test_every_check_row_has_a_control_or_is_listed_as_uncontrolled(all_results):
+    """Each check entry of the row table has a control entry, named "control:" plus the check, in its own
+    suite, or is in UNCONTROLLED; each control entry names a check of the table.  A control entry writes
+    one row of its own name, but for the truncated sweep's control, whose row keeps its shorter name."""
+    suites = {name: suite for suite, name, _, _ in verify.ROWS}
+    assert len(suites) == len(verify.ROWS)
+    assert list(dict.fromkeys(suites.values())) == list(verify.SUITES)
+    checks = [name for name in suites if not name.startswith("control:")]
+    controlled = [name.removeprefix("control:") for name in suites if name.startswith("control:")]
+    assert [name for name in controlled if name not in checks] == []
+    assert all(suites[name] == suites[f"control:{name}"] for name in controlled)
+    assert [name for name in checks if name not in controlled] == list(UNCONTROLLED)
+    control_rows = [r.name for r in all_results if r.name.startswith("control:")]
+    row_name = {"truncated_semicontinuity_sweep": "truncated_semicontinuity"}
+    assert control_rows == [f"control:{row_name.get(name, name)}" for name in controlled]
+
+
+def test_curvature_suite_builds_each_levels_fields_once(suite_data, monkeypatch):
+    """The curvature suite builds the f fields once and each level's g fields once, 4 passes, and its
+    control reads the CONTROL_KAPPA results of that pass: the details of the check run alone at that kappa."""
+    data = SuiteData(suite_data.config)
+    data.eps_geodesic, data.levels = suite_data.eps_geodesic, suite_data.levels  # solved once per session
+    tags = []
+    fields = verify._curvature_fields
+    monkeypatch.setattr(verify, "_curvature_fields", lambda bg, eg, tag: tags.append(tag) or fields(bg, eg, tag))
+    by_name = {r.name: r for r in run_suite(data, "curvature")}
+    assert tags == ["f", "g", "g", "g"]
+    alone = eps_curvature_identity(data.bg, data.eps_geodesic, data.levels, (verify.CONTROL_KAPPA,))[0]
+    control = by_name["control:eps_curvature_identity"]
+    for key in ("identity_residuals", "ratios", "margin_ratios"):
+        assert control.details[key] == alone.details[key]
+    assert control.details == {**alone.details, "control": True, "raw_margin": alone.margin, "raw_pass": False}
+    assert by_name["eps_curvature_identity"].details["kappa"] == verify.CURVATURE_KAPPA
+
+
+def test_run_suite_dispatches_through_the_names_the_benchmark_wraps(suite_data, monkeypatch):
+    """perfbench/layers.py swaps verify.suite_<name>, the SUITES entry holding the same object and the checks'
+    module attributes for wrappers: each suite_* attribute is its SUITES entry, run_suite calls every suite
+    through SUITES, and the rows look their checks up by name when they run."""
+    for name in ("entropy", "convexity", "curvature", "bounds"):
+        assert verify.SUITES[name] is getattr(verify, f"suite_{name}")
+    checked = []
+    check_bounds = verify.check_bounds
+    monkeypatch.setattr(verify, "check_bounds", lambda family: checked.append(family) or check_bounds(family))
+    assert [r.name for r in run_suite(suite_data, "bounds")] == EXPECTED_NAMES[-9:]
+    assert len(checked) == 2  # the row and its control
+    seen = []
+    for name in verify.SUITES:
+        monkeypatch.setitem(verify.SUITES, name, lambda data, name=name: seen.append(name) or [name])
+    assert run_suite(suite_data, "all") == seen == ["entropy", "convexity", "curvature", "bounds"]
+    assert run_suite(suite_data, "curvature") == ["curvature"]
 
 
 def test_entropy_suite_composition(suite_data):
