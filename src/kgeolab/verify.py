@@ -1028,7 +1028,7 @@ def _subharmonic_pair(grid: SpatialGrid) -> tuple:
 ROWS = (
     ("entropy", "entropy_semicontinuity", (), lambda d: [
         replace(entropy_semicontinuity(d.bg, random_density_sequence(d.bg, seed)),
-                name=f"entropy_semicontinuity[{seed=}]")
+                name=f"entropy_semicontinuity[seed={seed}]")
         for seed in range(d.config.seed, d.config.seed + ENTROPY_SEEDS)
     ]),
     ("entropy", "truncated_semicontinuity_sweep", (),
