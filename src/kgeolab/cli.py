@@ -8,7 +8,7 @@ functional traces (variants ``exact``, ``k``, ``epsA``); ``verify`` runs
 the theorem-check suites; ``study`` chains all of the above into one
 summary.
 
-Exit codes: 0 success, 1 configuration error, 2 solver or pipeline
+Exit codes: 0 success, 1 configuration or usage error, 2 solver or pipeline
 failure (a diagnostic JSON naming the stage, for study study:<stage>, is
 written when the output directory is already known), 3 verification or
 bound-check failure.  A config that lacks what a subcommand reads, for
@@ -30,11 +30,12 @@ override.  ``verify`` and ``study`` solve verify's eps-ladder chain first,
 everything else lazily.
 
 Importing this module loads only ``config``, ``model`` and ``errors``
-besides it.  The solver modules (``geodesic``, ``ma_fiber``,
-``functionals``, ``verify``) are imported inside the pipelines that run
-them, after the config has validated, so ``--help``, a config load and the
-exit-1 config errors import none of them; the one exception is a named
-``--suite``, whose check reads verify's suite names.
+besides it.  ``--help``, a config load and the exit-1 errors, an n_time
+below the schema's 8 among them, import no solver module (``geodesic``,
+``ma_fiber``, ``functionals``, ``regularize``, ``verify``, ``_newton``);
+the one exception is a named ``--suite``, whose check reads verify's suite
+names.  A command that gets past those checks imports all of them: main
+builds its ``verify.SuiteData``, and ``verify`` imports the others.
 
 The one environment override honored: KGEOLAB_OUT_DIR supplies the
 output directory when --out is absent.  --threads is validated (an integer
@@ -75,19 +76,13 @@ STAGE_SECTIONS = {"fiberwise": ("deltas",), "k": ("deltas", "k_list"), "epsA": (
 # config requirements, checked before any solve
 
 
-def _check_requirements(config: ExperimentConfig, args: argparse.Namespace) -> None:
-    """Raise ConfigError unless config has what every stage of the subcommand reads.
+def _check_requirements(config: ExperimentConfig, stages) -> None:
+    """Raise ConfigError unless config has what every stage reads.
 
-    A stage is a subcommand with its mabuchi variant or verify suite; study
-    runs the STUDY_STAGES.  The solves at the run's n_time need n_time >= 8:
-    every pipeline's, and verify's in the suites all, convexity and bounds.
-    The grid must meet the suite's config.verify_grid_needs.
+    A stage is a (subcommand, option) pair, the option a mabuchi variant, a
+    verify suite or None; study runs the STUDY_STAGES.  The grid must meet
+    the suite's config.verify_grid_needs; n_time >= 8 is the schema's rule.
     """
-    if args.command == "study":
-        stages = STUDY_STAGES
-    else:
-        given = vars(args)
-        stages = [(args.command, given.get("variant", given.get("suite")))]
     for command, option in stages:
         if command == "mabuchi" and option not in VARIANTS:
             raise ConfigError(f"unknown variant {option!r}; expected one of {list(VARIANTS)}")
@@ -97,14 +92,10 @@ def _check_requirements(config: ExperimentConfig, args: argparse.Namespace) -> N
 
                 if option not in SUITES:
                     raise ConfigError(f"unknown suite {option!r}; expected one of {sorted(SUITES)} or 'all'")
-            if option in ("all", "convexity", "bounds") and config.n_time < 8:
-                raise ConfigError(f"verify --suite {option} needs time.n_time >= 8")
             if need := verify_grid_needs(config.bg.grid.n_points, option):
                 raise ConfigError(f"verify --suite {option} needs {need}, got {config.bg.grid.n_points}")
             continue
         config.require("epsilons", *STAGE_SECTIONS.get(option or command, ()))
-        if config.n_time < 8:
-            raise ConfigError(f"{command} runs need time.n_time >= 8")
         if command == "fiberwise" and len(config.epsilons) < 3:
             raise ConfigError("fiberwise needs at least 3 epsilons (continuation and trend checks)")
         if option in ("exact", "k") and len(config.epsilons) < 3:
@@ -288,7 +279,7 @@ def run_verify(config: ExperimentConfig, data: SuiteData, out_dir: Path, suite: 
     uniform all-rows rule covers them too.
     """
     from .functionals import TruncationSpec
-    from .verify import density_limit_report, omega_mask_report, run_suite
+    from .verify import MEASURED, density_limit_report, omega_mask_report, run_suite
 
     data.solve_chain_first(suite)
     results = run_suite(data, suite)
@@ -312,7 +303,7 @@ def run_verify(config: ExperimentConfig, data: SuiteData, out_dir: Path, suite: 
         },
         "passed": passed,
     }
-    if suite in ("all", "bounds"):
+    if suite in ("all", MEASURED[0]):
         report["measured"] = {
             "omega_mask": omega_mask_report(config.bg, data.eps_geodesic, TruncationSpec(10.0)),
             "density_limit": density_limit_report(data.family, data.weak_path),
@@ -380,8 +371,16 @@ def _check_threads(cli_threads: int | None) -> None:
         raise ConfigError(f"--threads must be >= 1, got {cli_threads}")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors exit 1, the config-error code, and not argparse's 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kgeolab",
         description="Drive the epsilon-geodesic / Monge-Ampere pipelines from one JSON config.",
     )
@@ -417,10 +416,11 @@ def main(argv=None) -> int:
     given = vars(args)
     option = given.get("variant", given.get("suite"))  # None for the subcommands without one
     stage = args.command if option is None else f"{args.command}:{option}"
+    stages = STUDY_STAGES if args.command == "study" else [(args.command, option)]
     out_dir = None
     try:
         config = load_config(args.config)
-        _check_requirements(config, args)
+        _check_requirements(config, stages)
         _check_threads(args.threads)
         out_dir = _resolve_out_dir(config, args.out)
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -302,11 +302,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
     except SchemaViolation as exc:
         raise ConfigError(f"config does not match schema: {exc.message} (at {exc.json_path})") from exc
 
-    grid_doc = doc["grid"]
-    try:
-        grid = SpatialGrid(int(grid_doc["n_points"]))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    grid = SpatialGrid(int(doc["grid"]["n_points"]))
 
     psi_terms = doc.get("background", {}).get("psi", [])
     try:
@@ -331,8 +327,6 @@ def parse_config(doc: dict) -> ExperimentConfig:
     a_values = trunc.get("a_values")
     if a_values is not None:
         a_values = tuple(float(a) for a in a_values)
-        if any(a < 1.0 for a in a_values):
-            raise ConfigError(f"truncation a_values must be >= 1, got {list(a_values)}")
     chi = trunc.get("chi")
     if chi is not None:
         chi = fourier_field(grid, chi)

@@ -1,6 +1,5 @@
 """End-to-end CLI runs: exit codes, artifacts, determinism, env overrides."""
 
-import argparse
 import itertools
 import json
 import os
@@ -83,7 +82,7 @@ def test_config_loading_and_config_errors_leave_scipy_unloaded(tmp_path):
 
 def test_set_up_and_config_errors_leave_the_solver_modules_unloaded(tmp_path):
     """Importing the CLI, loading a config, --help and an exit-1 config error import no solver
-    module: the pipelines import what they run once the config has validated."""
+    module: a command imports them once its config has passed every exit-1 check."""
     root = Path(__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])}
     bad = _write_config(tmp_path, grid={"n_points": 9})
@@ -103,6 +102,29 @@ def test_set_up_and_config_errors_leave_the_solver_modules_unloaded(tmp_path):
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert done.stdout.splitlines() == ["[]", "1 []", "[]"]
     assert "does not match schema" in done.stderr
+
+
+def test_every_command_refuses_n_time_7_before_importing_a_solver(tmp_path):
+    """The schema's n_time minimum of 8 is the one n_time rule: every subcommand, mabuchi variant and
+    verify suite exits 1 on n_time 7 at config load, so no solve runs, no solver module is imported
+    and no diagnostic.json is written."""
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])}
+    cfg = _study_config(tmp_path, [0.1, 0.01, 0.001], time={"n_time": 7})
+    runs = [["geodesic"], ["fiberwise"], *(["mabuchi", "--variant", v] for v in cli.VARIANTS),
+            *(["verify", "--suite", s] for s in [*verify.SUITES, "all"]), ["study"]]
+    code = (
+        "import sys\n"
+        "import kgeolab.cli as cli\n"
+        f"rcs = [cli.main([*argv, '--config', {cfg!r}, '--out', {str(tmp_path)!r} + '/' + '-'.join(argv)])\n"
+        f"       for argv in {runs!r}]\n"
+        "names = ('geodesic', 'ma_fiber', 'functionals', 'regularize', 'verify', '_newton')\n"
+        "print(rcs, [m for m in names if f'kgeolab.{m}' in sys.modules])\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines() == [f"{[1] * len(runs)} []"]
+    assert done.stderr.count("7 is less than the minimum of 8 (at $.time.n_time)") == len(runs)
+    assert not list(tmp_path.rglob("diagnostic.json"))
 
 
 def test_study_and_verify_leave_scipy_special_unloaded(tmp_path):
@@ -136,10 +158,25 @@ def test_no_subcommand(capsys):
 
 
 def test_unknown_subcommand():
-    # argparse rejects unknown subcommands itself
+    # argparse rejects unknown subcommands itself, with exit 1 as for a config error
     with pytest.raises(SystemExit) as exc:
         main(["bogus"])
-    assert exc.value.code == 2
+    assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["verify", "--threads", "x"], "invalid int value: 'x'", id="threads-x"),
+    pytest.param(["geodesic", "--bogus"], "unrecognized arguments: --bogus", id="unknown-flag"),
+])
+def test_usage_errors_exit_1(tmp_path, capsys, argv, message):
+    """argparse's usage errors exit 1, as a config error does, and not with its own code 2,
+    which means a stage failure; no diagnostic.json is written."""
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--config", _write_config(tmp_path), "--out", str(out)])
+    assert exc.value.code == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_config_flag(capsys):
@@ -182,15 +219,15 @@ def test_bad_thread_counts(tmp_path, capsys):
 def test_geodesic_needs_wide_time_grid(tmp_path, capsys):
     cfg = _write_config(tmp_path, time={"n_time": 4}, epsilons=[0.1])
     assert main(["geodesic", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
-    assert "n_time >= 8" in capsys.readouterr().err
+    assert "minimum of 8 (at $.time.n_time)" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, overrides, message", [
-    pytest.param(["verify"], {"time": {"n_time": 4}}, "verify --suite all needs time.n_time >= 8",
+    pytest.param(["verify"], {"time": {"n_time": 4}}, "minimum of 8 (at $.time.n_time)",
                  id="verify-n_time4"),
-    pytest.param(["verify", "--suite", "convexity"], {"time": {"n_time": 4}}, "needs time.n_time >= 8",
+    pytest.param(["verify", "--suite", "convexity"], {"time": {"n_time": 4}}, "minimum of 8 (at $.time.n_time)",
                  id="verify-convexity-n_time4"),
-    pytest.param(["verify", "--suite", "bounds"], {"time": {"n_time": 4}}, "needs time.n_time >= 8",
+    pytest.param(["verify", "--suite", "bounds"], {"time": {"n_time": 4}}, "minimum of 8 (at $.time.n_time)",
                  id="verify-bounds-n_time4"),
     pytest.param(["verify", "--suite", "curvature"], {"grid": {"n_points": 130}}, "a multiple of 8 and >= 32",
                  id="verify-curvature-n_points130"),
@@ -202,7 +239,7 @@ def test_geodesic_needs_wide_time_grid(tmp_path, capsys):
                  id="verify-entropy-n_points16"),
     pytest.param(["verify"], {"grid": {"n_points": 130}}, "a multiple of 8 and >= 32", id="verify-n_points130"),
     pytest.param(["study"], {"grid": {"n_points": 130}}, "a multiple of 8 and >= 32", id="study-n_points130"),
-    pytest.param(["study"], {"time": {"n_time": 4}}, "n_time >= 8", id="study-n_time4"),
+    pytest.param(["study"], {"time": {"n_time": 4}}, "minimum of 8 (at $.time.n_time)", id="study-n_time4"),
 ])
 def test_config_requirements_exit_1_before_any_solve(tmp_path, monkeypatch, capsys, argv, overrides, message):
     """A config the subcommand cannot run exits 1 with no geodesic solve and no diagnostic.json,
@@ -234,8 +271,7 @@ def test_verify_grid_rule_of_the_exit_1_check_is_verifys_own(monkeypatch, suite)
     for n in range(8, 132, 2):
         doc = {"grid": {"n_points": n}, "time": {"n_time": 16}, "endpoints": {"endpoint_0": [], "endpoint_1": []}}
         config = parse_config(doc)
-        args = argparse.Namespace(command="verify", suite=suite)
-        cli_refuses.append(refuses(lambda: cli._check_requirements(config, args), ConfigError))
+        cli_refuses.append(refuses(lambda: cli._check_requirements(config, [("verify", suite)]), ConfigError))
         if suite == "entropy":
             own = lambda: verify.oscillation_sequence(config.bg, np.ones(n))
         else:
