@@ -19,9 +19,9 @@ The flat namespace is lazy (PEP 562): importing the package runs only this
 file, and reading a re-exported name, or a submodule it comes from, imports
 that submodule on first access and reads the name from it on every access.
 So ``import kgeolab.cli``, a config load, ``--help`` and the exit-1 errors
-import ``cli``, ``config``, ``model`` and ``errors`` alone (a named
-``--suite`` also ``verify``), and a command past those checks imports
-every solver module through its ``verify.SuiteData``.
+import ``cli``, ``config``, ``model`` and ``errors`` alone, and a command
+past those checks imports every solver module through its
+``verify.SuiteData``.
 """
 
 from importlib import import_module as _import_module

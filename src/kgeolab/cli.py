@@ -11,8 +11,9 @@ summary.
 Exit codes: 0 success, 1 configuration or usage error, 2 solver or pipeline
 failure (a diagnostic JSON naming the stage, for study study:<stage>, is
 written when the output directory is already known), 3 verification or
-bound-check failure.  A config that lacks what a subcommand reads, for
-study what any of its stages reads, exits 1 before the first solve.
+bound-check failure.  The argument parser alone checks the command line,
+before the config is read.  A config that lacks what a subcommand reads,
+for study what any of its stages reads, exits 1 before the first solve.
 
 Reports are deterministic for a fixed config: keys are sorted, floats
 use shortest round-trip formatting, and embedded file references are
@@ -32,10 +33,9 @@ everything else lazily.
 Importing this module loads only ``config``, ``model`` and ``errors``
 besides it.  ``--help``, a config load and the exit-1 errors, an n_time
 below the schema's 8 among them, import no solver module (``geodesic``,
-``ma_fiber``, ``functionals``, ``regularize``, ``verify``, ``_newton``);
-the one exception is a named ``--suite``, whose check reads verify's suite
-names.  A command that gets past those checks imports all of them: main
-builds its ``verify.SuiteData``, and ``verify`` imports the others.
+``ma_fiber``, ``functionals``, ``regularize``, ``verify``, ``_newton``).
+A command that gets past those checks imports all of them: main builds its
+``verify.SuiteData``, and ``verify`` imports the others.
 
 The one environment override honored: KGEOLAB_OUT_DIR supplies the
 output directory when --out is absent.  --threads is validated (an integer
@@ -55,7 +55,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .config import ExperimentConfig, load_config, validate_against_schema, verify_grid_needs
+from .config import VERIFY_SUITES, ExperimentConfig, load_config, validate_against_schema, verify_grid_needs
 from .errors import ConfigError
 from .model import _jsonable
 
@@ -80,18 +80,12 @@ def _check_requirements(config: ExperimentConfig, stages) -> None:
     """Raise ConfigError unless config has what every stage reads.
 
     A stage is a (subcommand, option) pair, the option a mabuchi variant, a
-    verify suite or None; study runs the STUDY_STAGES.  The grid must meet
-    the suite's config.verify_grid_needs; n_time >= 8 is the schema's rule.
+    verify suite or None, each one the parser accepts; study runs the
+    STUDY_STAGES.  The grid must meet the suite's config.verify_grid_needs;
+    n_time >= 8 is the schema's rule.
     """
     for command, option in stages:
-        if command == "mabuchi" and option not in VARIANTS:
-            raise ConfigError(f"unknown variant {option!r}; expected one of {list(VARIANTS)}")
         if command == "verify":
-            if option != "all":
-                from .verify import SUITES
-
-                if option not in SUITES:
-                    raise ConfigError(f"unknown suite {option!r}; expected one of {sorted(SUITES)} or 'all'")
             if need := verify_grid_needs(config.bg.grid.n_points, option):
                 raise ConfigError(f"verify --suite {option} needs {need}, got {config.bg.grid.n_points}")
             continue
@@ -365,10 +359,12 @@ def _resolve_out_dir(config: ExperimentConfig, cli_out: str | None) -> Path:
     return Path(config.out_dir)
 
 
-def _check_threads(cli_threads: int | None) -> None:
-    """Validate --threads; runs are sequential at any value."""
-    if cli_threads is not None and cli_threads < 1:
-        raise ConfigError(f"--threads must be >= 1, got {cli_threads}")
+def _thread_count(text: str) -> int:
+    """--threads' type: an integer >= 1; runs are sequential at any value."""
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {count}")
+    return count
 
 
 class _Parser(argparse.ArgumentParser):
@@ -384,35 +380,29 @@ def build_parser() -> argparse.ArgumentParser:
         prog="kgeolab",
         description="Drive the epsilon-geodesic / Monge-Ampere pipelines from one JSON config.",
     )
-    sub = parser.add_subparsers(dest="command", metavar="subcommand")
+    sub = parser.add_subparsers(dest="command", metavar="subcommand", required=True)
     helps = {
         "geodesic": "epsilon-geodesic sweep: path CSV per epsilon + convergence report",
         "fiberwise": "fiber family solve: uniform bounds, density convergence, vanishing",
-        "mabuchi": "functional traces along solved paths (--variant exact|k|epsA)",
-        "verify": "theorem-check suites (--suite entropy|convexity|curvature|bounds|all)",
+        "mabuchi": "functional traces along solved paths, of one --variant",
+        "verify": "theorem-check suites, one --suite or all",
         "study": "run every pipeline and summarize",
     }
     for name in SUBCOMMANDS:
         sp = sub.add_parser(name, help=helps[name])
-        sp.add_argument("--config", metavar="PATH", help="experiment config JSON (required)")
+        sp.add_argument("--config", metavar="PATH", required=True, help="experiment config JSON")
         sp.add_argument("--out", metavar="DIR", help="output directory (overrides config and env)")
-        sp.add_argument("--threads", type=int, metavar="N",
+        sp.add_argument("--threads", type=_thread_count, metavar="N",
                         help="validated (an integer >= 1); every run is sequential")
         if name == "mabuchi":
-            sp.add_argument("--variant", default="exact", metavar="NAME", help="exact | k | epsA")
+            sp.add_argument("--variant", default="exact", choices=VARIANTS, help="trace variant (default: exact)")
         if name == "verify":
-            sp.add_argument("--suite", default="all", metavar="NAME",
-                            help="entropy | convexity | curvature | bounds | all")
+            sp.add_argument("--suite", default="all", choices=(*VERIFY_SUITES, "all"), help="suite (default: all)")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command is None:
-        parser.print_usage(sys.stderr)
-        print("kgeolab: a subcommand is required", file=sys.stderr)
-        return 1
+    args = build_parser().parse_args(argv)
     given = vars(args)
     option = given.get("variant", given.get("suite"))  # None for the subcommands without one
     stage = args.command if option is None else f"{args.command}:{option}"
@@ -421,7 +411,6 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config)
         _check_requirements(config, stages)
-        _check_threads(args.threads)
         out_dir = _resolve_out_dir(config, args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         from .verify import SuiteData

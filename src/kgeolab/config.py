@@ -29,8 +29,11 @@ from .model import Background, SpatialGrid, fourier_field, is_admissible, make_b
 from .model import _decreasing_ladder
 
 #: tolerance overrides accepted under "tolerances"; values are the defaults
-#: of the corresponding solver entry points.
+#: of the corresponding solver entry points, which read them from here.
 DEFAULT_TOLERANCES = {"geodesic": 1e-10, "fiber": 1e-11}
+
+#: verify's suites in the order "all" runs them: verify.SUITES is made from it, cli's --suite choices read it
+VERIFY_SUITES = ("entropy", "convexity", "curvature", "bounds")
 
 #: verify's entropy checks oscillate at the frequencies 1..OSCILLATION_COUNT
 OSCILLATION_COUNT = 12
@@ -357,8 +360,6 @@ def parse_config(doc: dict) -> ExperimentConfig:
 
 def load_config(path) -> ExperimentConfig:
     """Read, schema-check, and semantically validate one config file."""
-    if path is None:
-        raise ConfigError("--config PATH is required")
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)

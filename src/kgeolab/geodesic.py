@@ -94,6 +94,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._newton import CHORD_CONTRACTION, NewtonRecord, damped_newton
+from .config import DEFAULT_TOLERANCES
 from .errors import (
     FamilyMismatch,
     KGeoError,
@@ -745,7 +746,7 @@ def _in_cone(parts) -> bool:
 
 def solve_eps_geodesic(
     problem: EpsGeodesicProblem,
-    tol: float = 1e-10,
+    tol: float = DEFAULT_TOLERANCES["geodesic"],
     path0: np.ndarray | None = None,
 ) -> EpsGeodesic:
     """Damped Newton over all interior rows jointly, from the affine guess or path0.
@@ -861,7 +862,8 @@ def prolong_in_s(coarse: np.ndarray) -> np.ndarray:
 
 
 def eps_continuation(
-    bg: Background, endpoint_0, endpoint_1, epsilons, n_times, tol: float = 1e-10, solved=()
+    bg: Background, endpoint_0, endpoint_1, epsilons, n_times, tol: float = DEFAULT_TOLERANCES["geodesic"],
+    solved=(),
 ) -> list:
     """Solve the eps-geodesic at every eps of the ladder, at each n_time of n_times in turn.
 

@@ -44,6 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._newton import NewtonRecord, damped_newton
+from .config import DEFAULT_TOLERANCES
 from .errors import (
     FamilyMismatch,
     IncompatibleMass,
@@ -119,7 +120,7 @@ class FiberSolution:
 # fiber solver
 
 
-def solve_aubin_fiber(problem: FiberProblem, phi0=None, tol: float = 1e-11) -> FiberSolution:
+def solve_aubin_fiber(problem: FiberProblem, phi0=None, tol: float = DEFAULT_TOLERANCES["fiber"]) -> FiberSolution:
     """Damped Newton for every row of (*), from phi0 or the constant mass-matching guess.
 
     Each step factors the rows still iterating (_PeriodicFactor) and solves
@@ -199,7 +200,9 @@ class FiberFamily:
     bound_samples: np.ndarray | None = None  # (n_eps, n_delta, 3) sweep diagnostics
 
 
-def solve_family(bg: Background, path: PathField, epsilons, deltas, tol: float = 1e-11) -> FiberFamily:
+def solve_family(
+    bg: Background, path: PathField, epsilons, deltas, tol: float = DEFAULT_TOLERANCES["fiber"]
+) -> FiberFamily:
     """Solve the fiber equation on every path row for each (eps, delta).
 
     For each delta (decreasing) the path is mollified fiberwise, and the

@@ -38,7 +38,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import OSCILLATION_COUNT, ExperimentConfig, verify_grid_needs
+from .config import DEFAULT_TOLERANCES, OSCILLATION_COUNT, VERIFY_SUITES, ExperimentConfig, verify_grid_needs
 from .errors import FamilyMismatch, NegativeDensity, NotASolution, SkippedHypothesis
 from .functionals import (
     FunctionalTrace,
@@ -93,7 +93,7 @@ KAPPA_FIT_SET = (0.25, 0.5, 1.0, 2.0, 4.0)
 
 # the suites' calibrated ladders, fixed whatever the run's config says
 WEAK_EPSILONS = (1e-1, 1e-2, 1e-3, 1e-4)
-WEAK_TOL = 1e-10  # the default geodesic tolerance
+WEAK_TOL = DEFAULT_TOLERANCES["geodesic"]
 # the family's Newton tolerance unless the config sets tolerances.fiber: about 4 ulps
 # (2^-42 ~ 2.3e-13) above the round-off floor of its residuals, so last bits decide whether a
 # row takes a 4th step; raising it moves outputs, which belongs to ROADMAP's round-off floor item
@@ -1094,7 +1094,7 @@ def _suite(name: str):
     return suite
 
 
-SUITES = {name: _suite(name) for name in ("entropy", "convexity", "curvature", "bounds")}
+SUITES = {name: _suite(name) for name in VERIFY_SUITES}
 suite_entropy, suite_convexity, suite_curvature, suite_bounds = SUITES.values()
 
 

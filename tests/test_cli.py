@@ -3,6 +3,7 @@
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,6 +24,7 @@ from kgeolab import (
     verify,
 )
 from kgeolab.cli import main
+from kgeolab.config import VERIFY_SUITES
 from kgeolab.errors import ConfigError, NoConvergence, PositivityLoss, SchemaViolation, SingularSystem
 
 AMP = 0.05 / (2.0 * np.pi) ** 2
@@ -81,8 +83,9 @@ def test_config_loading_and_config_errors_leave_scipy_unloaded(tmp_path):
 
 
 def test_set_up_and_config_errors_leave_the_solver_modules_unloaded(tmp_path):
-    """Importing the CLI, loading a config, --help and an exit-1 config error import no solver
-    module: a command imports them once its config has passed every exit-1 check."""
+    """Importing the CLI, loading a config, --help, an exit-1 config error and a usage error (a named
+    --suite that does not exist) import no solver module: a command imports them once its command
+    line and its config have passed every exit-1 check."""
     root = Path(__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])}
     bad = _write_config(tmp_path, grid={"n_points": 9})
@@ -98,9 +101,14 @@ def test_set_up_and_config_errors_leave_the_solver_modules_unloaded(tmp_path):
         "with contextlib.suppress(SystemExit), contextlib.redirect_stdout(io.StringIO()):\n"
         "    cli.main(['study', '--help'])\n"
         "print(solvers())\n"
+        "try:\n"
+        f"    cli.main(['verify', '--suite', 'bogus', '--config', {str(root / 'configs' / 'canonical.json')!r}])\n"
+        "except SystemExit as exc:\n"
+        "    print(exc.code, solvers())\n"
     )
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert done.stdout.splitlines() == ["[]", "1 []", "[]"]
+    assert done.stdout.splitlines() == ["[]", "1 []", "[]", "1 []"]
+    assert "argument --suite: invalid choice: 'bogus'" in done.stderr
     assert "does not match schema" in done.stderr
 
 
@@ -152,11 +160,6 @@ def test_study_and_verify_leave_scipy_special_unloaded(tmp_path):
 # exit code 1: configuration errors
 
 
-def test_no_subcommand(capsys):
-    assert main([]) == 1
-    assert "a subcommand is required" in capsys.readouterr().err
-
-
 def test_unknown_subcommand():
     # argparse rejects unknown subcommands itself, with exit 1 as for a config error
     with pytest.raises(SystemExit) as exc:
@@ -165,23 +168,44 @@ def test_unknown_subcommand():
 
 
 @pytest.mark.parametrize("argv, message", [
-    pytest.param(["verify", "--threads", "x"], "invalid int value: 'x'", id="threads-x"),
+    pytest.param([], "the following arguments are required: subcommand", id="no-subcommand"),
+    pytest.param(["geodesic"], "the following arguments are required: --config", id="no-config"),
+    pytest.param(["mabuchi", "--variant", "bogus"], "argument --variant: invalid choice: 'bogus'",
+                 id="unknown-variant"),
+    pytest.param(["verify", "--suite", "bogus"], "argument --suite: invalid choice: 'bogus'", id="unknown-suite"),
+    pytest.param(["verify", "--threads", "0"], "argument --threads: must be >= 1, got 0", id="threads-0"),
+    pytest.param(["verify", "--threads", "x"], "argument --threads: invalid _thread_count value: 'x'",
+                 id="threads-x"),
     pytest.param(["geodesic", "--bogus"], "unrecognized arguments: --bogus", id="unknown-flag"),
 ])
 def test_usage_errors_exit_1(tmp_path, capsys, argv, message):
-    """argparse's usage errors exit 1, as a config error does, and not with its own code 2,
-    which means a stage failure; no diagnostic.json is written."""
+    """The parser alone checks the command line: its usage errors exit 1, as a config error does, and
+    not with argparse's code 2, which means a stage failure.  They come before the config is read (the
+    config given is one the schema refuses), so no output directory and no diagnostic.json is written."""
     out = tmp_path / "out"
+    flags = ["--config", _write_config(tmp_path, grid={"n_points": 9}), "--out", str(out)]
+    if argv == ["geodesic"]:
+        flags = flags[2:]  # the --out flag alone
     with pytest.raises(SystemExit) as exc:
-        main([*argv, "--config", _write_config(tmp_path), "--out", str(out)])
+        main([*argv, *flags] if argv else [])  # flags before a subcommand would be read as one
     assert exc.value.code == 1
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err
+    assert "does not match schema" not in err
     assert not out.exists()
 
 
-def test_missing_config_flag(capsys):
-    assert main(["geodesic"]) == 1
-    assert "--config PATH is required" in capsys.readouterr().err
+def test_help_lists_the_suites_and_variants_of_the_code(capsys):
+    """verify --help and mabuchi --help list the choices the parser takes, which are the code's own
+    tuples: config.VERIFY_SUITES, the one home of the suite names that verify.SUITES is made from,
+    and cli.VARIANTS."""
+    for command, flag, names in [("verify", "--suite", (*VERIFY_SUITES, "all")), ("mabuchi", "--variant", cli.VARIANTS)]:
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        usage = capsys.readouterr().out
+        assert re.findall(rf"{flag} \{{([^}}]*)\}}", usage) == [",".join(names)] * 2  # usage line and option list
+    assert list(verify.SUITES) == list(VERIFY_SUITES)
 
 
 def test_missing_epsilons(tmp_path, capsys):
@@ -194,26 +218,6 @@ def test_schema_violation_exits_1(tmp_path, capsys):
     cfg = _write_config(tmp_path, grid={"n_points": 9})
     assert main(["geodesic", "--config", cfg]) == 1
     assert "does not match schema" in capsys.readouterr().err
-
-
-def test_unknown_variant(tmp_path, capsys):
-    cfg = _write_config(tmp_path, epsilons=[0.1])
-    rc = main(["mabuchi", "--config", cfg, "--out", str(tmp_path / "out"), "--variant", "bogus"])
-    assert rc == 1
-    assert "unknown variant" in capsys.readouterr().err
-
-
-def test_unknown_suite(tmp_path, capsys):
-    cfg = _write_config(tmp_path)
-    rc = main(["verify", "--config", cfg, "--out", str(tmp_path / "out"), "--suite", "bogus"])
-    assert rc == 1
-    assert "unknown suite" in capsys.readouterr().err
-
-
-def test_bad_thread_counts(tmp_path, capsys):
-    cfg = _write_config(tmp_path)
-    assert main(["verify", "--config", cfg, "--threads", "0"]) == 1
-    assert "--threads must be >= 1" in capsys.readouterr().err
 
 
 def test_geodesic_needs_wide_time_grid(tmp_path, capsys):

@@ -142,8 +142,6 @@ def test_require_hints():
 
 
 def test_load_config_errors(tmp_path):
-    with pytest.raises(ConfigError, match="--config PATH is required"):
-        load_config(None)
     with pytest.raises(ConfigError, match="cannot read config"):
         load_config(tmp_path / "missing.json")
     broken = tmp_path / "broken.json"
