@@ -21,7 +21,8 @@ bare names so the bytes do not depend on the output location.  The one
 non-reproducible field is the top-level "timestamp" key.  Every float CSV
 (path, fiber and trace files) comes from one writer, _write_csv_via: a
 header, then one row per index of its float columns.  All files are
-written atomically (temp file in the target directory, then rename).
+written atomically (temp file in the target directory, then rename), and a
+failed write removes its temp file.
 
 Every stage reads its solved objects from one SuiteData per invocation,
 built from the config alone, so a ``study`` solves the config's epsilon
@@ -111,11 +112,21 @@ def _format_float(v: float) -> str:
     return repr(float(v))
 
 
+def _replace_via_temp(target: Path, text: str) -> None:
+    """Write text to a temp file beside target, then rename it onto target; the temp goes on any exception."""
+    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, target)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _atomic_write_text(path: Path, text: str) -> None:
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    """path's new text, written atomically; perfbench/layers.py counts these files apart from _write_csv_via's."""
+    _replace_via_temp(path, text)
 
 
 def _write_json(out_dir: Path, name: str, doc: dict, schema: str) -> None:
@@ -132,11 +143,7 @@ def _write_csv_via(out_dir: Path, name: str, header: str, columns) -> None:
     """
     # repr of a Python float is _format_float, without a call per cell
     rows = (",".join(map(repr, row)) for row in np.column_stack(columns).tolist())
-    target = out_dir / name
-    tmp = target.with_name(f".{name}.{os.getpid()}.tmp")
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join([header, *rows]) + "\n")
-    os.replace(tmp, target)
+    _replace_via_temp(out_dir / name, "\n".join([header, *rows]) + "\n")
 
 
 def _path_header(n_points: int) -> str:
@@ -268,12 +275,11 @@ def run_mabuchi(config: ExperimentConfig, data: SuiteData, out_dir: Path, varian
 def run_verify(config: ExperimentConfig, data: SuiteData, out_dir: Path, suite: str) -> int:
     """Theorem-check suites; exit 0 iff every result row passes.
 
-    Negative controls are inverted into their rows (a control row passes
-    exactly when the underlying check rejects the tampered input), so the
-    uniform all-rows rule covers them too.
+    verify's suite runner inverts negative controls into their rows (a
+    control row passes exactly when the underlying check rejects the
+    tampered input), so the uniform all-rows rule covers them too.
     """
-    from .functionals import TruncationSpec
-    from .verify import MEASURED, density_limit_report, omega_mask_report, run_suite
+    from .verify import MEASURED, run_suite
 
     data.solve_chain_first(suite)
     results = run_suite(data, suite)
@@ -298,10 +304,7 @@ def run_verify(config: ExperimentConfig, data: SuiteData, out_dir: Path, suite: 
         "passed": passed,
     }
     if suite in ("all", MEASURED[0]):
-        report["measured"] = {
-            "omega_mask": omega_mask_report(config.bg, data.eps_geodesic, TruncationSpec(10.0)),
-            "density_limit": density_limit_report(data.family, data.weak_path),
-        }
+        report["measured"] = MEASURED[3](data)
     _write_json(out_dir, "verify_report.json", report, "verify_report")
     print(f"verify[{suite}]: {report['counts']['passed']}/{len(results)} checks passed")
     return 0 if passed else 3

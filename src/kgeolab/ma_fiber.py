@@ -220,7 +220,7 @@ def solve_family(
     sources = []
     slacks = []
     for d in deltas:
-        m_d = metric_density(bg, mollify_fiberwise(bg.grid, path.values, MollifierSpec(d, "fiberwise")))
+        m_d = metric_density(bg, mollify_fiberwise(bg.grid, path.values, MollifierSpec(d)))
         if d == deltas[0] and float(np.min(m_d)) <= 0.0:
             raise NegativeDensity(
                 f"path is not slice-wise admissible after mollification at delta={d}; "

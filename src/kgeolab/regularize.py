@@ -17,21 +17,15 @@ import numpy as np
 from .errors import InteriorTooThin
 from .model import SpatialGrid
 
-KINDS = ("fiberwise", "spacetime")
-
-
 @dataclass(frozen=True)
 class MollifierSpec:
-    """Width and direction of a mollification pass."""
+    """Width of a mollification pass; its direction is the function it is passed to."""
 
     delta: float
-    kind: str = "fiberwise"
 
     def __post_init__(self):
         if not 0.0 < self.delta <= 0.25:
             raise ValueError(f"delta must lie in (0, 0.25], got {self.delta}")
-        if self.kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
 
 
 def gaussian_kernel(spacing: float, delta: float, halfwidth_cap: int) -> np.ndarray:
@@ -44,8 +38,6 @@ def gaussian_kernel(spacing: float, delta: float, halfwidth_cap: int) -> np.ndar
 
 def mollify_fiberwise(grid: SpatialGrid, values, spec: MollifierSpec) -> np.ndarray:
     """Smooth along x only; accepts a single field or a path (rows kept)."""
-    if spec.kind != "fiberwise":
-        raise ValueError(f"expected a fiberwise spec, got kind={spec.kind!r}")
     u = np.asarray(values, dtype=float)
     kernel = gaussian_kernel(grid.spacing, spec.delta, grid.n_points // 2)
     # periodic convolution summed in scipy.ndimage's order for symmetric
@@ -70,8 +62,6 @@ def mollify_spacetime(grid: SpatialGrid, path, spec: MollifierSpec) -> np.ndarra
     Rows outside of it are returned unchanged.  Raises InteriorTooThin when
     n_time < 8 or the band is empty.
     """
-    if spec.kind != "spacetime":
-        raise ValueError(f"expected a spacetime spec, got kind={spec.kind!r}")
     p = np.asarray(path, dtype=float)
     if p.ndim != 2:
         raise ValueError(f"path must be 2-d, got shape {p.shape}")
@@ -94,8 +84,7 @@ def mollify_spacetime(grid: SpatialGrid, path, spec: MollifierSpec) -> np.ndarra
         weights = np.exp(-0.5 * ((offsets * ds) / spec.delta) ** 2)
         weights /= weights.sum()
         out[i] = weights @ p[i + offsets[0] : i + offsets[-1] + 1]
-    x_spec = MollifierSpec(delta=spec.delta, kind="fiberwise")
-    out[lo : hi + 1] = mollify_fiberwise(grid, out[lo : hi + 1], x_spec)
+    out[lo : hi + 1] = mollify_fiberwise(grid, out[lo : hi + 1], spec)
     return out
 
 

@@ -10,12 +10,15 @@ at round-off, whose tolerances are absolute.  A threshold is a constant in
 its check's body, or a module constant where a caller shares it, never a
 parameter.
 
-A check is paired with a constructed failing input: its control runs the
-check on that input and returns the result with the margin sign flipped,
-so a control "passes" exactly when the underlying check correctly rejects
-the broken data.  ROWS, one table in output order, holds every check and
-control as an entry of its suite, a control named "control:" plus the check
-it controls; a suite is green only when the checks pass on real data and
+A check is paired with a constructed failing input: its control is the
+check run on that input.  ROWS, one table in output order, holds every
+check and control as an entry of its suite, a control named "control:"
+plus the check it controls, and the suite runner forms every control row:
+it flips the sign of each raw margin, so a control "passes" exactly when
+the underlying check correctly rejects the broken data, and names the row
+"control:" plus the check's result name up to its "[".  A check that
+raises SkippedHypothesis refuses its input, so that control fires with
+margin 1.  A suite is green only when the checks pass on real data and
 fail on the controls.
 
 The curvature identity is checked in the form
@@ -202,7 +205,7 @@ def mollified_sequence(bg: Background) -> DensitySequence:
     """
     f = 1.0 + 0.5 * fourier_field(bg.grid, [(1, 1.0, 0.0)])
     f = f / bg.integrate_mu(f)
-    smooth = mollify_fiberwise(bg.grid, f, MollifierSpec(0.1, "fiberwise"))
+    smooth = mollify_fiberwise(bg.grid, f, MollifierSpec(0.1))
     smooth = smooth / bg.integrate_mu(smooth)
     members = np.repeat(smooth[None, :], 9, axis=0)
     bound = max(float(np.max(f)), float(np.max(smooth)))
@@ -728,7 +731,7 @@ def mass_pairing_property(family: FiberFamily, path: PathField) -> PropertyResul
     the family solver does, so this re-derives the identity from scratch.
     """
     bg = family.bg
-    spec = MollifierSpec(family.deltas[-1], "fiberwise")
+    spec = MollifierSpec(family.deltas[-1])
     m_d = metric_density(bg, mollify_fiberwise(bg.grid, path.values, spec))
     sources = m_d + family.slacks[-1]
     lhs = bg.integrate_mu(np.exp(family.phi))  # (eps, t)
@@ -775,7 +778,7 @@ def density_limit_report(family: FiberFamily, path: PathField) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# negative controls: constructed inputs every check must reject
+# negative controls: the constructed inputs the checks must reject
 
 
 def _with_phi(family: FiberFamily, new_phi) -> FiberFamily:
@@ -802,58 +805,44 @@ def _uniform_noise(seed: int, shape: tuple) -> np.ndarray:
     return (math.sqrt(3.0) * (bits * 2.0**-52 - 1.0)).reshape(shape)  # 53 random bits per value
 
 
-def control_residual_c(bg: Background, eg: EpsGeodesic) -> PropertyResult:
+def _noisy_geodesic(eg: EpsGeodesic) -> EpsGeodesic:
+    """Copy of the geodesic whose path carries 1e-3 uniform noise: no longer a solution."""
     noisy = eg.path.values + 1e-3 * _uniform_noise(0, eg.path.values.shape)
-    fake = replace(eg, path=PathField(bg.grid, noisy))
-    return _as_control("control:eps_geodesic_residual_c", eps_geodesic_residual_c(bg, fake))
+    return replace(eg, path=PathField(eg.path.grid, noisy))
 
 
-def control_density_convergence(family: FiberFamily, path: PathField) -> PropertyResult:
-    """The sweep cannot converge to the densities of a different path."""
-    grid = family.bg.grid
-    shift = 0.05 / (2.0 * np.pi) ** 2 * np.cos(2.0 * np.pi * grid.nodes)
-    wrong = PathField(grid, path.values + shift[None, :])
-    raw = density_convergence(family, wrong)
-    return _as_control("control:density_convergence", raw)
+def _shifted_path(path: PathField) -> PathField:
+    """A different path, whose densities the family cannot converge to."""
+    shift = 0.05 / (2.0 * np.pi) ** 2 * np.cos(2.0 * np.pi * path.grid.nodes)
+    return PathField(path.grid, path.values + shift[None, :])
 
 
-def control_eps_A(bg: Background) -> PropertyResult:
+def _concave_eps_a_traces() -> list:
+    """Traces t(1 - t) scaled by 1, 2 and 3 at eps = 0.1, 0.05, 0.025: concave, worsening as eps drops."""
     times = np.linspace(0.0, 1.0, 17)
-    ds = times[1] - times[0]
     traces = []
     for i, eps in enumerate((0.1, 0.05, 0.025)):
-        values = (1.0 + i) * times * (1.0 - times)  # concave, worsening as eps drops
+        values = (1.0 + i) * times * (1.0 - times)
         meta = {"name": "mabuchi_eps_A", "epsilon": eps, "A": 5.0}
-        traces.append(FunctionalTrace(times, values, second_differences(values, ds), meta))
-    raw = mabuchi_eps_A_almost_convex(bg, traces)
-    return _as_control("control:mabuchi_eps_A_almost_convex", raw)
+        traces.append(FunctionalTrace(times, values, second_differences(values, times[1] - times[0]), meta))
+    return traces
 
 
-def control_mabuchi_convexity(bg: Background, path: PathField, family: FiberFamily) -> PropertyResult:
-    # a concave bump in s that lowers the density by at most 0.9 of its floor, so the path stays in the cone
+def _dented_path(bg: Background, path: PathField) -> PathField:
+    """The path plus a concave bump in s lowering the density by at most 0.9 of its floor: it stays in the cone."""
     depth = min(0.5, 0.9 * float(np.min(metric_density(bg, path.values))))
     dent = depth / (2.0 * np.pi) ** 2 * np.cos(2.0 * np.pi * bg.grid.nodes)
-    s = path.times[:, None]
-    dented = PathField(bg.grid, path.values + np.sin(np.pi * s) * dent[None, :])
-    raw = mabuchi_convexity_and_continuity(bg, dented, family)
-    return _as_control("control:mabuchi_convexity_and_continuity", raw)
+    return PathField(bg.grid, path.values + np.sin(np.pi * path.times[:, None]) * dent[None, :])
 
 
-def control_ddc(bg: Background) -> PropertyResult:
-    n_time = 64
-    rough = 0.01 * _uniform_noise(1, (n_time + 1, bg.grid.n_points))
-    raw = ddc_property(bg, PathField(bg.grid, rough), ddc_test_function(n_time))
-    return _as_control("control:ddc_energy_identity", raw)
+def _rough_path(grid: SpatialGrid) -> PathField:
+    """An n_time-64 path of 0.01 uniform noise."""
+    return PathField(grid, 0.01 * _uniform_noise(1, (65, grid.n_points)))
 
 
-def control_subharmonic(bg: Background) -> PropertyResult:
-    u = -0.2 * np.cos(2.0 * np.pi * bg.grid.nodes)  # m[u] < 0 on part of {u > v - 1}
-    v = np.zeros(bg.grid.n_points)
-    try:
-        max_subharmonic_lemma(bg, u, v)
-    except SkippedHypothesis as exc:
-        return _result("control:max_subharmonic_lemma", 1.0, {"control": True, "skipped": str(exc)})
-    return _result("control:max_subharmonic_lemma", -1.0, {"control": True, "skipped": None})
+def _non_subharmonic_pair(grid: SpatialGrid) -> tuple:
+    """u and v with m[u] < 0 on part of {u > v - 1}: max_subharmonic_lemma must refuse them."""
+    return -0.2 * np.cos(2.0 * np.pi * grid.nodes), np.zeros(grid.n_points)
 
 
 # ---------------------------------------------------------------------------
@@ -1019,12 +1008,12 @@ def _subharmonic_pair(grid: SpatialGrid) -> tuple:
     return u, v
 
 
-# The verify row table, in output order: (suite, name, chain, rows).  rows(data) returns the entry's
-# PropertyResults, each named name or name[...]; a control entry is named "control:" plus the check it controls
-# and writes one row of that name, but for control:truncated_semicontinuity, the sweep's.  chain names the objects
-# of the WEAK_EPSILONS chain the entry reads, of boundary_paths and eps_geodesic, which
-# SuiteData.solve_chain_first solves first.  Each entry looks its check up by name when called, so a wrapper
-# put on a module attribute sees every call.
+# The verify row table, in output order: (suite, name, chain, rows).  rows(data) returns the PropertyResults of the
+# entry's check, each named name or name[...]; a control entry is named "control:" plus the check it controls, and
+# its rows(data) are that check's raw results on a constructed broken input, which _entry_rows, the one place a
+# control row is formed, turns into rows.  chain names the objects of the WEAK_EPSILONS chain the entry reads, of
+# boundary_paths and eps_geodesic, which SuiteData.solve_chain_first solves first.  Each entry looks its check up by
+# name when called, so a wrapper put on a module attribute sees every call.
 ROWS = (
     ("entropy", "entropy_semicontinuity", (), lambda d: [
         replace(entropy_semicontinuity(d.bg, random_density_sequence(d.bg, seed)),
@@ -1034,13 +1023,10 @@ ROWS = (
     ("entropy", "truncated_semicontinuity_sweep", (),
      lambda d: [truncated_semicontinuity_sweep(d.bg, random_density_sequence(d.bg, d.config.seed))]),
     ("entropy", "delta_a_closed_form", (), lambda d: [delta_a_closed_form(d.bg)]),
-    ("entropy", "control:entropy_semicontinuity", (), lambda d: [
-        _as_control("control:entropy_semicontinuity", entropy_semicontinuity(d.bg, mollified_sequence(d.bg)))
-    ]),
-    ("entropy", "control:truncated_semicontinuity_sweep", (), lambda d: [_as_control(
-        "control:truncated_semicontinuity",
-        truncated_semicontinuity(d.bg, mollified_sequence(d.bg), TruncationSpec(20.0)),
-    )]),
+    ("entropy", "control:entropy_semicontinuity", (),
+     lambda d: [entropy_semicontinuity(d.bg, mollified_sequence(d.bg))]),
+    ("entropy", "control:truncated_semicontinuity_sweep", (),
+     lambda d: [truncated_semicontinuity(d.bg, mollified_sequence(d.bg), TruncationSpec(20.0))]),
     ("convexity", "convexity_inequality_k", (), lambda d: [
         convexity_inequality_k(d.bg, d.weak_path, d.family, k) for k in K_VALUES if k <= len(d.family.epsilons)
     ]),
@@ -1052,43 +1038,59 @@ ROWS = (
      lambda d: [mabuchi_eps_A_almost_convex(d.curved_bg, d.eps_a_traces(a)) for a in EPS_A_VALUES]),
     ("convexity", "ddc_energy_identity", ("eps_geodesic",),
      lambda d: [ddc_property(d.bg, d.eps_geodesic.path, ddc_test_function(d.eps_geodesic.path.n_time))]),
-    ("convexity", "control:convexity_inequality_k", (), lambda d: [_as_control(
-        "control:convexity_inequality_k",
-        convexity_inequality_k(d.bg, d.weak_path, _tampered_family(d.family), min(2, len(d.family.epsilons))),
-    )]),
+    ("convexity", "control:convexity_inequality_k", (), lambda d: [
+        convexity_inequality_k(d.bg, d.weak_path, _tampered_family(d.family), min(2, len(d.family.epsilons)))
+    ]),
     ("convexity", "control:mabuchi_convexity_and_continuity", (),
-     lambda d: [control_mabuchi_convexity(d.bg, d.weak_path, d.family)]),
-    ("convexity", "control:mabuchi_eps_A_almost_convex", (), lambda d: [control_eps_A(d.bg)]),
-    ("convexity", "control:ddc_energy_identity", (), lambda d: [control_ddc(d.bg)]),
+     lambda d: [mabuchi_convexity_and_continuity(d.bg, _dented_path(d.bg, d.weak_path), d.family)]),
+    ("convexity", "control:mabuchi_eps_A_almost_convex", (),
+     lambda d: [mabuchi_eps_A_almost_convex(d.bg, _concave_eps_a_traces())]),
+    ("convexity", "control:ddc_energy_identity", (),
+     lambda d: [ddc_property(d.bg, rough := _rough_path(d.bg.grid), ddc_test_function(rough.n_time))]),
     ("curvature", "eps_curvature_identity", ("eps_geodesic",), lambda d: [d.curvature_identity[0]]),
     ("curvature", "eps_geodesic_residual_c", ("eps_geodesic",),
      lambda d: [eps_geodesic_residual_c(d.bg, d.eps_geodesic)]),
     # a wrong constant, CONTROL_KAPPA, leaves a non-vanishing residual: the ratios collapse to 1
-    ("curvature", "control:eps_curvature_identity", ("eps_geodesic",),
-     lambda d: [_as_control("control:eps_curvature_identity", d.curvature_identity[1])]),
+    ("curvature", "control:eps_curvature_identity", ("eps_geodesic",), lambda d: [d.curvature_identity[1]]),
     ("curvature", "control:eps_geodesic_residual_c", ("eps_geodesic",),
-     lambda d: [control_residual_c(d.bg, d.eps_geodesic)]),
+     lambda d: [eps_geodesic_residual_c(d.bg, _noisy_geodesic(d.eps_geodesic))]),
     ("bounds", "family_uniform_bounds", (), lambda d: [check_bounds(d.family)]),
     ("bounds", "density_convergence", (), lambda d: [density_convergence(d.family, d.weak_path)]),
     ("bounds", "eps_phi_vanishing", (), lambda d: [eps_phi_vanishing(d.family)]),
     ("bounds", "mass_pairing", (), lambda d: [mass_pairing_property(d.family, d.weak_path)]),
     ("bounds", "max_subharmonic_lemma", (),
      lambda d: [max_subharmonic_lemma(d.bg, *_subharmonic_pair(d.bg.grid))]),
-    ("bounds", "control:family_uniform_bounds", (),
-     lambda d: [_as_control("control:family_uniform_bounds", check_bounds(_scaled_family(d.family)))]),
-    ("bounds", "control:eps_phi_vanishing", (),
-     lambda d: [_as_control("control:eps_phi_vanishing", eps_phi_vanishing(_scaled_family(d.family)))]),
-    ("bounds", "control:density_convergence", (), lambda d: [control_density_convergence(d.family, d.weak_path)]),
-    ("bounds", "control:max_subharmonic_lemma", (), lambda d: [control_subharmonic(d.bg)]),
+    ("bounds", "control:family_uniform_bounds", (), lambda d: [check_bounds(_scaled_family(d.family))]),
+    ("bounds", "control:eps_phi_vanishing", (), lambda d: [eps_phi_vanishing(_scaled_family(d.family))]),
+    ("bounds", "control:density_convergence", (),
+     lambda d: [density_convergence(d.family, _shifted_path(d.weak_path))]),
+    ("bounds", "control:max_subharmonic_lemma", (),
+     lambda d: [max_subharmonic_lemma(d.bg, *_non_subharmonic_pair(d.bg.grid))]),
 )
-# run_verify's measured block, written with the bounds rows, reads eps_geodesic: solve_chain_first counts it
-# as a bounds entry, and run_suite does not run it
-MEASURED = ("bounds", "measured", ("eps_geodesic",), None)
+# run_verify's measured block, written with the bounds rows, in the shape of an entry whose rows(data) builds the
+# block: it reads eps_geodesic, so solve_chain_first counts it as a bounds entry, and run_suite does not run it
+MEASURED = ("bounds", "measured", ("eps_geodesic",), lambda d: {
+    "omega_mask": omega_mask_report(d.bg, d.eps_geodesic, TruncationSpec(10.0)),
+    "density_limit": density_limit_report(d.family, d.weak_path),
+})
+
+
+def _entry_rows(name: str, rows, data: SuiteData) -> list:
+    """The rows of one ROWS entry: a check's results as they are, a control's from its check's raw results on the
+    broken input, each flipped by _as_control and named "control:" plus the check's name up to its "[".  A check
+    that raises SkippedHypothesis has refused the input, so its control fires: one row of the entry's name."""
+    if not name.startswith("control:"):
+        return rows(data)
+    try:
+        return [_as_control("control:" + raw.name.split("[")[0], raw) for raw in rows(data)]
+    except SkippedHypothesis as exc:
+        return [_result(name, 1.0, {"control": True, "skipped": str(exc)})]
 
 
 def _suite(name: str):
     def suite(data: SuiteData) -> list:
-        return [res for row_suite, _, _, rows in ROWS if row_suite == name for res in rows(data)]
+        return [res for row_suite, entry, _, rows in ROWS if row_suite == name
+                for res in _entry_rows(entry, rows, data)]
 
     suite.__name__ = suite.__qualname__ = f"suite_{name}"
     return suite

@@ -18,6 +18,7 @@ from kgeolab import (
     SpatialGrid,
     cli,
     geodesic,
+    load_schema,
     ma_fiber,
     parse_config,
     second_differences,
@@ -208,6 +209,12 @@ def test_help_lists_the_suites_and_variants_of_the_code(capsys):
     assert list(verify.SUITES) == list(VERIFY_SUITES)
 
 
+def test_report_schema_enums_are_the_codes_tuples():
+    """The report schemas accept exactly the suites and variants the parser takes."""
+    assert load_schema("verify_report")["properties"]["suite"]["enum"] == [*VERIFY_SUITES, "all"]
+    assert load_schema("mabuchi_report")["properties"]["variant"]["enum"] == list(cli.VARIANTS)
+
+
 def test_missing_epsilons(tmp_path, capsys):
     cfg = _write_config(tmp_path)
     assert main(["geodesic", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
@@ -389,6 +396,20 @@ def test_malformed_report_raises_schema_violation_and_writes_nothing(tmp_path, m
         "geodesic_report document does not match its schema: "
         "'not a number' is not of type 'number' (at $.increments[0])"
     )
+
+
+def test_a_failed_write_leaves_no_temp_file(tmp_path, capsys):
+    """A write whose rename fails, onto a directory of the target's name, removes its temp file: in the
+    text writer alone, and in the CSV writer of a mabuchi run, which exits 2."""
+    (tmp_path / "verify_results.csv").mkdir()
+    with pytest.raises(OSError):
+        cli._atomic_write_text(tmp_path / "verify_results.csv", "name,pass,margin\n")
+    assert _no_tmp_leftovers(tmp_path)
+    out = tmp_path / "out"
+    (out / "mabuchi_trace.csv").mkdir(parents=True)
+    assert main(["mabuchi", "--config", _write_config(tmp_path, epsilons=[0.1, 0.01, 0.001]), "--out", str(out)]) == 2
+    assert "error in mabuchi:exact: IsADirectoryError" in capsys.readouterr().err
+    assert _no_tmp_leftovers(out)
 
 
 def test_study_exits_2_before_its_stages_when_a_verify_object_fails(tmp_path, monkeypatch):

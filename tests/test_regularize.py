@@ -29,15 +29,6 @@ def test_spec_validation():
         MollifierSpec(0.3)
     with pytest.raises(ValueError):
         MollifierSpec(0.0)
-    with pytest.raises(ValueError):
-        MollifierSpec(0.1, "diagonal")
-
-
-def test_kind_mismatch(small_grid):
-    with pytest.raises(ValueError, match="fiberwise"):
-        mollify_fiberwise(small_grid, np.zeros(64), MollifierSpec(0.1, "spacetime"))
-    with pytest.raises(ValueError, match="spacetime"):
-        mollify_spacetime(small_grid, np.zeros((9, 64)), MollifierSpec(0.1, "fiberwise"))
 
 
 def test_constant_fixed_point(small_grid):
@@ -109,14 +100,14 @@ def test_commutes_with_d2(small_grid):
 def test_spacetime_keeps_affine_rows(small_grid):
     s = np.linspace(0.0, 1.0, 17)[:, None]
     path = 2.0 * s + 1.0 + np.zeros((17, 64))
-    out = mollify_spacetime(small_grid, path, MollifierSpec(0.1, "spacetime"))
+    out = mollify_spacetime(small_grid, path, MollifierSpec(0.1))
     assert np.max(np.abs(out - path)) < 1e-9
 
 
 def test_spacetime_band_untouched_outside(small_grid):
     rng = np.random.default_rng(1)
     path = rng.standard_normal((17, 64))
-    spec = MollifierSpec(0.1, "spacetime")
+    spec = MollifierSpec(0.1)
     out = mollify_spacetime(small_grid, path, spec)
     margin = int(np.ceil(spec.delta * 16))
     lo, hi = margin + 1, 16 - margin - 1
@@ -129,13 +120,13 @@ def test_spacetime_kink_error_scales_with_delta(small_grid):
     s = np.linspace(0.0, 1.0, 33)
     path = np.abs(s - 0.5)[:, None] * np.ones((1, 64))
     for delta in (0.1, 0.05):
-        out = mollify_spacetime(small_grid, path, MollifierSpec(delta, "spacetime"))
+        out = mollify_spacetime(small_grid, path, MollifierSpec(delta))
         assert float(np.max(np.abs(out - path))) <= delta  # Lip = 1
 
 
 def test_interior_too_thin(small_grid):
     with pytest.raises(InteriorTooThin):
-        mollify_spacetime(small_grid, np.zeros((5, 64)), MollifierSpec(0.2, "spacetime"))
+        mollify_spacetime(small_grid, np.zeros((5, 64)), MollifierSpec(0.2))
 
 
 @pytest.mark.parametrize("n", [8, 16, 32, 64, 128, 256, 512])

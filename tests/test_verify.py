@@ -8,6 +8,7 @@ import tracemalloc
 import weakref
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -70,9 +71,6 @@ from kgeolab.verify import (
     _curvature_fields,
     _uniform_noise,
     _with_phi,
-    control_ddc,
-    control_mabuchi_convexity,
-    control_residual_c,
 )
 
 EXPECTED_NAMES = (
@@ -115,6 +113,12 @@ EXPECTED_NAMES = (
 )
 
 
+def _run_entries(monkeypatch, data, *names) -> list:
+    """The rows the suite runner forms from the named entries of verify.ROWS, run alone on data."""
+    monkeypatch.setattr(verify, "ROWS", tuple(entry for entry in verify.ROWS if entry[1] in names))
+    return run_suite(data, "all")
+
+
 def _constant_geodesic(bg, n_time: int, epsilon: float = 0.1) -> EpsGeodesic:
     c = np.full(bg.grid.n_points, 0.2)
     return solve_eps_geodesic(EpsGeodesicProblem(bg, c, c, epsilon, n_time))
@@ -155,16 +159,17 @@ def test_as_control_flips_verdict():
     assert not _as_control("control:z", zero).passed
 
 
-def test_mabuchi_convexity_control_fires_on_a_path_of_low_density(small_bg):
-    """On the weak geodesic to density amplitude 0.9 (floor 0.1007) the raw check passes, and the
-    control's dent, scaled to that floor, keeps the path in the cone and makes the check fail."""
+def test_mabuchi_convexity_control_fires_on_a_path_of_low_density(small_bg, monkeypatch):
+    """On the weak geodesic to density amplitude 0.9 (floor 0.1007) the raw check passes, and the table's
+    control entry, whose dent is scaled to that floor, keeps the path in the cone and makes the check fail."""
     grid = small_bg.grid
     endpoint_1 = 0.9 / (2.0 * np.pi) ** 2 * np.cos(2.0 * np.pi * grid.nodes)
     path = legendre_oracle(small_bg, np.zeros(grid.n_points), endpoint_1, 8)
     assert 0.1 < np.min(metric_density(small_bg, path.values)) < 0.11
     family = solve_family(small_bg, path, FAMILY_EPSILONS, FAMILY_DELTAS, tol=1e-10)
     assert mabuchi_convexity_and_continuity(small_bg, path, family).passed
-    control = control_mabuchi_convexity(small_bg, path, family)
+    data = SimpleNamespace(bg=small_bg, weak_path=path, family=family)
+    [control] = _run_entries(monkeypatch, data, "control:mabuchi_convexity_and_continuity")
     assert control.passed and control.details["raw_pass"] is False
 
 
@@ -235,10 +240,12 @@ def test_uniform_noise_has_unit_variance():
     assert not np.array_equal(noise, _uniform_noise(1, (65, 256)))
 
 
-def test_noise_controls_fire(bg, suite_data):
+def test_noise_controls_fire(suite_data, monkeypatch):
     """The residual and the energy-pairing checks reject the paths made rough by the uniform noise."""
-    assert control_residual_c(bg, suite_data.eps_geodesic).passed
-    assert control_ddc(bg).passed
+    names = ("control:ddc_energy_identity", "control:eps_geodesic_residual_c")
+    rows = _run_entries(monkeypatch, suite_data, *names)
+    assert [r.name for r in rows] == list(names)
+    assert all(r.passed and r.details["raw_pass"] is False for r in rows)
 
 
 def test_mollified_sequence_breaks_semicontinuity(small_bg):
@@ -498,7 +505,8 @@ UNCONTROLLED = {
 def test_every_check_row_has_a_control_or_is_listed_as_uncontrolled(all_results):
     """Each check entry of the row table has a control entry, named "control:" plus the check, in its own
     suite, or is in UNCONTROLLED; each control entry names a check of the table.  A control entry writes
-    one row of its own name, but for the truncated sweep's control, whose row keeps its shorter name."""
+    one row, named "control:" plus its check's result name up to the "[", which the entry's check name
+    starts with: the truncated sweep's control runs truncated_semicontinuity at one A."""
     suites = {name: suite for suite, name, _, _ in verify.ROWS}
     assert len(suites) == len(verify.ROWS)
     assert list(dict.fromkeys(suites.values())) == list(verify.SUITES)
@@ -507,9 +515,28 @@ def test_every_check_row_has_a_control_or_is_listed_as_uncontrolled(all_results)
     assert [name for name in controlled if name not in checks] == []
     assert all(suites[name] == suites[f"control:{name}"] for name in controlled)
     assert [name for name in checks if name not in controlled] == list(UNCONTROLLED)
-    control_rows = [r.name for r in all_results if r.name.startswith("control:")]
-    row_name = {"truncated_semicontinuity_sweep": "truncated_semicontinuity"}
-    assert control_rows == [f"control:{row_name.get(name, name)}" for name in controlled]
+    control_rows = [r.name.removeprefix("control:") for r in all_results if r.name.startswith("control:")]
+    assert len(control_rows) == len(controlled)
+    assert all(name.startswith(row) and "[" not in row for name, row in zip(controlled, control_rows))
+
+
+def test_runner_forms_every_control_row(monkeypatch):
+    """On two constructed control entries: a check that passes on its input gives a failing row carrying
+    the raw margin and the check's details, named by the rule; a check that raises SkippedHypothesis has
+    refused its input, so its control fires with margin 1.0, in a row of the entry's name."""
+    def refuses(data):
+        raise SkippedHypothesis("v is not background-subharmonic")
+
+    monkeypatch.setattr(verify, "ROWS", (
+        ("bounds", "control:lenient_check", (),
+         lambda data: [PropertyResult("lenient_check[k=2]", 0.25, {"tol": 1e-6})]),
+        ("bounds", "control:refusing_check", (), refuses),
+    ))
+    missed, refused = run_suite(None, "bounds")
+    assert (missed.name, missed.margin, missed.passed) == ("control:lenient_check", -0.25, False)
+    assert missed.details == {"tol": 1e-6, "control": True, "raw_margin": 0.25, "raw_pass": True}
+    assert (refused.name, refused.margin, refused.passed) == ("control:refusing_check", 1.0, True)
+    assert refused.details == {"control": True, "skipped": "v is not background-subharmonic"}
 
 
 def test_curvature_suite_builds_each_levels_fields_once(suite_data, monkeypatch):
