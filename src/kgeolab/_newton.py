@@ -69,7 +69,7 @@ class NewtonRecord:
         return int(self.row_iterations.sum())
 
 
-def damped_newton(x0, evaluate, newton_step, tol: float = 1e-11, max_iter: int = 200):
+def damped_newton(x0, evaluate, newton_step, tol: float, max_iter: int):
     """Drive every row of x0, of shape (rows, n), to a residual sup norm <= tol.
 
     The callbacks get the stack x of the rows still iterating and their

@@ -18,7 +18,8 @@ for study what any of its stages reads, exits 1 before the first solve.
 Reports are deterministic for a fixed config: keys are sorted, floats
 use shortest round-trip formatting, and embedded file references are
 bare names so the bytes do not depend on the output location.  The one
-non-reproducible field is the top-level "timestamp" key.  Every float CSV
+non-reproducible field is the top-level "timestamp" key, which _write_json
+alone adds to every JSON document.  Every float CSV
 (path, fiber and trace files) comes from one writer, _write_csv_via: a
 header, then one row per index of its float columns.  All files are
 written atomically (temp file in the target directory, then rename), and a
@@ -38,9 +39,10 @@ below the schema's 8 among them, import no solver module (``geodesic``,
 A command that gets past those checks imports all of them: main builds its
 ``verify.SuiteData``, and ``verify`` imports the others.
 
-The one environment override honored: KGEOLAB_OUT_DIR supplies the
-output directory when --out is absent.  --threads is validated (an integer
->= 1) but every run is sequential.
+A run reads no environment variable: its outputs are a function of its
+command line and config alone.  The output directory is --out, else the
+config's out_dir.  --threads is validated (an integer >= 1) but every run
+is sequential.
 """
 
 from __future__ import annotations
@@ -130,7 +132,8 @@ def _atomic_write_text(path: Path, text: str) -> None:
 
 
 def _write_json(out_dir: Path, name: str, doc: dict, schema: str) -> None:
-    doc = _jsonable(doc)
+    """out_dir/name: doc with the top-level "timestamp", the one read of the clock, checked against schema."""
+    doc = _jsonable({**doc, "timestamp": _timestamp()})
     validate_against_schema(doc, schema)
     text = json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False, allow_nan=False)
     _atomic_write_text(out_dir / name, text + "\n")
@@ -167,7 +170,6 @@ def run_geodesic(config: ExperimentConfig, data: SuiteData, out_dir: Path) -> in
         _write_csv_via(out_dir, name, header, [sol.path.times, sol.path.values])
         files.append({"epsilon": sol.epsilon, "path_csv": name})
     report = {
-        "timestamp": _timestamp(),
         "config": config.raw,
         "n_time": config.n_time,
         "epsilons": list(config.epsilons),
@@ -211,7 +213,6 @@ def run_fiberwise(config: ExperimentConfig, data: SuiteData, out_dir: Path) -> i
 
     passed = bool(bounds_passed and convergence.passed and vanishing.passed)
     report = {
-        "timestamp": _timestamp(),
         "config": config.raw,
         "n_time": config.n_time,
         "family": fam_report,
@@ -260,7 +261,6 @@ def run_mabuchi(config: ExperimentConfig, data: SuiteData, out_dir: Path, varian
             }
         )
     report = {
-        "timestamp": _timestamp(),
         "config": config.raw,
         "variant": variant,
         "n_time": config.n_time,
@@ -291,7 +291,6 @@ def run_verify(config: ExperimentConfig, data: SuiteData, out_dir: Path, suite: 
     n_controls = sum(1 for r in results if r.details.get("control"))
     passed = all(r.passed for r in results)
     report = {
-        "timestamp": _timestamp(),
         "config": config.raw,
         "suite": suite,
         "results": [r.to_dict() for r in results],
@@ -338,12 +337,7 @@ def run_study(config: ExperimentConfig, data: SuiteData, out_dir: Path) -> int:
         raise
 
     passed = all(stage["passed"] for stage in stages.values())
-    report = {
-        "timestamp": _timestamp(),
-        "config": config.raw,
-        "stages": stages,
-        "passed": passed,
-    }
+    report = {"config": config.raw, "stages": stages, "passed": passed}
     _write_json(out_dir, "study_report.json", report, "study_report")
     print(f"study: {'all stages passed' if passed else 'some stage failed'}; summary in {out_dir}")
     return 0 if passed else 3
@@ -351,15 +345,6 @@ def run_study(config: ExperimentConfig, data: SuiteData, out_dir: Path) -> int:
 
 # ---------------------------------------------------------------------------
 # entry point
-
-
-def _resolve_out_dir(config: ExperimentConfig, cli_out: str | None) -> Path:
-    if cli_out:
-        return Path(cli_out)
-    env = os.environ.get("KGEOLAB_OUT_DIR")
-    if env:
-        return Path(env)
-    return Path(config.out_dir)
 
 
 def _thread_count(text: str) -> int:
@@ -394,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in SUBCOMMANDS:
         sp = sub.add_parser(name, help=helps[name])
         sp.add_argument("--config", metavar="PATH", required=True, help="experiment config JSON")
-        sp.add_argument("--out", metavar="DIR", help="output directory (overrides config and env)")
+        sp.add_argument("--out", metavar="DIR", help="output directory (overrides the config's out_dir)")
         sp.add_argument("--threads", type=_thread_count, metavar="N",
                         help="validated (an integer >= 1); every run is sequential")
         if name == "mabuchi":
@@ -414,7 +399,7 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config)
         _check_requirements(config, stages)
-        out_dir = _resolve_out_dir(config, args.out)
+        out_dir = Path(args.out or config.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         from .verify import SuiteData
 
@@ -426,17 +411,8 @@ def main(argv=None) -> int:
         stage = getattr(exc, "stage", stage)
         if out_dir is not None:
             try:
-                _write_json(
-                    out_dir,
-                    "diagnostic.json",
-                    {
-                        "timestamp": _timestamp(),
-                        "stage": stage,
-                        "error_type": type(exc).__name__,
-                        "message": str(exc),
-                    },
-                    "diagnostic",
-                )
+                diagnostic = {"stage": stage, "error_type": type(exc).__name__, "message": str(exc)}
+                _write_json(out_dir, "diagnostic.json", diagnostic, "diagnostic")
             except Exception:
                 pass
         traceback.print_exc(file=sys.stderr)

@@ -79,7 +79,7 @@ ALLOWED_DEFAULTS = {
 }
 # defaulted public parameters before checks stopped taking their thresholds and fixed inputs as
 # arguments, and the most there may be now
-DEFAULTS_BEFORE, DEFAULTS_CAP = 46, 16
+DEFAULTS_BEFORE, DEFAULTS_CAP = 46, 11
 
 
 def _defaulted_parameters(node):
@@ -169,6 +169,30 @@ def test_benchmark_layer_hooks_install_on_the_package():
     assert traced["geodesic.solve_calls"] == traced["geodesic.solve_distinct"] == 1
     assert traced["geodesic.lu_calls"] >= 1
     assert traced["ma_fiber.fiber_calls"] == 1
+
+
+def test_benchmark_copies_of_package_constants_match_the_package():
+    """perfbench/checks.py repeats two facts of the package: the number of negative controls in
+    verify.ROWS and the default geodesic tolerance.  A change to either fails the benchmark's output
+    check, so it must fail here first; perfbench/ is read as text, not imported."""
+    from kgeolab.config import DEFAULT_TOLERANCES
+    from kgeolab.verify import ROWS
+
+    checks = ast.parse((SRC.parents[1] / "perfbench" / "checks.py").read_text(encoding="utf-8"))
+    copies = ("NEGATIVE_CONTROLS", "GEODESIC_TOL")
+    pinned = {
+        node.targets[0].id: ast.literal_eval(node.value) for node in checks.body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) in copies
+    }
+    controls = sum(1 for entry in ROWS if entry[1].startswith("control:"))
+    see = "perfbench/checks.py must change first (CHANGES.md's FOUND line on its NEGATIVE_CONTROLS pin)"
+    assert pinned["NEGATIVE_CONTROLS"] == controls, (
+        f"verify.ROWS has {controls} controls, perfbench/checks.py pins {pinned['NEGATIVE_CONTROLS']}: {see}"
+    )
+    assert pinned["GEODESIC_TOL"] == DEFAULT_TOLERANCES["geodesic"], (
+        f"the geodesic tolerance is {DEFAULT_TOLERANCES['geodesic']}, perfbench/checks.py pins "
+        f"{pinned['GEODESIC_TOL']}: {see}"
+    )
 
 
 # the package's re-exported names by the submodule that defines them, pinned so that none drops out

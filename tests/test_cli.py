@@ -1,5 +1,6 @@
-"""End-to-end CLI runs: exit codes, artifacts, determinism, env overrides."""
+"""End-to-end CLI runs: exit codes, artifacts, determinism, output directories."""
 
+import ast
 import itertools
 import json
 import os
@@ -29,11 +30,6 @@ from kgeolab.config import VERIFY_SUITES
 from kgeolab.errors import ConfigError, NoConvergence, PositivityLoss, SchemaViolation, SingularSystem
 
 AMP = 0.05 / (2.0 * np.pi) ** 2
-
-
-@pytest.fixture(autouse=True)
-def _clean_env(monkeypatch):
-    monkeypatch.delenv("KGEOLAB_OUT_DIR", raising=False)
 
 
 def _write_config(tmp_path, name="config.json", **overrides):
@@ -378,7 +374,7 @@ def test_geodesic_factorization_failure_exits_2(tmp_path, monkeypatch, capsys):
 
 def test_malformed_report_raises_schema_violation_and_writes_nothing(tmp_path, monkeypatch, capsys):
     """A report that fails its schema raises SchemaViolation before any byte is written; the run exits 2."""
-    report = {"timestamp": "t", "config": {}, "stages": {}, "passed": "yes"}
+    report = {"config": {}, "stages": {}, "passed": "yes"}
     with pytest.raises(SchemaViolation) as exc:
         cli._write_json(tmp_path, "study_report.json", report, "study_report")
     assert (exc.value.schema, exc.value.json_path) == ("study_report", "$.stages")
@@ -927,19 +923,39 @@ def test_study_writes_the_geodesic_artifacts_of_geodesic_at_a_chain_n_time(tmp_p
 
 
 def test_out_dir_resolution(tmp_path, monkeypatch):
+    """--out, else the config's out_dir; a KGEOLAB_OUT_DIR in the environment is ignored and never created."""
     cfg = _write_config(tmp_path, epsilons=[0.1], out_dir=str(tmp_path / "from_config"))
     env_dir = tmp_path / "from_env"
     flag_dir = tmp_path / "from_flag"
 
     monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("KGEOLAB_OUT_DIR", str(env_dir))
     assert main(["geodesic", "--config", cfg]) == 0
     assert (tmp_path / "from_config" / "geodesic_report.json").is_file()
 
-    monkeypatch.setenv("KGEOLAB_OUT_DIR", str(env_dir))
-    assert main(["geodesic", "--config", cfg]) == 0
-    assert (env_dir / "geodesic_report.json").is_file()
-
-    (env_dir / "geodesic_report.json").unlink()
     assert main(["geodesic", "--config", cfg, "--out", str(flag_dir)]) == 0
     assert (flag_dir / "geodesic_report.json").is_file()
-    assert not (env_dir / "geodesic_report.json").exists()
+    assert not env_dir.exists()
+
+
+def test_a_run_reads_no_environment_and_the_clock_in_one_place():
+    """No module of the package reads os.environ or os.getenv, so a run's outputs are a function
+    of its command line and config; cli._timestamp, the one read of the clock, is called only by
+    _write_json, which stamps every JSON document."""
+    environment = []
+    stamps = []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            names = [a.name for a in node.names] if isinstance(node, ast.ImportFrom) and node.module == "os" else []
+            if isinstance(node, ast.Attribute):
+                names.append(node.attr)
+            if {"environ", "environb", "getenv", "getenvb"} & set(names):
+                environment.append(f"{path.name}:{node.lineno}")
+        for top in tree.body:  # each call of _timestamp, by the top-level definition it is in
+            stamps += [
+                (path.name, getattr(top, "name", None)) for node in ast.walk(top)
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_timestamp"
+            ]
+    assert environment == [], f"environment reads: {environment}"
+    assert stamps == [("cli.py", "_write_json")]

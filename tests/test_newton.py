@@ -31,7 +31,7 @@ def test_converged_row_stays_bit_identical():
     centres = [0.3, 2.0]
     x0 = np.array([[0.3 + 1e-13, 0.3, 0.3 - 2e-13], [0.0, 0.0, 0.0]])
     evaluate, newton_step = _arctan_rows(centres)
-    x, rec = damped_newton(x0, evaluate, newton_step, tol=1e-12)
+    x, rec = damped_newton(x0, evaluate, newton_step, tol=1e-12, max_iter=200)
     assert np.array_equal(x[0], x0[0])
     assert rec.row_iterations[0] == 0
     assert 0.0 < rec.residual_sups[0][0] <= 1e-12 and len(rec.residual_sups[0]) == 1
@@ -42,8 +42,8 @@ def test_rows_take_their_own_halvings():
     centres = [0.5, 3.0, -6.0]
     x0 = np.zeros((3, 3))
     evaluate, newton_step = _arctan_rows(centres)
-    x, rec = damped_newton(x0, evaluate, newton_step, tol=1e-12)
-    solo = [_solo(x0, centres, b, tol=1e-12) for b in range(3)]
+    x, rec = damped_newton(x0, evaluate, newton_step, tol=1e-12, max_iter=200)
+    solo = [_solo(x0, centres, b, tol=1e-12, max_iter=200) for b in range(3)]
     assert [s[1].halvings for s in solo][0] == 0
     assert all(s[1].halvings > 0 for s in solo[1:])
     assert solo[1][1].halvings != solo[2][1].halvings
@@ -67,7 +67,7 @@ def test_stalled_row_raises_with_its_own_record():
         return -(x - c[rows]), None
 
     with pytest.raises(NoConvergence, match="damping stalled") as info:
-        damped_newton(np.zeros((3, 2)), evaluate, newton_step, tol=1e-12)
+        damped_newton(np.zeros((3, 2)), evaluate, newton_step, tol=1e-12, max_iter=200)
     exc = info.value
     assert exc.row == 1
     assert exc.residual_sup == 0.25
@@ -89,7 +89,7 @@ def test_rejected_initial_row_is_named():
         return arctan(x, rows)[0], x[:, 0] > 0
 
     with pytest.raises(PositivityLoss, match="initial iterate") as info:
-        damped_newton(np.array([[1.0], [-1.0]]), evaluate, newton_step)
+        damped_newton(np.array([[1.0], [-1.0]]), evaluate, newton_step, tol=1e-11, max_iter=200)
     assert info.value.row == 1
 
 
@@ -150,7 +150,7 @@ def test_batch_of_one_matches_the_unbatched_loop():
         calls["newton_step"] += 1
         return step(x[0], r[0])[None, :], None
 
-    x, rec = damped_newton(x0[None, :], evaluate, newton_step, tol=1e-12)
+    x, rec = damped_newton(x0[None, :], evaluate, newton_step, tol=1e-12, max_iter=200)
     assert calls == {"evaluate": ref_trials, "newton_step": rec.factorizations}
     assert rec.factorizations == len(ref_sups) - 1
     assert rec.halvings > 0
@@ -189,8 +189,8 @@ def test_chord_steps_save_factorizations_and_polish_to_the_floor():
         d = dict(zip(rows.tolist(), 1.0 + (x - c[rows]) ** 2))
         return plain_step(x, r, rows)[0], lambda r, rows: -r * np.array([d[b] for b in rows.tolist()])
 
-    x, rec = damped_newton(np.zeros((2, 3)), evaluate, newton_step, tol=1e-10)
-    _, plain = damped_newton(np.zeros((2, 3)), evaluate, plain_step, tol=1e-10)
+    x, rec = damped_newton(np.zeros((2, 3)), evaluate, newton_step, tol=1e-10, max_iter=200)
+    _, plain = damped_newton(np.zeros((2, 3)), evaluate, plain_step, tol=1e-10, max_iter=200)
     assert 0 < rec.factorizations < plain.factorizations
     assert rec.iterations > rec.factorizations + 2  # chord steps count as steps
     assert max(sups[-1] for sups in rec.residual_sups) <= 1e-15 < max(sups[-1] for sups in plain.residual_sups)
@@ -212,9 +212,9 @@ def test_rejected_chord_step_is_replaced_by_a_fresh_factorization_at_the_same_it
     log, plain_log = [], []
     _, newton_step = _chord_rows(centres, solve_at, log)
     _, counting_step = _chord_rows(centres, solve_at, plain_log)
-    x, rec = damped_newton(np.zeros((2, 3)), evaluate, newton_step, tol=1e-12)
+    x, rec = damped_newton(np.zeros((2, 3)), evaluate, newton_step, tol=1e-12, max_iter=200)
     plain_x, plain = damped_newton(
-        np.zeros((2, 3)), evaluate, lambda *a: (counting_step(*a)[0], None), tol=1e-12
+        np.zeros((2, 3)), evaluate, lambda *a: (counting_step(*a)[0], None), tol=1e-12, max_iter=200
     )
     factored = [entry for entry in log if not isinstance(entry, str)]
     assert [isinstance(entry, str) for entry in log][:4] == [False, True, False, True]
@@ -223,7 +223,8 @@ def test_rejected_chord_step_is_replaced_by_a_fresh_factorization_at_the_same_it
     assert np.array_equal(x, plain_x)
     assert rec.residual_sups == plain.residual_sups
     if bad == "accept":  # the same chord steps pass the contraction test: admissibility alone rejects them
-        _, kept = damped_newton(np.zeros((2, 3)), arctan, _chord_rows(centres, solve_at, [])[1], tol=1e-12)
+        reusing_step = _chord_rows(centres, solve_at, [])[1]
+        _, kept = damped_newton(np.zeros((2, 3)), arctan, reusing_step, tol=1e-12, max_iter=200)
         assert kept.residual_sups[0][:3] != plain.residual_sups[0][:3]
 
 
@@ -254,7 +255,7 @@ def test_failures_with_reuse_match_those_without(rows):
     def solve(step):
         x0 = np.zeros((len(sub), 2))
         return damped_newton(
-            x0, lambda x, b: evaluate(x, sub[b]), lambda x, r, b: step(x, r, sub[b]), tol=1e-12,
+            x0, lambda x, b: evaluate(x, sub[b]), lambda x, r, b: step(x, r, sub[b]), tol=1e-12, max_iter=200
         )
 
     errors = []
